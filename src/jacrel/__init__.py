@@ -9,13 +9,11 @@ Grothendieck-Riemann-Roch replay that re-derives the relation family from
 Chern-class vanishing.
 """
 
-from .rings import (QQ, DensePoly, InvariantViolation, LaurentSeries, Rational,
-                    Ring, TruncationError, laurent_pow_inv, log1p_series,
-                    rat_arith, series_exp)
+from .rings import (QQ, DensePoly, InvariantViolation, LaurentSeries, Ring,
+                    TruncationError, laurent_pow_inv, log1p_series, series_exp)
 from .combinat import (IdentityReport, b_gen, b_sum, inv_log1p_pow, p_poly,
                        stirling2, verify_identity4)
-from .tautalg import (BivarPoly, TautElement, build_g_poly, build_h_poly,
-                      poly_power, taut_mul, taut_ring)
+from .tautalg import TautElement, taut_ring
 from .relations import (ChainReport, EpsilonReport, IdealComparison,
                         RelationFamily, RelationItem, compare_ideals,
                         epsilon_series, family_from_json, family_to_json,
@@ -28,13 +26,11 @@ from .grr import (ChernData, GammaData, GrrContext, GrrElement, UpstairsTerm,
 __version__ = "0.1.0"
 
 __all__ = [
-    "QQ", "DensePoly", "InvariantViolation", "LaurentSeries", "Rational",
-    "Ring", "TruncationError", "laurent_pow_inv", "log1p_series", "rat_arith",
-    "series_exp",
+    "QQ", "DensePoly", "InvariantViolation", "LaurentSeries", "Ring",
+    "TruncationError", "laurent_pow_inv", "log1p_series", "series_exp",
     "IdentityReport", "b_gen", "b_sum", "inv_log1p_pow", "p_poly", "stirling2",
     "verify_identity4",
-    "BivarPoly", "TautElement", "build_g_poly", "build_h_poly", "poly_power",
-    "taut_mul", "taut_ring",
+    "TautElement", "taut_ring",
     "ChainReport", "EpsilonReport", "IdealComparison", "RelationFamily",
     "RelationItem", "compare_ideals", "epsilon_series", "family_from_json",
     "family_to_json", "gen_family", "gen_theorem1", "span_contains",

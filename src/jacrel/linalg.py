@@ -1,8 +1,9 @@
 """Exact rank computations over the rationals.
 
-Rows are cleared to integers and reduced by fraction-free elimination with a
-gcd sweep after every combination, which keeps entries small and avoids
-Fraction overhead in the inner loop.
+Rows are cleared to primitive integer rows and reduced by fraction-free
+elimination against the stored pivot rows.  The entries are divided by their
+gcd once per inserted row, after the whole reduction, not after every
+combination; this keeps Fraction out of the inner loop.
 """
 
 from __future__ import annotations

@@ -10,6 +10,12 @@ parameter pair (d, r) on a genus-g curve class:
 * ``strong8`` - the strengthened family: coefficients of u^m t^n in H(u,t)^s
   for m > d-r+s.
 
+No power is expanded: the algebra is free and C(a) carries t^(a+2), so a
+monomial m = (a_1..a_s) of bidegree (s, w) appears only at t^(2s+w), with
+coefficient orderings(m) * prod (a_i+1)! in G(t)^s and orderings(m) *
+prod P_{a_i+2}(u) in H(u,t)^s.  The herbaut7 coefficient is orderings(m)
+times [u^(d-r+s)] of prod P_{a_i+2}(u)/(1+u), which is B_{d-r+s}(a_1+1..a_s+1).
+
 ``compare_ideals`` decides, bidegree by bidegree and by exact rank
 computations, whether two families generate the same graded ideal; it also
 reports the weaker per-bidegree span comparison of the bare generators and
@@ -36,9 +42,8 @@ from math import comb, factorial
 from .combinat import inv_log1p_pow, p_poly, stirling2
 from .linalg import RowSpace
 from .rings import (QQ, LaurentSeries, Ring, TruncationError, InvariantViolation,
-                    laurent_pow_inv, log1p_series)
-from .tautalg import (BivarPoly, Monomial, TautElement, build_g_poly,
-                      build_h_poly, mono_key, poly_power, taut_ring)
+                    laurent_pow_inv, log1p_series, min_trunc)
+from .tautalg import Monomial, TautElement, mono_key, taut_ring
 
 FAMILY_IDS = ("theorem1", "vdgk6", "herbaut7", "strong8")
 
@@ -98,6 +103,18 @@ def _orderings(mono: Monomial) -> int:
     return count
 
 
+def _g_power_coefficient(g: int, s: int, w: int) -> TautElement:
+    """The t^(2s+w) coefficient of G(t)^s: orderings(m) * prod (a_i+1)! at each
+    monomial m = (a_1..a_s) of weight w."""
+    terms: dict[Monomial, Fraction] = {}
+    for mono in _compositions(w, s, g - 1):
+        coeff = _orderings(mono)
+        for a in mono:
+            coeff *= factorial(a + 1)
+        terms[mono] = Fraction(coeff)
+    return TautElement(g, terms)
+
+
 def gen_theorem1(g: int, d: int, r: int, N: int) -> TautElement:
     """The factorial-weighted composition sum of first degree r and weight N.
 
@@ -110,13 +127,7 @@ def gen_theorem1(g: int, d: int, r: int, N: int) -> TautElement:
         raise ValueError("N must be >= 0")
     if N < d - 2 * r + 1:
         raise ValueError(f"N={N} is below the relation threshold d-2r+1={d - 2 * r + 1}")
-    terms: dict[Monomial, Fraction] = {}
-    for mono in _compositions(N, r, g - 1):
-        coeff = _orderings(mono)
-        for a in mono:
-            coeff *= factorial(a + 1)
-        terms[mono] = Fraction(coeff)
-    return TautElement(g, terms)
+    return _g_power_coefficient(g, r, N)
 
 
 def theorem1_family(g: int, d: int, r: int, N: int) -> RelationFamily:
@@ -126,63 +137,62 @@ def theorem1_family(g: int, d: int, r: int, N: int) -> RelationFamily:
     return RelationFamily("theorem1", g, d, r, items)
 
 
-def _divide_by_one_plus_u(p: BivarPoly) -> BivarPoly:
-    """Exact synthetic division by (1+u); a remainder signals a bug upstream."""
-    cols: dict[int, dict[int, TautElement]] = {}
-    for (ue, te), elt in p.terms.items():
-        cols.setdefault(ue, {})[te] = elt
-    quotient: dict[tuple[int, int], TautElement] = {}
-    carry: dict[int, TautElement] = {}
-    for ue in range(p.u_degree, 0, -1):
-        col = cols.get(ue, {})
-        merged: dict[int, TautElement] = dict(carry)
-        for te, elt in col.items():
-            merged[te] = merged[te] + elt if te in merged else elt
-        carry = {}
-        for te, elt in merged.items():
-            if not elt.is_zero:
-                quotient[(ue - 1, te)] = elt
-                carry[te] = -elt
-    remainder: dict[int, TautElement] = dict(carry)
-    for te, elt in cols.get(0, {}).items():
-        remainder[te] = remainder[te] + elt if te in remainder else elt
-    for te, elt in remainder.items():
-        if not elt.is_zero:
-            raise InvariantViolation(
-                f"division by (1+u) left a remainder at t^{te}: {elt}")
-    return BivarPoly(p.g, quotient, p.t_trunc)
+def _p_coefficient_lists(g: int) -> list[list[int]]:
+    """Integer coefficients of P_{a+2}(u), a < g, certified to vanish at u = -1,
+    so that every product of them is exactly divisible by (1+u)."""
+    lists = []
+    for a in range(g):
+        coeffs = [int(c) for c in p_poly(a + 2).coeffs]
+        if sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs)):
+            raise InvariantViolation(f"P_{a + 2}(-1) != 0: (1+u) does not divide H(u,t)")
+        lists.append(coeffs)
+    return lists
 
 
 def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
-    """Generate one of the three relation families, deterministically ordered."""
+    """Generate one of the three relation families, deterministically ordered.
+
+    Each item is assembled monomial by monomial from the closed forms of the
+    coefficients of G(t)^s and H(u,t)^s; no power is expanded.
+    """
     _validate_params(g, d, r)
     if family_id not in ("vdgk6", "herbaut7", "strong8"):
         raise ValueError(f"unknown family {family_id!r}")
     items: list[RelationItem] = []
     if family_id == "vdgk6":
-        base = build_g_poly(g)
         for s in range(1, r + 1):
-            power = poly_power(base, s)
             bound = d - r + s
             for n in range(max(2 * s, bound + 1), s * (g + 1) + 1):
-                element = power.coeff(0, n)
-                if not element.is_zero:
-                    items.append(RelationItem(s=s, t_exp=n, element=element))
+                items.append(RelationItem(s=s, t_exp=n,
+                                          element=_g_power_coefficient(g, s, n - 2 * s)))
     else:
-        base = build_h_poly(g)
+        p_lists = _p_coefficient_lists(g)
+        # prod P_{a_i+2}(u) per monomial; size s-1 is complete before size s
+        products: dict[Monomial, list[int]] = {(): [1]}
         for s in range(1, r + 1):
-            power = poly_power(base, s)
-            bound = d - r + s
-            if family_id == "strong8":
-                for ue, te, element in power.items():
-                    if ue > bound:
-                        items.append(RelationItem(s=s, t_exp=te, element=element,
-                                                  u_exp=ue))
-            else:  # herbaut7
-                quotient = _divide_by_one_plus_u(power)
-                for te, element in sorted(quotient.u_slice(bound).items()):
-                    if not element.is_zero:
-                        items.append(RelationItem(s=s, t_exp=te, element=element))
+            k = d - r + s
+            for w in range(0, s * (g - 1) + 1):
+                by_u: dict[int, dict[Monomial, Fraction]] = {}
+                for mono in monomials_of_bidegree(g, s, w):
+                    head, tail = products[mono[:-1]], p_lists[mono[-1]]
+                    prod = [0] * (len(head) + len(tail) - 1)
+                    for i, x in enumerate(head):
+                        for j, y in enumerate(tail):
+                            prod[i + j] += x * y
+                    products[mono] = prod
+                    if family_id == "strong8":
+                        coeffs = {e: prod[e] for e in range(k + 1, len(prod))}
+                    else:  # herbaut7: [u^k] of prod / (1+u)
+                        coeffs = {k: sum((-1) ** (k - i) * prod[i]
+                                         for i in range(min(k + 1, len(prod))))}
+                    weight = _orderings(mono)
+                    for e, c in coeffs.items():
+                        if c:
+                            by_u.setdefault(e, {})[mono] = Fraction(weight * c)
+                for e in sorted(by_u):
+                    items.append(RelationItem(
+                        s=s, t_exp=2 * s + w, element=TautElement(g, by_u[e]),
+                        u_exp=e if family_id == "strong8" else None))
     items.sort(key=lambda it: (it.s, it.t_exp, -1 if it.u_exp is None else it.u_exp))
     return RelationFamily(family_id, g, d, r, tuple(items))
 
@@ -327,6 +337,12 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily,
         raise ValueError("families must share the same (g, d, r)")
     g, d, r = f1.g, f1.d, f1.r
     i_max, j_max = bidegree_bound if bidegree_bound else (r, r * (g - 1))
+    for family in (f1, f2):
+        for item in family.items:
+            s, w = item.bidegree
+            if (s > i_max or w > j_max) and not item.element.is_zero:
+                raise TruncationError(f"window ({i_max}, {j_max}) misses the "
+                                      f"{family.family_id} generator of bidegree ({s}, {w})")
     ideal1 = GradedSpan.from_family(f1, i_max, j_max, ideal=True)
     ideal2 = GradedSpan.from_family(f2, i_max, j_max, ideal=True)
     span1 = GradedSpan.from_family(f1, i_max, j_max, ideal=False)
@@ -410,14 +426,6 @@ class XTSeries:
     def one(cls, ring: Ring, t_trunc: int | None = None) -> "XTSeries":
         return cls(ring, {0: LaurentSeries.monomial(ring, 0)}, t_trunc)
 
-    @staticmethod
-    def _combine_trunc(a: int | None, b: int | None) -> int | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
     def part(self, t_exp: int) -> LaurentSeries:
         return self.parts.get(t_exp, LaurentSeries.zero(self.ring))
 
@@ -426,11 +434,11 @@ class XTSeries:
         for te, series in other.parts.items():
             parts[te] = parts[te] + series if te in parts else series
         return XTSeries(self.ring, parts,
-                        self._combine_trunc(self.t_trunc, other.t_trunc))
+                        min_trunc(self.t_trunc, other.t_trunc))
 
     def __mul__(self, other) -> "XTSeries":
         if isinstance(other, XTSeries):
-            t_trunc = self._combine_trunc(self.t_trunc, other.t_trunc)
+            t_trunc = min_trunc(self.t_trunc, other.t_trunc)
             parts: dict[int, LaurentSeries] = {}
             for t1, s1 in self.parts.items():
                 for t2, s2 in other.parts.items():
@@ -548,14 +556,11 @@ def _g_substituted(g: int, s: int, x_order: int, keep_below: int | None = None) 
     ring = taut_ring(g)
     if s == 0:
         return XTSeries.one(ring)
-    power = poly_power(build_g_poly(g), s)
     parts: dict[int, LaurentSeries] = {}
     for n in range(2 * s, s * (g + 1) + 1):
-        element = power.coeff(0, n)
-        if element.is_zero:
-            continue
         if keep_below is not None and n > keep_below:
             continue
+        element = _g_power_coefficient(g, s, n - 2 * s)
         parts[n] = _lift(_bare_log_inv_pow(n, x_order), element, ring)
     return XTSeries(ring, parts)
 
@@ -636,8 +641,11 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None,
         x_order = 2 * (g + 2)
     if t_order is None:
         t_order = r * (g + 1) + 1
-    if x_order < 1 or t_order < 1:
-        raise TruncationError("orders must be >= 1")
+    if x_order < 1:
+        raise TruncationError("x_order must be >= 1")
+    if t_order < r * (g + 1) + 1:
+        raise TruncationError(f"t_order={t_order} must exceed r(g+1)={r * (g + 1)}, "
+                              f"the top t-degree of H(1/x,t)^r")
     ring = taut_ring(g)
     eps_report = epsilon_series(g, x_order)
     eps = XTSeries(ring, eps_report.parts, t_order)

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator
 
-Rational = Fraction
-
 
 class TruncationError(ArithmeticError):
     """A computation needs coefficients beyond the tracked truncation order."""
@@ -44,25 +42,14 @@ class Ring:
 #: The rationals, the default coefficient ring.
 QQ = Ring(Fraction(0), Fraction(1))
 
-_RAT_OPS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
 
-
-def rat_arith(a: Rational, b: Rational, op: str) -> Rational:
-    """Exact rational arithmetic in canonical reduced form.
-
-    ``op`` is one of ``add``, ``sub``, ``mul``, ``div``.  Division by zero
-    raises ``ZeroDivisionError``; an unknown op raises ``ValueError``.
-    """
-    try:
-        fn = _RAT_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown rational operation {op!r}") from None
-    return fn(Fraction(a), Fraction(b))
+def min_trunc(a: int | None, b: int | None) -> int | None:
+    """The tighter of two truncation orders; None stands for an exact object."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
 
 
 def _is_scalar(x: Any) -> bool:
@@ -272,16 +259,8 @@ class LaurentSeries:
             if c != self.ring.zero:
                 yield self.valuation + i, c
 
-    @staticmethod
-    def _min_trunc(a: int | None, b: int | None) -> int | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
     def _merge(self, other: "LaurentSeries", sign: int) -> "LaurentSeries":
-        trunc = self._min_trunc(self.trunc, other.trunc)
+        trunc = min_trunc(self.trunc, other.trunc)
         data: dict[int, Any] = {}
         for e, c in zip(range(self.valuation, self.valuation + len(self.coeffs)),
                         self.coeffs):
@@ -368,7 +347,7 @@ class LaurentSeries:
 
     def agrees_with(self, other: "LaurentSeries") -> bool:
         """Compare coefficients on the window both series know."""
-        horizon = self._min_trunc(self.trunc, other.trunc)
+        horizon = min_trunc(self.trunc, other.trunc)
         exps = {e for e, _ in self.items()} | {e for e, _ in other.items()}
         for e in exps:
             if horizon is not None and e >= horizon:

@@ -5,13 +5,15 @@ weights and multiply by multiset union, so the algebra is genuinely free (no
 extra vanishing is imposed).  A monomial of s generators with weight sum w
 has bidegree (s, w).
 
-On top of the algebra sit bivariate polynomials in t (and optionally u) with
-algebra coefficients, carrying the generating polynomials
+The relation families are coefficients of the powers of
 
     G(t) = sum_a (a+1)! C(a) t^(a+2)
-    H(u,t) = sum_a P_{a+2}(u) C(a) t^(a+2)
+    H(u,t) = sum_a P_{a+2}(u) C(a) t^(a+2),
 
-whose powers produce the relation families.
+which ``jacrel.relations`` builds monomial by monomial from closed forms.
+``BivarPoly``, ``build_g_poly``, ``build_h_poly`` and ``poly_power`` expand
+those powers literally; they are the tests' reference route, and the library
+does not call them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import factorial
 from typing import Any, Iterator
 
 from .combinat import p_poly
-from .rings import Ring
+from .rings import Ring, min_trunc
 
 Monomial = tuple[int, ...]
 
@@ -206,11 +208,6 @@ def taut_ring(g: int) -> Ring:
     return Ring(TautElement.zero(g), TautElement.one(g))
 
 
-def taut_mul(x: TautElement, y: TautElement) -> TautElement:
-    """Pontryagin product: bilinear extension of multiset union on monomials."""
-    return x * y
-
-
 class BivarPoly:
     """Polynomial in t and u with TautElement coefficients.
 
@@ -272,14 +269,6 @@ class BivarPoly:
         for (ue, te) in sorted(self.terms):
             yield ue, te, self.terms[(ue, te)]
 
-    @staticmethod
-    def _combine_trunc(a: int | None, b: int | None) -> int | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         if not isinstance(other, BivarPoly):
             return NotImplemented
@@ -288,7 +277,7 @@ class BivarPoly:
         terms = dict(self.terms)
         for key, elt in other.terms.items():
             terms[key] = terms[key] + elt if key in terms else elt
-        return BivarPoly(self.g, terms, self._combine_trunc(self.t_trunc, other.t_trunc))
+        return BivarPoly(self.g, terms, min_trunc(self.t_trunc, other.t_trunc))
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
         return self + (other * Fraction(-1))
@@ -297,7 +286,7 @@ class BivarPoly:
         if isinstance(other, BivarPoly):
             if self.g != other.g:
                 raise ValueError("mismatched ambient genus")
-            t_trunc = self._combine_trunc(self.t_trunc, other.t_trunc)
+            t_trunc = min_trunc(self.t_trunc, other.t_trunc)
             terms: dict[tuple[int, int], TautElement] = {}
             for (u1, t1), e1 in self.terms.items():
                 for (u2, t2), e2 in other.terms.items():
@@ -317,7 +306,7 @@ class BivarPoly:
         return self.__mul__(other)
 
     def truncate_t(self, order: int) -> "BivarPoly":
-        return BivarPoly(self.g, self.terms, self._combine_trunc(self.t_trunc, order))
+        return BivarPoly(self.g, self.terms, min_trunc(self.t_trunc, order))
 
     def eval_u(self, point: Fraction) -> "BivarPoly":
         """Collapse the u-variable by evaluating it at a rational point."""

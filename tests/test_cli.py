@@ -96,6 +96,15 @@ class TestRelationOutput:
         stored = target.read_text().strip()
         assert json.loads(stored)["family"] == "vdgk6"
 
+    def test_unwritable_out_path_is_a_usage_error(self, tmp_path):
+        target = tmp_path / "missing" / "family.json"
+        result = run_cli("relations", "--g", "3", "--d", "3", "--r", "1",
+                         "--family", "vdgk6", "--out", str(target))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.splitlines()) == 1
+        assert not target.exists()
+
 
 class TestEquivalenceCommand:
     def test_small_equivalence(self):
@@ -119,6 +128,12 @@ class TestEquivalenceCommand:
         result = run_cli("equivalence", "--g", "3", "--d", "4", "--r", "2",
                          "--x-order", "0")
         assert result.returncode == 3
+
+    def test_t_order_below_top_degree_is_inconclusive(self):
+        result = run_cli("equivalence", "--g", "3", "--d", "5", "--r", "2",
+                         "--t-order", "3")
+        assert result.returncode == 3
+        assert result.stdout == ""
 
 
 class TestGrrCommand:

@@ -10,7 +10,7 @@ from jacrel.relations import (compare_ideals, epsilon_series, family_from_json,
                               theorem1_family, verify_implication_chain)
 from jacrel.rings import TruncationError
 from jacrel.tautalg import TautElement, build_g_poly, poly_power
-from oracles import stirling_by_enumeration
+from oracles import family_by_powers, stirling_by_enumeration
 
 
 def C(g, j):
@@ -101,6 +101,33 @@ class TestGenFamily:
         keys = [(i.s, i.t_exp, i.u_exp) for i in fam.items]
         assert keys == sorted(keys)
 
+    def test_closed_forms_match_expanded_powers(self):
+        # every item, coefficient and label equals the one read off the
+        # multiplied-out powers of G(t) and H(u,t)
+        for g in range(1, 7):
+            for r in range(1, 4):
+                for d in range(r - 1, 9):
+                    for fid in ("vdgk6", "herbaut7", "strong8"):
+                        got = [(it.s, it.t_exp, it.u_exp, it.element)
+                               for it in gen_family(fid, g, d, r).items]
+                        assert got == family_by_powers(fid, g, d, r), (fid, g, d, r)
+
+    def test_families_need_no_algebra_products(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("gen_family multiplied in the algebra")
+        monkeypatch.setattr(TautElement, "__mul__", refuse)
+        for fid in ("vdgk6", "herbaut7", "strong8"):
+            assert gen_family(fid, 5, 7, 3).items
+
+    def test_divisibility_by_one_plus_u_is_certified(self, monkeypatch):
+        from jacrel import relations
+        from jacrel.rings import InvariantViolation
+        real = relations.p_poly
+        monkeypatch.setattr(relations, "p_poly",
+                            lambda n: real(n) + real(1) if n == 3 else real(n))
+        with pytest.raises(InvariantViolation):
+            gen_family("herbaut7", 3, 4, 2)
+
     def test_bad_family_id(self):
         with pytest.raises(ValueError):
             gen_family("theorem1", 3, 3, 1)  # use theorem1_family for this one
@@ -139,6 +166,12 @@ class TestCompareIdeals:
         assert report.ideal_equal
         assert not report.span_equal
         assert report.notions_differ
+
+    def test_window_missing_a_generator_is_inconclusive(self):
+        f6 = gen_family("vdgk6", 4, 5, 2)
+        f7 = gen_family("herbaut7", 4, 5, 2)
+        with pytest.raises(TruncationError):
+            compare_ideals(f6, f7, bidegree_bound=(1, 0))
 
     def test_mismatched_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -220,6 +253,13 @@ class TestImplicationChain:
             assert check.n > check.m
             assert check.expected == F(factorial(check.m), factorial(check.n - 1)) \
                 * stirling2(check.n - 1, check.m)
+
+    def test_t_order_below_top_degree_is_inconclusive(self):
+        with pytest.raises(TruncationError):
+            verify_implication_chain(3, 5, 2, t_order=1)
+        with pytest.raises(TruncationError):
+            verify_implication_chain(3, 5, 2, t_order=8)
+        assert verify_implication_chain(3, 5, 2, t_order=9).ok
 
     def test_identity9_comparison_is_not_vacuous(self):
         # a perturbed eps must be detected: the agreement windows the chain

@@ -3,33 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from jacrel.rings import (QQ, DensePoly, LaurentSeries, TruncationError,
-                          laurent_pow_inv, log1p_series, rat_arith, series_exp)
-
-
-class TestRatArith:
-    def test_add(self):
-        assert rat_arith(F(1, 2), F(1, 3), "add") == F(5, 6)
-
-    def test_canonical_form(self):
-        result = rat_arith(F(2, 4), F(0), "add")
-        assert result == F(1, 2)
-        assert result.numerator == 1 and result.denominator == 2
-
-    def test_sub_mul(self):
-        assert rat_arith(F(1, 2), F(1, 3), "sub") == F(1, 6)
-        assert rat_arith(F(2, 3), F(3, 4), "mul") == F(1, 2)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            rat_arith(F(1), F(0), "div")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            rat_arith(F(1), F(1), "pow")
-
-    def test_zero_is_zero_over_one(self):
-        z = rat_arith(F(3, 7), F(-3, 7), "add")
-        assert z.numerator == 0 and z.denominator == 1
+                          laurent_pow_inv, log1p_series, series_exp)
 
 
 class TestLog1pSeries:
