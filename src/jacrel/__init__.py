@@ -13,7 +13,7 @@ from .rings import (QQ, DensePoly, InvariantViolation, LaurentSeries, Ring,
                     TruncationError, laurent_pow_inv, log1p_series, series_exp)
 from .combinat import (IdentityReport, b_gen, b_sum, inv_log1p_pow, p_poly,
                        stirling2, verify_identity4)
-from .tautalg import TautElement, taut_ring
+from .tautalg import TautElement
 from .relations import (ChainReport, EpsilonReport, IdealComparison,
                         RelationFamily, RelationItem, compare_ideals,
                         epsilon_series, family_from_json, family_to_json,
@@ -30,7 +30,7 @@ __all__ = [
     "TruncationError", "laurent_pow_inv", "log1p_series", "series_exp",
     "IdentityReport", "b_gen", "b_sum", "inv_log1p_pow", "p_poly", "stirling2",
     "verify_identity4",
-    "TautElement", "taut_ring",
+    "TautElement",
     "ChainReport", "EpsilonReport", "IdealComparison", "RelationFamily",
     "RelationItem", "compare_ideals", "epsilon_series", "family_from_json",
     "family_to_json", "gen_family", "gen_theorem1", "span_contains",

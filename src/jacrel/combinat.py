@@ -118,6 +118,11 @@ def p_poly(n: int, route: str = "stirling") -> DensePoly:
     raise ValueError(f"unknown route {route!r}; expected one of {P_ROUTES}")
 
 
+def principal_part(n: int) -> LaurentSeries:
+    """P_n(1/x) as an exact Laurent polynomial."""
+    return LaurentSeries(QQ, -n, tuple(reversed(p_poly(n).coeffs[1:])))
+
+
 def b_sum(d: int, a: tuple[int, ...]) -> Fraction:
     """The alternating sum over index tuples (i_1..i_r) of positive integers.
 
@@ -193,10 +198,7 @@ def verify_identity4(n: int, order: int) -> IdentityReport:
         raise ValueError("n must be >= 1")
     if order < 1:
         raise ValueError("order must be >= 1 to decide the principal part")
-    expansion = inv_log1p_pow(n, order)
-    pn = p_poly(n)
-    principal = LaurentSeries(QQ, -n, tuple(reversed(pn.coeffs[1:])))
-    residual = expansion - principal
+    residual = inv_log1p_pow(n, order) - principal_part(n)
     ok = all(e >= 0 for e, _ in residual.items())
     tail = tuple((e, c) for e, c in residual.items() if e >= 0)
     return IdentityReport(n=n, order=order, ok=ok,

@@ -27,7 +27,7 @@ from math import factorial
 from typing import Any, Iterator
 
 from .relations import _compositions, _orderings, gen_theorem1
-from .rings import DensePoly, InvariantViolation, Ring, series_exp
+from .rings import DensePoly, InvariantViolation, Ring, join_terms, series_exp
 from .tautalg import Monomial, TautElement
 
 
@@ -291,34 +291,18 @@ class GrrElement:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         order = self.ctx.display_order()
-        parts: list[str] = []
-        for exp, coeff in self.sorted_terms():
+
+        def body(exp: tuple[int, ...]) -> str:
             factors = []
             for idx in order:
                 e = exp[idx]
-                if e == 0:
-                    continue
-                name = self.ctx.var_name(idx)
-                factors.append(name if e == 1 else f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                term = str(coeff)
-            elif coeff == 1:
-                term = body
-            elif coeff == -1:
-                term = "-" + body
-            else:
-                term = f"{coeff}*{body}"
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append(" - " + term[1:])
-            else:
-                parts.append(" + " + term)
-        return "".join(parts)
+                if e:
+                    name = self.ctx.var_name(idx)
+                    factors.append(name if e == 1 else f"{name}^{e}")
+            return "*".join(factors)
+
+        return join_terms((coeff, body(exp)) for exp, coeff in self.sorted_terms())
 
     def __str__(self) -> str:
         return self.render()

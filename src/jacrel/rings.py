@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator
+from typing import Any, Iterable, Iterator
 
 
 class TruncationError(ArithmeticError):
@@ -161,9 +161,6 @@ class DensePoly:
     def truncate(self, order: int) -> "DensePoly":
         """Drop all coefficients at exponents >= order."""
         return DensePoly(self.ring, self.coeffs[: max(order, 0)])
-
-    def map_coeffs(self, fn: Callable[[Any], Any], ring: Ring) -> "DensePoly":
-        return DensePoly(ring, tuple(fn(c) for c in self.coeffs))
 
     def evaluate(self, point: Any) -> Any:
         """Evaluate by Horner's rule; the point must multiply into the ring."""
@@ -341,10 +338,6 @@ class LaurentSeries:
                 f"cannot extend truncation order {self.trunc} to {order}")
         return LaurentSeries(self.ring, self.valuation, self.coeffs, order)
 
-    def map_coeffs(self, fn: Callable[[Any], Any], ring: Ring) -> "LaurentSeries":
-        return LaurentSeries(ring, self.valuation,
-                             tuple(fn(c) for c in self.coeffs), self.trunc)
-
     def agrees_with(self, other: "LaurentSeries") -> bool:
         """Compare coefficients on the window both series know."""
         horizon = min_trunc(self.trunc, other.trunc)
@@ -367,35 +360,39 @@ class LaurentSeries:
 
     def render(self, var: str = "x") -> str:
         """Human-readable form, ascending exponents, plus the O-term."""
-        parts: list[str] = []
-        for e, c in self.items():
-            body = _fmt_term(c, e, var)
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append(" - " + body[1:])
-            else:
-                parts.append(" + " + body)
-        if not parts:
-            parts.append("0")
+        text = join_terms((c, "" if e == 0 else var if e == 1 else f"{var}^{e}")
+                          for e, c in self.items())
         if self.trunc is not None:
-            parts.append(f" + O({var}^{self.trunc})")
-        return "".join(parts)
+            text += f" + O({var}^{self.trunc})"
+        return text
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self.render()})"
 
 
-def _fmt_term(coeff: Any, exp: int, var: str) -> str:
-    cs = str(coeff)
-    if exp == 0:
-        return cs
-    vs = var if exp == 1 else f"{var}^{exp}"
-    if cs == "1":
-        return vs
-    if cs == "-1":
-        return "-" + vs
-    return f"{cs}*{vs}"
+def join_terms(terms: Iterable[tuple[Any, str]]) -> str:
+    """Render (coefficient, body) pairs as a signed sum, or ``0`` if empty.
+
+    An empty body is a bare number; a coefficient of 1 or -1 in front of a
+    body is written as a sign only; any other one as ``coeff*body``.
+    """
+    text = ""
+    for coeff, body in terms:
+        if not body:
+            term = str(coeff)
+        elif coeff == 1:
+            term = body
+        elif coeff == -1:
+            term = "-" + body
+        else:
+            term = f"{coeff}*{body}"
+        if not text:
+            text = term
+        elif term.startswith("-"):
+            text += " - " + term[1:]
+        else:
+            text += " + " + term
+    return text or "0"
 
 
 def log1p_series(order: int) -> LaurentSeries:

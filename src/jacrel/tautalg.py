@@ -23,7 +23,7 @@ from math import factorial
 from typing import Any, Iterator
 
 from .combinat import p_poly
-from .rings import Ring, min_trunc
+from .rings import join_terms, min_trunc
 
 Monomial = tuple[int, ...]
 
@@ -168,18 +168,8 @@ class TautElement:
 
     def render(self) -> str:
         """Canonical text form, e.g. ``12*C(0)*C(2) + 4*C(1)^2``."""
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
-            body = _render_term(mono, coeff)
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append(" - " + body[1:])
-            else:
-                parts.append(" + " + body)
-        return "".join(parts)
+        return join_terms((coeff, _render_monomial(mono))
+                          for mono, coeff in self.sorted_terms())
 
     def __str__(self) -> str:
         return self.render()
@@ -188,24 +178,12 @@ class TautElement:
         return f"TautElement(g={self.g}, {self.render()})"
 
 
-def _render_term(mono: Monomial, coeff: Fraction) -> str:
+def _render_monomial(mono: Monomial) -> str:
     factors: list[str] = []
     for w in sorted(set(mono)):
         e = mono.count(w)
         factors.append(f"C({w})" if e == 1 else f"C({w})^{e}")
-    body = "*".join(factors)
-    if not body:
-        return str(coeff)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return f"{coeff}*{body}"
-
-
-def taut_ring(g: int) -> Ring:
-    """The Ring bundle for algebra-valued series coefficients."""
-    return Ring(TautElement.zero(g), TautElement.one(g))
+    return "*".join(factors)
 
 
 class BivarPoly:

@@ -153,3 +153,188 @@ def family_by_powers(family_id: str, g: int, d: int, r: int):
                          for te, element in sorted(quotient.u_slice(bound).items()))
     items.sort(key=lambda it: (it[0], it[1], -1 if it[2] is None else it[2]))
     return items
+
+
+class XTSeries:
+    """Finite sum of t^n times a Laurent series in x with algebra coefficients.
+
+    Parts absent from the map are exactly zero; parts that are present may be
+    known only below their own x-truncation order.
+    """
+
+    __slots__ = ("ring", "parts", "t_trunc")
+
+    def __init__(self, ring, parts=None, t_trunc=None):
+        clean = {}
+        for te, series in (parts or {}).items():
+            if t_trunc is not None and te >= t_trunc:
+                continue
+            if series.is_zero and series.trunc is None:
+                continue
+            clean[te] = series
+        self.ring = ring
+        self.parts = clean
+        self.t_trunc = t_trunc
+
+    @classmethod
+    def one(cls, ring, t_trunc=None):
+        return cls(ring, {0: LaurentSeries.monomial(ring, 0)}, t_trunc)
+
+    def part(self, t_exp):
+        return self.parts.get(t_exp, LaurentSeries.zero(self.ring))
+
+    def __add__(self, other):
+        from jacrel.rings import min_trunc
+        parts = dict(self.parts)
+        for te, series in other.parts.items():
+            parts[te] = parts[te] + series if te in parts else series
+        return XTSeries(self.ring, parts, min_trunc(self.t_trunc, other.t_trunc))
+
+    def __mul__(self, other):
+        from jacrel.rings import min_trunc
+        if isinstance(other, XTSeries):
+            t_trunc = min_trunc(self.t_trunc, other.t_trunc)
+            parts = {}
+            for t1, s1 in self.parts.items():
+                for t2, s2 in other.parts.items():
+                    te = t1 + t2
+                    if t_trunc is not None and te >= t_trunc:
+                        continue
+                    prod = s1 * s2
+                    parts[te] = parts[te] + prod if te in parts else prod
+            return XTSeries(self.ring, parts, t_trunc)
+        return XTSeries(self.ring, {te: s * other for te, s in self.parts.items()},
+                        self.t_trunc)
+
+    def __pow__(self, n):
+        result = XTSeries.one(self.ring, self.t_trunc)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def agrees_with(self, other):
+        for te in set(self.parts) | set(other.parts):
+            if self.t_trunc is not None and te >= self.t_trunc:
+                continue
+            if other.t_trunc is not None and te >= other.t_trunc:
+                continue
+            if not self.part(te).agrees_with(other.part(te)):
+                return False
+        return True
+
+
+def _lift(series, element, ring):
+    """The scalar series times one algebra element, as an algebra-valued series."""
+    return LaurentSeries(ring, series.valuation, [element * c for c in series.coeffs],
+                         series.trunc)
+
+
+@lru_cache(maxsize=None)
+def _chain_ring(g):
+    from jacrel.rings import Ring
+    from jacrel.tautalg import TautElement
+    return Ring(TautElement.zero(g), TautElement.one(g))
+
+
+@lru_cache(maxsize=None)
+def _bare_log_inv_pow(n, x_order):
+    from jacrel.rings import laurent_pow_inv, log1p_series
+    return laurent_pow_inv(log1p_series(x_order + n + 1), n, x_order)
+
+
+@lru_cache(maxsize=None)
+def _eps_powers(g, r, x_order, t_order):
+    """eps(x,t)^k for k = 0..r and H(1/x,t), as series over the free algebra."""
+    from jacrel.combinat import inv_log1p_pow, p_poly
+    from jacrel.tautalg import TautElement
+    ring = _chain_ring(g)
+
+    def principal(n):
+        return LaurentSeries(QQ, -n, tuple(reversed(p_poly(n).coeffs[1:])))
+
+    eps = XTSeries(ring, {a + 2: _lift(principal(a + 2) - inv_log1p_pow(a + 2, x_order),
+                                       TautElement.generator(g, a), ring)
+                          for a in range(g)}, t_order)
+    h_sub = XTSeries(ring, {a + 2: _lift(principal(a + 2), TautElement.generator(g, a), ring)
+                            for a in range(g)}, t_order)
+    return [eps ** k for k in range(r + 1)], h_sub
+
+
+@lru_cache(maxsize=None)
+def _g_part_times_eps(g, r, x_order, t_order, sp, n, k):
+    """The t^n part of G(t/log(1+x))^sp, read off the literal power G(t)^sp,
+    times eps^k."""
+    ring = _chain_ring(g)
+    part = _lift(_bare_log_inv_pow(n, x_order), _expanded_power("G", g, sp).coeff(0, n), ring)
+    return XTSeries(ring, {n: part}, t_order) * _eps_powers(g, r, x_order, t_order)[0][k]
+
+
+@lru_cache(maxsize=None)
+def _identity_holds(g, r, x_order, t_order):
+    """H(1/x,t)^s agrees with the binomial expansion for s = 1..r."""
+    h_sub = _eps_powers(g, r, x_order, t_order)[1]
+    return all((h_sub ** s).agrees_with(_binomial_side(g, r, s, x_order, t_order))
+               for s in range(1, r + 1))
+
+
+def _binomial_side(g, r, s, x_order, t_order, keep_below=None):
+    """sum_{s'} C(s,s') G(t/log(1+x))^s' eps^(s-s'); with keep_below set, the
+    t^n parts of G^s' with n > keep_below + s' are rewritten to zero."""
+    from math import comb
+    total = _eps_powers(g, r, x_order, t_order)[0][s]
+    for sp in range(1, s + 1):
+        binom = Fraction(comb(s, sp))
+        for n in range(2 * sp, sp * (g + 1) + 1):
+            if keep_below is None or n <= keep_below + sp:
+                total = total + _g_part_times_eps(g, r, x_order, t_order, sp, n, s - sp) * binom
+    return total
+
+
+def chain_by_xt_series(g, d, r, x_order=None, t_order=None):
+    """The implication-chain report from series with algebra coefficients.
+
+    This is the reference route for ``verify_implication_chain``: eps(x,t),
+    H(1/x,t) and the powers of G(t/log(1+x)) are carried whole, as t-parts of
+    Laurent series over the free algebra, and H(1/x,t)^s is compared with
+    the binomial expansion part by part instead of monomial by monomial.
+    The powers of G(t) come from the literal expansion, not the closed form.
+    """
+    from math import factorial
+
+    from jacrel.combinat import stirling2
+    from jacrel.relations import ChainReport, DegreeBoundCheck, ScalarCheck
+
+    x_order = 2 * (g + 2) if x_order is None else x_order
+    t_order = r * (g + 1) + 1 if t_order is None else t_order
+    identity9_ok = _identity_holds(g, r, x_order, t_order)
+    degree_checks = []
+    for s in range(1, r + 1):
+        rhs_rw = _binomial_side(g, r, s, x_order, t_order, keep_below=d - r)
+        bound = -(d - r + s)
+        min_exp = None
+        certified = True
+        for series in rhs_rw.parts.values():
+            if series.trunc is not None and series.trunc < bound:
+                certified = False
+                continue
+            for e, _ in series.items():
+                min_exp = e if min_exp is None else min(min_exp, e)
+        if min_exp is not None and min_exp < bound:
+            certified = False
+        degree_checks.append(DegreeBoundCheck(s=s, bound=bound, min_x_exponent=min_exp,
+                                              certified=certified))
+
+    scalar_checks = []
+    geom_order = max(2, x_order, r * (g + 1) + 2)
+    geom = LaurentSeries(QQ, 1, [Fraction((-1) ** i) for i in range(geom_order)],
+                         geom_order + 1)
+    for s in range(1, r + 1):
+        m = d - r + s
+        for n in range(m + 1, s * (g + 1) + 1):
+            value = (geom * _bare_log_inv_pow(n, x_order)).coeff(-m)
+            expected = Fraction(factorial(m), factorial(n - 1)) * stirling2(n - 1, m)
+            scalar_checks.append(ScalarCheck(s=s, n=n, m=m, value=value, expected=expected))
+
+    return ChainReport(g=g, d=d, r=r, x_order=x_order, t_order=t_order,
+                       identity9_ok=identity9_ok, degree_bounds=tuple(degree_checks),
+                       scalar_checks=tuple(scalar_checks))

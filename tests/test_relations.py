@@ -10,7 +10,7 @@ from jacrel.relations import (compare_ideals, epsilon_series, family_from_json,
                               theorem1_family, verify_implication_chain)
 from jacrel.rings import TruncationError
 from jacrel.tautalg import TautElement, build_g_poly, poly_power
-from oracles import family_by_powers, stirling_by_enumeration
+from oracles import chain_by_xt_series, family_by_powers, stirling_by_enumeration
 
 
 def C(g, j):
@@ -202,14 +202,15 @@ class TestEpsilonSeries:
         assert all(te >= 2 for te in report.parts)
 
     def test_g1_part_matches_direct_expansion(self):
-        # eps t^2 coefficient is (P_2(1/x) - 1/log(1+x)^2) C(0); at exponents
-        # >= 0 the polynomial part is absent, so only the expansion remains
+        # the t^2 part is the scalar series P_2(1/x) - 1/log(1+x)^2; at
+        # exponents >= 0 the polynomial part is absent, so only the expansion
+        # remains, known below the same order
         from jacrel.combinat import inv_log1p_pow
-        report = epsilon_series(1, 8)
-        part = report.parts[2]
+        part = epsilon_series(1, 8).parts[2]
         direct = inv_log1p_pow(2, 8)
+        assert part.trunc == direct.trunc == 8
         for e in range(0, 8):
-            assert part.coeff(e) == C(1, 0) * (-direct.coeff(e)), e
+            assert part.coeff(e) == -direct.coeff(e), e
 
     def test_x0_terms_are_the_even_bernoulli_values(self):
         report = epsilon_series(4, 8)
@@ -262,18 +263,38 @@ class TestImplicationChain:
         assert verify_implication_chain(3, 5, 2, t_order=9).ok
 
     def test_identity9_comparison_is_not_vacuous(self):
-        # a perturbed eps must be detected: the agreement windows the chain
-        # compares are nonempty, so the certification has teeth
-        from jacrel.relations import XTSeries, epsilon_series
-        from jacrel.rings import LaurentSeries
-        from jacrel.tautalg import taut_ring
-        g = 3
-        ring = taut_ring(g)
-        parts = dict(epsilon_series(g, 8).parts)
-        bump = LaurentSeries(ring, 0, (C(g, 0),), 8)
-        perturbed = dict(parts)
-        perturbed[2] = parts[2] + bump
-        assert not XTSeries(ring, parts).agrees_with(XTSeries(ring, perturbed))
+        # a perturbed e_a must be detected: the window each monomial's two
+        # sides are compared on is nonempty, so the certification has teeth
+        from jacrel.combinat import principal_part
+        from jacrel.relations import _split_sums
+        from jacrel.rings import QQ, LaurentSeries
+        g, x_order = 3, 8
+        h = [principal_part(a + 2) for a in range(g)]
+        e = [epsilon_series(g, x_order).parts[a + 2] for a in range(g)]
+        perturbed = list(e)
+        perturbed[0] = e[0] + LaurentSeries(QQ, 0, (F(1),), x_order)
+        for mono in ((0,), (2, 0), (1, 0, 0)):
+            assert _split_sums(mono, h, e, x_order, 1)[0], mono
+            assert not _split_sums(mono, h, perturbed, x_order, 1)[0], mono
+        # a monomial without C(0) never sees the perturbed series
+        assert _split_sums((2, 1), h, perturbed, x_order, 1)[0]
+
+    def test_matches_algebra_valued_reference_at_low_orders(self):
+        # field for field, including the truncation-driven min_x_exponent and
+        # certified flags at x-orders too small to certify every bound
+        for g in range(1, 5):
+            for r in range(1, 4):
+                for d in range(r - 1, 8):
+                    for x_order in (1, 3):
+                        assert verify_implication_chain(g, d, r, x_order) == \
+                            chain_by_xt_series(g, d, r, x_order), (g, d, r, x_order)
+
+    def test_matches_algebra_valued_reference_at_default_orders(self):
+        for g in range(1, 4):
+            for r in range(1, 4):
+                for d in range(r - 1, 8):
+                    assert verify_implication_chain(g, d, r) == \
+                        chain_by_xt_series(g, d, r), (g, d, r)
 
     def test_degree_bound_checks_are_not_vacuous(self):
         # every certified cell actually inspected a nonempty series
