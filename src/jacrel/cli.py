@@ -18,6 +18,7 @@ across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -42,10 +43,6 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _report_text(lines: list[str]) -> str:
-    return "\n".join(lines)
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
@@ -75,7 +72,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
     counterexample = ""
     for d in range(0, 6):
         for r in range(1, 3):
-            for a in _tuples(r, 3):
+            for a in itertools.product(range(4), repeat=r):
                 if combinat.b_sum(d, a) != combinat.b_gen(d, a):
                     grid_ok = False
                     counterexample = f"d={d}, a={a}"
@@ -101,17 +98,8 @@ def cmd_identities(args: argparse.Namespace) -> int:
         if expansion is not None:
             lines.append(f"  expansion 4!/log(1+x)^5 = {expansion}")
         lines.append("overall: " + ("pass" if all_ok else "FAIL"))
-        _emit(_report_text(lines), args.out)
+        _emit("\n".join(lines), args.out)
     return EXIT_OK if all_ok else EXIT_FAIL
-
-
-def _tuples(r: int, bound: int):
-    if r == 0:
-        yield ()
-        return
-    for head in range(bound + 1):
-        for rest in _tuples(r - 1, bound):
-            yield (head,) + rest
 
 
 def cmd_relations(args: argparse.Namespace) -> int:
@@ -135,7 +123,7 @@ def cmd_relations(args: argparse.Namespace) -> int:
             lines.append(f"  s={item.s} t^{item.t_exp}{u_part}: {item.element.render()}")
         if not family.items:
             lines.append("  (empty family)")
-        _emit(_report_text(lines), args.out)
+        _emit("\n".join(lines), args.out)
     return EXIT_OK
 
 
@@ -200,7 +188,7 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
         lines.append(f"  chain: identity9={chain.identity9_ok} "
                      f"degree_bound={chain.degree_bound_ok} scalars={chain.scalar_ok}")
         lines.append("overall: " + ("equivalent" if ideal_ok else "NOT equivalent"))
-        _emit(_report_text(lines), args.out)
+        _emit("\n".join(lines), args.out)
     return EXIT_OK if ideal_ok else EXIT_FAIL
 
 
@@ -212,7 +200,7 @@ def cmd_grr(args: argparse.Namespace) -> int:
     try:
         data = grr.gamma_extract(g, d, r, M)
         reference = grr.gamma_top_reference(g, d, r, M)
-        derived = grr.derive_theorem1(g, d, r, M)
+        derived = data.theorem1()
     except InvariantViolation as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -233,7 +221,7 @@ def cmd_grr(args: argparse.Namespace) -> int:
         "gamma_top_free_of_todd_unknowns": clean_ok,
         "gamma_table": {str(s): piece.render() for s, piece in data.items()},
         "derived_relation": relations.element_to_jsonable(derived),
-        "derived_equals_composition_sum": True,  # derive_theorem1 raises otherwise
+        "derived_equals_composition_sum": True,  # GammaData.theorem1 raises otherwise
         "N": N,
     }
     if args.format == "json":
@@ -248,7 +236,7 @@ def cmd_grr(args: argparse.Namespace) -> int:
             lines.append(f"    gamma_{s} = {piece.render()}")
         lines.append(f"  derived relation (N={N}): {derived.render()}")
         lines.append("overall: " + ("pass" if all_ok else "FAIL"))
-        _emit(_report_text(lines), args.out)
+        _emit("\n".join(lines), args.out)
     return EXIT_OK if all_ok else EXIT_FAIL
 
 

@@ -5,23 +5,28 @@ P_n(u) = sum_{m=1}^{n} (m-1)! S(n,m) u^m, where S(n,m) is the Stirling number
 of the second kind.  The three construction routes are:
 
 * ``stirling``: the closed form above;
-* ``genfunc``: the coefficient of t^(n-1)/(n-1)! in u*e^t / (1 - u*(e^t - 1));
+* ``genfunc``: the coefficient of t^(n-1)/(n-1)! in u*e^t / (1 - u*(e^t - 1)),
+  expanded in u first: its u^m coefficient is e^t (e^t - 1)^(m-1), a scalar
+  series in t;
 * ``laurent``: the principal part of (n-1)!/log(1+x)^n read off at u = 1/x.
 
 The Laurent expansion of (n-1)!/log(1+x)^n equals P_n(1/x) in all negative
 exponents; its constant term is the Bernoulli value B_n/n (1/2 for n = 1),
 which vanishes exactly when n >= 3 is odd.  ``verify_identity4`` certifies
 the principal-part equality and reports the non-negative residual tail.
+log(1+x)^-n is built in one place, the cached ``_bare_log_inv_pow``, which
+the implication chain in ``jacrel.relations`` shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
-from .rings import (QQ, DensePoly, LaurentSeries, Ring, laurent_pow_inv,
-                    log1p_series, series_exp)
+from .rings import (QQ, DensePoly, LaurentSeries, laurent_pow_inv, log1p_series,
+                    series_exp)
 
 P_ROUTES = ("stirling", "genfunc", "laurent")
 
@@ -56,14 +61,19 @@ def stirling2(n: int, m: int) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
+def _bare_log_inv_pow(n: int, order: int) -> LaurentSeries:
+    """log(1+x)^(-n), known strictly below x^order."""
+    return laurent_pow_inv(log1p_series(order + n + 1), n, order)
+
+
 def inv_log1p_pow(n: int, order: int) -> LaurentSeries:
     """(n-1)!/log(1+x)^n as a Laurent series known strictly below x^order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if order < 1:
         raise ValueError("order must be >= 1")
-    base = log1p_series(order + n + 1)
-    return laurent_pow_inv(base, n, order) * Fraction(factorial(n - 1))
+    return _bare_log_inv_pow(n, order) * factorial(n - 1)
 
 
 def _p_stirling(n: int) -> DensePoly:
@@ -74,23 +84,17 @@ def _p_stirling(n: int) -> DensePoly:
 
 
 def _p_genfunc(n: int) -> DensePoly:
-    upoly = Ring(DensePoly.zero(QQ), DensePoly.one(QQ))
-    u = DensePoly.monomial(QQ, 1)
-    t = LaurentSeries.monomial(upoly, 1, trunc=n)
+    # [u^m] u e^t / (1 - u(e^t - 1)) = e^t (e^t - 1)^(m-1), whose t-valuation
+    # m-1 bounds m by n below the truncation at t^n
+    t = LaurentSeries.monomial(QQ, 1, trunc=n)
     e_t = series_exp(t, n)
-    em1 = e_t - LaurentSeries.monomial(upoly, 0, trunc=n)
-    w = em1 * u
-    # geometric series sum_j (u (e^t - 1))^j; w has t-valuation 1, so the
-    # truncation at t^n keeps only finitely many powers
-    geom = LaurentSeries.monomial(upoly, 0, trunc=n)
-    power = geom
-    while True:
-        power = (power * w).truncate(n)
-        if power.is_zero:
-            break
-        geom = geom + power
-    series = (e_t * geom) * u
-    return series.coeff(n - 1) * Fraction(factorial(n - 1))
+    em1 = e_t - LaurentSeries.monomial(QQ, 0, trunc=n)
+    coeffs = [Fraction(0)]
+    power = e_t
+    for _ in range(n):
+        coeffs.append(power.coeff(n - 1) * factorial(n - 1))
+        power = (power * em1).truncate(n)
+    return DensePoly(QQ, coeffs)
 
 
 def _p_laurent(n: int) -> DensePoly:
@@ -186,10 +190,6 @@ class IdentityReport:
     ok: bool
     constant: Fraction
     residual: tuple[tuple[int, Fraction], ...]
-
-    @property
-    def constant_is_zero(self) -> bool:
-        return self.constant == 0
 
 
 def verify_identity4(n: int, order: int) -> IdentityReport:

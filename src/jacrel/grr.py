@@ -14,9 +14,10 @@ grading weighs xi by 1 and FC_j by j+1; k, a_j and b_j are degree 0.
 The pushforward table sends upstairs monomials l^mu x^nu (rho^eps) downstairs
 and rewrites q-pushforwards of powers of the Poincare class into the FC
 generators.  From the pushed-forward Chern character, Chern classes follow
-through the exponential formula, and the top k-power of the xi^r component
-of the first vanishing Chern class reproduces the factorial composition
-relations of the relations module.
+through the exponential formula c(t) = exp(F(t)), computed by Newton's
+identity n*c_n = sum_j (-1)^(j-1) j! ch_j c_(n-j), and the top k-power of the
+xi^r component of the first vanishing Chern class reproduces the factorial
+composition relations of the relations module.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import factorial
 from typing import Any, Iterator
 
 from .relations import _compositions, _orderings, gen_theorem1
-from .rings import DensePoly, InvariantViolation, Ring, join_terms, series_exp
+from .rings import InvariantViolation, join_terms
 from .tautalg import Monomial, TautElement
 
 
@@ -205,14 +206,6 @@ class GrrElement:
     def __rmul__(self, other: Any) -> "GrrElement":
         return self.__mul__(other)
 
-    def __pow__(self, n: int) -> "GrrElement":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be integers >= 0")
-        result = GrrElement.one(self.ctx)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, GrrElement):
             return NotImplemented
@@ -309,10 +302,6 @@ class GrrElement:
 
     def __repr__(self) -> str:
         return f"GrrElement({self.render()})"
-
-
-def grr_ring(ctx: GrrContext) -> Ring:
-    return Ring(GrrElement.zero(ctx), GrrElement.one(ctx))
 
 
 @dataclass(frozen=True)
@@ -441,26 +430,29 @@ def extract_amj(data: ChernData, m: int, j: int) -> GrrElement:
 
 
 def chern_classes(data: ChernData, t_order: int) -> ChernData:
-    """Chern classes from the exponential formula.
+    """Chern classes from the exponential formula, below t^t_order.
 
-    Builds F(t) = sum_j (-1)^(j-1) (j-1)! ch_j t^j and expands exp(F(t));
-    because every ch_j with j >= 1 is divisible by xi, powers of F beyond
-    xi's nilpotency vanish and the expansion is finite.  The divisibility is
-    checked, not assumed.
+    c(t) = exp(F(t)) with F(t) = sum_j (-1)^(j-1) (j-1)! ch_j t^j, so
+    c' = F' c gives Newton's identity c_0 = 1,
+    n*c_n = sum_{j=1..n} (-1)^(j-1) j! ch_j c_(n-j).  Every ch_j with j >= 1
+    must be divisible by xi, which keeps the Chern classes inside xi's
+    nilpotent range; the divisibility is checked, not assumed.
     """
     ctx = data.ctx
     for j in range(1, len(data.ch)):
         if data.ch[j].min_xi_exponent < 1 and not data.ch[j].is_zero:
             raise InvariantViolation(f"ch_{j} is not divisible by xi")
-    ring = grr_ring(ctx)
-    coeffs = [GrrElement.zero(ctx)]
-    for j in range(1, min(len(data.ch), t_order)):
-        sign = Fraction((-1) ** (j - 1) * factorial(j - 1))
-        coeffs.append(data.ch[j] * sign)
-    f_poly = DensePoly(ring, coeffs)
-    exp_f = series_exp(f_poly, t_order)
-    c = tuple(exp_f.coeff(n) for n in range(t_order))
-    return ChernData(ctx=ctx, ch=data.ch, c=c)
+    if t_order < 1:
+        raise ValueError("t_order must be >= 1")
+    # f_prime[j-1] is the t^(j-1) coefficient of F'(t)
+    f_prime = [data.ch[j] * ((-1) ** (j - 1) * factorial(j)) for j in range(1, len(data.ch))]
+    c = [GrrElement.one(ctx)]
+    for n in range(1, t_order):
+        acc = GrrElement.zero(ctx)
+        for j in range(1, min(n, len(f_prime)) + 1):
+            acc = acc + f_prime[j - 1] * c[n - j]
+        c.append(acc * Fraction(1, n))
+    return ChernData(ctx=ctx, ch=data.ch, c=tuple(c))
 
 
 @dataclass(frozen=True)
@@ -487,6 +479,25 @@ class GammaData:
     def items(self) -> Iterator[tuple[int, GrrElement]]:
         for s in sorted(self.gammas):
             yield s, self.gammas[s]
+
+    def theorem1(self) -> TautElement:
+        """Re-derive the factorial composition relation from this data.
+
+        Takes the top k-power, clears the (-1)^r/r! scalar, maps FC monomials
+        to algebra generators, and cross-checks the result against the
+        relations module.  Any mismatch raises InvariantViolation.
+        """
+        g, d, r = self.ctx.g, self.ctx.d, self.ctx.r
+        top = self.gamma(self.M + 1)
+        if top.uses_todd_unknowns():
+            raise InvariantViolation("top k-power still involves Todd unknowns")
+        element = (top * Fraction((-1) ** r * factorial(r))).to_taut()
+        N = self.M - 2 * r + 1
+        expected = gen_theorem1(g, d, r, N) if N >= 0 else TautElement.zero(g)
+        if element != expected:
+            raise InvariantViolation(
+                f"derived relation disagrees with the composition sum at N={N}")
+        return element
 
 
 def gamma_extract(g: int, d: int, r: int, M: int) -> GammaData:
@@ -523,22 +534,6 @@ def gamma_top_reference(g: int, d: int, r: int, M: int) -> GrrElement:
 
 
 def derive_theorem1(g: int, d: int, r: int, M: int) -> TautElement:
-    """Re-derive the factorial composition relation from the engine.
-
-    Takes the top k-power of the extracted data, clears the (-1)^r/r! scalar,
-    maps FC monomials to algebra generators, and cross-checks the result
-    against the relations module.  Any mismatch raises InvariantViolation.
-    """
-    if M < d:
-        raise ValueError("M must be >= d")
-    data = gamma_extract(g, d, r, M)
-    top = data.gamma(M + 1)
-    if top.uses_todd_unknowns():
-        raise InvariantViolation("top k-power still involves Todd unknowns")
-    element = (top * Fraction((-1) ** r * factorial(r))).to_taut()
-    N = M - 2 * r + 1
-    expected = gen_theorem1(g, d, r, N) if N >= 0 else TautElement.zero(g)
-    if element != expected:
-        raise InvariantViolation(
-            f"derived relation disagrees with the composition sum at N={N}")
-    return element
+    """Re-derive the factorial composition relation from the engine; see
+    ``GammaData.theorem1``."""
+    return gamma_extract(g, d, r, M).theorem1()

@@ -45,10 +45,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
 
-from .combinat import p_poly, principal_part, stirling2
-from .linalg import RowSpace
-from .rings import (QQ, LaurentSeries, TruncationError, InvariantViolation,
-                    laurent_pow_inv, log1p_series, min_trunc)
+from .combinat import _bare_log_inv_pow, p_poly, principal_part, stirling2
+from .linalg import RowSpace, rank
+from .rings import QQ, LaurentSeries, TruncationError, InvariantViolation, min_trunc
 from .tautalg import Monomial, TautElement, mono_key
 
 FAMILY_IDS = ("theorem1", "vdgk6", "herbaut7", "strong8")
@@ -323,14 +322,6 @@ class IdealComparison:
         return tuple(c for c in self.cells if c.ideal_equal != c.span_equal)
 
 
-def _joint_rank(ncols: int, *row_groups: list[tuple[int, ...]]) -> int:
-    space = RowSpace(ncols)
-    for rows in row_groups:
-        for row in rows:
-            space.add(row)
-    return space.rank
-
-
 def compare_ideals(f1: RelationFamily, f2: RelationFamily,
                    bidegree_bound: tuple[int, int] | None = None) -> IdealComparison:
     """Decide per-bidegree whether two families generate the same graded ideal.
@@ -367,11 +358,9 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily,
             cells.append(CellComparison(
                 i=i, j=j, dim=n,
                 ideal_ranks=ir,
-                ideal_joint=_joint_rank(n, ideal1.pivot_rows(i, j),
-                                        ideal2.pivot_rows(i, j)),
+                ideal_joint=rank(ideal1.pivot_rows(i, j) + ideal2.pivot_rows(i, j), n),
                 span_ranks=sr,
-                span_joint=_joint_rank(n, span1.pivot_rows(i, j),
-                                       span2.pivot_rows(i, j)),
+                span_joint=rank(span1.pivot_rows(i, j) + span2.pivot_rows(i, j), n),
             ))
     return IdealComparison(family_ids=(f1.family_id, f2.family_id),
                            g=g, d=d, r=r, i_max=i_max, j_max=j_max,
@@ -456,12 +445,6 @@ def epsilon_series(g: int, x_order: int) -> EpsilonReport:
         x0_coefficients=x0,
         t_floor=min(parts),
     )
-
-
-@lru_cache(maxsize=None)
-def _bare_log_inv_pow(n: int, order: int) -> LaurentSeries:
-    """log(1+x)^(-n), known strictly below x^order."""
-    return laurent_pow_inv(log1p_series(order + n + 1), n, order)
 
 
 def _split_sums(mono: Monomial, h: list[LaurentSeries], e: list[LaurentSeries],

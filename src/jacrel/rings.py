@@ -1,11 +1,13 @@
 """Exact arithmetic kernel: rationals, dense polynomials, truncated Laurent series.
 
-Everything here is exact; there are no floats anywhere.  The polynomial and
-series containers are generic over their coefficient ring: a coefficient may
-be a ``Fraction`` or any commutative Q-algebra element that implements
-``+``, ``-``, unary ``-``, ``*`` (with its own kind and with ``Fraction``/``int``
-scalars) and ``==``.  A :class:`Ring` bundle supplies the zero and one
-elements, so nothing in this module names a concrete client ring.
+Everything here is exact; there are no floats anywhere.  The library builds
+its polynomials and series over ``QQ`` only.  The containers stay generic
+over their coefficient ring all the same: a coefficient may be a ``Fraction``
+or any commutative Q-algebra element that implements ``+``, ``-``, unary
+``-``, ``*`` (with its own kind and with ``Fraction``/``int`` scalars) and
+``==``, and a :class:`Ring` bundle supplies the zero and one elements.  The
+test references use this: the implication chain expanded over the free
+algebra, and the Chern classes as ``series_exp`` over the GRR ring.
 
 Truncation orders are explicit fields, never implicit globals.  A
 :class:`LaurentSeries` knows exactly which window of exponents it has
@@ -50,10 +52,6 @@ def min_trunc(a: int | None, b: int | None) -> int | None:
     if b is None:
         return a
     return min(a, b)
-
-
-def _is_scalar(x: Any) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 class DensePoly:
@@ -228,18 +226,10 @@ class LaurentSeries:
         c = ring.one if coeff is None else coeff
         return cls(ring, exp, (c,), trunc)
 
-    @classmethod
-    def from_poly(cls, poly: DensePoly, trunc: int | None = None) -> "LaurentSeries":
-        return cls(poly.ring, 0, poly.coeffs, trunc)
-
     @property
     def is_zero(self) -> bool:
         """True when every known coefficient is zero (up to the truncation)."""
         return not self.coeffs
-
-    @property
-    def is_exact(self) -> bool:
-        return self.trunc is None
 
     def coeff(self, exp: int) -> Any:
         if self.trunc is not None and exp >= self.trunc:
@@ -406,11 +396,14 @@ def log1p_series(order: int) -> LaurentSeries:
 def laurent_pow_inv(s: LaurentSeries, n: int, order: int) -> LaurentSeries:
     """The inverse power s^(-n), known strictly below x^order.
 
-    The leading monomial is factored out and the remaining unit series is
-    inverted by the standard recurrence; the leading coefficient must divide
-    (for Fraction coefficients it always does).  If the input's truncation
-    cannot support the requested order, a TruncationError is raised rather
-    than returning an under-truncated result.
+    The leading monomial lead*x^v is factored out, leaving a unit series u
+    with u_0 = 1, and p = u^(-n) follows from the power recurrence
+    p_0 = 1, k*p_k = sum_{i=1..k} ((1-n)*i - k) * u_i * p_{k-i}, which is
+    u*p' = -n*u'*p read coefficient by coefficient; the result is p scaled by
+    lead^(-n).  The leading coefficient must be invertible (for Fraction
+    coefficients it always is).  If the input's truncation cannot support
+    the requested order, a TruncationError is raised rather than returning an
+    under-truncated result.
     """
     if n < 1:
         raise ValueError("inverse power exponent must be >= 1")
@@ -430,72 +423,44 @@ def laurent_pow_inv(s: LaurentSeries, n: int, order: int) -> LaurentSeries:
     if provable < order:
         raise TruncationError(
             f"input truncation supports order {provable}, but {order} was requested")
-    # unit part u with u[0] = 1
+    zero = s.ring.zero
     unit = [c * lead_inv for c in s.coeffs[:m]]
-    unit += [s.ring.zero] * (m - len(unit))
-    inv = [s.ring.zero] * m
-    inv[0] = s.ring.one
+    unit += [zero] * (m - len(unit))
+    powered = [s.ring.one]
     for k in range(1, m):
-        acc = s.ring.zero
+        acc = zero
         for i in range(1, k + 1):
-            if unit[i] != s.ring.zero:
-                acc = acc + unit[i] * inv[k - i]
-        inv[k] = -acc
-    # raise the unit inverse to the n-th power, truncating at m throughout
-    powered = [s.ring.zero] * m
-    powered[0] = s.ring.one
-    for _ in range(n):
-        nxt = [s.ring.zero] * m
-        for i, a in enumerate(powered):
-            if a == s.ring.zero:
-                continue
-            for j in range(m - i):
-                b = inv[j]
-                if b != s.ring.zero:
-                    nxt[i + j] = nxt[i + j] + a * b
-        powered = nxt
-    scale = s.ring.one
-    for _ in range(n):
-        scale = scale * lead_inv
+            if unit[i] != zero:
+                acc = acc + unit[i] * powered[k - i] * ((1 - n) * i - k)
+        powered.append(acc * Fraction(1, k))
+    scale = lead_inv ** n
     coeffs = [c * scale for c in powered]
     return LaurentSeries(s.ring, -n * v, coeffs, provable).truncate(order)
 
 
-def series_exp(s: Any, order: int) -> Any:
+def series_exp(s: LaurentSeries, order: int) -> LaurentSeries:
     """Sum of s^i / i!, truncated at the given order.
 
-    Accepts a DensePoly or a LaurentSeries.  The argument must have no
-    constant term (valuation >= 1); each power then raises the valuation,
-    so the sum below the truncation order is finite.  Nilpotent coefficient
-    rings terminate the loop early on their own.
+    The argument must have no constant term (valuation >= 1); each power then
+    raises the valuation, so the sum below the truncation order is finite.
+    Nilpotent coefficient rings terminate the loop early on their own.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if isinstance(s, DensePoly):
-        if s.coeff(0) != s.ring.zero:
-            raise ValueError("series_exp needs a zero constant term")
-        result = DensePoly.one(s.ring)
-        term = result
-        for i in range(1, order):
-            term = (term * s).truncate(order) * Fraction(1, i)
-            if term.is_zero:
-                break
-            result = result + term
-        return result
-    if isinstance(s, LaurentSeries):
-        if s.trunc is not None and s.trunc <= 0:
-            raise TruncationError("constant term is not known; cannot exponentiate")
-        if not s.is_zero and s.valuation <= 0:
-            raise ValueError("series_exp needs a zero constant term")
-        out_trunc = order if s.trunc is None else min(order, s.trunc)
-        result = LaurentSeries.monomial(s.ring, 0, trunc=out_trunc)
-        term = result
-        for i in range(1, out_trunc):
-            term = (term * s).truncate(out_trunc) * Fraction(1, i)
-            # s has valuation >= 1, so a term that is zero below the
-            # truncation stays zero there for all later powers
-            if term.is_zero:
-                break
-            result = result + term
-        return result
-    raise TypeError(f"series_exp does not accept {type(s).__name__}")
+    if not isinstance(s, LaurentSeries):
+        raise TypeError(f"series_exp does not accept {type(s).__name__}")
+    if s.trunc is not None and s.trunc <= 0:
+        raise TruncationError("constant term is not known; cannot exponentiate")
+    if not s.is_zero and s.valuation <= 0:
+        raise ValueError("series_exp needs a zero constant term")
+    out_trunc = order if s.trunc is None else min(order, s.trunc)
+    result = LaurentSeries.monomial(s.ring, 0, trunc=out_trunc)
+    term = result
+    for i in range(1, out_trunc):
+        term = (term * s).truncate(out_trunc) * Fraction(1, i)
+        # s has valuation >= 1, so a term that is zero below the
+        # truncation stays zero there for all later powers
+        if term.is_zero:
+            break
+        result = result + term
+    return result

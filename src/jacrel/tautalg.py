@@ -147,10 +147,6 @@ class TautElement:
     def bidegrees(self) -> set[tuple[int, int]]:
         return {mono_bidegree(m) for m in self.terms}
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(self.bidegrees()) <= 1
-
     def bidegree(self) -> tuple[int, int] | None:
         """Bidegree of a homogeneous element; None for zero or mixed elements."""
         degs = self.bidegrees()

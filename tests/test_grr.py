@@ -7,7 +7,7 @@ from jacrel.grr import (ChernData, GrrContext, GrrElement, UpstairsTerm, ch_vk,
                         chern_classes, derive_theorem1, extract_amj,
                         gamma_extract, gamma_top_reference, pushforward)
 from jacrel.relations import gen_theorem1
-from jacrel.rings import InvariantViolation
+from jacrel.rings import InvariantViolation, LaurentSeries, Ring, series_exp
 from jacrel.tautalg import TautElement
 
 
@@ -153,6 +153,26 @@ class TestChernClasses:
     def test_classes_beyond_cutoff_unavailable(self):
         data = chern_classes(ch_vk(2, 3, 1), 4)
         assert data.c_j(10).is_zero
+
+    def test_newton_identity_matches_exponential_series(self):
+        # reference: exp(F(t)) expanded as a series over the GRR ring, with
+        # F(t) = sum_j (-1)^(j-1) (j-1)! ch_j t^j
+        for r in range(1, 4):
+            for g in range(1, 6):
+                for d in range(1, 9):
+                    data = ch_vk(g, d, r)
+                    ctx, order = data.ctx, d + 4
+                    ring = Ring(GrrElement.zero(ctx), GrrElement.one(ctx))
+                    f = LaurentSeries(ring, 0, [GrrElement.zero(ctx)] + [
+                        data.ch[j] * ((-1) ** (j - 1) * factorial(j - 1))
+                        for j in range(1, len(data.ch))])
+                    exp_f = series_exp(f, order)
+                    expected = tuple(exp_f.coeff(n) for n in range(order))
+                    assert chern_classes(data, order).c == expected, (g, d, r)
+
+    def test_t_order_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            chern_classes(ch_vk(2, 3, 1), 0)
 
 
 class TestGamma:

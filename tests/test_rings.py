@@ -60,12 +60,12 @@ class TestLaurentPowInv:
 
 class TestSeriesExp:
     def test_exp_t_order_three(self):
-        t = DensePoly.monomial(QQ, 1)
-        assert series_exp(t, 3) == DensePoly(QQ, (F(1), F(1), F(1, 2)))
+        t = LaurentSeries.monomial(QQ, 1)
+        assert series_exp(t, 3) == LaurentSeries(QQ, 0, (F(1), F(1), F(1, 2)), 3)
 
     def test_exp_zero(self):
-        z = DensePoly.zero(QQ)
-        assert series_exp(z, 4) == DensePoly.one(QQ)
+        z = LaurentSeries.zero(QQ)
+        assert series_exp(z, 4) == LaurentSeries.monomial(QQ, 0, trunc=4)
 
     def test_et_times_et_minus_one_coefficient(self):
         # oracle: e^t (e^t - 1) = e^{2t} - e^t, expanded term by term
@@ -73,17 +73,22 @@ class TestSeriesExp:
         from oracles import exp_poly_coeffs
         oracle = [a - b for a, b in zip(exp_poly_coeffs(2, order),
                                         exp_poly_coeffs(1, order))]
-        t = DensePoly.monomial(QQ, 1)
+        t = LaurentSeries.monomial(QQ, 1)
         e_t = series_exp(t, order)
-        product = (e_t * (e_t - DensePoly.one(QQ))).truncate(order)
-        assert list(product.coeffs) == oracle[: len(product.coeffs)]
+        product = e_t * (e_t - LaurentSeries.monomial(QQ, 0))
+        assert product.trunc == order
+        assert [product.coeff(i) for i in range(order)] == oracle
         assert product.coeff(3) == F(7, 6)
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(ValueError):
-            series_exp(DensePoly.one(QQ), 3)
+            series_exp(LaurentSeries.monomial(QQ, 0), 3)
         with pytest.raises(ValueError):
             series_exp(LaurentSeries.monomial(QQ, 0, trunc=3), 3)
+
+    def test_polynomial_input_rejected(self):
+        with pytest.raises(TypeError):
+            series_exp(DensePoly.monomial(QQ, 1), 3)
 
     def test_laurent_exp(self):
         t = LaurentSeries.monomial(QQ, 1, trunc=4)

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from jacrel.combinat import p_poly, stirling2
+from jacrel.combinat import inv_log1p_pow, p_poly, stirling2
 from jacrel.relations import epsilon_series
 from jacrel.tautalg import TautElement
 
@@ -41,6 +41,19 @@ def test_epsilon_parts_match_sympy_series():
             expected = _defect_series(n)
             for e in range(-n, X_ORDER):
                 assert part.coeff(e) == expected[e], (g, n, e)
+
+
+def test_high_inverse_log_powers_match_sympy_series():
+    # the exponents 2|S| + sum a_i that the chain's split sums reach
+    x = sympy.Symbol("x")
+    order = 4
+    for n in (9, 14, 21):
+        expr = sympy.factorial(n - 1) / sympy.log(1 + x) ** n
+        poly = sympy.series(expr, x, 0, order).removeO()
+        got = inv_log1p_pow(n, order)
+        assert got.trunc == order, n
+        for e in range(-n, order):
+            assert got.coeff(e) == _fraction(poly.coeff(x, e)), (n, e)
 
 
 def test_x0_coefficients_are_minus_bernoulli_over_n():
