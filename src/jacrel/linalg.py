@@ -1,80 +1,61 @@
-"""Exact rank computations over the rationals.
+"""Exact rank computations on integer rows.
 
-Rows are cleared to primitive integer rows and reduced by fraction-free
-elimination against the stored pivot rows.  The entries are divided by their
-gcd once per inserted row, after the whole reduction, not after every
-combination; this keeps Fraction out of the inner loop.
+Rows are sequences of Python ints, so there is no rounding, no modulus and
+no rational arithmetic: a caller with rational coefficients scales each row
+to integers first (a nonzero scalar changes no span).  ``RowSpace`` keeps
+one echelon row per pivot column and reduces each new row by fraction-free
+elimination against them, in the order they were inserted; the entries are
+divided by their gcd once per inserted row, after the whole reduction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 
-def _normalize_row(row: Sequence[Fraction | int]) -> tuple[int, ...] | None:
-    """Scale a rational row to a primitive integer row; None if zero."""
-    denom = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) if isinstance(x, Fraction) else x * denom for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        return None
-    return tuple(x // g for x in ints)
-
-
 class RowSpace:
-    """Incrementally built row space with exact integer echelon rows."""
+    """Incrementally built row space with exact integer echelon rows.
+
+    ``pivots`` maps each pivot column to its primitive echelon row, in
+    insertion order.  A row is zero at the pivot columns of every row
+    inserted before it, so one pass in that order clears them all.
+    """
 
     def __init__(self, ncols: int) -> None:
         self.ncols = ncols
         self.pivots: dict[int, tuple[int, ...]] = {}
 
     def _reduce(self, row: Sequence[int]) -> tuple[int, ...] | None:
-        work = list(row)
-        for col in sorted(self.pivots):
+        work = row
+        for col, piv in self.pivots.items():
             x = work[col]
-            if x == 0:
-                continue
-            piv = self.pivots[col]
-            p = piv[col]
-            work = [w * p - v * x for w, v in zip(work, piv)]
-        g = 0
-        for x in work:
-            g = gcd(g, x)
+            if x:
+                p = piv[col]
+                work = [w * p - v * x for w, v in zip(work, piv)]
+        g = gcd(*work)
         if g == 0:
             return None
         return tuple(x // g for x in work)
 
-    def add(self, row: Sequence[Fraction | int]) -> bool:
-        """Insert a row; returns True when it enlarged the space."""
-        prim = _normalize_row(row)
-        if prim is None:
-            return False
-        reduced = self._reduce(prim)
+    def add(self, row: Sequence[int]) -> bool:
+        """Insert an integer row; returns True when it enlarged the space."""
+        reduced = self._reduce(row)
         if reduced is None:
             return False
-        col = next(i for i, x in enumerate(reduced) if x != 0)
+        col = next(i for i, x in enumerate(reduced) if x)
         self.pivots[col] = reduced
         return True
 
-    def contains(self, row: Sequence[Fraction | int]) -> bool:
-        prim = _normalize_row(row)
-        if prim is None:
-            return True
-        return self._reduce(prim) is None
+    def contains(self, row: Sequence[int]) -> bool:
+        return self._reduce(row) is None
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
 
-def rank(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> int:
+def rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
     space = RowSpace(ncols)
     for row in rows:
         space.add(row)

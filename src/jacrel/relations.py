@@ -19,7 +19,9 @@ times [u^(d-r+s)] of prod P_{a_i+2}(u)/(1+u), which is B_{d-r+s}(a_1+1..a_s+1).
 ``compare_ideals`` decides, bidegree by bidegree and by exact rank
 computations, whether two families generate the same graded ideal; it also
 reports the weaker per-bidegree span comparison of the bare generators and
-flags any parameter set where the two notions differ.
+flags any parameter set where the two notions differ.  Its rows are integer
+vectors: each generator is scaled once to coprime integers, and multiplying
+by C(k) only moves a row's entries to other columns (see ``GradedSpan``).
 
 ``epsilon_series`` and ``verify_implication_chain`` replay the series
 bookkeeping connecting the families: the substitution defect
@@ -43,12 +45,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
 from .combinat import _bare_log_inv_pow, p_poly, principal_part, stirling2
 from .linalg import RowSpace, rank
 from .rings import QQ, LaurentSeries, TruncationError, InvariantViolation, min_trunc
-from .tautalg import Monomial, TautElement, mono_key
+from .tautalg import Monomial, TautElement, _mono_mul, mono_key
 
 FAMILY_IDS = ("theorem1", "vdgk6", "herbaut7", "strong8")
 
@@ -216,14 +218,27 @@ def monomials_of_bidegree(g: int, size: int, weight: int) -> tuple[Monomial, ...
     return tuple(monos)
 
 
+def _int_vector(element: TautElement, basis: tuple[Monomial, ...]) -> list[int]:
+    """The element's coefficients on the basis, scaled once to coprime
+    integers; a nonzero scalar changes neither its span nor its ideal."""
+    terms = element.terms
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    common = gcd(*ints.values()) or 1
+    return [ints.get(m, 0) // common for m in basis]
+
+
 class GradedSpan:
     """Per-bidegree exact row spaces spanned by homogeneous elements.
 
-    Rows live in the canonical monomial basis of each bidegree.  With
-    ``ideal=True`` every generator is multiplied by all monomials of the
-    complementary bidegree, so each cell carries the graded piece of the
-    generated ideal; with ``ideal=False`` only the generators themselves
-    enter, giving the bare per-bidegree span.
+    Rows are integer vectors in the canonical monomial basis of each
+    bidegree.  With ``ideal=True`` each cell carries the graded piece of the
+    generated ideal: cell (i, j) is spanned by the generators of bidegree
+    (i, j) and by the echelon rows of the cells (i-1, j-k) times C(k),
+    0 <= k < g, since every monomial of positive size has a factor C(k).
+    Multiplying by C(k) is an injective map on monomials, so a shifted row
+    is the same integers written into other columns.  With ``ideal=False``
+    only the generators themselves enter, giving the bare per-bidegree span.
     """
 
     def __init__(self, g: int, i_max: int, j_max: int) -> None:
@@ -232,16 +247,12 @@ class GradedSpan:
         self.j_max = j_max
         self.spaces: dict[tuple[int, int], RowSpace] = {}
 
-    @staticmethod
-    def _vector(element: TautElement, basis: tuple[Monomial, ...]) -> list[Fraction]:
-        return [element.coefficient(m) for m in basis]
-
     @classmethod
     def from_family(cls, family: RelationFamily, i_max: int, j_max: int,
                     ideal: bool = True) -> "GradedSpan":
         g = family.g
         span = cls(g, i_max, j_max)
-        gens: list[tuple[int, int, TautElement]] = []
+        gens: dict[tuple[int, int], list[TautElement]] = {}
         for item in family.items:
             if item.element.is_zero:
                 continue
@@ -250,25 +261,38 @@ class GradedSpan:
                 raise InvariantViolation(
                     f"item at s={item.s}, t^{item.t_exp} is not homogeneous "
                     f"of the labeled bidegree")
-            gens.append((bideg[0], bideg[1], item.element))
-        for i in range(1, i_max + 1):
-            for j in range(0, j_max + 1):
+            gens.setdefault(bideg, []).append(item.element)
+        for i in range(i_max + 1):
+            for j in range(j_max + 1):
                 basis = monomials_of_bidegree(g, i, j)
                 if not basis:
                     continue
                 cell = RowSpace(len(basis))
-                for s, w, element in gens:
-                    if ideal:
-                        if s > i or w > j:
-                            continue
-                        for mono in monomials_of_bidegree(g, i - s, j - w):
-                            shifted = element * TautElement.monomial(g, mono)
-                            cell.add(cls._vector(shifted, basis))
-                    elif (s, w) == (i, j):
-                        cell.add(cls._vector(element, basis))
+                if ideal:
+                    for row in span._shifted_rows(i, j, basis):
+                        cell.add(row)
+                for element in gens.get((i, j), ()):
+                    cell.add(_int_vector(element, basis))
                 if cell.rank:
                     span.spaces[(i, j)] = cell
         return span
+
+    def _shifted_rows(self, i: int, j: int, basis: tuple[Monomial, ...]):
+        """The echelon rows of the cells (i-1, j-k) times C(k), written into
+        the columns of cell (i, j)."""
+        column = {m: c for c, m in enumerate(basis)}
+        for k in range(min(self.g, j + 1)):
+            below = self.spaces.get((i - 1, j - k))
+            if below is None:
+                continue
+            shift = [column[_mono_mul(m, (k,))]
+                     for m in monomials_of_bidegree(self.g, i - 1, j - k)]
+            for piv in below.pivots.values():
+                row = [0] * len(basis)
+                for c, x in enumerate(piv):
+                    if x:
+                        row[shift[c]] = x
+                yield row
 
     def rank(self, i: int, j: int) -> int:
         cell = self.spaces.get((i, j))
@@ -377,11 +401,10 @@ def span_contains(f_sub: RelationFamily, f_sup: RelationFamily) -> bool:
         cell = item.bidegree
         basis = monomials_of_bidegree(g, *cell)
         space = by_cell.setdefault(cell, RowSpace(len(basis)))
-        space.add([item.element.coefficient(m) for m in basis])
+        space.add(_int_vector(item.element, basis))
     for item in f_sub.items:
         cell = item.bidegree
-        basis = monomials_of_bidegree(g, *cell)
-        vec = [item.element.coefficient(m) for m in basis]
+        vec = _int_vector(item.element, monomials_of_bidegree(g, *cell))
         space = by_cell.get(cell)
         if space is None:
             if any(vec):
@@ -429,7 +452,7 @@ def epsilon_series(g: int, x_order: int) -> EpsilonReport:
     if g < 1:
         raise ValueError("g must be >= 1")
     if x_order < 1:
-        raise TruncationError("x_order must be >= 1 to certify exponent bounds")
+        raise ValueError("x_order must be >= 1 to certify exponent bounds")
     parts: dict[int, LaurentSeries] = {}
     x0: dict[int, TautElement] = {}
     for a in range(g):
@@ -552,7 +575,7 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None,
     if t_order is None:
         t_order = r * (g + 1) + 1
     if x_order < 1:
-        raise TruncationError("x_order must be >= 1")
+        raise ValueError("x_order must be >= 1")
     if t_order < r * (g + 1) + 1:
         raise TruncationError(f"t_order={t_order} must exceed r(g+1)={r * (g + 1)}, "
                               f"the top t-degree of H(1/x,t)^r")
@@ -616,11 +639,6 @@ def element_to_jsonable(element: TautElement) -> list[dict]:
             for mono, coeff in element.sorted_terms()]
 
 
-def element_from_jsonable(g: int, data: list[dict]) -> TautElement:
-    terms = {tuple(entry["monomial"]): Fraction(entry["coeff"]) for entry in data}
-    return TautElement(g, terms)
-
-
 def family_to_jsonable(family: RelationFamily) -> dict:
     items = []
     for item in family.sorted_items():
@@ -641,7 +659,8 @@ def family_from_jsonable(data: dict) -> RelationFamily:
     g = data["g"]
     items = tuple(
         RelationItem(s=entry["s"], t_exp=entry["t_exp"],
-                     element=element_from_jsonable(g, entry["element"]),
+                     element=TautElement(g, {tuple(term["monomial"]): Fraction(term["coeff"])
+                                             for term in entry["element"]}),
                      u_exp=entry.get("u_exp"))
         for entry in data["items"])
     return RelationFamily(data["family"], g, data["d"], data["r"], items)

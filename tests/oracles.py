@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from jacrel.rings import QQ, DensePoly, LaurentSeries
 
@@ -153,6 +154,88 @@ def family_by_powers(family_id: str, g: int, d: int, r: int):
                          for te, element in sorted(quotient.u_slice(bound).items()))
     items.sort(key=lambda it: (it[0], it[1], -1 if it[2] is None else it[2]))
     return items
+
+
+def _primitive_row(row: list[Fraction]) -> list[int]:
+    """A rational row scaled to a primitive integer row; zero stays zero."""
+    denom = 1
+    for x in row:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in row]
+    common = 0
+    for x in ints:
+        common = gcd(common, x)
+    return [x // common for x in ints] if common else ints
+
+
+def _spaces_by_products(family, i_max: int, j_max: int, ideal: bool) -> dict:
+    """Row spaces per cell (i, j), i >= 1, from the coefficient vectors of
+    every generator times every monomial of the complementary bidegree (or
+    of the bare generators), each product taken in the algebra."""
+    from jacrel.linalg import RowSpace
+    from jacrel.relations import monomials_of_bidegree
+    from jacrel.tautalg import TautElement
+    g = family.g
+    gens = [(item.element.bidegree(), item.element) for item in family.items
+            if not item.element.is_zero]
+    spaces = {}
+    for i in range(1, i_max + 1):
+        for j in range(j_max + 1):
+            basis = monomials_of_bidegree(g, i, j)
+            if not basis:
+                continue
+            space = spaces[(i, j)] = RowSpace(len(basis))
+            for (s, w), element in gens:
+                if not ideal:
+                    factors = [()] if (s, w) == (i, j) else []
+                else:
+                    factors = monomials_of_bidegree(g, i - s, j - w)
+                for mono in factors:
+                    shifted = element * TautElement.monomial(g, mono)
+                    space.add(_primitive_row([shifted.coefficient(m) for m in basis]))
+    return spaces
+
+
+def compare_ideals_by_products(f1, f2, bidegree_bound=None):
+    """The reference route for ``compare_ideals``: each row is a product in
+    the algebra read off over Fraction by coefficient lookups, and every
+    ideal cell takes all generator-times-monomial rows (no recursion)."""
+    from jacrel.linalg import rank
+    from jacrel.relations import CellComparison, IdealComparison
+    i_max, j_max = bidegree_bound or (f1.r, f1.r * (f1.g - 1))
+    ideals = [_spaces_by_products(f, i_max, j_max, True) for f in (f1, f2)]
+    spans = [_spaces_by_products(f, i_max, j_max, False) for f in (f1, f2)]
+    cells = []
+    for (i, j), space in ideals[0].items():
+        def ranks(pair):
+            return tuple(p[(i, j)].rank for p in pair)
+
+        def joint(pair):
+            return rank([row for p in pair for row in p[(i, j)].pivots.values()], space.ncols)
+
+        if ranks(ideals) == ranks(spans) == (0, 0):
+            continue
+        cells.append(CellComparison(i=i, j=j, dim=space.ncols,
+                                    ideal_ranks=ranks(ideals), ideal_joint=joint(ideals),
+                                    span_ranks=ranks(spans), span_joint=joint(spans)))
+    return IdealComparison(family_ids=(f1.family_id, f2.family_id), g=f1.g, d=f1.d,
+                           r=f1.r, i_max=i_max, j_max=j_max, cells=tuple(cells))
+
+
+def span_contains_by_ranks(f_sub, f_sup) -> bool:
+    """The reference route for ``span_contains``: an item of f_sub lies in the
+    span of f_sup's items of its bidegree when adding it leaves the rank of
+    their Fraction coefficient vectors unchanged."""
+    from jacrel.linalg import rank
+    from jacrel.relations import monomials_of_bidegree
+    for item in f_sub.items:
+        basis = monomials_of_bidegree(f_sub.g, *item.bidegree)
+        rows = [_primitive_row([it.element.coefficient(m) for m in basis])
+                for it in f_sup.items if it.bidegree == item.bidegree]
+        row = _primitive_row([item.element.coefficient(m) for m in basis])
+        if rank(rows + [row], len(basis)) != rank(rows, len(basis)):
+            return False
+    return True
 
 
 class XTSeries:

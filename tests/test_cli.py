@@ -1,13 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from jacrel.relations import family_from_json, family_to_json
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
+    # the package may be importable only through pytest's pythonpath setting,
+    # which a child interpreter does not inherit
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "jacrel.cli", *args],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 class TestExitCodes:
@@ -124,10 +132,12 @@ class TestEquivalenceCommand:
         result = run_cli("equivalence", "--g", "1", "--d", "2", "--r", "1")
         assert result.returncode == 0
 
-    def test_truncation_too_small_is_inconclusive(self):
+    def test_x_order_below_one_is_a_usage_error(self):
         result = run_cli("equivalence", "--g", "3", "--d", "4", "--r", "2",
                          "--x-order", "0")
-        assert result.returncode == 3
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: x_order must be >= 1")
 
     def test_t_order_below_top_degree_is_inconclusive(self):
         result = run_cli("equivalence", "--g", "3", "--d", "5", "--r", "2",

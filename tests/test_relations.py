@@ -1,16 +1,19 @@
+import json
+import random
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
 from jacrel.combinat import stirling2
-from jacrel.relations import (compare_ideals, epsilon_series, family_from_json,
-                              family_to_json, gen_family, gen_theorem1,
+from jacrel.relations import (RelationFamily, RelationItem, compare_ideals, epsilon_series,
+                              family_from_json, family_to_json, gen_family, gen_theorem1,
                               monomials_of_bidegree, span_contains,
                               theorem1_family, verify_implication_chain)
 from jacrel.rings import TruncationError
 from jacrel.tautalg import TautElement, build_g_poly, poly_power
-from oracles import chain_by_xt_series, family_by_powers, stirling_by_enumeration
+from oracles import (chain_by_xt_series, compare_ideals_by_products, family_by_powers,
+                     rand_homogeneous_taut, span_contains_by_ranks, stirling_by_enumeration)
 
 
 def C(g, j):
@@ -178,6 +181,69 @@ class TestCompareIdeals:
             compare_ideals(gen_family("vdgk6", 3, 4, 2),
                            gen_family("vdgk6", 3, 5, 2))
 
+    def test_matches_product_route_reference(self):
+        # integer index-shift rows and the cell recursion give the same
+        # ranks, cell for cell, as all generator-times-monomial products
+        for g in range(1, 6):
+            for r in range(1, 4):
+                for d in range(2 * r, 9):
+                    fams = [gen_family(f, g, d, r) for f in ("vdgk6", "herbaut7", "strong8")]
+                    for a, b in ((0, 1), (1, 2), (0, 2)):
+                        assert compare_ideals(fams[a], fams[b]) == \
+                            compare_ideals_by_products(fams[a], fams[b]), (g, d, r, a, b)
+
+    def test_random_families_match_product_route_reference(self):
+        # random generators with rational coefficients: a wrong shift or
+        # scaling that the three families' ideals happen to hide shows here
+        rng = random.Random(6)
+        for g in (2, 3, 4):
+            for r in (2, 3):
+                fams = []
+                for name in ("a", "b"):
+                    items = []
+                    for _ in range(rng.randint(1, 4)):
+                        s = rng.randint(1, r)
+                        w = rng.randint(0, s * (g - 1))
+                        items.append(RelationItem(s=s, t_exp=2 * s + w,
+                                                  element=rand_homogeneous_taut(rng, g, s, w)))
+                    fams.append(RelationFamily(name, g, 2 * r, r, tuple(items)))
+                assert compare_ideals(*fams) == compare_ideals_by_products(*fams), (g, r)
+
+    def test_unit_generator_fills_every_cell(self):
+        # a degree-0 item generates the whole algebra, and the recursion has
+        # to carry it up from cell (0, 0)
+        unit = RelationFamily("unit", 3, 4, 2, (RelationItem(s=0, t_exp=0,
+                                                             element=TautElement.one(3)),))
+        f6 = gen_family("vdgk6", 3, 4, 2)
+        report = compare_ideals(unit, f6)
+        assert report == compare_ideals_by_products(unit, f6)
+        assert all(c.ideal_ranks[0] == c.dim for c in report.cells)
+
+    def test_rational_coefficients_compare_like_their_integer_multiples(self):
+        # a JSON family whose items are rescaled over Q has the same ideal;
+        # its rows are scaled to integers once per generator
+        payload = json.loads(family_to_json(gen_family("strong8", 4, 6, 3)))
+        for k, entry in enumerate(payload["items"]):
+            for term in entry["element"]:
+                term["coeff"] = str(F(term["coeff"]) * F(k + 2, 2 * k + 3))
+        rational = family_from_json(json.dumps(payload))
+        assert any(c.denominator != 1 for it in rational.items
+                   for c in it.element.terms.values())
+        f7 = gen_family("herbaut7", 4, 6, 3)
+        for pair in ((rational, f7), (f7, rational), (rational, rational)):
+            report = compare_ideals(*pair)
+            assert report == compare_ideals_by_products(*pair)
+            assert report.ideal_equal
+
+    def test_span_contains_matches_reference(self):
+        f6, f7, f8 = (gen_family(f, 4, 4, 2) for f in ("vdgk6", "herbaut7", "strong8"))
+        verdicts = {}
+        for sub, sup in ((f7, f8), (f6, f8), (f8, f6), (f8, f7)):
+            verdicts[(sub.family_id, sup.family_id)] = span_contains(sub, sup)
+            assert verdicts[(sub.family_id, sup.family_id)] == span_contains_by_ranks(sub, sup)
+        assert verdicts[("herbaut7", "strong8")]
+        assert not all(verdicts.values())
+
 
 class TestMonomialBasis:
     def test_small_counts(self):
@@ -224,7 +290,7 @@ class TestEpsilonSeries:
             assert not epsilon_series(g, 8).strict_xt2
 
     def test_truncation_guard(self):
-        with pytest.raises(TruncationError):
+        with pytest.raises(ValueError):
             epsilon_series(2, 0)
 
 
@@ -254,6 +320,10 @@ class TestImplicationChain:
             assert check.n > check.m
             assert check.expected == F(factorial(check.m), factorial(check.n - 1)) \
                 * stirling2(check.n - 1, check.m)
+
+    def test_x_order_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            verify_implication_chain(3, 5, 2, x_order=0)
 
     def test_t_order_below_top_degree_is_inconclusive(self):
         with pytest.raises(TruncationError):
