@@ -33,14 +33,22 @@ Laurent series over Q per generator: h_a = P_{a+2}(1/x) in H(1/x,t),
 (a+1)! log(1+x)^-(a+2) in G(t/log(1+x)), and their difference e_a in eps.
 The expansion is then checked one monomial m = (a_1..a_s) at a time:
 prod h_{a_i} against the sum, over position sets S, of the G-part of S times
-prod_{i not in S} e_{a_i}.  Note that eps has x-exponents >= 0 but genuinely
-nonzero x^0 terms (Bernoulli values B_n/n for even n = a+2), so the sharpest
-certifiable bound is O(t^2) with no negative x-powers, not O(x t^2).
+prod_{i not in S} e_{a_i}.  Position sets that choose the same sub-multiset
+of weights give the same term, so each sub-multiset is computed once and
+scaled by its multiplicity.  Neither this identity nor its terms depend on g
+or d: only the vdgk6 cut |S| + sum_{i in S} a_i <= d-r does.  So each
+(monomial, x-order) gets one cached table, the verdict and the terms summed
+by that cut weight, and every d adds up the terms it keeps.
+
+Note that eps has x-exponents >= 0 but genuinely nonzero x^0 terms
+(Bernoulli values B_n/n for even n = a+2), so the sharpest certifiable bound
+is O(t^2) with no negative x-powers, not O(x t^2).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,6 +61,11 @@ from .rings import QQ, LaurentSeries, TruncationError, InvariantViolation, min_t
 from .tautalg import Monomial, TautElement, _mono_mul, mono_key
 
 FAMILY_IDS = ("theorem1", "vdgk6", "herbaut7", "strong8")
+
+# Bound on each of the chain's caches, ``_e_part`` keyed by (n, x_order) and
+# ``_split_table`` by (monomial, x_order); the criterion-6b grid fills the
+# table with 191 entries.
+_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -442,6 +455,12 @@ class EpsilonReport:
         return self.no_negative_x and not self.x0_coefficients
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _e_part(n: int, x_order: int) -> LaurentSeries:
+    """e_{n-2} = P_n(1/x) - (n-1)!/log(1+x)^n, known strictly below x^x_order."""
+    return principal_part(n) - _bare_log_inv_pow(n, x_order) * factorial(n - 1)
+
+
 def epsilon_series(g: int, x_order: int) -> EpsilonReport:
     """Compute eps(x,t) and certify its exponent bounds.
 
@@ -457,7 +476,7 @@ def epsilon_series(g: int, x_order: int) -> EpsilonReport:
     x0: dict[int, TautElement] = {}
     for a in range(g):
         n = a + 2
-        defect = principal_part(n) - _bare_log_inv_pow(n, x_order) * factorial(n - 1)
+        defect = _e_part(n, x_order)
         parts[n] = defect
         c0 = defect.coeff(0)
         if c0:
@@ -470,38 +489,63 @@ def epsilon_series(g: int, x_order: int) -> EpsilonReport:
     )
 
 
-def _split_sums(mono: Monomial, h: list[LaurentSeries], e: list[LaurentSeries],
-                x_order: int, kept_weight: int) -> tuple[bool, LaurentSeries]:
+def _split_terms(mono: Monomial, h, e, x_order: int
+                 ) -> tuple[bool, tuple[tuple[int, LaurentSeries], ...]]:
     """Both sides of the binomial identity at one monomial m = (a_1..a_s).
 
     The coefficient of m in H(1/x,t)^s is orderings(m) * prod h_{a_i}; in
     G(t/log(1+x))^|S| eps^(s-|S|), summed over the position sets S, it is
     orderings(m) times sum_S G_S * prod_{i not in S} e_{a_i}, where
     G_S = prod_{i in S} (a_i+1)! * log(1+x)^-(2|S| + sum_{i in S} a_i).
-    Returns whether the two sides agree, and the sum restricted to the S
-    that the vdgk6 relations leave standing: S empty, or
-    |S| + sum_{i in S} a_i <= kept_weight.  The common factor orderings(m)
-    is dropped from both.
+    Position sets that choose the same sub-multiset of weights have the same
+    term, so each sub-multiset is computed once and scaled by its
+    multiplicity, the number of position sets that choose it.  Returns
+    whether the two sides agree, and the right-hand side split by the vdgk6
+    cut k = |S| + sum_{i in S} a_i as (k, sum of the terms with that k) in
+    ascending k; k = 0 only for S empty.  The common factor orderings(m) is
+    dropped from both.  Nothing here depends on g or d; h and e map each
+    weight a of m to h_a and e_a.
     """
     lhs = LaurentSeries.monomial(QQ, 0)
     for a in mono:
         lhs = lhs * h[a]
-    full = kept = LaurentSeries.zero(QQ)
-    for size in range(len(mono) + 1):
-        for chosen in combinations(range(len(mono)), size):
-            weights = [mono[i] for i in chosen]
-            if chosen:
-                scale = prod(factorial(a + 1) for a in weights)
-                term = _bare_log_inv_pow(2 * size + sum(weights), x_order) * scale
-            else:
-                term = LaurentSeries.monomial(QQ, 0)
-            for i, a in enumerate(mono):
-                if i not in chosen:
-                    term = term * e[a]
-            full = full + term
-            if not chosen or size + sum(weights) <= kept_weight:
-                kept = kept + term
-    return lhs.agrees_with(full), kept
+    picks = Counter(tuple(mono[i] for i in chosen) for size in range(len(mono) + 1)
+                    for chosen in combinations(range(len(mono)), size))
+    by_k: dict[int, LaurentSeries] = {}
+    for chosen, mult in picks.items():
+        if chosen:
+            scale = mult * prod(factorial(a + 1) for a in chosen)
+            term = _bare_log_inv_pow(2 * len(chosen) + sum(chosen), x_order) * scale
+        else:
+            term = LaurentSeries.monomial(QQ, 0)
+        for a in (Counter(mono) - Counter(chosen)).elements():
+            term = term * e[a]
+        k = len(chosen) + sum(chosen)
+        by_k[k] = by_k[k] + term if k in by_k else term
+    full = sum(by_k.values(), LaurentSeries.zero(QQ))
+    return lhs.agrees_with(full), tuple(sorted(by_k.items()))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _split_table(mono: Monomial, x_order: int
+                 ) -> tuple[bool, tuple[tuple[int, LaurentSeries], ...]]:
+    """``_split_terms`` on h_a = P_{a+2}(1/x) and e_a, cached per monomial
+    and x-order: one table serves every g and d."""
+    h = {a: principal_part(a + 2) for a in set(mono)}
+    e = {a: _e_part(a + 2, x_order) for a in set(mono)}
+    return _split_terms(mono, h, e, x_order)
+
+
+def _kept_sum(terms: tuple[tuple[int, LaurentSeries], ...],
+              kept_weight: int) -> LaurentSeries:
+    """The sum of a split table's terms that the vdgk6 relations leave
+    standing: S empty (k = 0, the first entry), or k <= kept_weight."""
+    kept = terms[0][1]
+    for k, term in terms[1:]:
+        if k > kept_weight:
+            break
+        kept = kept + term
+    return kept
 
 
 @dataclass(frozen=True)
@@ -559,7 +603,9 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None,
 
     Every series involved is linear in the generators and C(a) carries
     t^(a+2), so each check runs monomial by monomial on scalar series over Q
-    (see ``_split_sums``), and t_order only has to cover the top t-degree.
+    (see ``_split_terms``), and t_order only has to cover the top t-degree.
+    Check (a) and the split of check (b)'s sum do not depend on d; they are
+    read from the cached ``_split_table``, and only the cut is applied here.
 
     (a) The binomial identity H(1/x,t)^s = sum_{s'} C(s,s') G(t/log(1+x))^s'
         eps^(s-s') holds exactly on every tracked coefficient, for s = 1..r.
@@ -579,10 +625,6 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None,
     if t_order < r * (g + 1) + 1:
         raise TruncationError(f"t_order={t_order} must exceed r(g+1)={r * (g + 1)}, "
                               f"the top t-degree of H(1/x,t)^r")
-    eps = epsilon_series(g, x_order)
-    h = [principal_part(a + 2) for a in range(g)]
-    e = [eps.parts[a + 2] for a in range(g)]
-
     identity9_ok = True
     degree_checks: list[DegreeBoundCheck] = []
     for s in range(1, r + 1):
@@ -593,9 +635,9 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None,
             # one t-exponent 2s+w: it is known only where all its monomials are
             kept_sums = []
             for mono in monomials_of_bidegree(g, s, w):
-                agrees, kept = _split_sums(mono, h, e, x_order, d - r)
+                agrees, terms = _split_table(mono, x_order)
                 identity9_ok = identity9_ok and agrees
-                kept_sums.append(kept)
+                kept_sums.append(_kept_sum(terms, d - r))
             trunc = None
             for kept in kept_sums:
                 trunc = min_trunc(trunc, kept.trunc)

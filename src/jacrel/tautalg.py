@@ -128,14 +128,6 @@ class TautElement:
     def __rmul__(self, other: Any) -> "TautElement":
         return self.__mul__(other)
 
-    def __pow__(self, n: int) -> "TautElement":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be integers >= 0")
-        result = TautElement.one(self.g)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, TautElement):
             return NotImplemented
@@ -153,11 +145,6 @@ class TautElement:
         if len(degs) == 1:
             return next(iter(degs))
         return None
-
-    def component(self, s: int, w: int) -> "TautElement":
-        """The homogeneous component in bidegree (s, w)."""
-        return TautElement(self.g, {m: c for m, c in self.terms.items()
-                                    if mono_bidegree(m) == (s, w)})
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))

@@ -325,6 +325,46 @@ def _bare_log_inv_pow(n, x_order):
     return laurent_pow_inv(log1p_series(x_order + n + 1), n, x_order)
 
 
+def split_sums_by_position_sets(mono, h, e, x_order, kept_weights):
+    """Both sides of the binomial identity at one monomial m = (a_1..a_s),
+    summed over all 2^s position sets S one set at a time.
+
+    The reference route for ``relations._split_terms``: the right-hand side
+    is sum_S G_S * prod_{i not in S} e_{a_i}, with
+    G_S = prod_{i in S} (a_i+1)! * log(1+x)^-(2|S| + sum_{i in S} a_i).
+    Returns whether it agrees with prod h_{a_i}, and for each kept weight
+    its sum restricted to S empty or |S| + sum_{i in S} a_i <= kept weight.
+    """
+    from itertools import combinations
+    from math import factorial, prod
+    lhs = LaurentSeries.monomial(QQ, 0)
+    for a in mono:
+        lhs = lhs * h[a]
+    terms = []  # (|S| + sum_{i in S} a_i, term) per position set S
+    for size in range(len(mono) + 1):
+        for chosen in combinations(range(len(mono)), size):
+            weights = [mono[i] for i in chosen]
+            if chosen:
+                scale = prod(factorial(a + 1) for a in weights)
+                term = _bare_log_inv_pow(2 * size + sum(weights), x_order) * scale
+            else:
+                term = LaurentSeries.monomial(QQ, 0)
+            for i, a in enumerate(mono):
+                if i not in chosen:
+                    term = term * e[a]
+            terms.append((size + sum(weights), term))
+    full = sum((term for _, term in terms), LaurentSeries.zero(QQ))
+    # cuts that keep the same position sets share one sum
+    sums = {}
+    kept = []
+    for kept_weight in kept_weights:
+        standing = tuple(i for i, (k, _) in enumerate(terms) if k == 0 or k <= kept_weight)
+        if standing not in sums:
+            sums[standing] = sum((terms[i][1] for i in standing), LaurentSeries.zero(QQ))
+        kept.append(sums[standing])
+    return lhs.agrees_with(full), kept
+
+
 @lru_cache(maxsize=None)
 def _eps_powers(g, r, x_order, t_order):
     """eps(x,t)^k for k = 0..r and H(1/x,t), as series over the free algebra."""

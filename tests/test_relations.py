@@ -13,7 +13,8 @@ from jacrel.relations import (RelationFamily, RelationItem, compare_ideals, epsi
 from jacrel.rings import TruncationError
 from jacrel.tautalg import TautElement, build_g_poly, poly_power
 from oracles import (chain_by_xt_series, compare_ideals_by_products, family_by_powers,
-                     rand_homogeneous_taut, span_contains_by_ranks, stirling_by_enumeration)
+                     rand_homogeneous_taut, span_contains_by_ranks,
+                     split_sums_by_position_sets, stirling_by_enumeration)
 
 
 def C(g, j):
@@ -336,7 +337,7 @@ class TestImplicationChain:
         # a perturbed e_a must be detected: the window each monomial's two
         # sides are compared on is nonempty, so the certification has teeth
         from jacrel.combinat import principal_part
-        from jacrel.relations import _split_sums
+        from jacrel.relations import _split_terms
         from jacrel.rings import QQ, LaurentSeries
         g, x_order = 3, 8
         h = [principal_part(a + 2) for a in range(g)]
@@ -344,10 +345,10 @@ class TestImplicationChain:
         perturbed = list(e)
         perturbed[0] = e[0] + LaurentSeries(QQ, 0, (F(1),), x_order)
         for mono in ((0,), (2, 0), (1, 0, 0)):
-            assert _split_sums(mono, h, e, x_order, 1)[0], mono
-            assert not _split_sums(mono, h, perturbed, x_order, 1)[0], mono
+            assert _split_terms(mono, h, e, x_order)[0], mono
+            assert not _split_terms(mono, h, perturbed, x_order)[0], mono
         # a monomial without C(0) never sees the perturbed series
-        assert _split_sums((2, 1), h, perturbed, x_order, 1)[0]
+        assert _split_terms((2, 1), h, perturbed, x_order)[0]
 
     def test_matches_algebra_valued_reference_at_low_orders(self):
         # field for field, including the truncation-driven min_x_exponent and
@@ -374,6 +375,49 @@ class TestImplicationChain:
                 assert check.certified
                 assert check.min_x_exponent is not None, (g, d, r, check.s)
                 assert check.min_x_exponent >= check.bound
+
+
+class TestSplitTable:
+    def test_matches_position_set_sums(self):
+        # the cached table, one term per sub-multiset scaled by its
+        # multiplicity and summed by cut weight, against the plain sum over
+        # all 2^s position sets, at every cut a d can make
+        from jacrel.combinat import principal_part
+        from jacrel.relations import _e_part, _kept_sum, _split_table
+        g = 6
+        for x_order in (1, 3, 8):
+            h = [principal_part(a + 2) for a in range(g)]
+            e = [_e_part(a + 2, x_order) for a in range(g)]
+            for s in range(1, 5):
+                for w in range(s * (g - 1) + 1):
+                    for mono in monomials_of_bidegree(g, s, w):
+                        agrees, terms = _split_table(mono, x_order)
+                        cuts = range(-1, s * (g - 1) + s + 1)
+                        expected = split_sums_by_position_sets(mono, h, e, x_order, cuts)
+                        got = (agrees, [_kept_sum(terms, cut) for cut in cuts])
+                        assert got == expected, (mono, x_order)
+
+    def test_reports_do_not_depend_on_cache_state(self):
+        from jacrel.relations import _CACHE_SIZE, _e_part, _split_table
+
+        def report(g, d, r):
+            chain = verify_implication_chain(g, d, r)
+            assert _split_table.cache_info().currsize <= _CACHE_SIZE
+            assert _e_part.cache_info().currsize <= _CACHE_SIZE
+            return chain
+
+        for g in (3, 5):
+            for r in (2, 3):
+                ds = range(2 * r, 9)
+                cleared = []
+                for d in ds:
+                    _split_table.cache_clear()
+                    cleared.append(report(g, d, r))
+                # every d reads the same tables, now all cached
+                ascending = [report(g, d, r) for d in ds]
+                descending = [report(g, d, r) for d in reversed(ds)]
+                assert ascending == cleared, (g, r)
+                assert descending[::-1] == cleared, (g, r)
 
 
 class TestFamilyJson:
