@@ -656,7 +656,7 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None,
     scalar_checks: list[ScalarCheck] = []
     # x/(1+x), wide enough that the product window always covers x^-m
     geom_order = max(2, x_order, r * (g + 1) + 2)
-    geom = LaurentSeries(QQ, 1, [Fraction((-1) ** i) for i in range(geom_order)],
+    geom = LaurentSeries(QQ, 1, [(-1) ** i for i in range(geom_order)],
                          geom_order + 1)
     for s in range(1, r + 1):
         m = d - r + s

@@ -8,11 +8,191 @@ are checked against genuinely independent computations.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import Any
 
-from jacrel.rings import QQ, DensePoly, LaurentSeries
+from jacrel.rings import QQ, DensePoly, LaurentSeries, TruncationError, min_trunc
+
+
+def power(x, n: int):
+    """x**n for n >= 1 by square and multiply; the series and polynomial
+    containers have no ``__pow__``."""
+    if n < 1:
+        raise ValueError("power needs n >= 1")
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
+@dataclass(frozen=True)
+class Ring:
+    """A commutative coefficient ring, described by its zero and one elements."""
+
+    zero: Any
+    one: Any
+
+
+#: The rationals as a Ring, for GenericSeries with Fraction coefficients.
+QQ_RING = Ring(Fraction(0), Fraction(1))
+
+
+class GenericSeries:
+    """Truncated Laurent series over any commutative Q-algebra.
+
+    The reference for ``jacrel.rings.LaurentSeries``, which is over Q only:
+    a coefficient is any element with ``+``, ``-``, unary ``-``, ``*`` (with
+    its own kind and with Fraction/int scalars) and ``==``, and a Ring
+    supplies zero and one.  Coefficients are kept as given, one per exponent
+    from ``valuation``, and summed through a dict keyed by exponent.  The
+    window and truncation rules are those of ``LaurentSeries``.
+    """
+
+    __slots__ = ("ring", "valuation", "coeffs", "trunc")
+
+    def __init__(self, ring, valuation, coeffs=(), trunc=None):
+        coeffs = list(coeffs)
+        if trunc is not None and trunc - valuation < len(coeffs):
+            coeffs = coeffs[: max(trunc - valuation, 0)]
+        while coeffs and coeffs[0] == ring.zero:
+            coeffs.pop(0)
+            valuation += 1
+        while coeffs and coeffs[-1] == ring.zero:
+            coeffs.pop()
+        if not coeffs:
+            valuation = trunc if trunc is not None else 0
+        self.ring = ring
+        self.valuation = valuation
+        self.coeffs = tuple(coeffs)
+        self.trunc = trunc
+
+    @classmethod
+    def zero(cls, ring, trunc=None):
+        return cls(ring, 0, (), trunc)
+
+    @classmethod
+    def monomial(cls, ring, exp, coeff=None, trunc=None):
+        return cls(ring, exp, (ring.one if coeff is None else coeff,), trunc)
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    def coeff(self, exp):
+        if self.trunc is not None and exp >= self.trunc:
+            raise TruncationError(f"exponent {exp} is beyond truncation order {self.trunc}")
+        i = exp - self.valuation
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.zero
+
+    def items(self):
+        for i, c in enumerate(self.coeffs):
+            if c != self.ring.zero:
+                yield self.valuation + i, c
+
+    def _from_dict(self, data, trunc):
+        if not data:
+            return GenericSeries.zero(self.ring, trunc)
+        lo, hi = min(data), max(data)
+        return GenericSeries(self.ring, lo, [data.get(e, self.ring.zero)
+                                             for e in range(lo, hi + 1)], trunc)
+
+    def _merge(self, other, sign):
+        data = dict(self.items())
+        for e, c in other.items():
+            c = c if sign > 0 else -c
+            data[e] = data[e] + c if e in data else c
+        return self._from_dict(data, min_trunc(self.trunc, other.trunc))
+
+    def __add__(self, other):
+        return self._merge(other, +1)
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def __neg__(self):
+        return GenericSeries(self.ring, self.valuation, [-c for c in self.coeffs], self.trunc)
+
+    def __mul__(self, other):
+        if not isinstance(other, GenericSeries):
+            # scalar (Fraction/int) or coefficient-ring element
+            return GenericSeries(self.ring, self.valuation,
+                                 [c * other for c in self.coeffs], self.trunc)
+        if (self.is_zero and self.trunc is None) or (other.is_zero and other.trunc is None):
+            return GenericSeries.zero(self.ring)
+        trunc = min_trunc(None if self.trunc is None else self.trunc + other.valuation,
+                          None if other.trunc is None else other.trunc + self.valuation)
+        data = {}
+        for ea, a in self.items():
+            for eb, b in other.items():
+                e = ea + eb
+                if trunc is None or e < trunc:
+                    data[e] = data[e] + a * b if e in data else a * b
+        return self._from_dict(data, trunc)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def truncate(self, order):
+        if self.trunc is not None and order > self.trunc:
+            raise TruncationError(f"cannot extend truncation order {self.trunc} to {order}")
+        return GenericSeries(self.ring, self.valuation, self.coeffs, order)
+
+    def agrees_with(self, other):
+        horizon = min_trunc(self.trunc, other.trunc)
+        exps = {e for e, _ in self.items()} | {e for e, _ in other.items()}
+        return all(self.coeff(e) == other.coeff(e) for e in exps
+                   if horizon is None or e < horizon)
+
+    def __eq__(self, other):
+        return (self.valuation, self.coeffs, self.trunc) == \
+            (other.valuation, other.coeffs, other.trunc)
+
+
+def generic_series_exp(s, order):
+    """exp(s) as the sum of s^i/i! below x^order, each power one more product.
+
+    The reference for ``jacrel.rings.series_exp``; s needs valuation >= 1,
+    and a nilpotent coefficient ring ends the sum early on its own.
+    """
+    out_trunc = order if s.trunc is None else min(order, s.trunc)
+    result = GenericSeries.monomial(s.ring, 0, trunc=out_trunc)
+    term = result
+    for i in range(1, out_trunc):
+        term = (term * s).truncate(out_trunc) * Fraction(1, i)
+        if term.is_zero:
+            break
+        result = result + term
+    return result
+
+
+def pow_inv_by_products(s, n, order):
+    """s^(-n) known below x^order, for a GenericSeries s over QQ_RING.
+
+    The reference for ``jacrel.rings.laurent_pow_inv``: the unit part
+    u = s/(lead*x^v) is inverted by long division, raised to the n-th power
+    by products and scaled by lead^(-n).  The windows are those of the
+    library, including the TruncationError when s is not known far enough.
+    """
+    v = s.valuation
+    m = max(order + n * v, 1) if s.trunc is None else s.trunc - v
+    if m - n * v < order:
+        raise TruncationError(f"input truncation supports order {m - n * v}")
+    lead = s.coeffs[0]
+    unit = [c / lead for c in s.coeffs[:m]]
+    unit += [Fraction(0)] * (m - len(unit))
+    inverse = [Fraction(1)]
+    for k in range(1, m):
+        inverse.append(-sum(unit[i] * inverse[k - i] for i in range(1, k + 1)))
+    p = power(GenericSeries(s.ring, 0, inverse, m), n)
+    return GenericSeries(s.ring, -n * v, [c / lead ** n for c in p.coeffs],
+                         p.trunc - n * v).truncate(order)
 
 
 def set_partitions(collection):
@@ -261,20 +441,18 @@ class XTSeries:
 
     @classmethod
     def one(cls, ring, t_trunc=None):
-        return cls(ring, {0: LaurentSeries.monomial(ring, 0)}, t_trunc)
+        return cls(ring, {0: GenericSeries.monomial(ring, 0)}, t_trunc)
 
     def part(self, t_exp):
-        return self.parts.get(t_exp, LaurentSeries.zero(self.ring))
+        return self.parts.get(t_exp, GenericSeries.zero(self.ring))
 
     def __add__(self, other):
-        from jacrel.rings import min_trunc
         parts = dict(self.parts)
         for te, series in other.parts.items():
             parts[te] = parts[te] + series if te in parts else series
         return XTSeries(self.ring, parts, min_trunc(self.t_trunc, other.t_trunc))
 
     def __mul__(self, other):
-        from jacrel.rings import min_trunc
         if isinstance(other, XTSeries):
             t_trunc = min_trunc(self.t_trunc, other.t_trunc)
             parts = {}
@@ -308,13 +486,12 @@ class XTSeries:
 
 def _lift(series, element, ring):
     """The scalar series times one algebra element, as an algebra-valued series."""
-    return LaurentSeries(ring, series.valuation, [element * c for c in series.coeffs],
+    return GenericSeries(ring, series.valuation, [element * c for c in series.coeffs],
                          series.trunc)
 
 
 @lru_cache(maxsize=None)
 def _chain_ring(g):
-    from jacrel.rings import Ring
     from jacrel.tautalg import TautElement
     return Ring(TautElement.zero(g), TautElement.one(g))
 

@@ -7,8 +7,9 @@ from jacrel.grr import (ChernData, GrrContext, GrrElement, UpstairsTerm, ch_vk,
                         chern_classes, derive_theorem1, extract_amj,
                         gamma_extract, gamma_top_reference, pushforward)
 from jacrel.relations import gen_theorem1
-from jacrel.rings import InvariantViolation, LaurentSeries, Ring, series_exp
+from jacrel.rings import InvariantViolation
 from jacrel.tautalg import TautElement
+from oracles import GenericSeries, Ring, generic_series_exp
 
 
 @pytest.fixture
@@ -163,10 +164,10 @@ class TestChernClasses:
                     data = ch_vk(g, d, r)
                     ctx, order = data.ctx, d + 4
                     ring = Ring(GrrElement.zero(ctx), GrrElement.one(ctx))
-                    f = LaurentSeries(ring, 0, [GrrElement.zero(ctx)] + [
+                    f = GenericSeries(ring, 0, [GrrElement.zero(ctx)] + [
                         data.ch[j] * ((-1) ** (j - 1) * factorial(j - 1))
                         for j in range(1, len(data.ch))])
-                    exp_f = series_exp(f, order)
+                    exp_f = generic_series_exp(f, order)
                     expected = tuple(exp_f.coeff(n) for n in range(order))
                     assert chern_classes(data, order).c == expected, (g, d, r)
 

@@ -19,9 +19,18 @@ tracer.install()
 for argv in (["identities", "--max-n", "3", "--order", "2"],
              ["equivalence", "--g", "3", "--d", "4", "--r", "2"],
              ["grr", "--g", "4", "--d", "5", "--r", "2", "--M", "5"]):
+    before = tracer.summary()
     code = jacrel.cli.main(argv)
     if code != 0:
         sys.exit(f"{argv[0]} exited {code}")
+    if argv[0] == "equivalence":
+        # the chain's series products must pass through the hooked __mul__
+        # and size their operands, or the layer metrics read 0
+        after = tracer.summary()
+        for kind, key in (("calls", "rings.LaurentSeries.mul"),
+                          ("counters", "rings.LaurentSeries.mul.coeff_products")):
+            if not after[kind].get(key, 0) > before[kind].get(key, 0):
+                sys.exit(f"equivalence left {kind} {key} at {after[kind].get(key)}")
 tracer.cache_counters()
 calls = tracer.summary()["calls"]
 if calls.get("cli.main") != 3:
