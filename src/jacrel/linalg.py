@@ -19,12 +19,14 @@ class RowSpace:
 
     ``pivots`` maps each pivot column to its primitive echelon row, in
     insertion order.  A row is zero at the pivot columns of every row
-    inserted before it, so one pass in that order clears them all.
+    inserted before it, so one pass in that order clears them all, and any
+    prefix of another space's ``pivots`` items is a valid start.
     """
 
-    def __init__(self, ncols: int) -> None:
+    def __init__(self, ncols: int,
+                 pivots: Iterable[tuple[int, tuple[int, ...]]] = ()) -> None:
         self.ncols = ncols
-        self.pivots: dict[int, tuple[int, ...]] = {}
+        self.pivots: dict[int, tuple[int, ...]] = dict(pivots)
 
     def _reduce(self, row: Sequence[int]) -> tuple[int, ...] | None:
         work = row

@@ -22,6 +22,10 @@ reports the weaker per-bidegree span comparison of the bare generators and
 flags any parameter set where the two notions differ.  Its rows are integer
 vectors: each generator is scaled once to coprime integers, and multiplying
 by C(k) only moves a row's entries to other columns (see ``GradedSpan``).
+Each family's span is built once, kept on the family and shared by every
+comparison it enters.  It and the ``lru_cache``s are the shared state; a span
+publishes a cell only once complete, so racing threads at most build a cell
+twice, with the same rows.
 
 ``epsilon_series`` and ``verify_implication_chain`` replay the series
 bookkeeping connecting the families: the substitution defect
@@ -49,14 +53,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial, gcd, lcm, prod
 
 from .combinat import _bare_log_inv_pow, p_poly, principal_part, stirling2
-from .linalg import RowSpace, rank
+from .linalg import RowSpace
 from .rings import QQ, LaurentSeries, TruncationError, InvariantViolation, min_trunc
 from .tautalg import Monomial, TautElement, _mono_mul, mono_key
 
@@ -87,6 +91,7 @@ class RelationFamily:
     d: int
     r: int
     items: tuple[RelationItem, ...]
+    _span: GradedSpan | None = field(default=None, init=False, repr=False, compare=False)
 
     def sorted_items(self) -> tuple[RelationItem, ...]:
         return tuple(sorted(self.items,
@@ -126,12 +131,12 @@ def _orderings(mono: Monomial) -> int:
 def _g_power_coefficient(g: int, s: int, w: int) -> TautElement:
     """The t^(2s+w) coefficient of G(t)^s: orderings(m) * prod (a_i+1)! at each
     monomial m = (a_1..a_s) of weight w."""
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int] = {}
     for mono in _compositions(w, s, g - 1):
         coeff = _orderings(mono)
         for a in mono:
             coeff *= factorial(a + 1)
-        terms[mono] = Fraction(coeff)
+        terms[mono] = coeff
     return TautElement(g, terms)
 
 
@@ -192,7 +197,7 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
         for s in range(1, r + 1):
             k = d - r + s
             for w in range(0, s * (g - 1) + 1):
-                by_u: dict[int, dict[Monomial, Fraction]] = {}
+                by_u: dict[int, dict[Monomial, int]] = {}
                 for mono in monomials_of_bidegree(g, s, w):
                     head, tail = products[mono[:-1]], p_lists[mono[-1]]
                     prod = [0] * (len(head) + len(tail) - 1)
@@ -208,7 +213,7 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
                     weight = _orderings(mono)
                     for e, c in coeffs.items():
                         if c:
-                            by_u.setdefault(e, {})[mono] = Fraction(weight * c)
+                            by_u.setdefault(e, {})[mono] = weight * c
                 for e in sorted(by_u):
                     items.append(RelationItem(
                         s=s, t_exp=2 * s + w, element=TautElement(g, by_u[e]),
@@ -231,73 +236,79 @@ def monomials_of_bidegree(g: int, size: int, weight: int) -> tuple[Monomial, ...
     return tuple(monos)
 
 
-def _int_vector(element: TautElement, basis: tuple[Monomial, ...]) -> list[int]:
-    """The element's coefficients on the basis, scaled once to coprime
-    integers; a nonzero scalar changes neither its span nor its ideal."""
-    terms = element.terms
-    den = lcm(*(c.denominator for c in terms.values()))
-    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-    common = gcd(*ints.values()) or 1
-    return [ints.get(m, 0) // common for m in basis]
-
-
 class GradedSpan:
-    """Per-bidegree exact row spaces spanned by homogeneous elements.
+    """Per-bidegree exact row spaces of the graded ideal a family generates.
 
     Rows are integer vectors in the canonical monomial basis of each
-    bidegree.  With ``ideal=True`` each cell carries the graded piece of the
-    generated ideal: cell (i, j) is spanned by the generators of bidegree
-    (i, j) and by the echelon rows of the cells (i-1, j-k) times C(k),
-    0 <= k < g, since every monomial of positive size has a factor C(k).
-    Multiplying by C(k) is an injective map on monomials, so a shifted row
-    is the same integers written into other columns.  With ``ideal=False``
-    only the generators themselves enter, giving the bare per-bidegree span.
+    bidegree.  Cell (i, j) takes the generators of bidegree (i, j) first,
+    then the echelon rows of the cells (i-1, j-k) times C(k), 0 <= k < g,
+    since every monomial of positive size has a factor C(k).  Multiplying by
+    C(k) is an injective map on monomials, so a shifted row is the same
+    integers written into other columns.  The first echelon rows of a cell,
+    up to its generator rank, span the bare generators of that bidegree.
+
+    A cell depends only on its generators and the cells below it, never on
+    a window, so each family has one span, kept on the family and grown
+    cell by cell as windows ask for more (``from_family``).
     """
 
-    def __init__(self, g: int, i_max: int, j_max: int) -> None:
-        self.g = g
-        self.i_max = i_max
-        self.j_max = j_max
-        self.spaces: dict[tuple[int, int], RowSpace] = {}
-
-    @classmethod
-    def from_family(cls, family: RelationFamily, i_max: int, j_max: int,
-                    ideal: bool = True) -> "GradedSpan":
-        g = family.g
-        span = cls(g, i_max, j_max)
-        gens: dict[tuple[int, int], list[TautElement]] = {}
+    def __init__(self, family: RelationFamily) -> None:
+        self.g = family.g
+        self.generators: dict[tuple[int, int], list[list[int]]] = {}
         for item in family.items:
-            if item.element.is_zero:
+            terms = item.element.terms
+            if not terms:
                 continue
             bideg = item.element.bidegree()
             if bideg != item.bidegree:
                 raise InvariantViolation(
                     f"item at s={item.s}, t^{item.t_exp} is not homogeneous "
                     f"of the labeled bidegree")
-            gens.setdefault(bideg, []).append(item.element)
+            # coprime integers: a nonzero scalar changes neither span nor ideal
+            den = lcm(*(c.denominator for c in terms.values()))
+            ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+            common = gcd(*ints.values())
+            self.generators.setdefault(bideg, []).append(
+                [ints.get(m, 0) // common for m in monomials_of_bidegree(self.g, *bideg)])
+        self.cells: dict[tuple[int, int], tuple[RowSpace, int]] = {}
+
+    @classmethod
+    def from_family(cls, family: RelationFamily, i_max: int = -1,
+                    j_max: int = -1) -> "GradedSpan":
+        """The family's shared span, its cells up to (i_max, j_max) built."""
+        span = family._span
+        if span is None:
+            span = cls(family)
+            object.__setattr__(family, "_span", span)
         for i in range(i_max + 1):
             for j in range(j_max + 1):
-                basis = monomials_of_bidegree(g, i, j)
-                if not basis:
-                    continue
-                cell = RowSpace(len(basis))
-                if ideal:
-                    for row in span._shifted_rows(i, j, basis):
-                        cell.add(row)
-                for element in gens.get((i, j), ()):
-                    cell.add(_int_vector(element, basis))
-                if cell.rank:
-                    span.spaces[(i, j)] = cell
+                span.cell(i, j)
         return span
+
+    def cell(self, i: int, j: int) -> tuple[RowSpace, int]:
+        """The ideal's row space at (i, j) and its generator rank."""
+        found = self.cells.get((i, j))
+        if found is not None:
+            return found
+        basis = monomials_of_bidegree(self.g, i, j)
+        space = RowSpace(len(basis))
+        for row in self.generators.get((i, j), ()):
+            space.add(row)
+        generator_rank = space.rank
+        if i and space.rank < len(basis):
+            for row in self._shifted_rows(i, j, basis):
+                space.add(row)
+                if space.rank == len(basis):
+                    break
+        found = self.cells[(i, j)] = (space, generator_rank)
+        return found
 
     def _shifted_rows(self, i: int, j: int, basis: tuple[Monomial, ...]):
         """The echelon rows of the cells (i-1, j-k) times C(k), written into
         the columns of cell (i, j)."""
         column = {m: c for c, m in enumerate(basis)}
         for k in range(min(self.g, j + 1)):
-            below = self.spaces.get((i - 1, j - k))
-            if below is None:
-                continue
+            below = self.cell(i - 1, j - k)[0]
             shift = [column[_mono_mul(m, (k,))]
                      for m in monomials_of_bidegree(self.g, i - 1, j - k)]
             for piv in below.pivots.values():
@@ -307,13 +318,17 @@ class GradedSpan:
                         row[shift[c]] = x
                 yield row
 
-    def rank(self, i: int, j: int) -> int:
-        cell = self.spaces.get((i, j))
-        return cell.rank if cell else 0
 
-    def pivot_rows(self, i: int, j: int) -> list[tuple[int, ...]]:
-        cell = self.spaces.get((i, j))
-        return list(cell.pivots.values()) if cell else []
+def _joint_rank(a: RowSpace, a_rows: int, b: RowSpace, b_rows: int) -> int:
+    """Rank of a's first a_rows and b's first b_rows echelon rows together."""
+    if a_rows < b_rows:
+        a, a_rows, b, b_rows = b, b_rows, a, a_rows
+    joint = RowSpace(a.ncols, islice(a.pivots.items(), a_rows))
+    for row in islice(b.pivots.values(), b_rows):
+        if joint.rank == joint.ncols:
+            break
+        joint.add(row)
+    return joint.rank
 
 
 @dataclass(frozen=True)
@@ -365,39 +380,32 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily,
 
     Both the ideal pieces (generators times all complementary monomials) and
     the bare generator spans are compared; equality holds in a cell when each
-    family's rank equals the rank of the concatenation.
+    family's rank equals the rank of the concatenation.  Each family's span
+    is built once and shared by every comparison it enters.
     """
     if (f1.g, f1.d, f1.r) != (f2.g, f2.d, f2.r):
         raise ValueError("families must share the same (g, d, r)")
     g, d, r = f1.g, f1.d, f1.r
     i_max, j_max = bidegree_bound if bidegree_bound else (r, r * (g - 1))
-    for family in (f1, f2):
-        for item in family.items:
-            s, w = item.bidegree
-            if (s > i_max or w > j_max) and not item.element.is_zero:
+    span1 = GradedSpan.from_family(f1, i_max, j_max)
+    span2 = GradedSpan.from_family(f2, i_max, j_max)
+    for family, span in ((f1, span1), (f2, span2)):
+        for s, w in span.generators:
+            if s > i_max or w > j_max:
                 raise TruncationError(f"window ({i_max}, {j_max}) misses the "
                                       f"{family.family_id} generator of bidegree ({s}, {w})")
-    ideal1 = GradedSpan.from_family(f1, i_max, j_max, ideal=True)
-    ideal2 = GradedSpan.from_family(f2, i_max, j_max, ideal=True)
-    span1 = GradedSpan.from_family(f1, i_max, j_max, ideal=False)
-    span2 = GradedSpan.from_family(f2, i_max, j_max, ideal=False)
     cells = []
     for i in range(1, i_max + 1):
         for j in range(0, j_max + 1):
-            basis = monomials_of_bidegree(g, i, j)
-            if not basis:
-                continue
-            n = len(basis)
-            ir = (ideal1.rank(i, j), ideal2.rank(i, j))
-            sr = (span1.rank(i, j), span2.rank(i, j))
-            if ir == (0, 0) and sr == (0, 0):
+            (a, a_gens), (b, b_gens) = span1.cell(i, j), span2.cell(i, j)
+            if not (a.rank or b.rank):
                 continue
             cells.append(CellComparison(
-                i=i, j=j, dim=n,
-                ideal_ranks=ir,
-                ideal_joint=rank(ideal1.pivot_rows(i, j) + ideal2.pivot_rows(i, j), n),
-                span_ranks=sr,
-                span_joint=rank(span1.pivot_rows(i, j) + span2.pivot_rows(i, j), n),
+                i=i, j=j, dim=a.ncols,
+                ideal_ranks=(a.rank, b.rank),
+                ideal_joint=_joint_rank(a, a.rank, b, b.rank),
+                span_ranks=(a_gens, b_gens),
+                span_joint=_joint_rank(a, a_gens, b, b_gens),
             ))
     return IdealComparison(family_ids=(f1.family_id, f2.family_id),
                            g=g, d=d, r=r, i_max=i_max, j_max=j_max,
@@ -408,21 +416,11 @@ def span_contains(f_sub: RelationFamily, f_sup: RelationFamily) -> bool:
     """True when every item of f_sub lies in the per-bidegree span of f_sup."""
     if (f_sub.g, f_sub.d, f_sub.r) != (f_sup.g, f_sup.d, f_sup.r):
         raise ValueError("families must share the same (g, d, r)")
-    g = f_sub.g
-    by_cell: dict[tuple[int, int], RowSpace] = {}
-    for item in f_sup.items:
-        cell = item.bidegree
-        basis = monomials_of_bidegree(g, *cell)
-        space = by_cell.setdefault(cell, RowSpace(len(basis)))
-        space.add(_int_vector(item.element, basis))
-    for item in f_sub.items:
-        cell = item.bidegree
-        vec = _int_vector(item.element, monomials_of_bidegree(g, *cell))
-        space = by_cell.get(cell)
-        if space is None:
-            if any(vec):
-                return False
-        elif not space.contains(vec):
+    sub, sup = GradedSpan.from_family(f_sub), GradedSpan.from_family(f_sup)
+    for (i, j), rows in sub.generators.items():
+        space, generator_rank = sup.cell(i, j)
+        gens = RowSpace(space.ncols, islice(space.pivots.items(), generator_rank))
+        if not all(gens.contains(row) for row in rows):
             return False
     return True
 

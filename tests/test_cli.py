@@ -1,12 +1,15 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from jacrel.cli import main
 from jacrel.relations import family_from_json, family_to_json
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -16,6 +19,16 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "jacrel.cli", *args],
                           capture_output=True, text=True, timeout=300,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_golden_commands_print_their_recorded_bytes(capsys):
+    # the benchmark's command mix with its recorded exit codes and stdout
+    # SHA-256s, run in process so that a change in output bytes fails here
+    for case in json.loads((ROOT / "perfbench" / "golden.json").read_text()):
+        code = main(case["argv"])
+        out = capsys.readouterr().out
+        assert code == case["exit"], case["argv"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], case["argv"]
 
 
 class TestExitCodes:

@@ -6,16 +6,22 @@ module caches: the Stirling memo table, whose writers are idempotent, and the
 ``functools.lru_cache``s (``monomials_of_bidegree``, ``_bare_log_inv_pow``,
 and the chain's ``_e_part`` and ``_split_table``), which lock their own
 bookkeeping; two threads may both compute a missing entry, and they compute
-the same immutable value.
+the same immutable value.  The one piece of state kept on a value is a
+family's ``GradedSpan``: it publishes a cell only once the cell is complete,
+so threads that compare the same family at once can at most build a cell
+twice, with the same rows.
 """
 
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
-from jacrel.relations import (_split_table, family_to_json, gen_family,
+from jacrel.relations import (_split_table, compare_ideals, family_to_json, gen_family,
                               verify_implication_chain)
+
+FAMILIES = ("vdgk6", "herbaut7", "strong8")
 
 
 def test_parallel_family_generation_is_deterministic():
@@ -59,3 +65,33 @@ def test_parallel_chain_reports_match_serial():
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial
+
+
+def test_parallel_comparisons_share_one_span_per_family():
+    g, d, r = 4, 5, 2
+    tasks = [(a, b, bound) for bound in (None, (r + 1, r * (g - 1) + 2))
+             for a in range(3) for b in range(3) if a != b]
+    expected = {(a, b, bound): compare_ideals(gen_family(FAMILIES[a], g, d, r),
+                                              gen_family(FAMILIES[b], g, d, r), bound)
+                for a, b, bound in tasks}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(8):
+            # eight threads start together on three family objects with cold
+            # spans, each through the tasks in its own order; a cell read
+            # before it is complete shows as a wrong rank or as a dict that
+            # changed size during iteration
+            shared = [gen_family(f, g, d, r) for f in FAMILIES]
+            barrier = threading.Barrier(8)
+
+            def run(k):
+                barrier.wait(timeout=60)
+                return {(a, b, bound): compare_ideals(shared[a], shared[b], bound)
+                        for a, b, bound in tasks[k:] + tasks[:k]}
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outputs = list(pool.map(run, range(8), timeout=120))
+            assert all(out == expected for out in outputs)
+    finally:
+        sys.setswitchinterval(interval)

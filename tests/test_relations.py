@@ -246,6 +246,63 @@ class TestCompareIdeals:
         assert not all(verdicts.values())
 
 
+class TestSharedSpan:
+    """Each family builds its graded span once and every comparison reuses
+    it, whatever the window and the order of the pair."""
+
+    @staticmethod
+    def low_part(g, d, r, top):
+        # the items of size <= top, so that a window below the default one
+        # still holds every generator
+        return [RelationFamily(f.family_id, g, d, r,
+                               tuple(it for it in f.items if it.s <= top))
+                for f in (gen_family(name, g, d, r)
+                          for name in ("vdgk6", "herbaut7", "strong8"))]
+
+    def test_windows_and_pair_orders_reuse_one_span(self):
+        shared = self.low_part(4, 6, 3, 2)
+        for bound in ((2, 6), None, (4, 10)):
+            for a, b in ((0, 1), (1, 2), (0, 2)):
+                for x, y in ((a, b), (b, a)):
+                    fresh = self.low_part(4, 6, 3, 2)
+                    assert compare_ideals(shared[x], shared[y], bound) == \
+                        compare_ideals_by_products(fresh[x], fresh[y], bound), (bound, x, y)
+
+    def test_smaller_window_after_a_larger_one_still_misses_generators(self):
+        f6, f7 = gen_family("vdgk6", 4, 5, 2), gen_family("herbaut7", 4, 5, 2)
+        assert compare_ideals(f6, f7, (3, 8)).ideal_equal
+        for bound in ((1, 0), (2, 5), (1, 6)):
+            with pytest.raises(TruncationError):
+                compare_ideals(f6, f7, bound)
+            with pytest.raises(TruncationError):
+                compare_ideals(f7, f6, bound)
+
+    def test_json_family_with_rational_coefficients(self):
+        payload = json.loads(family_to_json(gen_family("herbaut7", 4, 6, 3)))
+        for k, entry in enumerate(payload["items"]):
+            for term in entry["element"]:
+                term["coeff"] = str(F(term["coeff"]) * F(3, 2 * k + 5))
+        text = json.dumps(payload)
+        rational, f8 = family_from_json(text), gen_family("strong8", 4, 6, 3)
+        # span_contains builds part of both spans first
+        assert span_contains(rational, f8) == span_contains_by_ranks(rational, f8)
+        for pair in ((rational, f8), (f8, rational)):
+            report = compare_ideals(*pair)
+            assert report.ideal_equal
+            fresh = [family_from_json(text) if f is rational else gen_family("strong8", 4, 6, 3)
+                     for f in pair]
+            assert report == compare_ideals_by_products(*fresh)
+
+    def test_memo_is_not_part_of_the_value(self):
+        used, fresh = gen_family("strong8", 4, 5, 2), gen_family("strong8", 4, 5, 2)
+        before = repr(used)
+        compare_ideals(used, gen_family("vdgk6", 4, 5, 2))
+        assert used._span is not None and fresh._span is None
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == before
+        assert family_to_json(used) == family_to_json(fresh)
+
+
 class TestMonomialBasis:
     def test_small_counts(self):
         assert monomials_of_bidegree(3, 1, 2) == ((2,),)
