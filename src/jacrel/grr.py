@@ -13,23 +13,44 @@ grading weighs xi by 1 and FC_j by j+1; k, a_j and b_j are degree 0.
 
 The pushforward table sends upstairs monomials l^mu x^nu (rho^eps) downstairs
 and rewrites q-pushforwards of powers of the Poincare class into the FC
-generators.  From the pushed-forward Chern character, Chern classes follow
-through the exponential formula c(t) = exp(F(t)), computed by Newton's
-identity n*c_n = sum_j (-1)^(j-1) j! ch_j c_(n-j), and the top k-power of the
-xi^r component of the first vanishing Chern class reproduces the factorial
-composition relations of the relations module.
+generators.  The Chern character has integer coefficients: the 1/mu! of
+e^(k l) cancels the mu! of the q-pushforward.  So coefficients are ``int``
+wherever they are integral (``Fraction`` otherwise), and the Chern classes
+c(t) = exp(F(t)) follow from Newton's identity
+n*c_n = sum_j (-1)^(j-1) j! ch_j c_(n-j) scaled by (n-1)!, a recurrence on
+integers for C_n = n! c_n; each class is divided by n! once.  That every
+ch_j is integral and divisible by xi is checked, not assumed.  The top
+k-power of the xi^r component of the first vanishing Chern class reproduces
+the factorial composition relations of the relations module.
+
+Nothing before the Chern classes depends on M, and c_0..c_(M+1) is a prefix
+of every longer tower.  So ``ch_vk`` caches one ``ChernData`` per (g, d, r)
+in a bounded ``lru_cache``, and ``chern_classes`` keeps the tower on it as a
+memo, extended on demand.  These are the module's shared state: the memo is
+replaced only by a complete longer tower, so racing threads never read a
+partial tower and at worst compute the same classes more than once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
-from typing import Any, Iterator
+from operator import add
+from threading import Lock
+from typing import Any, Iterator, NamedTuple
 
 from .relations import _compositions, _orderings, gen_theorem1
-from .rings import InvariantViolation, join_terms
+from .rings import InvariantViolation, _rational, exact_terms, join_terms
 from .tautalg import Monomial, TautElement
+
+# Bound on the ``ch_vk`` cache, keyed by (g, d, r); the criterion-7 grid
+# (r <= 3, g <= 5, d <= 8) has 120 keys.
+_CACHE_SIZE = 256
+# Serializes the check-and-replace of a Chern-class memo, so that it never
+# shrinks; the towers themselves are built outside it.
+_PUBLISH = Lock()
 
 
 @dataclass(frozen=True)
@@ -97,22 +118,40 @@ class GrrContext:
 
 
 class GrrElement:
-    """Sparse polynomial of the symbolic ring, with xi^(r+1) reduced eagerly."""
+    """Sparse polynomial of the symbolic ring, with xi^(r+1) reduced eagerly.
+
+    No zero coefficient is kept; an integral coefficient is an ``int`` and
+    any other a ``Fraction``.  The constructor checks each exponent tuple's
+    arity, drops terms at or above xi^(r+1) and rejects anything but
+    ``int``/``Fraction`` coefficients (``TypeError``); sums and products
+    build through ``_trusted``, which checks nothing.
+    """
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: GrrContext, terms: dict[tuple[int, ...], Fraction] | None = None) -> None:
-        clean: dict[tuple[int, ...], Fraction] = {}
+    def __init__(self, ctx: GrrContext,
+                 terms: dict[tuple[int, ...], int | Fraction] | None = None) -> None:
+        kept: dict[tuple[int, ...], int | Fraction] = {}
         xi = ctx.xi_index
         for exp, coeff in (terms or {}).items():
             if len(exp) != ctx.nvars:
                 raise ValueError("exponent tuple has the wrong arity")
-            if exp[xi] > ctx.r:
-                continue
-            if coeff != 0:
-                clean[exp] = Fraction(coeff)
+            coeff = _rational(coeff)
+            if exp[xi] <= ctx.r:
+                kept[exp] = coeff
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", exact_terms(kept))
+
+    @classmethod
+    def _trusted(cls, ctx: GrrContext,
+                 terms: dict[tuple[int, ...], int | Fraction]) -> "GrrElement":
+        """An element from exponent tuples of the right arity below xi^(r+1)
+        and ``int``/``Fraction`` coefficients, unchecked;
+        ``exact_terms`` only drops zeros and makes integral ones ``int``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "terms", exact_terms(terms))
+        return self
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("GrrElement is immutable")
@@ -124,8 +163,8 @@ class GrrElement:
         return cls(ctx, {})
 
     @classmethod
-    def scalar(cls, ctx: GrrContext, value: Fraction | int) -> "GrrElement":
-        return cls(ctx, {(0,) * ctx.nvars: Fraction(value)})
+    def scalar(cls, ctx: GrrContext, value: int | Fraction) -> "GrrElement":
+        return cls(ctx, {(0,) * ctx.nvars: value})
 
     @classmethod
     def one(cls, ctx: GrrContext) -> "GrrElement":
@@ -135,10 +174,10 @@ class GrrElement:
     def variable(cls, ctx: GrrContext, idx: int, exp: int = 1) -> "GrrElement":
         e = [0] * ctx.nvars
         e[idx] = exp
-        return cls(ctx, {tuple(e): Fraction(1)})
+        return cls(ctx, {tuple(e): 1})
 
     @classmethod
-    def k_power(cls, ctx: GrrContext, exp: int, coeff: Fraction = Fraction(1)) -> "GrrElement":
+    def k_power(cls, ctx: GrrContext, exp: int, coeff: int | Fraction = 1) -> "GrrElement":
         e = [0] * ctx.nvars
         e[0] = exp
         return cls(ctx, {tuple(e): coeff})
@@ -167,7 +206,7 @@ class GrrElement:
         return not self.terms
 
     def _check(self, other: "GrrElement") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mismatched symbolic contexts")
 
     def __add__(self, other: "GrrElement") -> "GrrElement":
@@ -176,31 +215,31 @@ class GrrElement:
         self._check(other)
         terms = dict(self.terms)
         for exp, coeff in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + coeff
-        return GrrElement(self.ctx, terms)
+            terms[exp] = terms.get(exp, 0) + coeff
+        return GrrElement._trusted(self.ctx, terms)
 
     def __sub__(self, other: "GrrElement") -> "GrrElement":
         return self + (-other)
 
     def __neg__(self) -> "GrrElement":
-        return GrrElement(self.ctx, {e: -c for e, c in self.terms.items()})
+        return GrrElement._trusted(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Any) -> "GrrElement":
         if isinstance(other, GrrElement):
             self._check(other)
             xi = self.ctx.xi_index
             cap = self.ctx.r
-            terms: dict[tuple[int, ...], Fraction] = {}
+            terms: dict[tuple[int, ...], int | Fraction] = {}
             for e1, c1 in self.terms.items():
+                room = cap - e1[xi]
                 for e2, c2 in other.terms.items():
-                    if e1[xi] + e2[xi] > cap:
+                    if e2[xi] > room:
                         continue
-                    exp = tuple(x + y for x, y in zip(e1, e2))
-                    terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-            return GrrElement(self.ctx, terms)
+                    exp = tuple(map(add, e1, e2))
+                    terms[exp] = terms.get(exp, 0) + c1 * c2
+            return GrrElement._trusted(self.ctx, terms)
         if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            return GrrElement(self.ctx, {e: c * scalar for e, c in self.terms.items()})
+            return GrrElement._trusted(self.ctx, {e: c * other for e, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other: Any) -> "GrrElement":
@@ -218,7 +257,7 @@ class GrrElement:
 
     def codim_component(self, j: int) -> "GrrElement":
         weights = self.ctx.codim_weights()
-        return GrrElement(self.ctx, {
+        return GrrElement._trusted(self.ctx, {
             e: c for e, c in self.terms.items()
             if sum(w * x for w, x in zip(weights, e)) == j})
 
@@ -237,7 +276,7 @@ class GrrElement:
                 stripped = list(e)
                 stripped[xi] = 0
                 terms[tuple(stripped)] = c
-        return GrrElement(self.ctx, terms)
+        return GrrElement._trusted(self.ctx, terms)
 
     def k_coefficient(self, s: int) -> "GrrElement":
         terms = {}
@@ -246,7 +285,7 @@ class GrrElement:
                 stripped = list(e)
                 stripped[0] = 0
                 terms[tuple(stripped)] = c
-        return GrrElement(self.ctx, terms)
+        return GrrElement._trusted(self.ctx, terms)
 
     @property
     def k_degree(self) -> int:
@@ -267,20 +306,18 @@ class GrrElement:
     def to_taut(self) -> TautElement:
         """Map FC monomials to algebra monomials; other variables must be absent."""
         g = self.ctx.g
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for e, c in self.terms.items():
             if e[0] or e[self.ctx.xi_index] or any(e[i] for i in range(1, 2 * self.ctx.r)):
                 raise InvariantViolation(
                     "element still involves k, xi or Todd unknowns; "
                     "only FC monomials map to the free algebra")
-            weights: list[int] = []
-            for j in range(g):
-                weights.extend([j] * e[self.ctx.fc_index(j)])
-            mono = tuple(sorted(weights, reverse=True))
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return TautElement(g, terms)
+            # weights in decreasing order: the monomial is canonical as built
+            mono = tuple(j for j in range(g - 1, -1, -1) for _ in range(e[self.ctx.fc_index(j)]))
+            terms[mono] = c
+        return TautElement._trusted(g, terms)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def render(self) -> str:
@@ -336,7 +373,7 @@ def _q_star_pi_power(ctx: GrrContext, mu: int) -> GrrElement:
         return GrrElement.zero(ctx)
     if mu > ctx.g + 1:
         return GrrElement.zero(ctx)
-    return GrrElement.fc(ctx, mu - 2) * Fraction(factorial(mu))
+    return GrrElement.fc(ctx, mu - 2) * factorial(mu)
 
 
 def pushforward(term: UpstairsTerm) -> GrrElement:
@@ -357,11 +394,16 @@ def pushforward(term: UpstairsTerm) -> GrrElement:
 
 @dataclass(frozen=True)
 class ChernData:
-    """Graded Chern-character components and, once derived, Chern classes."""
+    """Graded Chern-character components and, once derived, Chern classes.
+
+    ``_tower`` is ``chern_classes``' memo (see ``_Tower``); it is in
+    neither ``==``, ``hash`` nor ``repr``.
+    """
 
     ctx: GrrContext
     ch: tuple[GrrElement, ...]
     c: tuple[GrrElement, ...] | None = None
+    _tower: _Tower | None = field(default=None, init=False, repr=False, compare=False)
 
     def ch_j(self, j: int) -> GrrElement:
         if 0 <= j < len(self.ch):
@@ -408,9 +450,14 @@ def _ch_closed_form(ctx: GrrContext) -> GrrElement:
             + fourier * GrrElement.xi(ctx) * a_of_xi)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def ch_vk(g: int, d: int, r: int) -> ChernData:
     """The Chern character, computed through the pushforward table and checked
-    against the closed form before being split into graded components."""
+    against the closed form before being split into graded components.
+
+    It does not depend on M, so one value per (g, d, r) is cached and shared,
+    and with it the Chern-class memo that ``chern_classes`` keeps on it.
+    """
     ctx = GrrContext(g, d, r)
     computed = _ch_grr_route(ctx)
     closed = _ch_closed_form(ctx)
@@ -429,30 +476,71 @@ def extract_amj(data: ChernData, m: int, j: int) -> GrrElement:
     return data.ch_j(j).xi_coefficient(m)
 
 
+class _Tower(NamedTuple):
+    """``chern_classes``' memo on a ``ChernData``: the factors
+    (-1)^(j-1) j! ch_j for j >= 1, then C_n = n! c_n and c_n for n below one
+    length."""
+
+    factors: tuple[GrrElement, ...]
+    scaled: tuple[GrrElement, ...]
+    classes: tuple[GrrElement, ...]
+
+
+def _newton_factors(data: ChernData) -> tuple[GrrElement, ...]:
+    """(-1)^(j-1) j! ch_j for j >= 1, with integer coefficients.
+
+    Every such ch_j must be divisible by xi, which keeps the Chern classes
+    inside xi's nilpotent range, and integral, which keeps the scaled
+    recurrence on integers; both are checked, not assumed.
+    """
+    factors = []
+    for j in range(1, len(data.ch)):
+        piece = data.ch[j]
+        if not piece.is_zero and piece.min_xi_exponent < 1:
+            raise InvariantViolation(f"ch_{j} is not divisible by xi")
+        if any(type(c) is not int for c in piece.terms.values()):
+            raise InvariantViolation(f"ch_{j} has a non-integral coefficient")
+        factors.append(piece * ((-1) ** (j - 1) * factorial(j)))
+    return tuple(factors)
+
+
 def chern_classes(data: ChernData, t_order: int) -> ChernData:
     """Chern classes from the exponential formula, below t^t_order.
 
     c(t) = exp(F(t)) with F(t) = sum_j (-1)^(j-1) (j-1)! ch_j t^j, so
     c' = F' c gives Newton's identity c_0 = 1,
-    n*c_n = sum_{j=1..n} (-1)^(j-1) j! ch_j c_(n-j).  Every ch_j with j >= 1
-    must be divisible by xi, which keeps the Chern classes inside xi's
-    nilpotent range; the divisibility is checked, not assumed.
+    n*c_n = sum_{j=1..n} (-1)^(j-1) j! ch_j c_(n-j).  Multiplied by (n-1)!,
+    it is a recurrence on integers for the scaled classes C_n = n! c_n:
+    C_n = sum_{j=1..n} (-1)^(j-1) j! (n-1)!/(n-j)! ch_j C_(n-j).  Each class
+    is divided by n! once, as it joins the memo on ``data``.  The memo is
+    extended on demand and replaced only by a complete longer one, so
+    threads sharing ``data`` never read a partial tower and at worst compute
+    the same classes more than once.
     """
-    ctx = data.ctx
-    for j in range(1, len(data.ch)):
-        if data.ch[j].min_xi_exponent < 1 and not data.ch[j].is_zero:
-            raise InvariantViolation(f"ch_{j} is not divisible by xi")
+    memo = data._tower
+    if memo is None:
+        one = GrrElement.one(data.ctx)
+        memo = _Tower(_newton_factors(data), (one,), (one,))
     if t_order < 1:
         raise ValueError("t_order must be >= 1")
-    # f_prime[j-1] is the t^(j-1) coefficient of F'(t)
-    f_prime = [data.ch[j] * ((-1) ** (j - 1) * factorial(j)) for j in range(1, len(data.ch))]
-    c = [GrrElement.one(ctx)]
-    for n in range(1, t_order):
-        acc = GrrElement.zero(ctx)
-        for j in range(1, min(n, len(f_prime)) + 1):
-            acc = acc + f_prime[j - 1] * c[n - j]
-        c.append(acc * Fraction(1, n))
-    return ChernData(ctx=ctx, ch=data.ch, c=tuple(c))
+    if len(memo.classes) < t_order:
+        factors = memo.factors
+        scaled, classes = list(memo.scaled), list(memo.classes)
+        for n in range(len(scaled), t_order):
+            acc = GrrElement.zero(data.ctx)
+            falling = 1  # (n-1)!/(n-j)!
+            for j in range(1, min(n, len(factors)) + 1):
+                acc = acc + factors[j - 1] * scaled[n - j] * falling
+                falling *= n - j
+            scaled.append(acc)
+            classes.append(acc * Fraction(1, factorial(n)))
+        memo = _Tower(factors, tuple(scaled), tuple(classes))
+    if memo is not data._tower:
+        with _PUBLISH:
+            current = data._tower
+            if current is None or len(current.classes) < len(memo.classes):
+                object.__setattr__(data, "_tower", memo)
+    return ChernData(ctx=data.ctx, ch=data.ch, c=memo.classes[:t_order])
 
 
 @dataclass(frozen=True)
@@ -491,7 +579,7 @@ class GammaData:
         top = self.gamma(self.M + 1)
         if top.uses_todd_unknowns():
             raise InvariantViolation("top k-power still involves Todd unknowns")
-        element = (top * Fraction((-1) ** r * factorial(r))).to_taut()
+        element = (top * ((-1) ** r * factorial(r))).to_taut()
         N = self.M - 2 * r + 1
         expected = gen_theorem1(g, d, r, N) if N >= 0 else TautElement.zero(g)
         if element != expected:
@@ -507,7 +595,7 @@ def gamma_extract(g: int, d: int, r: int, M: int) -> GammaData:
     data = chern_classes(ch_vk(g, d, r), M + 2)
     top = data.c_j(M + 1)
     xi_r = top.xi_coefficient(r)
-    signed = xi_r * Fraction((-1) ** (M + 1))
+    signed = xi_r * (-1) ** (M + 1)
     gammas: dict[int, GrrElement] = {}
     for s in range(signed.k_degree + 1):
         piece = signed.k_coefficient(s)
@@ -529,7 +617,7 @@ def gamma_top_reference(g: int, d: int, r: int, M: int) -> GrrElement:
         for a in mono:
             coeff *= factorial(a + 1)
             exp[ctx.fc_index(a)] += 1
-        result = result + GrrElement(ctx, {tuple(exp): Fraction(coeff)})
+        result = result + GrrElement(ctx, {tuple(exp): coeff})
     return result * Fraction((-1) ** r, factorial(r))
 
 

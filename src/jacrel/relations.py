@@ -137,7 +137,7 @@ def _g_power_coefficient(g: int, s: int, w: int) -> TautElement:
         for a in mono:
             coeff *= factorial(a + 1)
         terms[mono] = coeff
-    return TautElement(g, terms)
+    return TautElement._trusted(g, terms)
 
 
 def gen_theorem1(g: int, d: int, r: int, N: int) -> TautElement:
@@ -216,7 +216,7 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
                             by_u.setdefault(e, {})[mono] = weight * c
                 for e in sorted(by_u):
                     items.append(RelationItem(
-                        s=s, t_exp=2 * s + w, element=TautElement(g, by_u[e]),
+                        s=s, t_exp=2 * s + w, element=TautElement._trusted(g, by_u[e]),
                         u_exp=e if family_id == "strong8" else None))
     items.sort(key=lambda it: (it.s, it.t_exp, -1 if it.u_exp is None else it.u_exp))
     return RelationFamily(family_id, g, d, r, tuple(items))
@@ -696,14 +696,20 @@ def family_to_json(family: RelationFamily) -> str:
 
 
 def family_from_jsonable(data: dict) -> RelationFamily:
+    """The family of ``family_to_jsonable``.  Coefficients are strings or
+    integers (a JSON float raises ``TypeError``); the coefficients of one
+    monomial, in any order of its weights, add up."""
     g = data["g"]
-    items = tuple(
-        RelationItem(s=entry["s"], t_exp=entry["t_exp"],
-                     element=TautElement(g, {tuple(term["monomial"]): Fraction(term["coeff"])
-                                             for term in entry["element"]}),
-                     u_exp=entry.get("u_exp"))
-        for entry in data["items"])
-    return RelationFamily(data["family"], g, data["d"], data["r"], items)
+    items = []
+    for entry in data["items"]:
+        terms: dict[Monomial, int | Fraction] = {}
+        for term in entry["element"]:
+            mono, coeff = tuple(term["monomial"]), term["coeff"]
+            terms[mono] = terms.get(mono, 0) + (Fraction(coeff) if isinstance(coeff, str)
+                                                else coeff)
+        items.append(RelationItem(s=entry["s"], t_exp=entry["t_exp"],
+                                  element=TautElement(g, terms), u_exp=entry.get("u_exp")))
+    return RelationFamily(data["family"], g, data["d"], data["r"], tuple(items))
 
 
 def family_from_json(text: str) -> RelationFamily:

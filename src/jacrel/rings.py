@@ -67,6 +67,17 @@ def _rational(c: Any) -> int | Fraction:
     return c
 
 
+def exact_terms(terms: dict[Any, int | Fraction]) -> dict[Any, int | Fraction]:
+    """terms without its zero coefficients, each integral one as an ``int``.
+
+    The sparse containers of ``tautalg`` and ``grr`` keep this form, so their
+    integer arithmetic stays on ``int`` and no coefficient is a ``Fraction``
+    with denominator 1.
+    """
+    return {key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for key, c in terms.items() if c}
+
+
 class DensePoly:
     """Dense univariate polynomial over Q.
 

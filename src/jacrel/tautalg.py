@@ -23,7 +23,7 @@ from math import factorial
 from typing import Any, Iterator
 
 from .combinat import p_poly
-from .rings import join_terms, min_trunc
+from .rings import _rational, exact_terms, join_terms, min_trunc
 
 Monomial = tuple[int, ...]
 
@@ -45,22 +45,38 @@ class TautElement:
     """Element of the free algebra: a finite Q-linear combination of monomials.
 
     Monomials are stored as weakly decreasing weight tuples; no zero
-    coefficients are kept, and the empty map is the zero element.
+    coefficients are kept, an integral coefficient is an ``int`` and any
+    other a ``Fraction``, and the empty map is the zero element.  The
+    constructor sorts each monomial, checks its weights, rejects anything
+    but ``int``/``Fraction`` coefficients (``TypeError``) and sums the
+    coefficients of monomials that sort alike; products and sums, whose
+    monomials are canonical by construction, go through ``_trusted``.
     """
 
     __slots__ = ("g", "terms")
 
-    def __init__(self, g: int, terms: dict[Monomial, Fraction] | None = None) -> None:
+    def __init__(self, g: int, terms: dict[Monomial, int | Fraction] | None = None) -> None:
         if g < 1:
             raise ValueError("ambient genus parameter must be >= 1")
-        clean: dict[Monomial, Fraction] = {}
+        summed: dict[Monomial, int | Fraction] = {}
         for mono, coeff in (terms or {}).items():
             if any(w < 0 or w >= g for w in mono):
                 raise ValueError(f"generator weight out of range [0, {g - 1}]: {mono}")
-            if coeff != 0:
-                clean[tuple(sorted(mono, reverse=True))] = Fraction(coeff)
+            key = tuple(sorted(mono, reverse=True))
+            coeff = _rational(coeff)
+            summed[key] = summed[key] + coeff if key in summed else coeff
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", exact_terms(summed))
+
+    @classmethod
+    def _trusted(cls, g: int, terms: dict[Monomial, int | Fraction]) -> "TautElement":
+        """An element from canonical monomials with weights in range and
+        ``int``/``Fraction`` coefficients, unchecked;
+        ``exact_terms`` only drops zeros and makes integral ones ``int``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "terms", exact_terms(terms))
+        return self
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("TautElement is immutable")
@@ -71,24 +87,24 @@ class TautElement:
 
     @classmethod
     def one(cls, g: int) -> "TautElement":
-        return cls(g, {(): Fraction(1)})
+        return cls(g, {(): 1})
 
     @classmethod
     def generator(cls, g: int, j: int) -> "TautElement":
         if not 0 <= j < g:
             raise ValueError(f"generator index {j} outside [0, {g - 1}]")
-        return cls(g, {(j,): Fraction(1)})
+        return cls(g, {(j,): 1})
 
     @classmethod
-    def monomial(cls, g: int, weights: Monomial, coeff: Fraction = Fraction(1)) -> "TautElement":
+    def monomial(cls, g: int, weights: Monomial, coeff: int | Fraction = 1) -> "TautElement":
         return cls(g, {tuple(weights): coeff})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(sorted(mono, reverse=True)), Fraction(0))
+    def coefficient(self, mono: Monomial) -> int | Fraction:
+        return self.terms.get(tuple(sorted(mono, reverse=True)), 0)
 
     def _check_g(self, other: "TautElement") -> None:
         if self.g != other.g:
@@ -100,8 +116,8 @@ class TautElement:
         self._check_g(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return TautElement(self.g, terms)
+            terms[mono] = terms.get(mono, 0) + coeff
+        return TautElement._trusted(self.g, terms)
 
     def __sub__(self, other: "TautElement") -> "TautElement":
         if not isinstance(other, TautElement):
@@ -109,20 +125,19 @@ class TautElement:
         return self + (-other)
 
     def __neg__(self) -> "TautElement":
-        return TautElement(self.g, {m: -c for m, c in self.terms.items()})
+        return TautElement._trusted(self.g, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: Any) -> "TautElement":
         if isinstance(other, TautElement):
             self._check_g(other)
-            terms: dict[Monomial, Fraction] = {}
+            terms: dict[Monomial, int | Fraction] = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     mono = _mono_mul(m1, m2)
-                    terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-            return TautElement(self.g, terms)
+                    terms[mono] = terms.get(mono, 0) + c1 * c2
+            return TautElement._trusted(self.g, terms)
         if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            return TautElement(self.g, {m: c * scalar for m, c in self.terms.items()})
+            return TautElement._trusted(self.g, {m: c * other for m, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other: Any) -> "TautElement":
@@ -146,7 +161,7 @@ class TautElement:
             return next(iter(degs))
         return None
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
 
     def render(self) -> str:

@@ -11,9 +11,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 from typing import Any
 
+from jacrel.grr import GrrElement
 from jacrel.rings import QQ, DensePoly, LaurentSeries, TruncationError, min_trunc
 
 
@@ -170,6 +171,21 @@ def generic_series_exp(s, order):
             break
         result = result + term
     return result
+
+
+def chern_classes_by_fractions(data, t_order):
+    """c_0..c_(t_order-1) of a ``jacrel.grr.ChernData`` by Newton's identity
+    n*c_n = sum_j (-1)^(j-1) j! ch_j c_(n-j), divided by n at every step:
+    the rational reference for the integer tower of ``chern_classes``."""
+    ctx = data.ctx
+    f_prime = [data.ch[j] * ((-1) ** (j - 1) * factorial(j)) for j in range(1, len(data.ch))]
+    c = [GrrElement.one(ctx)]
+    for n in range(1, t_order):
+        acc = GrrElement.zero(ctx)
+        for j in range(1, min(n, len(f_prime)) + 1):
+            acc = acc + f_prime[j - 1] * c[n - j]
+        c.append(acc * Fraction(1, n))
+    return tuple(c)
 
 
 def pow_inv_by_products(s, n, order):

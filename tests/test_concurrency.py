@@ -4,12 +4,16 @@ Values are immutable and operations pure, so parallel evaluation must give
 byte-identical results to serial evaluation.  The shared structures are the
 module caches: the Stirling memo table, whose writers are idempotent, and the
 ``functools.lru_cache``s (``monomials_of_bidegree``, ``_bare_log_inv_pow``,
-and the chain's ``_e_part`` and ``_split_table``), which lock their own
-bookkeeping; two threads may both compute a missing entry, and they compute
-the same immutable value.  The one piece of state kept on a value is a
-family's ``GradedSpan``: it publishes a cell only once the cell is complete,
-so threads that compare the same family at once can at most build a cell
-twice, with the same rows.
+the chain's ``_e_part`` and ``_split_table``, and the GRR replay's ``ch_vk``),
+which lock their own bookkeeping; two threads may both compute a missing
+entry, and they compute the same value.  Two pieces of state are kept on
+values.  A family's ``GradedSpan`` publishes a cell only once the cell is
+complete, so threads that compare the same family at once can at most build
+a cell twice, with the same rows.  The ``ChernData`` that ``ch_vk`` shares per
+(g, d, r) carries the Chern-class memo of ``chern_classes``, which is
+replaced, under a lock, only by a complete longer tower: threads that ask for
+different lengths at once never read a partial tower, and at worst compute
+the same classes more than once.
 """
 
 import sys
@@ -18,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
+from jacrel.grr import ch_vk, gamma_extract
 from jacrel.relations import (_split_table, compare_ideals, family_to_json, gen_family,
                               verify_implication_chain)
 
@@ -93,5 +98,32 @@ def test_parallel_comparisons_share_one_span_per_family():
             with ThreadPoolExecutor(max_workers=8) as pool:
                 outputs = list(pool.map(run, range(8), timeout=120))
             assert all(out == expected for out in outputs)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_parallel_gamma_extraction_shares_one_tower_per_bundle():
+    # several M per (g, d, r), so threads extend the same shared tower to
+    # different lengths
+    tasks = [(g, d, r, M) for g, d, r in ((3, 4, 2), (4, 6, 3), (5, 7, 2), (2, 3, 1))
+             for M in (d + 2, d, d + 1)]
+    serial = [gamma_extract(*t) for t in tasks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(4):
+            ch_vk.cache_clear()
+            barrier = threading.Barrier(8)
+
+            def run(k):
+                barrier.wait(timeout=60)
+                order = tasks[k:] + tasks[:k]
+                return dict(zip(order, (gamma_extract(*t) for t in order)))
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outputs = list(pool.map(run, range(8), timeout=120))
+            for out in outputs:
+                assert [out[t] for t in tasks] == serial
+                assert [repr(out[t]) for t in tasks] == [repr(x) for x in serial]
     finally:
         sys.setswitchinterval(interval)

@@ -9,7 +9,10 @@ from jacrel.grr import (ChernData, GrrContext, GrrElement, UpstairsTerm, ch_vk,
 from jacrel.relations import gen_theorem1
 from jacrel.rings import InvariantViolation
 from jacrel.tautalg import TautElement
-from oracles import GenericSeries, Ring, generic_series_exp
+from oracles import GenericSeries, Ring, chern_classes_by_fractions, generic_series_exp
+
+# the criterion-7 grid
+GRID = [(g, d, r) for r in range(1, 4) for g in range(1, 6) for d in range(1, 9)]
 
 
 @pytest.fixture
@@ -174,6 +177,71 @@ class TestChernClasses:
     def test_t_order_below_one_rejected(self):
         with pytest.raises(ValueError):
             chern_classes(ch_vk(2, 3, 1), 0)
+
+
+class TestIntegerTower:
+    def test_matches_fraction_recurrence_in_any_request_order(self):
+        for g, d, r in GRID:
+            shared, order = ch_vk(g, d, r), d + 4
+            expected = chern_classes_by_fractions(shared, order + 3)
+
+            def fresh():
+                return ChernData(ctx=shared.ctx, ch=shared.ch)
+
+            cold = fresh()
+            assert chern_classes(cold, order).c == expected[:order], (g, d, r)
+            after = fresh()
+            assert chern_classes(after, order + 3).c == expected
+            assert chern_classes(after, order).c == expected[:order]
+            before = fresh()
+            assert chern_classes(before, order - 2).c == expected[:order - 2]
+            assert chern_classes(before, order).c == expected[:order]
+            classes = chern_classes(shared, order).c
+            assert classes == expected[:order]
+            # canonical coefficients: int when integral, else a reduced Fraction
+            assert all(type(c) is int or c.denominator != 1
+                       for element in classes for c in element.terms.values())
+
+    def test_ch_vk_is_shared_and_integral(self):
+        data = ch_vk(3, 4, 2)
+        assert ch_vk(3, 4, 2) is data
+        assert all(type(c) is int for piece in data.ch for c in piece.terms.values())
+
+    def test_non_integral_character_rejected(self):
+        ctx = GrrContext(2, 3, 2)
+        half_xi = ChernData(ctx=ctx, ch=(GrrElement.scalar(ctx, 3),
+                                         GrrElement.xi(ctx) * F(1, 2)))
+        with pytest.raises(InvariantViolation):
+            chern_classes(half_xi, 3)
+
+    def test_memo_is_not_part_of_the_value(self):
+        data = ch_vk(3, 4, 2)
+        bare = ChernData(ctx=data.ctx, ch=data.ch)
+        chern_classes(data, 9)
+        assert data._tower is not None and bare._tower is None
+        assert data == bare and hash(data) == hash(bare)
+        assert repr(data) == repr(bare) and "_tower" not in repr(data)
+        derived = chern_classes(bare, 5)
+        assert derived == ChernData(ctx=data.ctx, ch=data.ch, c=derived.c)
+        assert repr(derived) == repr(ChernData(ctx=data.ctx, ch=data.ch, c=derived.c))
+
+
+class TestExactCoefficients:
+    def test_float_coefficients_rejected(self, ctx):
+        exp = (0,) * ctx.nvars
+        with pytest.raises(TypeError):
+            GrrElement(ctx, {exp: 0.5})
+        with pytest.raises(TypeError):
+            GrrElement.k_power(ctx, 2, 1.0)
+        with pytest.raises(TypeError):
+            one(ctx) * 0.5
+
+    def test_integral_coefficients_are_ints(self, ctx):
+        half = GrrElement.xi(ctx) * F(1, 2)
+        assert (half + half).terms == GrrElement.xi(ctx).terms
+        assert all(type(c) is int for c in (half + half).terms.values())
+        assert GrrElement.scalar(ctx, F(6, 3)) == GrrElement.scalar(ctx, 2)
+        assert type(GrrElement.scalar(ctx, F(6, 3)).terms[(0,) * ctx.nvars]) is int
 
 
 class TestGamma:

@@ -7,8 +7,8 @@ import pytest
 
 from jacrel.combinat import stirling2
 from jacrel.relations import (RelationFamily, RelationItem, compare_ideals, epsilon_series,
-                              family_from_json, family_to_json, gen_family, gen_theorem1,
-                              monomials_of_bidegree, span_contains,
+                              family_from_json, family_from_jsonable, family_to_json,
+                              gen_family, gen_theorem1, monomials_of_bidegree, span_contains,
                               theorem1_family, verify_implication_chain)
 from jacrel.rings import TruncationError
 from jacrel.tautalg import TautElement, build_g_poly, poly_power
@@ -510,3 +510,19 @@ class TestFamilyJson:
         text = family_to_json(scaled)
         assert '"coeff":"4"' in text and '"coeff":"4/3"' in text
         assert family_to_json(family_from_json(text)) == text
+
+    def test_json_terms_of_one_monomial_add_up(self):
+        def element(terms):
+            payload = {"family": "vdgk6", "g": 3, "d": 4, "r": 2, "items": [
+                {"s": 2, "t_exp": 5, "element": terms}]}
+            return family_from_jsonable(payload).items[0].element
+
+        cross = TautElement.generator(3, 1) * TautElement.generator(3, 0)
+        assert element([{"monomial": [0, 1], "coeff": "1"},
+                        {"monomial": [1, 0], "coeff": "2"}]) == cross * 3
+        assert element([{"monomial": [0, 1], "coeff": "1"},
+                        {"monomial": [1, 0], "coeff": "-1"}]).is_zero
+        assert element([{"monomial": [1, 0], "coeff": "1/2"},
+                        {"monomial": [1, 0], "coeff": 2}]) == cross * F(5, 2)
+        with pytest.raises(TypeError):
+            element([{"monomial": [1, 0], "coeff": 0.1}])

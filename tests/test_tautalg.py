@@ -74,6 +74,27 @@ class TestTautElement:
             TautElement.generator(2, 5)
 
 
+class TestExactCoefficients:
+    def test_monomials_sorting_alike_add_up(self):
+        assert TautElement(3, {(0, 1): 1, (1, 0): 2}) == C(3, 1) * C(3, 0) * 3
+        assert TautElement(3, {(0, 1): 1, (1, 0): -1}).is_zero
+
+    def test_float_coefficients_rejected(self):
+        with pytest.raises(TypeError):
+            TautElement(3, {(0,): 0.1})
+        with pytest.raises(TypeError):
+            TautElement.monomial(3, (1,), 2.0)
+        with pytest.raises(TypeError):
+            C(3, 0) * 0.5
+
+    def test_integral_coefficients_are_ints(self):
+        elt = C(3, 0) * F(1, 2) + C(3, 0) * F(1, 2) + C(3, 1) * F(1, 3)
+        assert elt.terms == {(0,): 1, (1,): F(1, 3)}
+        assert type(elt.terms[(0,)]) is int
+        assert TautElement(3, {(2,): F(4, 2)}).terms == {(2,): 2}
+        assert type(TautElement(3, {(2,): F(4, 2)}).terms[(2,)]) is int
+
+
 class TestGPoly:
     def test_g2(self):
         G = build_g_poly(2)

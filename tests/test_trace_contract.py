@@ -31,6 +31,13 @@ for argv in (["identities", "--max-n", "3", "--order", "2"],
                           ("counters", "rings.LaurentSeries.mul.coeff_products")):
             if not after[kind].get(key, 0) > before[kind].get(key, 0):
                 sys.exit(f"equivalence left {kind} {key} at {after[kind].get(key)}")
+    if argv[0] == "grr":
+        # the Chern-class tower must run through the hooked chern_classes and
+        # GrrElement.__mul__, or the GRR layer metrics read 0
+        after = tracer.summary()
+        for key in ("grr.GrrElement.mul", "grr.chern_classes"):
+            if not after["calls"].get(key, 0) > before["calls"].get(key, 0):
+                sys.exit(f"grr left calls {key} at {after['calls'].get(key)}")
 tracer.cache_counters()
 calls = tracer.summary()["calls"]
 if calls.get("cli.main") != 3:
