@@ -103,17 +103,13 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
 
 def cmd_relations(args: argparse.Namespace) -> int:
-    try:
-        if args.family == "theorem1":
-            if args.N is None:
-                print("error: --family theorem1 requires --N", file=sys.stderr)
-                return EXIT_USAGE
-            family = relations.theorem1_family(args.g, args.d, args.r, args.N)
-        else:
-            family = relations.gen_family(args.family, args.g, args.d, args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.family == "theorem1":
+        if args.N is None:
+            print("error: --family theorem1 requires --N", file=sys.stderr)
+            return EXIT_USAGE
+        family = relations.theorem1_family(args.g, args.d, args.r, args.N)
+    else:
+        family = relations.gen_family(args.family, args.g, args.d, args.r)
     if args.format == "json":
         _emit(relations.family_to_json(family), args.out)
     else:
@@ -128,22 +124,14 @@ def cmd_relations(args: argparse.Namespace) -> int:
 
 
 def cmd_equivalence(args: argparse.Namespace) -> int:
-    try:
-        fam6 = relations.gen_family("vdgk6", args.g, args.d, args.r)
-        fam7 = relations.gen_family("herbaut7", args.g, args.d, args.r)
-        fam8 = relations.gen_family("strong8", args.g, args.d, args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cmp67 = relations.compare_ideals(fam6, fam7)
-        cmp78 = relations.compare_ideals(fam7, fam8)
-        cmp68 = relations.compare_ideals(fam6, fam8)
-        chain = relations.verify_implication_chain(args.g, args.d, args.r,
-                                                   args.x_order, args.t_order)
-    except TruncationError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    fam6 = relations.gen_family("vdgk6", args.g, args.d, args.r)
+    fam7 = relations.gen_family("herbaut7", args.g, args.d, args.r)
+    fam8 = relations.gen_family("strong8", args.g, args.d, args.r)
+    cmp67 = relations.compare_ideals(fam6, fam7)
+    cmp78 = relations.compare_ideals(fam7, fam8)
+    cmp68 = relations.compare_ideals(fam6, fam8)
+    chain = relations.verify_implication_chain(args.g, args.d, args.r,
+                                               args.x_order, args.t_order)
     ideal_ok = cmp67.ideal_equal and cmp78.ideal_equal and cmp68.ideal_equal
     payload = {
         "command": "equivalence",
@@ -197,16 +185,9 @@ def cmd_grr(args: argparse.Namespace) -> int:
         print("error: --M must be >= --d", file=sys.stderr)
         return EXIT_USAGE
     g, d, r, M = args.g, args.d, args.r, args.M
-    try:
-        data = grr.gamma_extract(g, d, r, M)
-        reference = grr.gamma_top_reference(g, d, r, M)
-        derived = data.theorem1()
-    except InvariantViolation as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    data = grr.gamma_extract(g, d, r, M)
+    reference = grr.gamma_top_reference(g, d, r, M)
+    derived = data.theorem1()
     top_ok = data.gamma(M + 1) == reference
     powers_ok = data.max_power <= M + 1
     clean_ok = not data.gamma(M + 1).uses_todd_unknowns()

@@ -37,12 +37,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import add
+from operator import add, mul
 from threading import Lock
 from typing import Any, Iterator, NamedTuple
 
 from .relations import _compositions, _orderings, gen_theorem1
-from .rings import InvariantViolation, _rational, exact_terms, join_terms
+from .rings import InvariantViolation, SparseElement, _rational
 from .tautalg import Monomial, TautElement
 
 # Bound on the ``ch_vk`` cache, keyed by (g, d, r); the criterion-7 grid
@@ -117,20 +117,21 @@ class GrrContext:
         return order
 
 
-class GrrElement:
+class GrrElement(SparseElement):
     """Sparse polynomial of the symbolic ring, with xi^(r+1) reduced eagerly.
 
-    No zero coefficient is kept; an integral coefficient is an ``int`` and
-    any other a ``Fraction``.  The constructor checks each exponent tuple's
-    arity, drops terms at or above xi^(r+1) and rejects anything but
-    ``int``/``Fraction`` coefficients (``TypeError``); sums and products
-    build through ``_trusted``, which checks nothing.
+    Terms are in the normal form of :class:`~jacrel.rings.SparseElement`.
+    The constructor checks each exponent tuple's arity, drops terms at or
+    above xi^(r+1) and rejects anything but ``int``/``Fraction``
+    coefficients (``TypeError``); sums and products build through
+    ``_trusted``, which checks nothing.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
+    ctx = SparseElement.ambient  # the ambient GrrContext
 
-    def __init__(self, ctx: GrrContext,
-                 terms: dict[tuple[int, ...], int | Fraction] | None = None) -> None:
+    def __new__(cls, ctx: GrrContext,
+                terms: dict[tuple[int, ...], int | Fraction] | None = None) -> "GrrElement":
         kept: dict[tuple[int, ...], int | Fraction] = {}
         xi = ctx.xi_index
         for exp, coeff in (terms or {}).items():
@@ -139,22 +140,7 @@ class GrrElement:
             coeff = _rational(coeff)
             if exp[xi] <= ctx.r:
                 kept[exp] = coeff
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", exact_terms(kept))
-
-    @classmethod
-    def _trusted(cls, ctx: GrrContext,
-                 terms: dict[tuple[int, ...], int | Fraction]) -> "GrrElement":
-        """An element from exponent tuples of the right arity below xi^(r+1)
-        and ``int``/``Fraction`` coefficients, unchecked;
-        ``exact_terms`` only drops zeros and makes integral ones ``int``."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", exact_terms(terms))
-        return self
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("GrrElement is immutable")
+        return cls._trusted(ctx, kept)
 
     # -- constructors ------------------------------------------------------
 
@@ -201,28 +187,9 @@ class GrrElement:
 
     # -- ring structure ----------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _check(self, other: "GrrElement") -> None:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mismatched symbolic contexts")
-
-    def __add__(self, other: "GrrElement") -> "GrrElement":
-        if not isinstance(other, GrrElement):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            terms[exp] = terms.get(exp, 0) + coeff
-        return GrrElement._trusted(self.ctx, terms)
-
-    def __sub__(self, other: "GrrElement") -> "GrrElement":
-        return self + (-other)
-
-    def __neg__(self) -> "GrrElement":
-        return GrrElement._trusted(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Any) -> "GrrElement":
         if isinstance(other, GrrElement):
@@ -242,50 +209,34 @@ class GrrElement:
             return GrrElement._trusted(self.ctx, {e: c * other for e, c in self.terms.items()})
         return NotImplemented
 
-    def __rmul__(self, other: Any) -> "GrrElement":
-        return self.__mul__(other)
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, GrrElement):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, tuple(sorted(self.terms.items()))))
-
     # -- structure queries -------------------------------------------------
 
-    def codim_component(self, j: int) -> "GrrElement":
+    def codim_pieces(self) -> tuple["GrrElement", ...]:
+        """The codimension-j components for j = 0 .. the top codimension."""
         weights = self.ctx.codim_weights()
-        return GrrElement._trusted(self.ctx, {
-            e: c for e, c in self.terms.items()
-            if sum(w * x for w, x in zip(weights, e)) == j})
+        split: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
+        for e, c in self.terms.items():
+            split.setdefault(sum(map(mul, weights, e)), {})[e] = c
+        return tuple(GrrElement._trusted(self.ctx, split.get(j, {}))
+                     for j in range(max(split, default=0) + 1))
 
-    @property
-    def max_codim(self) -> int:
-        weights = self.ctx.codim_weights()
-        return max((sum(w * x for w, x in zip(weights, e)) for e in self.terms),
-                   default=0)
+    def _stripped(self, idx: int, m: int) -> "GrrElement":
+        """The coefficient of variable idx at power m, with idx stripped."""
+        terms = {}
+        for e, c in self.terms.items():
+            if e[idx] == m:
+                stripped = list(e)
+                stripped[idx] = 0
+                terms[tuple(stripped)] = c
+        return GrrElement._trusted(self.ctx, terms)
 
     def xi_coefficient(self, m: int) -> "GrrElement":
         """The coefficient of xi^m, with the xi variable stripped."""
-        xi = self.ctx.xi_index
-        terms = {}
-        for e, c in self.terms.items():
-            if e[xi] == m:
-                stripped = list(e)
-                stripped[xi] = 0
-                terms[tuple(stripped)] = c
-        return GrrElement._trusted(self.ctx, terms)
+        return self._stripped(self.ctx.xi_index, m)
 
     def k_coefficient(self, s: int) -> "GrrElement":
-        terms = {}
-        for e, c in self.terms.items():
-            if e[0] == s:
-                stripped = list(e)
-                stripped[0] = 0
-                terms[tuple(stripped)] = c
-        return GrrElement._trusted(self.ctx, terms)
+        """The coefficient of k^s, with the k variable stripped."""
+        return self._stripped(0, s)
 
     @property
     def k_degree(self) -> int:
@@ -320,22 +271,14 @@ class GrrElement:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def render(self) -> str:
-        order = self.ctx.display_order()
-
-        def body(exp: tuple[int, ...]) -> str:
-            factors = []
-            for idx in order:
-                e = exp[idx]
-                if e:
-                    name = self.ctx.var_name(idx)
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            return "*".join(factors)
-
-        return join_terms((coeff, body(exp)) for exp, coeff in self.sorted_terms())
-
-    def __str__(self) -> str:
-        return self.render()
+    def _monomial_text(self, exp: tuple[int, ...]) -> str:
+        factors = []
+        for idx in self.ctx.display_order():
+            e = exp[idx]
+            if e:
+                name = self.ctx.var_name(idx)
+                factors.append(name if e == 1 else f"{name}^{e}")
+        return "*".join(factors)
 
     def __repr__(self) -> str:
         return f"GrrElement({self.render()})"
@@ -463,8 +406,7 @@ def ch_vk(g: int, d: int, r: int) -> ChernData:
     closed = _ch_closed_form(ctx)
     if computed != closed:
         raise InvariantViolation("pushforward route disagrees with the closed form")
-    pieces = tuple(computed.codim_component(j) for j in range(computed.max_codim + 1))
-    return ChernData(ctx=ctx, ch=pieces)
+    return ChernData(ctx=ctx, ch=computed.codim_pieces())
 
 
 def extract_amj(data: ChernData, m: int, j: int) -> GrrElement:

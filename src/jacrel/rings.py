@@ -1,9 +1,17 @@
-"""Exact arithmetic kernel over Q: dense polynomials, truncated Laurent series.
+"""Exact arithmetic kernel over Q: dense polynomials, truncated Laurent series
+and the sparse-term kernel of the algebras built on them.
 
-Everything here is exact; there are no floats anywhere.  Both containers are
-over the rationals only: their first constructor argument is ``QQ``, and
-their coefficients and scalar factors must be ``int`` or ``Fraction``;
-anything else raises ``TypeError``.
+Everything here is exact; there are no floats anywhere.  Both dense
+containers are over the rationals only: their first constructor argument is
+``QQ``, and their coefficients and scalar factors must be ``int`` or
+``Fraction``; anything else raises ``TypeError``.
+
+A :class:`SparseElement` is an immutable ``monomial -> int | Fraction`` map
+with no zero coefficient and every integral coefficient an ``int``.  It
+holds the normal form, sums, negation, equality, hashing and rendering that
+``tautalg.TautElement`` (the free algebra) and ``grr.GrrElement`` (the
+Chern-character ring) share; each subclass keeps its own checked
+constructor, monomial text and product.
 
 A :class:`DensePoly` keeps its coefficients as a tuple of ``Fraction``.  A
 :class:`LaurentSeries` keeps integer numerators over one common denominator:
@@ -65,17 +73,6 @@ def _rational(c: Any) -> int | Fraction:
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"{type(c).__name__} {c!r} is not an exact rational")
     return c
-
-
-def exact_terms(terms: dict[Any, int | Fraction]) -> dict[Any, int | Fraction]:
-    """terms without its zero coefficients, each integral one as an ``int``.
-
-    The sparse containers of ``tautalg`` and ``grr`` keep this form, so their
-    integer arithmetic stays on ``int`` and no coefficient is a ``Fraction``
-    with denominator 1.
-    """
-    return {key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for key, c in terms.items() if c}
 
 
 class DensePoly:
@@ -425,6 +422,79 @@ def join_terms(terms: Iterable[tuple[Any, str]]) -> str:
         else:
             text += " + " + term
     return text or "0"
+
+
+class SparseElement:
+    """Immutable sparse element of an exact commutative algebra over Q:
+    ``terms`` maps monomials to coefficients, over the parameters ``ambient``.
+
+    The normal form keeps no zero coefficient, an integral coefficient is an
+    ``int`` and any other a ``Fraction``, and the empty map is zero, so
+    integer arithmetic stays on ``int``.  This kernel owns that form, the
+    unchecked constructor ``_trusted``, sums, negation, scalars from the
+    left, ``==``, ``hash`` and ``render``.  A subclass names the ambient by
+    aliasing the ``ambient`` slot and supplies the rest: its checked public
+    constructor (a ``__new__`` ending in ``_trusted``), ``_check`` (a
+    ``ValueError`` unless both operands share the ambient), the text of one
+    monomial, ``sorted_terms``, ``__repr__`` and its own ``__mul__``.
+    """
+
+    __slots__ = ("ambient", "terms")
+
+    @classmethod
+    def _trusted(cls, ambient: Any, terms: dict[Any, int | Fraction]) -> Any:
+        """An element from canonical monomials and ``int``/``Fraction``
+        coefficients, unchecked; only zeros are dropped and integral
+        coefficients made ``int``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "terms", {
+            key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for key, c in terms.items() if c})
+        return self
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: Any) -> Any:
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            terms[key] = terms.get(key, 0) + coeff
+        return self._trusted(self.ambient, terms)
+
+    def __sub__(self, other: Any) -> Any:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self) -> Any:
+        return self._trusted(self.ambient, {key: -c for key, c in self.terms.items()})
+
+    def __rmul__(self, other: Any) -> Any:
+        return self.__mul__(other)
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ambient == other.ambient and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, tuple(sorted(self.terms.items()))))
+
+    def render(self) -> str:
+        """Canonical text form: the terms in ``sorted_terms`` order."""
+        return join_terms((coeff, self._monomial_text(key))
+                          for key, coeff in self.sorted_terms())
+
+    def __str__(self) -> str:
+        return self.render()
 
 
 def log1p_series(order: int) -> LaurentSeries:

@@ -23,7 +23,7 @@ from math import factorial
 from typing import Any, Iterator
 
 from .combinat import p_poly
-from .rings import _rational, exact_terms, join_terms, min_trunc
+from .rings import SparseElement, _rational, min_trunc
 
 Monomial = tuple[int, ...]
 
@@ -41,21 +41,21 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(m1 + m2, reverse=True))
 
 
-class TautElement:
+class TautElement(SparseElement):
     """Element of the free algebra: a finite Q-linear combination of monomials.
 
-    Monomials are stored as weakly decreasing weight tuples; no zero
-    coefficients are kept, an integral coefficient is an ``int`` and any
-    other a ``Fraction``, and the empty map is the zero element.  The
-    constructor sorts each monomial, checks its weights, rejects anything
-    but ``int``/``Fraction`` coefficients (``TypeError``) and sums the
+    Monomials are stored as weakly decreasing weight tuples, in the normal
+    form of :class:`~jacrel.rings.SparseElement`.  The constructor sorts
+    each monomial, checks its weights, rejects anything but
+    ``int``/``Fraction`` coefficients (``TypeError``) and sums the
     coefficients of monomials that sort alike; products and sums, whose
     monomials are canonical by construction, go through ``_trusted``.
     """
 
-    __slots__ = ("g", "terms")
+    __slots__ = ()
+    g = SparseElement.ambient  # the ambient genus parameter
 
-    def __init__(self, g: int, terms: dict[Monomial, int | Fraction] | None = None) -> None:
+    def __new__(cls, g: int, terms: dict[Monomial, int | Fraction] | None = None) -> "TautElement":
         if g < 1:
             raise ValueError("ambient genus parameter must be >= 1")
         summed: dict[Monomial, int | Fraction] = {}
@@ -65,21 +65,7 @@ class TautElement:
             key = tuple(sorted(mono, reverse=True))
             coeff = _rational(coeff)
             summed[key] = summed[key] + coeff if key in summed else coeff
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "terms", exact_terms(summed))
-
-    @classmethod
-    def _trusted(cls, g: int, terms: dict[Monomial, int | Fraction]) -> "TautElement":
-        """An element from canonical monomials with weights in range and
-        ``int``/``Fraction`` coefficients, unchecked;
-        ``exact_terms`` only drops zeros and makes integral ones ``int``."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "terms", exact_terms(terms))
-        return self
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("TautElement is immutable")
+        return cls._trusted(g, summed)
 
     @classmethod
     def zero(cls, g: int) -> "TautElement":
@@ -99,37 +85,16 @@ class TautElement:
     def monomial(cls, g: int, weights: Monomial, coeff: int | Fraction = 1) -> "TautElement":
         return cls(g, {tuple(weights): coeff})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, mono: Monomial) -> int | Fraction:
         return self.terms.get(tuple(sorted(mono, reverse=True)), 0)
 
-    def _check_g(self, other: "TautElement") -> None:
+    def _check(self, other: "TautElement") -> None:
         if self.g != other.g:
             raise ValueError(f"mismatched ambient genus: {self.g} vs {other.g}")
 
-    def __add__(self, other: "TautElement") -> "TautElement":
-        if not isinstance(other, TautElement):
-            return NotImplemented
-        self._check_g(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + coeff
-        return TautElement._trusted(self.g, terms)
-
-    def __sub__(self, other: "TautElement") -> "TautElement":
-        if not isinstance(other, TautElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "TautElement":
-        return TautElement._trusted(self.g, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other: Any) -> "TautElement":
         if isinstance(other, TautElement):
-            self._check_g(other)
+            self._check(other)
             terms: dict[Monomial, int | Fraction] = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
@@ -139,17 +104,6 @@ class TautElement:
         if isinstance(other, (int, Fraction)):
             return TautElement._trusted(self.g, {m: c * other for m, c in self.terms.items()})
         return NotImplemented
-
-    def __rmul__(self, other: Any) -> "TautElement":
-        return self.__mul__(other)
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, TautElement):
-            return NotImplemented
-        return self.g == other.g and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.g, tuple(sorted(self.terms.items()))))
 
     def bidegrees(self) -> set[tuple[int, int]]:
         return {mono_bidegree(m) for m in self.terms}
@@ -164,24 +118,16 @@ class TautElement:
     def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
 
-    def render(self) -> str:
-        """Canonical text form, e.g. ``12*C(0)*C(2) + 4*C(1)^2``."""
-        return join_terms((coeff, _render_monomial(mono))
-                          for mono, coeff in self.sorted_terms())
-
-    def __str__(self) -> str:
-        return self.render()
+    def _monomial_text(self, mono: Monomial) -> str:
+        """e.g. ``C(0)*C(2)^2``; ``render`` gives ``12*C(0)*C(2) + 4*C(1)^2``."""
+        factors: list[str] = []
+        for w in sorted(set(mono)):
+            e = mono.count(w)
+            factors.append(f"C({w})" if e == 1 else f"C({w})^{e}")
+        return "*".join(factors)
 
     def __repr__(self) -> str:
         return f"TautElement(g={self.g}, {self.render()})"
-
-
-def _render_monomial(mono: Monomial) -> str:
-    factors: list[str] = []
-    for w in sorted(set(mono)):
-        e = mono.count(w)
-        factors.append(f"C({w})" if e == 1 else f"C({w})^{e}")
-    return "*".join(factors)
 
 
 class BivarPoly:

@@ -279,6 +279,16 @@ def rand_taut(rng: random.Random, g: int):
     return TautElement(g, terms)
 
 
+def rand_grr(rng: random.Random, ctx) -> GrrElement:
+    """Up to four terms with small exponents; some reach xi^(r+1), which the
+    constructor drops."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        exp = tuple(rng.choice((0, 0, 1, 2)) for _ in range(ctx.nvars))
+        terms[exp] = terms.get(exp, 0) + rand_fraction(rng)
+    return GrrElement(ctx, terms)
+
+
 def rand_homogeneous_taut(rng: random.Random, g: int, size: int, weight: int):
     from jacrel.relations import monomials_of_bidegree
     from jacrel.tautalg import TautElement

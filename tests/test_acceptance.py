@@ -167,7 +167,7 @@ def test_criterion_07_grr_replay():
                         ok = False
                     if data.gamma(M + 1) != gamma_top_reference(g, d, r, M):
                         ok = False
-                    element = derive_theorem1(g, d, r, M)
+                    element = data.theorem1()
                     N = M - 2 * r + 1
                     expected = (gen_theorem1(g, d, r, N) if N >= 0
                                 else TautElement.zero(g))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from jacrel.cli import main
 from jacrel.relations import family_from_json, family_to_json
 
@@ -29,6 +31,23 @@ def test_golden_commands_print_their_recorded_bytes(capsys):
         out = capsys.readouterr().out
         assert code == case["exit"], case["argv"]
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], case["argv"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("relations", "--g", "0", "--d", "3", "--r", "1", "--family", "vdgk6"), 2,
+     "error: g must be >= 1"),
+    (("equivalence", "--g", "0", "--d", "3", "--r", "1"), 2, "error: g must be >= 1"),
+    (("equivalence", "--g", "3", "--d", "5", "--r", "2", "--t-order", "3"), 3,
+     "inconclusive: t_order=3 must exceed r(g+1)=8, the top t-degree of H(1/x,t)^r"),
+    (("grr", "--g", "0", "--d", "1", "--r", "1", "--M", "1"), 2,
+     "error: g, d, r must all be >= 1"),
+])
+def test_library_errors_map_to_one_stderr_line_and_exit_code(argv, code, message):
+    # every command leaves ValueError and TruncationError to main()'s mapping
+    result = run_cli(*argv)
+    assert result.returncode == code
+    assert result.stdout == ""
+    assert result.stderr == message + "\n"
 
 
 class TestExitCodes:

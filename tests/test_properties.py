@@ -12,13 +12,14 @@ from math import gcd
 
 import pytest
 
+from jacrel.grr import GrrContext, GrrElement
 from jacrel.relations import family_from_json, family_to_json, gen_family
 from jacrel.rings import (QQ, DensePoly, LaurentSeries, TruncationError, laurent_pow_inv,
                           min_trunc, series_exp)
 from jacrel.tautalg import TautElement, mono_bidegree
 from oracles import (QQ_RING, GenericSeries, generic_series_exp, pow_inv_by_products,
-                     power, rand_fraction, rand_homogeneous_taut, rand_laurent, rand_poly,
-                     rand_taut)
+                     power, rand_fraction, rand_grr, rand_homogeneous_taut, rand_laurent,
+                     rand_poly, rand_taut)
 
 CASES = 1000
 
@@ -72,6 +73,42 @@ def test_taut_element_ring_axioms():
         assert a * (b + c) == a * b + a * c
         assert (a + (-a)).is_zero
         assert a * TautElement.one(g) == a
+        assert TautElement(g + 1, a.terms) != a
+    _assert_immutable_and_not_mixed(a, "g", GrrElement.one(GrrContext(g, 1, 1)))
+
+
+def test_grr_element_ring_axioms():
+    rng = random.Random(1007)
+    for _ in range(CASES):
+        ctx = GrrContext(rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 2))
+        a, b, c = (rand_grr(rng, ctx) for _ in range(3))
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert (a + (-a)).is_zero
+        assert a * GrrElement.one(ctx) == a
+        assert all(e[ctx.xi_index] <= ctx.r for e in (a * b).terms)
+        assert all(type(c) is int or c.denominator > 1 for c in (a * b).terms.values())
+        as_fractions = GrrElement(ctx, {e: F(c) for e, c in a.terms.items()})
+        assert as_fractions == a and hash(as_fractions) == hash(a)
+        assert GrrElement(GrrContext(ctx.g, ctx.d + 1, ctx.r), a.terms) != a
+    _assert_immutable_and_not_mixed(a, "ctx", TautElement.one(1))
+
+
+def _assert_immutable_and_not_mixed(elt, ambient, foreign):
+    name = type(elt).__name__
+    for attr in (ambient, "terms", "extra"):
+        with pytest.raises(AttributeError, match=name):
+            setattr(elt, attr, None)
+    for x, y in ((elt, foreign), (foreign, elt)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
+        with pytest.raises(TypeError):
+            x * y
 
 
 def test_grading_additivity():
