@@ -68,16 +68,11 @@ def cmd_identities(args: argparse.Namespace) -> int:
     for n in range(2, max_n + 1):
         value = combinat.p_poly(n).evaluate(Fraction(-1))
         record(f"p_poly_at_minus_one(n={n})", value == 0, f"value={value}")
-    grid_ok = True
-    counterexample = ""
-    for d in range(0, 6):
-        for r in range(1, 3):
-            for a in itertools.product(range(4), repeat=r):
-                if combinat.b_sum(d, a) != combinat.b_gen(d, a):
-                    grid_ok = False
-                    counterexample = f"d={d}, a={a}"
-                    break
-    record("b_sum_equals_b_gen(grid d<=5, r<=2, a_i<=3)", grid_ok, counterexample)
+    counterexample = next((f"d={d}, a={a}" for d in range(0, 6) for r in range(1, 3)
+                           for a in itertools.product(range(4), repeat=r)
+                           if combinat.b_sum(d, a) != combinat.b_gen(d, a)), "")
+    record("b_sum_equals_b_gen(grid d<=5, r<=2, a_i<=3)", not counterexample,
+           counterexample)
 
     all_ok = all(c["ok"] for c in checks)
     expansion = None
@@ -103,6 +98,9 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
 
 def cmd_relations(args: argparse.Namespace) -> int:
+    if args.family != "theorem1" and args.N is not None:
+        print("error: --N applies only to --family theorem1", file=sys.stderr)
+        return EXIT_USAGE
     if args.family == "theorem1":
         if args.N is None:
             print("error: --family theorem1 requires --N", file=sys.stderr)

@@ -21,7 +21,8 @@ n*c_n = sum_j (-1)^(j-1) j! ch_j c_(n-j) scaled by (n-1)!, a recurrence on
 integers for C_n = n! c_n; each class is divided by n! once.  That every
 ch_j is integral and divisible by xi is checked, not assumed.  The top
 k-power of the xi^r component of the first vanishing Chern class reproduces
-the factorial composition relations of the relations module.
+the factorial composition relations of the relations module, whose sum
+``gamma_top_reference`` reads off the top coefficients of prod P_{a_i+2}(u).
 
 Nothing before the Chern classes depends on M, and c_0..c_(M+1) is a prefix
 of every longer tower.  So ``ch_vk`` caches one ``ChernData`` per (g, d, r)
@@ -41,7 +42,7 @@ from operator import add, mul
 from threading import Lock
 from typing import Any, Iterator, NamedTuple
 
-from .relations import _compositions, _orderings, gen_theorem1
+from .relations import _g_power_coefficient, gen_theorem1
 from .rings import InvariantViolation, SparseElement, _rational
 from .tautalg import Monomial, TautElement
 
@@ -547,20 +548,16 @@ def gamma_extract(g: int, d: int, r: int, M: int) -> GammaData:
 
 
 def gamma_top_reference(g: int, d: int, r: int, M: int) -> GrrElement:
-    """The predicted top k-power: (-1)^r/r! times the factorial composition sum."""
+    """The predicted top k-power: (-1)^r/r! times the factorial composition
+    sum of weight M-2r+1 (zero below 0), each C(a) written as FC_a."""
     ctx = GrrContext(g, d, r)
-    N = M - 2 * r + 1
-    if N < 0:
-        return GrrElement.zero(ctx)
-    result = GrrElement.zero(ctx)
-    for mono in _compositions(N, r, g - 1):
-        coeff = _orderings(mono)
+    terms = {}
+    for mono, coeff in _g_power_coefficient(g, r, M - 2 * r + 1).terms.items():
         exp = [0] * ctx.nvars
         for a in mono:
-            coeff *= factorial(a + 1)
             exp[ctx.fc_index(a)] += 1
-        result = result + GrrElement(ctx, {tuple(exp): coeff})
-    return result * Fraction((-1) ** r, factorial(r))
+        terms[tuple(exp)] = coeff * Fraction((-1) ** r, factorial(r))
+    return GrrElement(ctx, terms)
 
 
 def derive_theorem1(g: int, d: int, r: int, M: int) -> TautElement:

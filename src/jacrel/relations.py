@@ -12,9 +12,11 @@ parameter pair (d, r) on a genus-g curve class:
 
 No power is expanded: the algebra is free and C(a) carries t^(a+2), so a
 monomial m = (a_1..a_s) of bidegree (s, w) appears only at t^(2s+w), with
-coefficient orderings(m) * prod (a_i+1)! in G(t)^s and orderings(m) *
-prod P_{a_i+2}(u) in H(u,t)^s.  The herbaut7 coefficient is orderings(m)
-times [u^(d-r+s)] of prod P_{a_i+2}(u)/(1+u), which is B_{d-r+s}(a_1+1..a_s+1).
+coefficient orderings(m) * Q_m(u) in H(u,t)^s, Q_m(u) = prod P_{a_i+2}(u),
+one cached integer product per monomial (``_h_product``).  P_{a+2}(u) has
+leading term (a+1)! u^(a+2), so G(t) is the top-u part of H(u,t): the
+vdgk6 and theorem1 coefficients read the top coefficient of Q_m, and the
+herbaut7 one is [u^(d-r+s)] of Q_m(u)/(1+u), B_{d-r+s}(a_1+1..a_s+1).
 
 ``compare_ideals`` decides, bidegree by bidegree and by exact rank
 computations, whether two families generate the same graded ideal; it also
@@ -36,13 +38,14 @@ chain.  All three series are linear in the generators, so each is a scalar
 Laurent series over Q per generator: h_a = P_{a+2}(1/x) in H(1/x,t),
 (a+1)! log(1+x)^-(a+2) in G(t/log(1+x)), and their difference e_a in eps.
 The expansion is then checked one monomial m = (a_1..a_s) at a time:
-prod h_{a_i} against the sum, over position sets S, of the G-part of S times
-prod_{i not in S} e_{a_i}.  Position sets that choose the same sub-multiset
-of weights give the same term, so each sub-multiset is computed once and
-scaled by its multiplicity.  Neither this identity nor its terms depend on g
-or d: only the vdgk6 cut |S| + sum_{i in S} a_i <= d-r does.  So each
-(monomial, x-order) gets one cached table, the verdict and the terms summed
-by that cut weight, and every d adds up the terms it keeps.
+Q_m(1/x), read off the same integer product, against the sum, over
+position sets S, of the G-part of S times prod_{i not in S} e_{a_i}.
+Position sets that choose the same sub-multiset of weights give the same
+term, so each sub-multiset is computed once and scaled by its multiplicity.
+Neither this identity nor its terms depend on g or d: only the vdgk6 cut
+|S| + sum_{i in S} a_i <= d-r does.  So each (monomial, x-order) gets one
+cached table, the verdict and the terms summed by that cut weight, and
+every d adds up the terms it keeps.
 
 Note that eps has x-exponents >= 0 but genuinely nonzero x^0 terms
 (Bernoulli values B_n/n for even n = a+2), so the sharpest certifiable bound
@@ -61,8 +64,8 @@ from math import factorial, gcd, lcm, prod
 
 from .combinat import _bare_log_inv_pow, p_poly, principal_part, stirling2
 from .linalg import RowSpace
-from .rings import QQ, LaurentSeries, TruncationError, InvariantViolation, min_trunc
-from .tautalg import Monomial, TautElement, _mono_mul, mono_key
+from .rings import QQ, LaurentSeries, TruncationError, InvariantViolation, _rational, min_trunc
+from .tautalg import Monomial, TautElement, _canonical_monomial, _mono_mul, mono_key
 
 FAMILY_IDS = ("theorem1", "vdgk6", "herbaut7", "strong8")
 
@@ -128,16 +131,36 @@ def _orderings(mono: Monomial) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
+def _p_coefficients(n: int) -> tuple[int, ...]:
+    """Integer coefficients of P_n(u), u^0 first, certified to vanish at
+    u = -1, so that every product of them is exactly divisible by (1+u)."""
+    coeffs = tuple(int(c) for c in p_poly(n).coeffs)
+    if sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs)):
+        raise InvariantViolation(f"P_{n}(-1) != 0: (1+u) does not divide H(u,t)")
+    return coeffs
+
+
+@lru_cache(maxsize=None)
+def _h_product(mono: Monomial) -> tuple[int, ...]:
+    """Integer coefficients, u^0 first, of Q_m(u) = prod P_{a_i+2}(u) for
+    m = (a_1..a_s), built on Q of m without its last weight.  The top one,
+    at u^(2s + sum a_i), is prod (a_i+1)!."""
+    if not mono:
+        return (1,)
+    head, tail = _h_product(mono[:-1]), _p_coefficients(mono[-1] + 2)
+    out = [0] * (len(head) + len(tail) - 1)
+    for i, x in enumerate(head):
+        for j, y in enumerate(tail):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 def _g_power_coefficient(g: int, s: int, w: int) -> TautElement:
-    """The t^(2s+w) coefficient of G(t)^s: orderings(m) * prod (a_i+1)! at each
-    monomial m = (a_1..a_s) of weight w."""
-    terms: dict[Monomial, int] = {}
-    for mono in _compositions(w, s, g - 1):
-        coeff = _orderings(mono)
-        for a in mono:
-            coeff *= factorial(a + 1)
-        terms[mono] = coeff
-    return TautElement._trusted(g, terms)
+    """The t^(2s+w) coefficient of G(t)^s: orderings(m) times the top
+    coefficient prod (a_i+1)! of Q_m(u) at each monomial m of bidegree (s, w)."""
+    return TautElement._trusted(g, {mono: _orderings(mono) * _h_product(mono)[-1]
+                                    for mono in monomials_of_bidegree(g, s, w)})
 
 
 def gen_theorem1(g: int, d: int, r: int, N: int) -> TautElement:
@@ -162,62 +185,37 @@ def theorem1_family(g: int, d: int, r: int, N: int) -> RelationFamily:
     return RelationFamily("theorem1", g, d, r, items)
 
 
-def _p_coefficient_lists(g: int) -> list[list[int]]:
-    """Integer coefficients of P_{a+2}(u), a < g, certified to vanish at u = -1,
-    so that every product of them is exactly divisible by (1+u)."""
-    lists = []
-    for a in range(g):
-        coeffs = [int(c) for c in p_poly(a + 2).coeffs]
-        if sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs)):
-            raise InvariantViolation(f"P_{a + 2}(-1) != 0: (1+u) does not divide H(u,t)")
-        lists.append(coeffs)
-    return lists
-
-
 def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
     """Generate one of the three relation families, deterministically ordered.
 
-    Each item is assembled monomial by monomial from the closed forms of the
-    coefficients of G(t)^s and H(u,t)^s; no power is expanded.
+    Items are read monomial by monomial off Q_m(u) (``_h_product``): with
+    k = d-r+s, strong8 takes its u^e coefficients for e > k, herbaut7 the
+    u^k one of Q_m(u)/(1+u), vdgk6 the top one, u^(2s+w), if 2s+w > k.
     """
     _validate_params(g, d, r)
     if family_id not in ("vdgk6", "herbaut7", "strong8"):
         raise ValueError(f"unknown family {family_id!r}")
     items: list[RelationItem] = []
-    if family_id == "vdgk6":
-        for s in range(1, r + 1):
-            bound = d - r + s
-            for n in range(max(2 * s, bound + 1), s * (g + 1) + 1):
-                items.append(RelationItem(s=s, t_exp=n,
-                                          element=_g_power_coefficient(g, s, n - 2 * s)))
-    else:
-        p_lists = _p_coefficient_lists(g)
-        # prod P_{a_i+2}(u) per monomial; size s-1 is complete before size s
-        products: dict[Monomial, list[int]] = {(): [1]}
-        for s in range(1, r + 1):
-            k = d - r + s
-            for w in range(0, s * (g - 1) + 1):
-                by_u: dict[int, dict[Monomial, int]] = {}
-                for mono in monomials_of_bidegree(g, s, w):
-                    head, tail = products[mono[:-1]], p_lists[mono[-1]]
-                    prod = [0] * (len(head) + len(tail) - 1)
-                    for i, x in enumerate(head):
-                        for j, y in enumerate(tail):
-                            prod[i + j] += x * y
-                    products[mono] = prod
-                    if family_id == "strong8":
-                        coeffs = {e: prod[e] for e in range(k + 1, len(prod))}
-                    else:  # herbaut7: [u^k] of prod / (1+u)
-                        coeffs = {k: sum((-1) ** (k - i) * prod[i]
-                                         for i in range(min(k + 1, len(prod))))}
-                    weight = _orderings(mono)
-                    for e, c in coeffs.items():
-                        if c:
-                            by_u.setdefault(e, {})[mono] = weight * c
-                for e in sorted(by_u):
-                    items.append(RelationItem(
-                        s=s, t_exp=2 * s + w, element=TautElement._trusted(g, by_u[e]),
-                        u_exp=e if family_id == "strong8" else None))
+    for s in range(1, r + 1):
+        k = d - r + s
+        for w in range(0, s * (g - 1) + 1):
+            by_u: dict[int, dict[Monomial, int]] = {}
+            for mono in monomials_of_bidegree(g, s, w):
+                q = _h_product(mono)
+                if family_id == "herbaut7":  # [u^k] of q / (1+u)
+                    coeffs = {k: sum((-1) ** (k - i) * q[i]
+                                     for i in range(min(k + 1, len(q))))}
+                else:
+                    first = k + 1 if family_id == "strong8" else max(k + 1, 2 * s + w)
+                    coeffs = {e: q[e] for e in range(first, len(q))}
+                weight = _orderings(mono)
+                for e, c in coeffs.items():
+                    if c:
+                        by_u.setdefault(e, {})[mono] = weight * c
+            for e in sorted(by_u):
+                items.append(RelationItem(
+                    s=s, t_exp=2 * s + w, element=TautElement._trusted(g, by_u[e]),
+                    u_exp=e if family_id == "strong8" else None))
     items.sort(key=lambda it: (it.s, it.t_exp, -1 if it.u_exp is None else it.u_exp))
     return RelationFamily(family_id, g, d, r, tuple(items))
 
@@ -487,13 +485,14 @@ def epsilon_series(g: int, x_order: int) -> EpsilonReport:
     )
 
 
-def _split_terms(mono: Monomial, h, e, x_order: int
+def _split_terms(mono: Monomial, e, x_order: int
                  ) -> tuple[bool, tuple[tuple[int, LaurentSeries], ...]]:
     """Both sides of the binomial identity at one monomial m = (a_1..a_s).
 
-    The coefficient of m in H(1/x,t)^s is orderings(m) * prod h_{a_i}; in
-    G(t/log(1+x))^|S| eps^(s-|S|), summed over the position sets S, it is
-    orderings(m) times sum_S G_S * prod_{i not in S} e_{a_i}, where
+    The coefficient of m in H(1/x,t)^s is orderings(m) * Q_m(1/x), read off
+    the integer table ``_h_product``; in G(t/log(1+x))^|S| eps^(s-|S|),
+    summed over the position sets S, it is orderings(m) times
+    sum_S G_S * prod_{i not in S} e_{a_i}, where
     G_S = prod_{i in S} (a_i+1)! * log(1+x)^-(2|S| + sum_{i in S} a_i).
     Position sets that choose the same sub-multiset of weights have the same
     term, so each sub-multiset is computed once and scaled by its
@@ -501,12 +500,11 @@ def _split_terms(mono: Monomial, h, e, x_order: int
     whether the two sides agree, and the right-hand side split by the vdgk6
     cut k = |S| + sum_{i in S} a_i as (k, sum of the terms with that k) in
     ascending k; k = 0 only for S empty.  The common factor orderings(m) is
-    dropped from both.  Nothing here depends on g or d; h and e map each
-    weight a of m to h_a and e_a.
+    dropped from both.  Nothing here depends on g or d; e maps each weight a
+    of m to e_a.
     """
-    lhs = LaurentSeries.monomial(QQ, 0)
-    for a in mono:
-        lhs = lhs * h[a]
+    q = _h_product(mono)
+    lhs = LaurentSeries(QQ, 1 - len(q), reversed(q))
     picks = Counter(tuple(mono[i] for i in chosen) for size in range(len(mono) + 1)
                     for chosen in combinations(range(len(mono)), size))
     by_k: dict[int, LaurentSeries] = {}
@@ -527,11 +525,9 @@ def _split_terms(mono: Monomial, h, e, x_order: int
 @lru_cache(maxsize=_CACHE_SIZE)
 def _split_table(mono: Monomial, x_order: int
                  ) -> tuple[bool, tuple[tuple[int, LaurentSeries], ...]]:
-    """``_split_terms`` on h_a = P_{a+2}(1/x) and e_a, cached per monomial
-    and x-order: one table serves every g and d."""
-    h = {a: principal_part(a + 2) for a in set(mono)}
-    e = {a: _e_part(a + 2, x_order) for a in set(mono)}
-    return _split_terms(mono, h, e, x_order)
+    """``_split_terms`` on e_a, cached per monomial and x-order: one table
+    serves every g and d."""
+    return _split_terms(mono, {a: _e_part(a + 2, x_order) for a in set(mono)}, x_order)
 
 
 def _kept_sum(terms: tuple[tuple[int, LaurentSeries], ...],
@@ -697,16 +693,17 @@ def family_to_json(family: RelationFamily) -> str:
 
 def family_from_jsonable(data: dict) -> RelationFamily:
     """The family of ``family_to_jsonable``.  Coefficients are strings or
-    integers (a JSON float raises ``TypeError``); the coefficients of one
-    monomial, in any order of its weights, add up."""
+    integers and weights are integers (a JSON float or boolean raises
+    ``TypeError``); the coefficients of one monomial, in any order of its
+    weights, add up."""
     g = data["g"]
     items = []
     for entry in data["items"]:
         terms: dict[Monomial, int | Fraction] = {}
         for term in entry["element"]:
-            mono, coeff = tuple(term["monomial"]), term["coeff"]
+            mono, coeff = _canonical_monomial(g, term["monomial"]), term["coeff"]
             terms[mono] = terms.get(mono, 0) + (Fraction(coeff) if isinstance(coeff, str)
-                                                else coeff)
+                                                else _rational(coeff))
         items.append(RelationItem(s=entry["s"], t_exp=entry["t_exp"],
                                   element=TautElement(g, terms), u_exp=entry.get("u_exp")))
     return RelationFamily(data["family"], g, data["d"], data["r"], tuple(items))

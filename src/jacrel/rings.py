@@ -69,8 +69,8 @@ def _check_field(ring: Any) -> None:
 
 
 def _rational(c: Any) -> int | Fraction:
-    """c itself if it is an exact rational (int or Fraction)."""
-    if not isinstance(c, (int, Fraction)):
+    """c itself if it is an exact rational (int or Fraction, not bool)."""
+    if not isinstance(c, (int, Fraction)) or type(c) is bool:
         raise TypeError(f"{type(c).__name__} {c!r} is not an exact rational")
     return c
 

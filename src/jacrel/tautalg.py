@@ -41,14 +41,23 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(m1 + m2, reverse=True))
 
 
+def _canonical_monomial(g: int, weights) -> Monomial:
+    """The weights, each an ``int`` (not a ``bool``) in [0, g-1], sorted."""
+    if any(type(w) is not int for w in weights):
+        raise TypeError(f"generator weights must be ints: {weights}")
+    if any(w < 0 or w >= g for w in weights):
+        raise ValueError(f"generator weight out of range [0, {g - 1}]: {weights}")
+    return tuple(sorted(weights, reverse=True))
+
+
 class TautElement(SparseElement):
     """Element of the free algebra: a finite Q-linear combination of monomials.
 
     Monomials are stored as weakly decreasing weight tuples, in the normal
     form of :class:`~jacrel.rings.SparseElement`.  The constructor sorts
-    each monomial, checks its weights, rejects anything but
-    ``int``/``Fraction`` coefficients (``TypeError``) and sums the
-    coefficients of monomials that sort alike; products and sums, whose
+    each monomial and checks its weights (``_canonical_monomial``), rejects
+    anything but ``int``/``Fraction`` coefficients (``TypeError``) and sums
+    the coefficients of monomials that sort alike; products and sums, whose
     monomials are canonical by construction, go through ``_trusted``.
     """
 
@@ -60,9 +69,7 @@ class TautElement(SparseElement):
             raise ValueError("ambient genus parameter must be >= 1")
         summed: dict[Monomial, int | Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            if any(w < 0 or w >= g for w in mono):
-                raise ValueError(f"generator weight out of range [0, {g - 1}]: {mono}")
-            key = tuple(sorted(mono, reverse=True))
+            key = _canonical_monomial(g, mono)
             coeff = _rational(coeff)
             summed[key] = summed[key] + coeff if key in summed else coeff
         return cls._trusted(g, summed)

@@ -70,6 +70,25 @@ class TestExitCodes:
                          "--family", "theorem1")
         assert result.returncode == 2
 
+    def test_n_only_with_theorem1(self):
+        result = run_cli("relations", "--g", "4", "--d", "5", "--r", "2",
+                         "--family", "vdgk6", "--N", "3")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: --N applies only to --family theorem1\n"
+
+    def test_identities_report_the_first_b_grid_mismatch(self, monkeypatch, capsys):
+        from jacrel import combinat
+        real = combinat.b_gen
+        bad = {(4, (1,)), (2, (3, 0))}  # (d, r, a) order meets d=2 first
+        monkeypatch.setattr(combinat, "b_gen",
+                            lambda d, a: real(d, a) + (1 if (d, a) in bad else 0))
+        assert main(["identities", "--max-n", "2", "--order", "2"]) == 1
+        out = capsys.readouterr().out
+        assert ("  FAIL  b_sum_equals_b_gen(grid d<=5, r<=2, a_i<=3)  [d=2, a=(3, 0)]\n"
+                in out)
+        assert out.endswith("overall: FAIL\n")
+
     def test_grr_m_below_d(self):
         result = run_cli("grr", "--g", "3", "--d", "4", "--r", "1", "--M", "3")
         assert result.returncode == 2

@@ -4,12 +4,14 @@ Values are immutable and operations pure, so parallel evaluation must give
 byte-identical results to serial evaluation.  The shared structures are the
 module caches: the Stirling memo table, whose writers are idempotent, and the
 ``functools.lru_cache``s (``monomials_of_bidegree``, ``_bare_log_inv_pow``,
-the chain's ``_e_part`` and ``_split_table``, and the GRR replay's ``ch_vk``),
-which lock their own bookkeeping; two threads may both compute a missing
-entry, and they compute the same value.  Two pieces of state are kept on
-values.  A family's ``GradedSpan`` publishes a cell only once the cell is
-complete, so threads that compare the same family at once can at most build
-a cell twice, with the same rows.  The ``ChernData`` that ``ch_vk`` shares per
+the per-monomial products ``_h_product`` and the certified P_n coefficients
+``_p_coefficients`` they are built from, the chain's ``_e_part`` and
+``_split_table``, and the GRR replay's ``ch_vk``), which lock their own
+bookkeeping; two threads may both compute a missing entry, and they compute
+the same value.  Two pieces of state are kept on values.  A family's
+``GradedSpan`` publishes a cell only once the cell is complete, so threads
+that compare the same family at once can at most build a cell twice, with
+the same rows.  The ``ChernData`` that ``ch_vk`` shares per
 (g, d, r) carries the Chern-class memo of ``chern_classes``, which is
 replaced, under a lock, only by a complete longer tower: threads that ask for
 different lengths at once never read a partial tower, and at worst compute
@@ -23,8 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_split_table, compare_ideals, family_to_json, gen_family,
-                              verify_implication_chain)
+from jacrel.relations import (_h_product, _p_coefficients, _split_table, compare_ideals,
+                              family_to_json, gen_family, verify_implication_chain)
 
 FAMILIES = ("vdgk6", "herbaut7", "strong8")
 
@@ -33,12 +35,17 @@ def test_parallel_family_generation_is_deterministic():
     params = [("vdgk6", 4, 5, 2), ("herbaut7", 4, 5, 2), ("strong8", 4, 5, 2),
               ("vdgk6", 3, 4, 2), ("strong8", 5, 6, 2), ("herbaut7", 3, 6, 3)]
     serial = [family_to_json(gen_family(*p)) for p in params]
+    # cold product tables, so the threads race to build the same entries
+    _h_product.cache_clear()
+    _p_coefficients.cache_clear()
     with ThreadPoolExecutor(max_workers=6) as pool:
         parallel = list(pool.map(lambda p: family_to_json(gen_family(*p)), params))
     assert parallel == serial
 
 
 def test_same_family_from_many_threads():
+    _h_product.cache_clear()
+    _p_coefficients.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
         outputs = list(pool.map(
             lambda _: family_to_json(gen_family("strong8", 4, 6, 2)), range(16)))

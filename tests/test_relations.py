@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -129,8 +129,29 @@ class TestGenFamily:
         real = relations.p_poly
         monkeypatch.setattr(relations, "p_poly",
                             lambda n: real(n) + real(1) if n == 3 else real(n))
-        with pytest.raises(InvariantViolation):
-            gen_family("herbaut7", 3, 4, 2)
+        # the certified coefficients are cached: start from empty caches, and
+        # leave nothing built from the perturbed P_3 to later tests
+        caches = (relations._p_coefficients, relations._h_product)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            with pytest.raises(InvariantViolation):
+                gen_family("herbaut7", 3, 4, 2)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
+    def test_families_share_one_product_per_monomial(self):
+        # the three families at two values of d read one table: each
+        # monomial of size <= r, and (), is built once
+        from jacrel.relations import _h_product
+        g, d, r = 4, 5, 3
+        _h_product.cache_clear()
+        for dd in (d, d + 1):
+            for fid in ("vdgk6", "herbaut7", "strong8"):
+                gen_family(fid, g, dd, r)
+        expected = 1 + sum(comb(g + s - 1, s) for s in range(1, r + 1))
+        assert _h_product.cache_info().misses == expected
 
     def test_bad_family_id(self):
         with pytest.raises(ValueError):
@@ -393,19 +414,17 @@ class TestImplicationChain:
     def test_identity9_comparison_is_not_vacuous(self):
         # a perturbed e_a must be detected: the window each monomial's two
         # sides are compared on is nonempty, so the certification has teeth
-        from jacrel.combinat import principal_part
         from jacrel.relations import _split_terms
         from jacrel.rings import QQ, LaurentSeries
         g, x_order = 3, 8
-        h = [principal_part(a + 2) for a in range(g)]
         e = [epsilon_series(g, x_order).parts[a + 2] for a in range(g)]
         perturbed = list(e)
         perturbed[0] = e[0] + LaurentSeries(QQ, 0, (F(1),), x_order)
         for mono in ((0,), (2, 0), (1, 0, 0)):
-            assert _split_terms(mono, h, e, x_order)[0], mono
-            assert not _split_terms(mono, h, perturbed, x_order)[0], mono
+            assert _split_terms(mono, e, x_order)[0], mono
+            assert not _split_terms(mono, perturbed, x_order)[0], mono
         # a monomial without C(0) never sees the perturbed series
-        assert _split_terms((2, 1), h, perturbed, x_order)[0]
+        assert _split_terms((2, 1), perturbed, x_order)[0]
 
     def test_matches_algebra_valued_reference_at_low_orders(self):
         # field for field, including the truncation-driven min_x_exponent and
@@ -526,3 +545,19 @@ class TestFamilyJson:
                         {"monomial": [1, 0], "coeff": 2}]) == cross * F(5, 2)
         with pytest.raises(TypeError):
             element([{"monomial": [1, 0], "coeff": 0.1}])
+
+    def test_json_non_int_weights_and_bool_coefficients_rejected(self):
+        def element(terms):
+            payload = {"family": "vdgk6", "g": 3, "d": 4, "r": 2, "items": [
+                {"s": 1, "t_exp": 2, "element": terms}]}
+            return family_from_jsonable(payload).items[0].element
+
+        for terms in ([{"monomial": [0.0], "coeff": "1"}],
+                      [{"monomial": [True], "coeff": "1"}],
+                      # the bool weight must not merge into the int monomial
+                      [{"monomial": [1], "coeff": "1"}, {"monomial": [True], "coeff": "1"}],
+                      [{"monomial": [0], "coeff": True}],
+                      [{"monomial": [0], "coeff": "1"}, {"monomial": [0], "coeff": False}]):
+            with pytest.raises(TypeError):
+                element(terms)
+        assert element([{"monomial": [0], "coeff": 1}]) == C(3, 0)

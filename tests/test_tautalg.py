@@ -87,6 +87,17 @@ class TestExactCoefficients:
         with pytest.raises(TypeError):
             C(3, 0) * 0.5
 
+    def test_non_int_weights_and_bool_coefficients_rejected(self):
+        for weights in ((1.5,), (0.0,), (True,), (2, False)):
+            with pytest.raises(TypeError):
+                TautElement(3, {weights: 1})
+        with pytest.raises(TypeError):
+            TautElement(3, {(1,): True})
+        with pytest.raises(TypeError):
+            TautElement.monomial(3, (0,), False)
+        with pytest.raises(ValueError):
+            TautElement(3, {(3,): 1})
+
     def test_integral_coefficients_are_ints(self):
         elt = C(3, 0) * F(1, 2) + C(3, 0) * F(1, 2) + C(3, 1) * F(1, 3)
         assert elt.terms == {(0,): 1, (1,): F(1, 3)}
