@@ -9,7 +9,7 @@ Grothendieck-Riemann-Roch replay that re-derives the relation family from
 Chern-class vanishing.
 """
 
-from .rings import (QQ, DensePoly, InvariantViolation, LaurentSeries, TruncationError,
+from .rings import (DensePoly, InvariantViolation, LaurentSeries, TruncationError,
                     laurent_pow_inv, log1p_series, series_exp)
 from .combinat import (IdentityReport, b_gen, b_sum, inv_log1p_pow, p_poly,
                        stirling2, verify_identity4)
@@ -26,7 +26,7 @@ from .grr import (ChernData, GammaData, GrrContext, GrrElement, UpstairsTerm,
 __version__ = "0.1.0"
 
 __all__ = [
-    "QQ", "DensePoly", "InvariantViolation", "LaurentSeries", "TruncationError",
+    "DensePoly", "InvariantViolation", "LaurentSeries", "TruncationError",
     "laurent_pow_inv", "log1p_series", "series_exp",
     "IdentityReport", "b_gen", "b_sum", "inv_log1p_pow", "p_poly", "stirling2",
     "verify_identity4",

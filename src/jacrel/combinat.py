@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .rings import (QQ, DensePoly, LaurentSeries, laurent_pow_inv, log1p_series,
+from .rings import (DensePoly, LaurentSeries, laurent_pow_inv, log1p_series,
                     series_exp)
 
 P_ROUTES = ("stirling", "genfunc", "laurent")
@@ -80,21 +80,21 @@ def _p_stirling(n: int) -> DensePoly:
     coeffs = [Fraction(0)] * (n + 1)
     for m in range(1, n + 1):
         coeffs[m] = Fraction(factorial(m - 1) * stirling2(n, m))
-    return DensePoly(QQ, coeffs)
+    return DensePoly(coeffs)
 
 
 def _p_genfunc(n: int) -> DensePoly:
     # [u^m] u e^t / (1 - u(e^t - 1)) = e^t (e^t - 1)^(m-1), whose t-valuation
     # m-1 bounds m by n below the truncation at t^n
-    t = LaurentSeries.monomial(QQ, 1, trunc=n)
+    t = LaurentSeries.monomial(1, trunc=n)
     e_t = series_exp(t, n)
-    em1 = e_t - LaurentSeries.monomial(QQ, 0, trunc=n)
+    em1 = e_t - LaurentSeries.monomial(0, trunc=n)
     coeffs = [Fraction(0)]
     power = e_t
     for _ in range(n):
         coeffs.append(power.coeff(n - 1) * factorial(n - 1))
         power = (power * em1).truncate(n)
-    return DensePoly(QQ, coeffs)
+    return DensePoly(coeffs)
 
 
 def _p_laurent(n: int) -> DensePoly:
@@ -102,7 +102,7 @@ def _p_laurent(n: int) -> DensePoly:
     coeffs = [Fraction(0)] * (n + 1)
     for m in range(1, n + 1):
         coeffs[m] = expansion.coeff(-m)
-    return DensePoly(QQ, coeffs)
+    return DensePoly(coeffs)
 
 
 def p_poly(n: int, route: str = "stirling") -> DensePoly:
@@ -124,7 +124,7 @@ def p_poly(n: int, route: str = "stirling") -> DensePoly:
 
 def principal_part(n: int) -> LaurentSeries:
     """P_n(1/x) as an exact Laurent polynomial."""
-    return LaurentSeries(QQ, -n, tuple(reversed(p_poly(n).coeffs[1:])))
+    return LaurentSeries(-n, tuple(reversed(p_poly(n).coeffs[1:])))
 
 
 def b_sum(d: int, a: tuple[int, ...]) -> Fraction:
@@ -167,7 +167,7 @@ def b_gen(d: int, a: tuple[int, ...]) -> Fraction:
         raise ValueError("d must be >= 0")
     if not a or any(e < 0 for e in a):
         raise ValueError("exponent tuple must be nonempty with entries >= 0")
-    prod = DensePoly.one(QQ)
+    prod = DensePoly.one()
     for e in a:
         prod = (prod * p_poly(e + 1)).truncate(d + 1)
     return sum(((-1) ** j * prod.coeff(d - j) for j in range(d + 1)),

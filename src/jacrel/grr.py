@@ -43,7 +43,7 @@ from threading import Lock
 from typing import Any, Iterator, NamedTuple
 
 from .relations import _g_power_coefficient, gen_theorem1
-from .rings import InvariantViolation, SparseElement, _rational
+from .rings import _EXACT_TYPES, InvariantViolation, SparseElement, _rational
 from .tautalg import Monomial, TautElement
 
 # Bound on the ``ch_vk`` cache, keyed by (g, d, r); the criterion-7 grid
@@ -206,7 +206,7 @@ class GrrElement(SparseElement):
                     exp = tuple(map(add, e1, e2))
                     terms[exp] = terms.get(exp, 0) + c1 * c2
             return GrrElement._trusted(self.ctx, terms)
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _EXACT_TYPES:
             return GrrElement._trusted(self.ctx, {e: c * other for e, c in self.terms.items()})
         return NotImplemented
 
@@ -221,27 +221,16 @@ class GrrElement(SparseElement):
         return tuple(GrrElement._trusted(self.ctx, split.get(j, {}))
                      for j in range(max(split, default=0) + 1))
 
-    def _stripped(self, idx: int, m: int) -> "GrrElement":
-        """The coefficient of variable idx at power m, with idx stripped."""
-        terms = {}
-        for e, c in self.terms.items():
-            if e[idx] == m:
-                stripped = list(e)
-                stripped[idx] = 0
-                terms[tuple(stripped)] = c
-        return GrrElement._trusted(self.ctx, terms)
-
     def xi_coefficient(self, m: int) -> "GrrElement":
         """The coefficient of xi^m, with the xi variable stripped."""
-        return self._stripped(self.ctx.xi_index, m)
-
-    def k_coefficient(self, s: int) -> "GrrElement":
-        """The coefficient of k^s, with the k variable stripped."""
-        return self._stripped(0, s)
-
-    @property
-    def k_degree(self) -> int:
-        return max((e[0] for e in self.terms), default=0)
+        xi = self.ctx.xi_index
+        terms = {}
+        for e, c in self.terms.items():
+            if e[xi] == m:
+                stripped = list(e)
+                stripped[xi] = 0
+                terms[tuple(stripped)] = c
+        return GrrElement._trusted(self.ctx, terms)
 
     @property
     def min_xi_exponent(self) -> int:
@@ -514,15 +503,13 @@ class GammaData:
     def theorem1(self) -> TautElement:
         """Re-derive the factorial composition relation from this data.
 
-        Takes the top k-power, clears the (-1)^r/r! scalar, maps FC monomials
-        to algebra generators, and cross-checks the result against the
-        relations module.  Any mismatch raises InvariantViolation.
+        Takes the top k-power, clears the (-1)^r/r! scalar, maps it through
+        ``to_taut`` (which raises on any k, xi or Todd unknown) and checks the
+        result against the relations module's composition sum; a mismatch
+        raises InvariantViolation.
         """
         g, d, r = self.ctx.g, self.ctx.d, self.ctx.r
-        top = self.gamma(self.M + 1)
-        if top.uses_todd_unknowns():
-            raise InvariantViolation("top k-power still involves Todd unknowns")
-        element = (top * ((-1) ** r * factorial(r))).to_taut()
+        element = (self.gamma(self.M + 1) * ((-1) ** r * factorial(r))).to_taut()
         N = self.M - 2 * r + 1
         expected = gen_theorem1(g, d, r, N) if N >= 0 else TautElement.zero(g)
         if element != expected:
@@ -539,11 +526,10 @@ def gamma_extract(g: int, d: int, r: int, M: int) -> GammaData:
     top = data.c_j(M + 1)
     xi_r = top.xi_coefficient(r)
     signed = xi_r * (-1) ** (M + 1)
-    gammas: dict[int, GrrElement] = {}
-    for s in range(signed.k_degree + 1):
-        piece = signed.k_coefficient(s)
-        if not piece.is_zero:
-            gammas[s] = piece
+    split: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
+    for e, c in signed.terms.items():
+        split.setdefault(e[0], {})[(0,) + e[1:]] = c
+    gammas = {s: GrrElement._trusted(data.ctx, split[s]) for s in sorted(split)}
     return GammaData(ctx=data.ctx, M=M, xi_r_part=signed, gammas=gammas)
 
 

@@ -2,9 +2,9 @@
 and the sparse-term kernel of the algebras built on them.
 
 Everything here is exact; there are no floats anywhere.  Both dense
-containers are over the rationals only: their first constructor argument is
-``QQ``, and their coefficients and scalar factors must be ``int`` or
-``Fraction``; anything else raises ``TypeError``.
+containers are over the rationals only: their coefficients and scalar
+factors must be exactly ``int`` or ``Fraction`` (``_EXACT_TYPES``, so never a
+``bool``); anything else raises ``TypeError``.
 
 A :class:`SparseElement` is an immutable ``monomial -> int | Fraction`` map
 with no zero coefficient and every integral coefficient an ``int``.  It
@@ -50,8 +50,8 @@ class InvariantViolation(RuntimeError):
     """An internal cross-check that must hold by construction has failed."""
 
 
-#: The rationals, the one coefficient field; ``QQ(n, d)`` is the Fraction n/d.
-QQ = Fraction
+# Exactly int or Fraction, never a bool; tested inline, as products are hot paths.
+_EXACT_TYPES = (int, Fraction)
 
 
 def min_trunc(a: int | None, b: int | None) -> int | None:
@@ -63,14 +63,9 @@ def min_trunc(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def _check_field(ring: Any) -> None:
-    if ring is not QQ:
-        raise TypeError(f"coefficients must lie in QQ, not {ring!r}")
-
-
 def _rational(c: Any) -> int | Fraction:
     """c itself if it is an exact rational (int or Fraction, not bool)."""
-    if not isinstance(c, (int, Fraction)) or type(c) is bool:
+    if type(c) not in _EXACT_TYPES:
         raise TypeError(f"{type(c).__name__} {c!r} is not an exact rational")
     return c
 
@@ -84,8 +79,7 @@ class DensePoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, ring: Any, coeffs: Iterable[int | Fraction] = ()) -> None:
-        _check_field(ring)
+    def __init__(self, coeffs: Iterable[int | Fraction] = ()) -> None:
         coeffs = [c if type(c) is Fraction else Fraction(_rational(c)) for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
@@ -95,18 +89,18 @@ class DensePoly:
         raise AttributeError("DensePoly is immutable")
 
     @classmethod
-    def zero(cls, ring: Any) -> "DensePoly":
-        return cls(ring, ())
+    def zero(cls) -> "DensePoly":
+        return cls(())
 
     @classmethod
-    def one(cls, ring: Any) -> "DensePoly":
-        return cls(ring, (1,))
+    def one(cls) -> "DensePoly":
+        return cls((1,))
 
     @classmethod
-    def monomial(cls, ring: Any, exp: int, coeff: int | Fraction = 1) -> "DensePoly":
+    def monomial(cls, exp: int, coeff: int | Fraction = 1) -> "DensePoly":
         if exp < 0:
             raise ValueError("DensePoly exponents must be >= 0")
-        return cls(ring, (0,) * exp + (coeff,))
+        return cls((0,) * exp + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -137,35 +131,35 @@ class DensePoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return DensePoly(QQ, out)
+        return DensePoly(out)
 
     def __sub__(self, other: "DensePoly") -> "DensePoly":
         return self + (-other)
 
     def __neg__(self) -> "DensePoly":
-        return DensePoly(QQ, tuple(-c for c in self.coeffs))
+        return DensePoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: Any) -> "DensePoly":
         if isinstance(other, DensePoly):
             if self.is_zero or other.is_zero:
-                return DensePoly.zero(QQ)
+                return DensePoly.zero()
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if not a:
                     continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + a * b
-            return DensePoly(QQ, out)
-        if not isinstance(other, (int, Fraction)):
+            return DensePoly(out)
+        if type(other) not in _EXACT_TYPES:
             return NotImplemented
-        return DensePoly(QQ, tuple(c * other for c in self.coeffs))
+        return DensePoly(tuple(c * other for c in self.coeffs))
 
     def __rmul__(self, other: Any) -> "DensePoly":
         return self.__mul__(other)
 
     def truncate(self, order: int) -> "DensePoly":
         """Drop all coefficients at exponents >= order."""
-        return DensePoly(QQ, self.coeffs[: max(order, 0)])
+        return DensePoly(self.coeffs[: max(order, 0)])
 
     def evaluate(self, point: Any) -> Any:
         """Evaluate by Horner's rule; the point must multiply with Fractions."""
@@ -201,9 +195,8 @@ class LaurentSeries:
 
     __slots__ = ("valuation", "nums", "den", "trunc")
 
-    def __init__(self, ring: Any, valuation: int,
-                 coeffs: Iterable[int | Fraction] = (), trunc: int | None = None) -> None:
-        _check_field(ring)
+    def __init__(self, valuation: int, coeffs: Iterable[int | Fraction] = (),
+                 trunc: int | None = None) -> None:
         coeffs = [_rational(c) for c in coeffs]
         den = lcm(*(c.denominator for c in coeffs))
         self._fill(valuation, [c.numerator * (den // c.denominator) for c in coeffs],
@@ -237,13 +230,13 @@ class LaurentSeries:
         raise AttributeError("LaurentSeries is immutable")
 
     @classmethod
-    def zero(cls, ring: Any, trunc: int | None = None) -> "LaurentSeries":
-        return cls(ring, 0, (), trunc)
+    def zero(cls, trunc: int | None = None) -> "LaurentSeries":
+        return cls(0, (), trunc)
 
     @classmethod
-    def monomial(cls, ring: Any, exp: int, coeff: int | Fraction = 1,
+    def monomial(cls, exp: int, coeff: int | Fraction = 1,
                  trunc: int | None = None) -> "LaurentSeries":
-        return cls(ring, exp, (coeff,), trunc)
+        return cls(exp, (coeff,), trunc)
 
     @property
     def coeffs(self) -> "FractionView":
@@ -303,12 +296,12 @@ class LaurentSeries:
 
     def __mul__(self, other: Any) -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
-            if not isinstance(other, (int, Fraction)):
+            if type(other) not in _EXACT_TYPES:
                 return NotImplemented
             return _series(self.valuation, [x * other.numerator for x in self.nums],
                            self.den * other.denominator, self.trunc)
         if (self.is_zero and self.trunc is None) or (other.is_zero and other.trunc is None):
-            return LaurentSeries.zero(QQ)
+            return LaurentSeries.zero()
         lo = self.valuation + other.valuation
         trunc = min_trunc(None if self.trunc is None else self.trunc + other.valuation,
                           None if other.trunc is None else other.trunc + self.valuation)

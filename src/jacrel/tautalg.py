@@ -23,7 +23,7 @@ from math import factorial
 from typing import Any, Iterator
 
 from .combinat import p_poly
-from .rings import SparseElement, _rational, min_trunc
+from .rings import _EXACT_TYPES, SparseElement, _rational, min_trunc
 
 Monomial = tuple[int, ...]
 
@@ -108,7 +108,7 @@ class TautElement(SparseElement):
                     mono = _mono_mul(m1, m2)
                     terms[mono] = terms.get(mono, 0) + c1 * c2
             return TautElement._trusted(self.g, terms)
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _EXACT_TYPES:
             return TautElement._trusted(self.g, {m: c * other for m, c in self.terms.items()})
         return NotImplemented
 
@@ -226,7 +226,7 @@ class BivarPoly:
                     prod = e1 * e2
                     terms[key] = terms[key] + prod if key in terms else prod
             return BivarPoly(self.g, terms, t_trunc)
-        if isinstance(other, (int, Fraction, TautElement)):
+        if type(other) in _EXACT_TYPES or isinstance(other, TautElement):
             return BivarPoly(self.g, {k: e * other for k, e in self.terms.items()},
                              self.t_trunc)
         return NotImplemented

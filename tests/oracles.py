@@ -15,7 +15,7 @@ from math import factorial, gcd
 from typing import Any
 
 from jacrel.grr import GrrElement
-from jacrel.rings import QQ, DensePoly, LaurentSeries, TruncationError, min_trunc
+from jacrel.rings import DensePoly, LaurentSeries, TruncationError, min_trunc
 
 
 def power(x, n: int):
@@ -188,6 +188,24 @@ def chern_classes_by_fractions(data, t_order):
     return tuple(c)
 
 
+def gammas_by_k_scan(signed):
+    """The k-power split of a ``GrrElement``, {s: coefficient of k^s with k
+    stripped} in ascending s without the zero ones, by one scan of the terms
+    per power s = 0..k-degree: the reference for ``grr.gamma_extract``'s
+    one-pass split."""
+    gammas = {}
+    for s in range(max((e[0] for e in signed.terms), default=0) + 1):
+        terms = {}
+        for e, c in signed.terms.items():
+            if e[0] == s:
+                stripped = list(e)
+                stripped[0] = 0
+                terms[tuple(stripped)] = c
+        if terms:
+            gammas[s] = GrrElement(signed.ctx, terms)
+    return gammas
+
+
 def pow_inv_by_products(s, n, order):
     """s^(-n) known below x^order, for a GenericSeries s over QQ_RING.
 
@@ -258,7 +276,7 @@ def rand_fraction(rng: random.Random) -> Fraction:
 
 def rand_poly(rng: random.Random, max_deg: int = 5) -> DensePoly:
     coeffs = [rand_fraction(rng) for _ in range(rng.randint(0, max_deg + 1))]
-    return DensePoly(QQ, coeffs)
+    return DensePoly(coeffs)
 
 
 def rand_laurent(rng: random.Random, min_val: int = -3) -> LaurentSeries:
@@ -266,7 +284,7 @@ def rand_laurent(rng: random.Random, min_val: int = -3) -> LaurentSeries:
     length = rng.randint(0, 5)
     coeffs = [rand_fraction(rng) for _ in range(length)]
     trunc = val + length + rng.randint(0, 3)
-    return LaurentSeries(QQ, val, coeffs, trunc)
+    return LaurentSeries(val, coeffs, trunc)
 
 
 def rand_taut(rng: random.Random, g: int):
@@ -540,7 +558,7 @@ def split_sums_by_position_sets(mono, h, e, x_order, kept_weights):
     """
     from itertools import combinations
     from math import factorial, prod
-    lhs = LaurentSeries.monomial(QQ, 0)
+    lhs = LaurentSeries.monomial(0)
     for a in mono:
         lhs = lhs * h[a]
     terms = []  # (|S| + sum_{i in S} a_i, term) per position set S
@@ -551,19 +569,19 @@ def split_sums_by_position_sets(mono, h, e, x_order, kept_weights):
                 scale = prod(factorial(a + 1) for a in weights)
                 term = _bare_log_inv_pow(2 * size + sum(weights), x_order) * scale
             else:
-                term = LaurentSeries.monomial(QQ, 0)
+                term = LaurentSeries.monomial(0)
             for i, a in enumerate(mono):
                 if i not in chosen:
                     term = term * e[a]
             terms.append((size + sum(weights), term))
-    full = sum((term for _, term in terms), LaurentSeries.zero(QQ))
+    full = sum((term for _, term in terms), LaurentSeries.zero())
     # cuts that keep the same position sets share one sum
     sums = {}
     kept = []
     for kept_weight in kept_weights:
         standing = tuple(i for i, (k, _) in enumerate(terms) if k == 0 or k <= kept_weight)
         if standing not in sums:
-            sums[standing] = sum((terms[i][1] for i in standing), LaurentSeries.zero(QQ))
+            sums[standing] = sum((terms[i][1] for i in standing), LaurentSeries.zero())
         kept.append(sums[standing])
     return lhs.agrees_with(full), kept
 
@@ -576,7 +594,7 @@ def _eps_powers(g, r, x_order, t_order):
     ring = _chain_ring(g)
 
     def principal(n):
-        return LaurentSeries(QQ, -n, tuple(reversed(p_poly(n).coeffs[1:])))
+        return LaurentSeries(-n, tuple(reversed(p_poly(n).coeffs[1:])))
 
     eps = XTSeries(ring, {a + 2: _lift(principal(a + 2) - inv_log1p_pow(a + 2, x_order),
                                        TautElement.generator(g, a), ring)
@@ -616,7 +634,7 @@ def _binomial_side(g, r, s, x_order, t_order, keep_below=None):
     return total
 
 
-def chain_by_xt_series(g, d, r, x_order=None, t_order=None):
+def chain_by_xt_series(g, d, r, x_order=None):
     """The implication-chain report from series with algebra coefficients.
 
     This is the reference route for ``verify_implication_chain``: eps(x,t),
@@ -631,7 +649,7 @@ def chain_by_xt_series(g, d, r, x_order=None, t_order=None):
     from jacrel.relations import ChainReport, DegreeBoundCheck, ScalarCheck
 
     x_order = 2 * (g + 2) if x_order is None else x_order
-    t_order = r * (g + 1) + 1 if t_order is None else t_order
+    t_order = r * (g + 1) + 1  # above the top t-degree of H(1/x,t)^r
     identity9_ok = _identity_holds(g, r, x_order, t_order)
     degree_checks = []
     for s in range(1, r + 1):
@@ -652,7 +670,7 @@ def chain_by_xt_series(g, d, r, x_order=None, t_order=None):
 
     scalar_checks = []
     geom_order = max(2, x_order, r * (g + 1) + 2)
-    geom = LaurentSeries(QQ, 1, [Fraction((-1) ** i) for i in range(geom_order)],
+    geom = LaurentSeries(1, [Fraction((-1) ** i) for i in range(geom_order)],
                          geom_order + 1)
     for s in range(1, r + 1):
         m = d - r + s
@@ -661,6 +679,6 @@ def chain_by_xt_series(g, d, r, x_order=None, t_order=None):
             expected = Fraction(factorial(m), factorial(n - 1)) * stirling2(n - 1, m)
             scalar_checks.append(ScalarCheck(s=s, n=n, m=m, value=value, expected=expected))
 
-    return ChainReport(g=g, d=d, r=r, x_order=x_order, t_order=t_order,
+    return ChainReport(g=g, d=d, r=r, x_order=x_order,
                        identity9_ok=identity9_ok, degree_bounds=tuple(degree_checks),
                        scalar_checks=tuple(scalar_checks))

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from jacrel import relations
 from jacrel.cli import main
 from jacrel.relations import family_from_json, family_to_json
+from jacrel.rings import TruncationError
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -37,17 +39,24 @@ def test_golden_commands_print_their_recorded_bytes(capsys):
     (("relations", "--g", "0", "--d", "3", "--r", "1", "--family", "vdgk6"), 2,
      "error: g must be >= 1"),
     (("equivalence", "--g", "0", "--d", "3", "--r", "1"), 2, "error: g must be >= 1"),
-    (("equivalence", "--g", "3", "--d", "5", "--r", "2", "--t-order", "3"), 3,
-     "inconclusive: t_order=3 must exceed r(g+1)=8, the top t-degree of H(1/x,t)^r"),
+    (("equivalence", "--g", "3", "--d", "5", "--r", "2"), 3,
+     "inconclusive: coefficient at exponent 5 is beyond truncation order 3"),
     (("grr", "--g", "0", "--d", "1", "--r", "1", "--M", "1"), 2,
      "error: g, d, r must all be >= 1"),
 ])
-def test_library_errors_map_to_one_stderr_line_and_exit_code(argv, code, message):
-    # every command leaves ValueError and TruncationError to main()'s mapping
-    result = run_cli(*argv)
-    assert result.returncode == code
-    assert result.stdout == ""
-    assert result.stderr == message + "\n"
+def test_library_errors_map_to_one_stderr_line_and_exit_code(argv, code, message,
+                                                             monkeypatch, capsys):
+    # every command leaves ValueError and TruncationError to main()'s mapping;
+    # no valid input leaves the chain short of coefficients, so a stub chain
+    # raises the TruncationError
+    def short_chain(*args):
+        raise TruncationError("coefficient at exponent 5 is beyond truncation order 3")
+
+    monkeypatch.setattr(relations, "verify_implication_chain", short_chain)
+    assert main(list(argv)) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message + "\n"
 
 
 class TestExitCodes:
@@ -190,11 +199,6 @@ class TestEquivalenceCommand:
         assert result.stdout == ""
         assert result.stderr.startswith("error: x_order must be >= 1")
 
-    def test_t_order_below_top_degree_is_inconclusive(self):
-        result = run_cli("equivalence", "--g", "3", "--d", "5", "--r", "2",
-                         "--t-order", "3")
-        assert result.returncode == 3
-        assert result.stdout == ""
 
 
 class TestGrrCommand:

@@ -9,7 +9,8 @@ from jacrel.grr import (ChernData, GrrContext, GrrElement, UpstairsTerm, ch_vk,
 from jacrel.relations import gen_theorem1
 from jacrel.rings import InvariantViolation
 from jacrel.tautalg import TautElement
-from oracles import GenericSeries, Ring, chern_classes_by_fractions, generic_series_exp
+from oracles import (GenericSeries, Ring, chern_classes_by_fractions, gammas_by_k_scan,
+                     generic_series_exp)
 
 # the criterion-7 grid
 GRID = [(g, d, r) for r in range(1, 4) for g in range(1, 6) for d in range(1, 9)]
@@ -254,6 +255,18 @@ class TestGamma:
         for (g, d, r, M) in ((3, 4, 1, 4), (4, 5, 2, 5), (4, 6, 3, 7)):
             data = gamma_extract(g, d, r, M)
             assert data.gamma(M + 1) == gamma_top_reference(g, d, r, M)
+
+    def test_one_pass_split_matches_the_per_power_scan(self):
+        # on the criterion-7 grid, keys included: they ascend in s, as the
+        # repr of GammaData shows them
+        for r in (1, 2, 3):
+            for g in range(1, 6):
+                for d in range(1, 9):
+                    for M in (d, d + 1, d + 2):
+                        data = gamma_extract(g, d, r, M)
+                        want = gammas_by_k_scan(data.xi_r_part)
+                        assert data.gammas == want, (g, d, r, M)
+                        assert list(data.gammas) == list(want), (g, d, r, M)
 
     def test_top_free_of_todd_unknowns(self):
         data = gamma_extract(4, 5, 2, 5)

@@ -404,22 +404,15 @@ class TestImplicationChain:
         with pytest.raises(ValueError):
             verify_implication_chain(3, 5, 2, x_order=0)
 
-    def test_t_order_below_top_degree_is_inconclusive(self):
-        with pytest.raises(TruncationError):
-            verify_implication_chain(3, 5, 2, t_order=1)
-        with pytest.raises(TruncationError):
-            verify_implication_chain(3, 5, 2, t_order=8)
-        assert verify_implication_chain(3, 5, 2, t_order=9).ok
-
     def test_identity9_comparison_is_not_vacuous(self):
         # a perturbed e_a must be detected: the window each monomial's two
         # sides are compared on is nonempty, so the certification has teeth
         from jacrel.relations import _split_terms
-        from jacrel.rings import QQ, LaurentSeries
+        from jacrel.rings import LaurentSeries
         g, x_order = 3, 8
         e = [epsilon_series(g, x_order).parts[a + 2] for a in range(g)]
         perturbed = list(e)
-        perturbed[0] = e[0] + LaurentSeries(QQ, 0, (F(1),), x_order)
+        perturbed[0] = e[0] + LaurentSeries(0, (F(1),), x_order)
         for mono in ((0,), (2, 0), (1, 0, 0)):
             assert _split_terms(mono, e, x_order)[0], mono
             assert not _split_terms(mono, perturbed, x_order)[0], mono
