@@ -246,13 +246,13 @@ class GrrElement(SparseElement):
 
     def to_taut(self) -> TautElement:
         """Map FC monomials to algebra monomials; other variables must be absent."""
-        g = self.ctx.g
+        g, xi = self.ctx.g, self.ctx.xi_index
+        if self.uses_todd_unknowns() or any(e[0] or e[xi] for e in self.terms):
+            raise InvariantViolation(
+                "element still involves k, xi or Todd unknowns; "
+                "only FC monomials map to the free algebra")
         terms: dict[Monomial, int | Fraction] = {}
         for e, c in self.terms.items():
-            if e[0] or e[self.ctx.xi_index] or any(e[i] for i in range(1, 2 * self.ctx.r)):
-                raise InvariantViolation(
-                    "element still involves k, xi or Todd unknowns; "
-                    "only FC monomials map to the free algebra")
             # weights in decreasing order: the monomial is canonical as built
             mono = tuple(j for j in range(g - 1, -1, -1) for _ in range(e[self.ctx.fc_index(j)]))
             terms[mono] = c

@@ -67,7 +67,6 @@ from .linalg import RowSpace
 from .rings import LaurentSeries, TruncationError, InvariantViolation, _rational, min_trunc
 from .tautalg import Monomial, TautElement, _canonical_monomial, _mono_mul, mono_key
 
-FAMILY_IDS = ("theorem1", "vdgk6", "herbaut7", "strong8")
 
 # Bound on each of the chain's caches, ``_e_part`` keyed by (n, x_order) and
 # ``_split_table`` by (monomial, x_order); the criterion-6b grid fills the
@@ -648,7 +647,7 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None)
     for s in range(1, r + 1):
         m = d - r + s
         for n in range(m + 1, s * (g + 1) + 1):
-            value = (geom * _bare_log_inv_pow(n, x_order)).coeff(-m)
+            value = geom.product_coeff(_bare_log_inv_pow(n, x_order), -m)
             expected = Fraction(factorial(m), factorial(n - 1)) * stirling2(n - 1, m)
             scalar_checks.append(ScalarCheck(s=s, n=n, m=m, value=value,
                                              expected=expected))

@@ -43,6 +43,7 @@ def test_golden_commands_print_their_recorded_bytes(capsys):
      "inconclusive: coefficient at exponent 5 is beyond truncation order 3"),
     (("grr", "--g", "0", "--d", "1", "--r", "1", "--M", "1"), 2,
      "error: g, d, r must all be >= 1"),
+    (("grr", "--g", "3", "--d", "4", "--r", "1", "--M", "3"), 2, "error: M must be >= d"),
 ])
 def test_library_errors_map_to_one_stderr_line_and_exit_code(argv, code, message,
                                                              monkeypatch, capsys):

@@ -15,9 +15,12 @@ the same rows.  The ``ChernData`` that ``ch_vk`` shares per
 (g, d, r) carries the Chern-class memo of ``chern_classes``, which is
 replaced, under a lock, only by a complete longer tower: threads that ask for
 different lengths at once never read a partial tower, and at worst compute
-the same classes more than once.
+the same classes more than once.  The package's lazy exports are resolved
+under the import system's per-module lock, so threads that first touch a name
+together all get the submodule's object.
 """
 
+import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +30,7 @@ from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
 from jacrel.relations import (_h_product, _p_coefficients, _split_table, compare_ideals,
                               family_to_json, gen_family, verify_implication_chain)
+from test_imports import run_fresh
 
 FAMILIES = ("vdgk6", "herbaut7", "strong8")
 
@@ -134,3 +138,26 @@ def test_parallel_gamma_extraction_shares_one_tower_per_bundle():
                 assert [repr(out[t]) for t in tasks] == [repr(x) for x in serial]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_first_access_of_lazy_exports_from_many_threads():
+    # a fresh interpreter, so that jacrel.relations and jacrel.grr are first
+    # imported while eight threads ask for their names at once
+    out = run_fresh("""
+import json, sys, threading
+from concurrent.futures import ThreadPoolExecutor
+import jacrel
+sys.setswitchinterval(1e-5)
+barrier = threading.Barrier(8)
+
+def run(_):
+    barrier.wait(timeout=60)
+    return jacrel.gen_family, jacrel.gamma_extract
+
+with ThreadPoolExecutor(max_workers=8) as pool:
+    got = list(pool.map(run, range(8), timeout=120))
+expected = (sys.modules["jacrel.relations"].gen_family,
+            sys.modules["jacrel.grr"].gamma_extract)
+print(json.dumps([len(got), all(pair == expected for pair in got)]))
+""")
+    assert json.loads(out) == [8, True]

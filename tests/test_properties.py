@@ -235,6 +235,25 @@ def test_laurent_series_matches_generic_reference():
                 assert a.coeff(e) == ga.coeff(e) and type(a.coeff(e)) is F
 
 
+def test_product_coeff_reads_the_product():
+    # one coefficient as a dot product: the same value, and the same
+    # TruncationError text, as forming the product and reading it
+    rng = random.Random(1012)
+    for _ in range(CASES):
+        (a, _), (b, _) = _rand_pair(rng), _rand_pair(rng)
+        prod = a * b
+        for e in range(a.valuation + b.valuation - 2, a.valuation + b.valuation + 12):
+            try:
+                expected = prod.coeff(e)
+            except TruncationError as exc:
+                with pytest.raises(TruncationError) as info:
+                    a.product_coeff(b, e)
+                assert str(info.value) == str(exc)
+            else:
+                value = a.product_coeff(b, e)
+                assert value == expected and type(value) is F
+
+
 def test_laurent_series_canonical_form():
     rng = random.Random(1011)
     for _ in range(CASES):
