@@ -41,11 +41,13 @@ The expansion is then checked one monomial m = (a_1..a_s) at a time:
 Q_m(1/x), read off the same integer product, against the sum, over
 position sets S, of the G-part of S times prod_{i not in S} e_{a_i}.
 Position sets that choose the same sub-multiset of weights give the same
-term, so each sub-multiset is computed once and scaled by its multiplicity.
+term, so each sub-multiset is computed once and scaled by its multiplicity,
+and its e-part prod_{i not in S} e_{a_i} is one cached product per
+complement multiset, shared by every monomial that leaves it.
 Neither this identity nor its terms depend on g or d: only the vdgk6 cut
 |S| + sum_{i in S} a_i <= d-r does.  So each (monomial, x-order) gets one
-cached table, the verdict and the terms summed by that cut weight, and
-every d adds up the terms it keeps.
+cached table, the verdict and the running sums of the terms by that cut
+weight, and every d looks up the sum it keeps.
 
 Note that eps has x-exponents >= 0 but genuinely nonzero x^0 terms
 (Bernoulli values B_n/n for even n = a+2), so the sharpest certifiable bound
@@ -55,12 +57,14 @@ is O(t^2) with no negative x-powers, not O(x t^2).
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from math import factorial, gcd, lcm, prod
+from operator import itemgetter
 
 from .combinat import _bare_log_inv_pow, p_poly, principal_part, stirling2
 from .linalg import RowSpace
@@ -68,9 +72,10 @@ from .rings import LaurentSeries, TruncationError, InvariantViolation, _rational
 from .tautalg import Monomial, TautElement, _canonical_monomial, _mono_mul, mono_key
 
 
-# Bound on each of the chain's caches, ``_e_part`` keyed by (n, x_order) and
-# ``_split_table`` by (monomial, x_order); the criterion-6b grid fills the
-# table with 191 entries.
+# Bound on each of the chain's three caches: ``_e_part`` keyed by
+# (n, x_order), ``_e_product`` by (complement, x_order) and ``_split_table``
+# by (monomial, x_order).  The criterion-6b grid puts 18 entries in the first
+# and 191 in each of the others.
 _CACHE_SIZE = 4096
 
 
@@ -484,7 +489,16 @@ def epsilon_series(g: int, x_order: int) -> EpsilonReport:
     )
 
 
-def _split_terms(mono: Monomial, e, x_order: int
+@lru_cache(maxsize=_CACHE_SIZE)
+def _e_product(rest: Monomial, x_order: int) -> LaurentSeries:
+    """prod e_a over the weakly decreasing weights ``rest``, built on the
+    product without its last weight, as ``_h_product`` is: every monomial and
+    sub-multiset that leaves the same complement reads the same series."""
+    tail = _e_part(rest[-1] + 2, x_order)
+    return _e_product(rest[:-1], x_order) * tail if len(rest) > 1 else tail
+
+
+def _split_terms(mono: Monomial, e_product, x_order: int
                  ) -> tuple[bool, tuple[tuple[int, LaurentSeries], ...]]:
     """Both sides of the binomial identity at one monomial m = (a_1..a_s).
 
@@ -495,50 +509,55 @@ def _split_terms(mono: Monomial, e, x_order: int
     G_S = prod_{i in S} (a_i+1)! * log(1+x)^-(2|S| + sum_{i in S} a_i).
     Position sets that choose the same sub-multiset of weights have the same
     term, so each sub-multiset is computed once and scaled by its
-    multiplicity, the number of position sets that choose it.  Returns
-    whether the two sides agree, and the right-hand side split by the vdgk6
-    cut k = |S| + sum_{i in S} a_i as (k, sum of the terms with that k) in
-    ascending k; k = 0 only for S empty.  The common factor orderings(m) is
-    dropped from both.  Nothing here depends on g or d; e maps each weight a
-    of m to e_a.
+    multiplicity, the number of position sets that choose it; its e-part is
+    ``e_product(rest)``, prod e_a over the complement, the weights of m
+    outside S.  The common factor orderings(m) is dropped from both sides,
+    and nothing here depends on g or d.
+
+    Returns whether the two sides agree, and the right-hand side as a
+    cumulative table on the vdgk6 cut k = |S| + sum_{i in S} a_i: per cut
+    weight, ascending, (k, sum of the terms with cut weight <= k).  k = 0
+    only for S empty; the last entry is the full right-hand side.  Sums are
+    exact and their window is the smallest of their terms', so the order of
+    the additions changes no value and no window.
     """
     q = _h_product(mono)
     lhs = LaurentSeries(1 - len(q), reversed(q))
-    picks = Counter(tuple(mono[i] for i in chosen) for size in range(len(mono) + 1)
+    # (chosen weights, complement) per position set, read off the positions
+    picks = Counter((tuple(mono[i] for i in chosen),
+                     tuple(a for i, a in enumerate(mono) if i not in chosen))
+                    for size in range(len(mono) + 1)
                     for chosen in combinations(range(len(mono)), size))
     by_k: dict[int, LaurentSeries] = {}
-    for chosen, mult in picks.items():
+    for (chosen, rest), mult in picks.items():
         if chosen:
             scale = mult * prod(factorial(a + 1) for a in chosen)
             term = _bare_log_inv_pow(2 * len(chosen) + sum(chosen), x_order) * scale
+            if rest:
+                term = term * e_product(rest)
         else:
-            term = LaurentSeries.monomial(0)
-        for a in (Counter(mono) - Counter(chosen)).elements():
-            term = term * e[a]
+            term = e_product(rest)
         k = len(chosen) + sum(chosen)
         by_k[k] = by_k[k] + term if k in by_k else term
-    full = sum(by_k.values(), LaurentSeries.zero())
-    return lhs.agrees_with(full), tuple(sorted(by_k.items()))
+    cuts = sorted(by_k)
+    table = tuple(zip(cuts, accumulate(by_k[k] for k in cuts)))
+    return lhs.agrees_with(table[-1][1]), table
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _split_table(mono: Monomial, x_order: int
                  ) -> tuple[bool, tuple[tuple[int, LaurentSeries], ...]]:
-    """``_split_terms`` on e_a, cached per monomial and x-order: one table
-    serves every g and d."""
-    return _split_terms(mono, {a: _e_part(a + 2, x_order) for a in set(mono)}, x_order)
+    """``_split_terms`` on the shared ``_e_product``s, cached per monomial and
+    x-order: one table serves every g and d."""
+    return _split_terms(mono, lambda rest: _e_product(rest, x_order), x_order)
 
 
 def _kept_sum(terms: tuple[tuple[int, LaurentSeries], ...],
               kept_weight: int) -> LaurentSeries:
-    """The sum of a split table's terms that the vdgk6 relations leave
-    standing: S empty (k = 0, the first entry), or k <= kept_weight."""
-    kept = terms[0][1]
-    for k, term in terms[1:]:
-        if k > kept_weight:
-            break
-        kept = kept + term
-    return kept
+    """The sum of the terms that the vdgk6 relations leave standing, read off
+    a cumulative split table: S empty (the k = 0 entry) and every S with
+    k <= kept_weight, i.e. the last entry with k <= kept_weight."""
+    return terms[max(bisect_right(terms, kept_weight, key=itemgetter(0)), 1) - 1][1]
 
 
 @dataclass(frozen=True)
@@ -596,7 +615,7 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None)
     t^(a+2), so each check runs monomial by monomial on scalar series over Q
     (see ``_split_terms``), exactly in t; only the x-order truncates.
     Check (a) and the split of check (b)'s sum do not depend on d; they are
-    read from the cached ``_split_table``, and only the cut is applied here.
+    read from the cached ``_split_table``, and only the cut is looked up here.
 
     (a) The binomial identity H(1/x,t)^s = sum_{s'} C(s,s') G(t/log(1+x))^s'
         eps^(s-s') holds exactly on every tracked coefficient, for s = 1..r.

@@ -5,8 +5,9 @@ byte-identical results to serial evaluation.  The shared structures are the
 module caches: the Stirling memo table, whose writers are idempotent, and the
 ``functools.lru_cache``s (``monomials_of_bidegree``, ``_bare_log_inv_pow``,
 the per-monomial products ``_h_product`` and the certified P_n coefficients
-``_p_coefficients`` they are built from, the chain's ``_e_part`` and
-``_split_table``, and the GRR replay's ``ch_vk``), which lock their own
+``_p_coefficients`` they are built from, the chain's ``_e_part``, the
+complement products ``_e_product`` built from them and ``_split_table``, and
+the GRR replay's ``ch_vk``), which lock their own
 bookkeeping; two threads may both compute a missing entry, and they compute
 the same value.  Two pieces of state are kept on values.  A family's
 ``GradedSpan`` publishes a cell only once the cell is complete, so threads
@@ -28,8 +29,9 @@ from concurrent.futures import ThreadPoolExecutor
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_h_product, _p_coefficients, _split_table, compare_ideals,
-                              family_to_json, gen_family, verify_implication_chain)
+from jacrel.relations import (_e_product, _h_product, _p_coefficients, _split_table,
+                              compare_ideals, family_to_json, gen_family,
+                              verify_implication_chain)
 from test_imports import run_fresh
 
 FAMILIES = ("vdgk6", "herbaut7", "strong8")
@@ -72,6 +74,7 @@ def test_parallel_chain_reports_match_serial():
     # cold tables and frequent thread switches, so threads race to build and
     # read the same entries
     _split_table.cache_clear()
+    _e_product.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -409,15 +409,20 @@ class TestImplicationChain:
         # sides are compared on is nonempty, so the certification has teeth
         from jacrel.relations import _split_terms
         from jacrel.rings import LaurentSeries
+
+        def products(e):
+            # complement tuple -> prod e_a, the input of _split_terms
+            return lambda rest: prod((e[a] for a in rest), start=LaurentSeries.monomial(0))
+
         g, x_order = 3, 8
         e = [epsilon_series(g, x_order).parts[a + 2] for a in range(g)]
         perturbed = list(e)
         perturbed[0] = e[0] + LaurentSeries(0, (F(1),), x_order)
         for mono in ((0,), (2, 0), (1, 0, 0)):
-            assert _split_terms(mono, e, x_order)[0], mono
-            assert not _split_terms(mono, perturbed, x_order)[0], mono
+            assert _split_terms(mono, products(e), x_order)[0], mono
+            assert not _split_terms(mono, products(perturbed), x_order)[0], mono
         # a monomial without C(0) never sees the perturbed series
-        assert _split_terms((2, 1), perturbed, x_order)[0]
+        assert _split_terms((2, 1), products(perturbed), x_order)[0]
 
     def test_matches_algebra_valued_reference_at_low_orders(self):
         # field for field, including the truncation-driven min_x_exponent and
@@ -467,12 +472,12 @@ class TestSplitTable:
                         assert got == expected, (mono, x_order)
 
     def test_reports_do_not_depend_on_cache_state(self):
-        from jacrel.relations import _CACHE_SIZE, _e_part, _split_table
+        from jacrel.relations import _CACHE_SIZE, _e_part, _e_product, _split_table
 
         def report(g, d, r):
             chain = verify_implication_chain(g, d, r)
-            assert _split_table.cache_info().currsize <= _CACHE_SIZE
-            assert _e_part.cache_info().currsize <= _CACHE_SIZE
+            for cache in (_split_table, _e_part, _e_product):
+                assert cache.cache_info().currsize <= _CACHE_SIZE
             return chain
 
         for g in (3, 5):
@@ -481,12 +486,34 @@ class TestSplitTable:
                 cleared = []
                 for d in ds:
                     _split_table.cache_clear()
+                    _e_product.cache_clear()
                     cleared.append(report(g, d, r))
                 # every d reads the same tables, now all cached
                 ascending = [report(g, d, r) for d in ds]
                 descending = [report(g, d, r) for d in reversed(ds)]
                 assert ascending == cleared, (g, r)
                 assert descending[::-1] == cleared, (g, r)
+
+    def test_warm_d_does_no_series_arithmetic(self, monkeypatch):
+        # the tables are cumulative, so once d = 6 has built them the kept
+        # sums of d = 7 and 8 are lookups: no product, no addition
+        from jacrel.rings import LaurentSeries
+        verify_implication_chain(6, 6, 3)
+        calls = {"__mul__": 0, "_merge": 0}
+
+        def counting(name):
+            real = getattr(LaurentSeries, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(LaurentSeries, name, counting(name))
+        for d in (7, 8):
+            assert verify_implication_chain(6, d, 3).ok, d
+        assert calls == {"__mul__": 0, "_merge": 0}
 
 
 class TestFamilyJson:
