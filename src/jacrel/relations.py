@@ -36,18 +36,15 @@ terms of it, the degree bound it yields once the vdgk6 relations are
 rewritten to zero, and the Stirling-coefficient nonvanishing that closes the
 chain.  All three series are linear in the generators, so each is a scalar
 Laurent series over Q per generator: h_a = P_{a+2}(1/x) in H(1/x,t),
-(a+1)! log(1+x)^-(a+2) in G(t/log(1+x)), and their difference e_a in eps.
-The expansion is then checked one monomial m = (a_1..a_s) at a time:
-Q_m(1/x), read off the same integer product, against the sum, over
-position sets S, of the G-part of S times prod_{i not in S} e_{a_i}.
-Position sets that choose the same sub-multiset of weights give the same
-term, so each sub-multiset is computed once and scaled by its multiplicity,
-and its e-part prod_{i not in S} e_{a_i} is one cached product per
-complement multiset, shared by every monomial that leaves it.
-Neither this identity nor its terms depend on g or d: only the vdgk6 cut
-|S| + sum_{i in S} a_i <= d-r does.  So each (monomial, x-order) gets one
-cached table, the verdict and the running sums of the terms by that cut
-weight, and every d looks up the sum it keeps.
+g_a = (a+1)! L^-(a+2), L = log(1+x), in G(t/log(1+x)), and e_a = h_a - g_a
+in eps.  At a monomial m = (a_1..a_s) the expansion is the distributive law
+for prod (g_{a_i} + e_{a_i}), a sum over position sets S, so the facts it
+follows from are certified: the cached powers of L multiply as powers,
+h_a = g_a + e_a, and binomials count the position sets.  The degree bound
+needs only the window and valuation of the terms that the vdgk6 cut
+|S| + sum_{i in S} a_i <= d-r keeps: one cached table per (monomial,
+x-order) holds them by cut weight, read off the factors L^-N and prod e_a
+with no series product or sum, and every d looks up its entry.
 
 Note that eps has x-exponents >= 0 but genuinely nonzero x^0 terms
 (Bernoulli values B_n/n for even n = a+2), so the sharpest certifiable bound
@@ -62,20 +59,21 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, islice
-from math import factorial, gcd, lcm, prod
+from itertools import combinations, islice
+from math import comb, factorial, gcd, lcm, prod
 from operator import itemgetter
 
 from .combinat import _bare_log_inv_pow, p_poly, principal_part, stirling2
 from .linalg import RowSpace
-from .rings import LaurentSeries, TruncationError, InvariantViolation, _rational, min_trunc
+from .rings import (LaurentSeries, TruncationError, InvariantViolation, _rational,
+                    log1p_series, min_trunc)
 from .tautalg import Monomial, TautElement, _canonical_monomial, _mono_mul, mono_key
 
 
-# Bound on each of the chain's three caches: ``_e_part`` keyed by
-# (n, x_order), ``_e_product`` by (complement, x_order) and ``_split_table``
-# by (monomial, x_order).  The criterion-6b grid puts 18 entries in the first
-# and 191 in each of the others.
+# Bound on each of the chain's caches, keyed by x_order and by n (``_e_part``
+# and the check-(a) facts ``_power_law_ok``, ``_generator_split_ok``), the
+# complement (``_e_product``) or the monomial (``_head_table``).  The
+# criterion-6b grid puts 18, 66, 18, 191 and 191 entries in them.
 _CACHE_SIZE = 4096
 
 
@@ -498,66 +496,61 @@ def _e_product(rest: Monomial, x_order: int) -> LaurentSeries:
     return _e_product(rest[:-1], x_order) * tail if len(rest) > 1 else tail
 
 
-def _split_terms(mono: Monomial, e_product, x_order: int
-                 ) -> tuple[bool, tuple[tuple[int, LaurentSeries], ...]]:
-    """Both sides of the binomial identity at one monomial m = (a_1..a_s).
-
-    The coefficient of m in H(1/x,t)^s is orderings(m) * Q_m(1/x), read off
-    the integer table ``_h_product``; in G(t/log(1+x))^|S| eps^(s-|S|),
-    summed over the position sets S, it is orderings(m) times
-    sum_S G_S * prod_{i not in S} e_{a_i}, where
-    G_S = prod_{i in S} (a_i+1)! * log(1+x)^-(2|S| + sum_{i in S} a_i).
-    Position sets that choose the same sub-multiset of weights have the same
-    term, so each sub-multiset is computed once and scaled by its
-    multiplicity, the number of position sets that choose it; its e-part is
-    ``e_product(rest)``, prod e_a over the complement, the weights of m
-    outside S.  The common factor orderings(m) is dropped from both sides,
-    and nothing here depends on g or d.
-
-    Returns whether the two sides agree, and the right-hand side as a
-    cumulative table on the vdgk6 cut k = |S| + sum_{i in S} a_i: per cut
-    weight, ascending, (k, sum of the terms with cut weight <= k).  k = 0
-    only for S empty; the last entry is the full right-hand side.  Sums are
-    exact and their window is the smallest of their terms', so the order of
-    the additions changes no value and no window.
-    """
-    q = _h_product(mono)
-    lhs = LaurentSeries(1 - len(q), reversed(q))
-    # (chosen weights, complement) per position set, read off the positions
-    picks = Counter((tuple(mono[i] for i in chosen),
-                     tuple(a for i, a in enumerate(mono) if i not in chosen))
-                    for size in range(len(mono) + 1)
-                    for chosen in combinations(range(len(mono)), size))
-    by_k: dict[int, LaurentSeries] = {}
-    for (chosen, rest), mult in picks.items():
-        if chosen:
-            scale = mult * prod(factorial(a + 1) for a in chosen)
-            term = _bare_log_inv_pow(2 * len(chosen) + sum(chosen), x_order) * scale
-            if rest:
-                term = term * e_product(rest)
-        else:
-            term = e_product(rest)
-        k = len(chosen) + sum(chosen)
-        by_k[k] = by_k[k] + term if k in by_k else term
-    cuts = sorted(by_k)
-    table = tuple(zip(cuts, accumulate(by_k[k] for k in cuts)))
-    return lhs.agrees_with(table[-1][1]), table
+_ONE = LaurentSeries.monomial(0)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _split_table(mono: Monomial, x_order: int
-                 ) -> tuple[bool, tuple[tuple[int, LaurentSeries], ...]]:
-    """``_split_terms`` on the shared ``_e_product``s, cached per monomial and
-    x-order: one table serves every g and d."""
-    return _split_terms(mono, lambda rest: _e_product(rest, x_order), x_order)
+def _power_law_ok(n: int, x_order: int) -> bool:
+    """L^-n * L = L^-(n-1) on its window, with L = log(1+x) and L^0 = 1."""
+    below = _bare_log_inv_pow(n - 1, x_order) if n > 1 else _ONE
+    return (_bare_log_inv_pow(n, x_order) * log1p_series(x_order + n)).agrees_with(below)
 
 
-def _kept_sum(terms: tuple[tuple[int, LaurentSeries], ...],
-              kept_weight: int) -> LaurentSeries:
-    """The sum of the terms that the vdgk6 relations leave standing, read off
-    a cumulative split table: S empty (the k = 0 entry) and every S with
-    k <= kept_weight, i.e. the last entry with k <= kept_weight."""
-    return terms[max(bisect_right(terms, kept_weight, key=itemgetter(0)), 1) - 1][1]
+@lru_cache(maxsize=_CACHE_SIZE)
+def _generator_split_ok(n: int, x_order: int) -> bool:
+    """P_n(1/x) = (n-1)! L^-n + e_{n-2} on its window, P_n read off the
+    integers that ``_h_product`` multiplies."""
+    return LaurentSeries(-n, reversed(_p_coefficients(n))).agrees_with(
+        _bare_log_inv_pow(n, x_order) * factorial(n - 1) + _e_part(n, x_order))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _head_table(mono: Monomial, x_order: int) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
+    """Heads of sum_S G_S * prod_{i not in S} e_{a_i} at m = (a_1..a_s),
+    G_S = prod_{i in S} (a_i+1)! * L^-(2|S| + sum_{i in S} a_i): whether the
+    facts of check (a) hold at m (see ``ChainReport``), and per cut weight
+    k = |S| + sum_{i in S} a_i, ascending, (k, trunc, valuation) of the sum
+    of the terms with cut weight <= k.  The position sets that choose one
+    sub-multiset T of m give one term, scaled by their count and never
+    formed: a product's window, valuation and coefficients are read off its
+    factors L^-N and ``_e_product``."""
+    weights = Counter(mono)
+    facts_ok = (all(_power_law_ok(n, x_order) for n in range(1, 2 * len(mono) + sum(mono) + 1))
+                and all(_generator_split_ok(a + 2, x_order) for a in weights))
+    terms = []  # (k, scale, L^-N, e-part)
+    for chosen, mult in Counter(c for size in range(len(mono) + 1)
+                                for c in combinations(mono, size)).items():
+        facts_ok = facts_ok and mult == prod(comb(weights[a], chosen.count(a))
+                                             for a in set(chosen))
+        rest = tuple(a for a, n in weights.items() for _ in range(n - chosen.count(a)))
+        terms.append((len(chosen) + sum(chosen), mult * prod(factorial(a + 1) for a in chosen),
+                      _bare_log_inv_pow(2 * len(chosen) + sum(chosen), x_order) if chosen
+                      else _ONE, _e_product(rest, x_order) if rest else _ONE))
+    terms.sort(key=itemgetter(0))
+    table, window, leads = [], None, {}  # leads: summed leading coefficients by valuation
+    for i, (k, scale, gp, ep) in enumerate(terms):
+        window = min_trunc(window, gp._product_trunc(ep))
+        if not (gp.is_zero or ep.is_zero):
+            v = gp.valuation + ep.valuation
+            leads[v] = leads.get(v, 0) + scale * gp.product_coeff(ep, v)
+        if i + 1 < len(terms) and terms[i + 1][0] == k:
+            continue
+        low = min(leads, default=window)
+        if low < window and not leads[low]:  # they cancel: sum later coefficients
+            low = next((v for v in range(low + 1, window) if sum(
+                scale * gp.product_coeff(ep, v) for _, scale, gp, ep in terms[: i + 1])), window)
+        table.append((k, window, min(low, window)))
+    return facts_ok, tuple(table)
 
 
 @dataclass(frozen=True)
@@ -587,6 +580,11 @@ class DegreeBoundCheck:
 
 @dataclass(frozen=True)
 class ChainReport:
+    """Checks (a)-(c) of ``verify_implication_chain``.  ``identity9_ok``
+    holds when at each monomial m = (a_1..a_s): L^-n * L = L^-(n-1), L =
+    log(1+x), for n <= 2s + sum a_i; P_n(1/x) = (n-1)! L^-n + e_{n-2} for
+    n = a_i + 2; and prod_a C(m_a, T_a) position sets choose each T in m."""
+
     g: int
     d: int
     r: int
@@ -612,13 +610,15 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None)
     """Certify the series steps that tie the three families together.
 
     Every series involved is linear in the generators and C(a) carries
-    t^(a+2), so each check runs monomial by monomial on scalar series over Q
-    (see ``_split_terms``), exactly in t; only the x-order truncates.
-    Check (a) and the split of check (b)'s sum do not depend on d; they are
-    read from the cached ``_split_table``, and only the cut is looked up here.
+    t^(a+2), so each check runs monomial by monomial on scalar series over Q,
+    exactly in t; only the x-order truncates.  Only the cut depends on d:
+    check (b) looks its heads up in the cached ``_head_table``, and the facts
+    of check (a) are cached, so a warm d does no series arithmetic.
 
     (a) The binomial identity H(1/x,t)^s = sum_{s'} C(s,s') G(t/log(1+x))^s'
-        eps^(s-s') holds exactly on every tracked coefficient, for s = 1..r.
+        eps^(s-s') holds for s = 1..r: at a monomial it is the distributive
+        law for prod (g_{a_i} + e_{a_i}), certified by the facts it follows
+        from (see ``ChainReport``).
     (b) With the vdgk6 vanishing rewritten into G's powers, the right-hand
         side is certified to contain no x-exponent below -(d-r+s).
     (c) The extraction scalar, the x^-(d-r+s) coefficient of
@@ -634,35 +634,31 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None)
     degree_checks: list[DegreeBoundCheck] = []
     for s in range(1, r + 1):
         bound = -(d - r + s)
-        min_exp = None
+        lows: list[int] = []
         certified = True
         for w in range(s * (g - 1) + 1):
             # one t-exponent 2s+w: it is known only where all its monomials are
-            kept_sums = []
+            heads = []
             for mono in monomials_of_bidegree(g, s, w):
-                agrees, terms = _split_table(mono, x_order)
-                identity9_ok = identity9_ok and agrees
-                kept_sums.append(_kept_sum(terms, d - r))
-            trunc = None
-            for kept in kept_sums:
-                trunc = min_trunc(trunc, kept.trunc)
-            if trunc is not None and trunc < bound:
+                facts_ok, table = _head_table(mono, x_order)
+                identity9_ok = identity9_ok and facts_ok
+                # S empty (the k = 0 entry) and every S with k <= d-r
+                heads.append(table[max(bisect_right(table, d - r, key=itemgetter(0)), 1) - 1])
+            trunc = min(heads, key=itemgetter(1))[1]
+            if trunc < bound:
                 certified = False
                 continue
-            for kept in kept_sums:
-                if not kept.is_zero and (trunc is None or kept.valuation < trunc):
-                    min_exp = kept.valuation if min_exp is None else min(min_exp, kept.valuation)
-        if min_exp is not None and min_exp < bound:
-            certified = False
-        degree_checks.append(DegreeBoundCheck(s=s, bound=bound,
-                                              min_x_exponent=min_exp,
+            # a sum with no coefficient below its window has valuation >= trunc
+            lows += [v for _, _, v in heads if v < trunc]
+        min_exp = min(lows, default=None)
+        certified = certified and (min_exp is None or min_exp >= bound)
+        degree_checks.append(DegreeBoundCheck(s=s, bound=bound, min_x_exponent=min_exp,
                                               certified=certified))
 
     scalar_checks: list[ScalarCheck] = []
     # x/(1+x), wide enough that the product window always covers x^-m
     geom_order = max(2, x_order, r * (g + 1) + 2)
-    geom = LaurentSeries(1, [(-1) ** i for i in range(geom_order)],
-                         geom_order + 1)
+    geom = LaurentSeries(1, [(-1) ** i for i in range(geom_order)], geom_order + 1)
     for s in range(1, r + 1):
         m = d - r + s
         for n in range(m + 1, s * (g + 1) + 1):
@@ -671,10 +667,8 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None)
             scalar_checks.append(ScalarCheck(s=s, n=n, m=m, value=value,
                                              expected=expected))
 
-    return ChainReport(g=g, d=d, r=r, x_order=x_order,
-                       identity9_ok=identity9_ok,
-                       degree_bounds=tuple(degree_checks),
-                       scalar_checks=tuple(scalar_checks))
+    return ChainReport(g=g, d=d, r=r, x_order=x_order, identity9_ok=identity9_ok,
+                       degree_bounds=tuple(degree_checks), scalar_checks=tuple(scalar_checks))
 
 
 # ---------------------------------------------------------------------------
@@ -704,10 +698,14 @@ def family_to_json(family: RelationFamily) -> str:
 
 def family_from_jsonable(data: dict) -> RelationFamily:
     """The family of ``family_to_jsonable``.  Coefficients are strings or
-    integers and weights are integers (a JSON float or boolean raises
-    ``TypeError``); the coefficients of one monomial, in any order of its
-    weights, add up."""
+    integers; weights and g, d, r, s, t_exp and u_exp are integers (a JSON
+    float or boolean raises ``TypeError``); the coefficients of one
+    monomial, in any order of its weights, add up."""
     g = data["g"]
+    for key, value in [("g", g), ("d", data["d"]), ("r", data["r"])] + [
+            (k, e[k]) for e in data["items"] for k in ("s", "t_exp", "u_exp") if k in e]:
+        if type(value) is not int:
+            raise TypeError(f"{key} must be an int: {value!r}")
     items = []
     for entry in data["items"]:
         terms: dict[Monomial, int | Fraction] = {}

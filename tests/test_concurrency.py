@@ -6,19 +6,20 @@ module caches: the Stirling memo table, whose writers are idempotent, and the
 ``functools.lru_cache``s (``monomials_of_bidegree``, ``_bare_log_inv_pow``,
 the per-monomial products ``_h_product`` and the certified P_n coefficients
 ``_p_coefficients`` they are built from, the chain's ``_e_part``, the
-complement products ``_e_product`` built from them and ``_split_table``, and
-the GRR replay's ``ch_vk``), which lock their own
-bookkeeping; two threads may both compute a missing entry, and they compute
-the same value.  Two pieces of state are kept on values.  A family's
-``GradedSpan`` publishes a cell only once the cell is complete, so threads
-that compare the same family at once can at most build a cell twice, with
-the same rows.  The ``ChernData`` that ``ch_vk`` shares per
-(g, d, r) carries the Chern-class memo of ``chern_classes``, which is
-replaced, under a lock, only by a complete longer tower: threads that ask for
-different lengths at once never read a partial tower, and at worst compute
-the same classes more than once.  The package's lazy exports are resolved
-under the import system's per-module lock, so threads that first touch a name
-together all get the submodule's object.
+complement products ``_e_product`` built from them, the head tables
+``_head_table`` read off those products, the check-(a) facts
+``_power_law_ok`` and ``_generator_split_ok``, and the GRR replay's
+``ch_vk``), which lock their own bookkeeping; two threads may both compute
+a missing entry, and they compute the same value.  Two pieces of state are
+kept on values.  A family's ``GradedSpan`` publishes a cell only once the
+cell is complete, so threads that compare the same family at once can at
+most build a cell twice, with the same rows.  The ``ChernData`` that
+``ch_vk`` shares per (g, d, r) carries the Chern-class memo of
+``chern_classes``, which is replaced, under a lock, only by a complete longer
+tower: threads that ask for different lengths at once never read a partial
+tower, and at worst compute the same classes more than once.  The package's
+lazy exports are resolved under the import system's per-module lock, so
+threads that first touch a name together all get the submodule's object.
 """
 
 import json
@@ -29,9 +30,9 @@ from concurrent.futures import ThreadPoolExecutor
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_e_product, _h_product, _p_coefficients, _split_table,
-                              compare_ideals, family_to_json, gen_family,
-                              verify_implication_chain)
+from jacrel.relations import (_e_product, _generator_split_ok, _h_product, _head_table,
+                              _p_coefficients, _power_law_ok, compare_ideals,
+                              family_to_json, gen_family, verify_implication_chain)
 from test_imports import run_fresh
 
 FAMILIES = ("vdgk6", "herbaut7", "strong8")
@@ -73,8 +74,8 @@ def test_parallel_chain_reports_match_serial():
     serial = [verify_implication_chain(*p) for p in params]
     # cold tables and frequent thread switches, so threads race to build and
     # read the same entries
-    _split_table.cache_clear()
-    _e_product.cache_clear()
+    for cache in (_head_table, _e_product, _power_law_ok, _generator_split_ok):
+        cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

@@ -254,6 +254,32 @@ def test_product_coeff_reads_the_product():
                 assert value == expected and type(value) is F
 
 
+def test_product_head_reads_the_factors():
+    # the head of a product off its factors, as the chain's head tables read
+    # it: the window is _product_trunc, and nonzero factors give the summed
+    # valuation and the product of the leading coefficients
+    rng = random.Random(1013)
+    one = LaurentSeries.monomial(0)
+    for _ in range(CASES):
+        (a, _), (b, _) = _rand_pair(rng), _rand_pair(rng)
+        if rng.random() < 0.1:
+            a = one
+        if rng.random() < 0.1:
+            b = LaurentSeries.zero(rng.randint(-3, 6))
+        if (a.is_zero and a.trunc is None) or (b.is_zero and b.trunc is None):
+            assert a * b == LaurentSeries.zero()
+            continue
+        p = a * b
+        assert p.trunc == a._product_trunc(b)
+        if a.is_zero or b.is_zero:
+            assert p.is_zero
+            continue
+        v = a.valuation + b.valuation
+        assert p.valuation == v
+        lead = a.coeff(a.valuation) * b.coeff(b.valuation)
+        assert lead and p.coeff(v) == lead == a.product_coeff(b, v)
+
+
 def test_laurent_series_canonical_form():
     rng = random.Random(1011)
     for _ in range(CASES):

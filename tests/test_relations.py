@@ -1,7 +1,8 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
-from math import comb, factorial, prod
+from math import comb, factorial
 
 import pytest
 
@@ -404,25 +405,52 @@ class TestImplicationChain:
         with pytest.raises(ValueError):
             verify_implication_chain(3, 5, 2, x_order=0)
 
-    def test_identity9_comparison_is_not_vacuous(self):
-        # a perturbed e_a must be detected: the window each monomial's two
-        # sides are compared on is nonempty, so the certification has teeth
-        from jacrel.relations import _split_terms
+    def test_identity9_comparison_is_not_vacuous(self, monkeypatch):
+        # check (a) rests on h_a = g_a + e_a per generator and on the power
+        # law of the cached L^-n: a perturbed e_0, L^-4 or L^-8 must flip it;
+        # L^-8 = L^-r(g+1), the largest power a G_S uses, lies beyond the
+        # generators (n <= g+1), so only the power law sees it
+        import jacrel.relations as rel
         from jacrel.rings import LaurentSeries
+        caches = (rel._power_law_ok, rel._generator_split_ok, rel._e_product, rel._head_table)
+        g, d, r, x_order = 3, 5, 2, 8
 
-        def products(e):
-            # complement tuple -> prod e_a, the input of _split_terms
-            return lambda rest: prod((e[a] for a in rest), start=LaurentSeries.monomial(0))
+        def perturbed(real, at):
+            bump = LaurentSeries(0, (F(1),), x_order)
+            return lambda n, order: real(n, order) + bump if n == at else real(n, order)
 
-        g, x_order = 3, 8
-        e = [epsilon_series(g, x_order).parts[a + 2] for a in range(g)]
-        perturbed = list(e)
-        perturbed[0] = e[0] + LaurentSeries(0, (F(1),), x_order)
-        for mono in ((0,), (2, 0), (1, 0, 0)):
-            assert _split_terms(mono, products(e), x_order)[0], mono
-            assert not _split_terms(mono, products(perturbed), x_order)[0], mono
-        # a monomial without C(0) never sees the perturbed series
-        assert _split_terms((2, 1), products(perturbed), x_order)[0]
+        def identity9():
+            for cache in caches:
+                cache.cache_clear()
+            return verify_implication_chain(g, d, r, x_order).identity9_ok
+
+        try:
+            assert identity9()
+            for name, at in (("_e_part", 2), ("_bare_log_inv_pow", 4),
+                             ("_bare_log_inv_pow", 8)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(rel, name, perturbed(getattr(rel, name), at))
+                    assert not identity9(), (name, at)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert identity9()
+
+    def test_reports_match_pinned_hashes(self):
+        # SHA-256 of the newline-joined ChainReport reprs on the criterion-6b
+        # grid and on 336 low-order cases, as the chain gave them when it
+        # summed whole series per cut
+        grids = {
+            "aa0d28e76be44ee5fd2127507d1d277cdc312d48395d0081ae82e37d7e01a315":
+                [(g, d, r, None) for g in (3, 4, 5, 6) for r in (2, 3)
+                 for d in range(2 * r, 9)],
+            "7103a60346b1d6f3192d48dd92808a12545878dea2baff239bef8592f83c367b":
+                [(g, d, r, x_order) for g in range(1, 5) for r in range(1, 4)
+                 for d in range(r - 1, 8) for x_order in (1, 2, 3, 5)],
+        }
+        for digest, cases in grids.items():
+            text = "\n".join(repr(verify_implication_chain(*case)) for case in cases)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, len(cases)
 
     def test_matches_algebra_valued_reference_at_low_orders(self):
         # field for field, including the truncation-driven min_x_exponent and
@@ -451,13 +479,18 @@ class TestImplicationChain:
                 assert check.min_x_exponent >= check.bound
 
 
+def kept_head(table, cut):
+    """(trunc, valuation) of the last entry with k <= cut, else of k = 0."""
+    return [entry for entry in table if entry[0] <= cut or entry[0] == 0][-1][1:]
+
+
 class TestSplitTable:
     def test_matches_position_set_sums(self):
-        # the cached table, one term per sub-multiset scaled by its
-        # multiplicity and summed by cut weight, against the plain sum over
+        # the cached head table, one term per sub-multiset scaled by its
+        # multiplicity and read off its factors, against the plain sums over
         # all 2^s position sets, at every cut a d can make
         from jacrel.combinat import principal_part
-        from jacrel.relations import _e_part, _kept_sum, _split_table
+        from jacrel.relations import _e_part, _head_table
         g = 6
         for x_order in (1, 3, 8):
             h = [principal_part(a + 2) for a in range(g)]
@@ -465,18 +498,39 @@ class TestSplitTable:
             for s in range(1, 5):
                 for w in range(s * (g - 1) + 1):
                     for mono in monomials_of_bidegree(g, s, w):
-                        agrees, terms = _split_table(mono, x_order)
+                        facts_ok, table = _head_table(mono, x_order)
                         cuts = range(-1, s * (g - 1) + s + 1)
-                        expected = split_sums_by_position_sets(mono, h, e, x_order, cuts)
-                        got = (agrees, [_kept_sum(terms, cut) for cut in cuts])
-                        assert got == expected, (mono, x_order)
+                        agrees, sums = split_sums_by_position_sets(mono, h, e, x_order, cuts)
+                        assert facts_ok and agrees, (mono, x_order)
+                        assert [kept_head(table, cut) for cut in cuts] == \
+                            [(kept.trunc, kept.valuation) for kept in sums], (mono, x_order)
+
+    def test_cancelling_leading_terms(self):
+        # at x-order 3 the terms of (2,1,1,1) kept by cut 3 (S empty, one
+        # weight 1, the weight 2) cancel at their least valuation, so the
+        # head reads later coefficients
+        from jacrel.combinat import principal_part
+        from jacrel.relations import _bare_log_inv_pow, _e_part, _e_product, _head_table
+        mono, x_order, cut = (2, 1, 1, 1), 3, 3
+        terms = (_e_product(mono, x_order),
+                 _bare_log_inv_pow(3, x_order) * _e_product((2, 1, 1), x_order),
+                 _bare_log_inv_pow(4, x_order) * _e_product((1, 1, 1), x_order))
+        least = min(term.valuation for term in terms if not term.is_zero)
+        h = [principal_part(a + 2) for a in range(3)]
+        e = [_e_part(a + 2, x_order) for a in range(3)]
+        kept = split_sums_by_position_sets(mono, h, e, x_order, [cut])[1][0]
+        trunc, valuation = kept_head(_head_table(mono, x_order)[1], cut)
+        assert valuation > least
+        assert (trunc, valuation) == (kept.trunc, kept.valuation)
 
     def test_reports_do_not_depend_on_cache_state(self):
-        from jacrel.relations import _CACHE_SIZE, _e_part, _e_product, _split_table
+        from jacrel.relations import (_CACHE_SIZE, _e_part, _e_product, _generator_split_ok,
+                                      _head_table, _power_law_ok)
+        caches = (_head_table, _e_part, _e_product, _power_law_ok, _generator_split_ok)
 
         def report(g, d, r):
             chain = verify_implication_chain(g, d, r)
-            for cache in (_split_table, _e_part, _e_product):
+            for cache in caches:
                 assert cache.cache_info().currsize <= _CACHE_SIZE
             return chain
 
@@ -485,8 +539,8 @@ class TestSplitTable:
                 ds = range(2 * r, 9)
                 cleared = []
                 for d in ds:
-                    _split_table.cache_clear()
-                    _e_product.cache_clear()
+                    for cache in caches:
+                        cache.cache_clear()
                     cleared.append(report(g, d, r))
                 # every d reads the same tables, now all cached
                 ascending = [report(g, d, r) for d in ds]
@@ -565,6 +619,19 @@ class TestFamilyJson:
                         {"monomial": [1, 0], "coeff": 2}]) == cross * F(5, 2)
         with pytest.raises(TypeError):
             element([{"monomial": [1, 0], "coeff": 0.1}])
+
+    def test_json_non_int_parameters_rejected(self):
+        def payload(key, value):
+            data = {"family": "strong8", "g": 3, "d": 4, "r": 2, "items": [
+                {"s": 1, "t_exp": 2, "u_exp": 3, "element": [{"monomial": [0], "coeff": "1"}]}]}
+            (data if key in ("g", "d", "r") else data["items"][0])[key] = value
+            return data
+
+        for key in ("g", "d", "r", "s", "t_exp", "u_exp"):
+            for bad in (3.0, True, "3"):
+                with pytest.raises(TypeError, match=f"^{key} must be an int"):
+                    family_from_jsonable(payload(key, bad))
+        assert family_from_jsonable(payload("u_exp", 3)).items[0].u_exp == 3
 
     def test_json_non_int_weights_and_bool_coefficients_rejected(self):
         def element(terms):
