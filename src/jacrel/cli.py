@@ -135,7 +135,7 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
     cmp67 = relations.compare_ideals(fam6, fam7)
     cmp78 = relations.compare_ideals(fam7, fam8)
     cmp68 = relations.compare_ideals(fam6, fam8)
-    chain = relations.verify_implication_chain(args.g, args.d, args.r, args.x_order)
+    chain = relations.verify_implication_chain(args.g, args.d, args.r)
     ideal_ok = cmp67.ideal_equal and cmp78.ideal_equal and cmp68.ideal_equal
     payload = {
         "command": "equivalence",
@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("--g", type=int, required=True)
     p_eq.add_argument("--d", type=int, required=True)
     p_eq.add_argument("--r", type=int, required=True)
-    p_eq.add_argument("--x-order", type=int, default=None, dest="x_order")
     common(p_eq)
     p_eq.set_defaults(func=cmd_equivalence)
 

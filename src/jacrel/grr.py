@@ -42,7 +42,7 @@ from operator import add, mul
 from threading import Lock
 from typing import Any, Iterator, NamedTuple
 
-from .relations import _g_power_coefficient, gen_theorem1
+from .relations import _g_power_coefficient
 from .rings import _EXACT_TYPES, InvariantViolation, SparseElement, _rational
 from .tautalg import Monomial, TautElement
 
@@ -505,14 +505,13 @@ class GammaData:
 
         Takes the top k-power, clears the (-1)^r/r! scalar, maps it through
         ``to_taut`` (which raises on any k, xi or Todd unknown) and checks the
-        result against the relations module's composition sum; a mismatch
-        raises InvariantViolation.
+        result against the composition sum of weight N = M-2r+1, zero for
+        N < 0, at any d the bundle has; a mismatch raises InvariantViolation.
         """
-        g, d, r = self.ctx.g, self.ctx.d, self.ctx.r
+        g, r = self.ctx.g, self.ctx.r
         element = (self.gamma(self.M + 1) * ((-1) ** r * factorial(r))).to_taut()
         N = self.M - 2 * r + 1
-        expected = gen_theorem1(g, d, r, N) if N >= 0 else TautElement.zero(g)
-        if element != expected:
+        if element != _g_power_coefficient(g, r, N):  # zero for N < 0
             raise InvariantViolation(
                 f"derived relation disagrees with the composition sum at N={N}")
         return element

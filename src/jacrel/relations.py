@@ -70,9 +70,9 @@ from .rings import (LaurentSeries, TruncationError, InvariantViolation, _rationa
 from .tautalg import Monomial, TautElement, _canonical_monomial, _mono_mul, mono_key
 
 
-# Bound on each of the chain's caches, keyed by x_order and by n (``_e_part``
-# and the check-(a) facts ``_power_law_ok``, ``_generator_split_ok``), the
-# complement (``_e_product``) or the monomial (``_head_table``).  The
+# Bound on each of the chain's caches, keyed by x_order = 2(g+2) and by n
+# (``_e_part``, the check-(a) facts ``_power_law_ok``, ``_generator_split_ok``),
+# the complement (``_e_product``) or the monomial (``_head_table``).  The
 # criterion-6b grid puts 18, 66, 18, 191 and 191 entries in them.
 _CACHE_SIZE = 4096
 
@@ -247,9 +247,9 @@ class GradedSpan:
     integers written into other columns.  The first echelon rows of a cell,
     up to its generator rank, span the bare generators of that bidegree.
 
-    A cell depends only on its generators and the cells below it, never on
-    a window, so each family has one span, kept on the family and grown
-    cell by cell as windows ask for more (``from_family``).
+    A cell depends only on its generators and the cells below it, so each
+    family has one span, kept on the family (``from_family``), and a cell is
+    built the first time it is read.
     """
 
     def __init__(self, family: RelationFamily) -> None:
@@ -273,16 +273,12 @@ class GradedSpan:
         self.cells: dict[tuple[int, int], tuple[RowSpace, int]] = {}
 
     @classmethod
-    def from_family(cls, family: RelationFamily, i_max: int = -1,
-                    j_max: int = -1) -> "GradedSpan":
-        """The family's shared span, its cells up to (i_max, j_max) built."""
+    def from_family(cls, family: RelationFamily) -> "GradedSpan":
+        """The family's shared span."""
         span = family._span
         if span is None:
             span = cls(family)
             object.__setattr__(family, "_span", span)
-        for i in range(i_max + 1):
-            for j in range(j_max + 1):
-                span.cell(i, j)
         return span
 
     def cell(self, i: int, j: int) -> tuple[RowSpace, int]:
@@ -374,21 +370,21 @@ class IdealComparison:
         return tuple(c for c in self.cells if c.ideal_equal != c.span_equal)
 
 
-def compare_ideals(f1: RelationFamily, f2: RelationFamily,
-                   bidegree_bound: tuple[int, int] | None = None) -> IdealComparison:
+def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
     """Decide per-bidegree whether two families generate the same graded ideal.
 
     Both the ideal pieces (generators times all complementary monomials) and
     the bare generator spans are compared; equality holds in a cell when each
-    family's rank equals the rank of the concatenation.  Each family's span
-    is built once and shared by every comparison it enters.
+    family's rank equals the rank of the concatenation, in the cells (i, j)
+    with 1 <= i <= r and j <= r(g-1); a generator beyond them raises
+    ``TruncationError``.  Each family's span is built once and shared by
+    every comparison it enters.
     """
     if (f1.g, f1.d, f1.r) != (f2.g, f2.d, f2.r):
         raise ValueError("families must share the same (g, d, r)")
     g, d, r = f1.g, f1.d, f1.r
-    i_max, j_max = bidegree_bound if bidegree_bound else (r, r * (g - 1))
-    span1 = GradedSpan.from_family(f1, i_max, j_max)
-    span2 = GradedSpan.from_family(f2, i_max, j_max)
+    i_max, j_max = r, r * (g - 1)
+    span1, span2 = GradedSpan.from_family(f1), GradedSpan.from_family(f2)
     for family, span in ((f1, span1), (f2, span2)):
         for s, w in span.generators:
             if s > i_max or w > j_max:
@@ -580,7 +576,8 @@ class DegreeBoundCheck:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Checks (a)-(c) of ``verify_implication_chain``.  ``identity9_ok``
+    """Checks (a)-(c) of ``verify_implication_chain``.  ``x_order`` records
+    the x-window the series were known below, 2(g+2).  ``identity9_ok``
     holds when at each monomial m = (a_1..a_s): L^-n * L = L^-(n-1), L =
     log(1+x), for n <= 2s + sum a_i; P_n(1/x) = (n-1)! L^-n + e_{n-2} for
     n = a_i + 2; and prod_a C(m_a, T_a) position sets choose each T in m."""
@@ -606,12 +603,13 @@ class ChainReport:
         return self.identity9_ok and self.degree_bound_ok and self.scalar_ok
 
 
-def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None) -> ChainReport:
+def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
     """Certify the series steps that tie the three families together.
 
     Every series involved is linear in the generators and C(a) carries
     t^(a+2), so each check runs monomial by monomial on scalar series over Q,
-    exactly in t; only the x-order truncates.  Only the cut depends on d:
+    exactly in t; only the x-order truncates, at the fixed window 2(g+2)
+    that ``ChainReport.x_order`` records.  Only the cut depends on d:
     check (b) looks its heads up in the cached ``_head_table``, and the facts
     of check (a) are cached, so a warm d does no series arithmetic.
 
@@ -626,10 +624,7 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None)
         nonzero for every n > d-r+s.
     """
     _validate_params(g, d, r)
-    if x_order is None:
-        x_order = 2 * (g + 2)
-    if x_order < 1:
-        raise ValueError("x_order must be >= 1")
+    x_order = 2 * (g + 2)
     identity9_ok = True
     degree_checks: list[DegreeBoundCheck] = []
     for s in range(1, r + 1):
@@ -657,7 +652,7 @@ def verify_implication_chain(g: int, d: int, r: int, x_order: int | None = None)
 
     scalar_checks: list[ScalarCheck] = []
     # x/(1+x), wide enough that the product window always covers x^-m
-    geom_order = max(2, x_order, r * (g + 1) + 2)
+    geom_order = max(x_order, r * (g + 1) + 2)
     geom = LaurentSeries(1, [(-1) ** i for i in range(geom_order)], geom_order + 1)
     for s in range(1, r + 1):
         m = d - r + s

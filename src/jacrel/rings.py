@@ -363,12 +363,12 @@ class LaurentSeries:
     def __hash__(self) -> int:
         return hash((self.valuation, self.nums, self.den, self.trunc))
 
-    def render(self, var: str = "x") -> str:
-        """Human-readable form, ascending exponents, plus the O-term."""
-        text = join_terms((c, "" if e == 0 else var if e == 1 else f"{var}^{e}")
+    def render(self) -> str:
+        """Human-readable form in x, ascending exponents, plus the O-term."""
+        text = join_terms((c, "" if e == 0 else "x" if e == 1 else f"x^{e}")
                           for e, c in self.items())
         if self.trunc is not None:
-            text += f" + O({var}^{self.trunc})"
+            text += f" + O(x^{self.trunc})"
         return text
 
     def __repr__(self) -> str:

@@ -420,13 +420,13 @@ def _spaces_by_products(family, i_max: int, j_max: int, ideal: bool) -> dict:
     return spaces
 
 
-def compare_ideals_by_products(f1, f2, bidegree_bound=None):
+def compare_ideals_by_products(f1, f2):
     """The reference route for ``compare_ideals``: each row is a product in
     the algebra read off over Fraction by coefficient lookups, and every
     ideal cell takes all generator-times-monomial rows (no recursion)."""
     from jacrel.linalg import rank
     from jacrel.relations import CellComparison, IdealComparison
-    i_max, j_max = bidegree_bound or (f1.r, f1.r * (f1.g - 1))
+    i_max, j_max = f1.r, f1.r * (f1.g - 1)
     ideals = [_spaces_by_products(f, i_max, j_max, True) for f in (f1, f2)]
     spans = [_spaces_by_products(f, i_max, j_max, False) for f in (f1, f2)]
     cells = []

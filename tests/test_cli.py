@@ -193,12 +193,12 @@ class TestEquivalenceCommand:
         result = run_cli("equivalence", "--g", "1", "--d", "2", "--r", "1")
         assert result.returncode == 0
 
-    def test_x_order_below_one_is_a_usage_error(self):
+    def test_x_order_flag_is_gone(self):
         result = run_cli("equivalence", "--g", "3", "--d", "4", "--r", "2",
-                         "--x-order", "0")
+                         "--x-order", "8")
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr.startswith("error: x_order must be >= 1")
+        assert "unrecognized arguments: --x-order 8" in result.stderr
 
 
 
@@ -224,3 +224,39 @@ class TestGrrCommand:
         assert result.returncode == 0
         payload = json.loads(result.stdout)
         assert payload["derived_relation"] == [{"monomial": [3], "coeff": "24"}]
+
+    def test_d_below_r_minus_one_passes_at_every_m(self):
+        # d = 1 < r-1 = 2: N = M-2r+1 reaches 0 at M = 5, where the
+        # composition sum stops being zero; the verdict must not change
+        for M in ("4", "5", "6"):
+            result = run_cli("grr", "--g", "2", "--d", "1", "--r", "3", "--M", M)
+            assert result.returncode == 0, (M, result.stderr)
+            assert "overall: pass" in result.stdout
+
+
+class TestReadmeExamples:
+    README = (ROOT / "README.md").read_text()
+
+    @classmethod
+    def block(cls, heading, lang):
+        """The first ``lang`` code block after the ``heading`` line."""
+        after = cls.README.split(f"\n{heading}\n", 1)[1]
+        return after.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+    def test_cli_block_runs(self):
+        lines = [line.split() for line in self.block("## CLI", "sh").splitlines()]
+        assert lines and all(words[0] == "jacrel" for words in lines)
+        for words in lines:
+            result = run_cli(*words[1:])
+            assert result.returncode == 0, (words, result.stderr)
+
+    def test_library_example_prints_its_comments(self):
+        code = self.block("## Library example", "python")
+        expected = [line.split("# ", 1)[1].strip()
+                    for line in code.splitlines() if line.startswith("print(")]
+        assert expected == ["True", "12*C(0)*C(2) + 4*C(1)^2"]
+        path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=300, env=dict(os.environ, PYTHONPATH=path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == expected

@@ -89,11 +89,10 @@ def test_parallel_chain_reports_match_serial():
 
 def test_parallel_comparisons_share_one_span_per_family():
     g, d, r = 4, 5, 2
-    tasks = [(a, b, bound) for bound in (None, (r + 1, r * (g - 1) + 2))
-             for a in range(3) for b in range(3) if a != b]
-    expected = {(a, b, bound): compare_ideals(gen_family(FAMILIES[a], g, d, r),
-                                              gen_family(FAMILIES[b], g, d, r), bound)
-                for a, b, bound in tasks}
+    tasks = [(a, b) for a in range(3) for b in range(3) if a != b]
+    expected = {(a, b): compare_ideals(gen_family(FAMILIES[a], g, d, r),
+                                       gen_family(FAMILIES[b], g, d, r))
+                for a, b in tasks}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -107,8 +106,8 @@ def test_parallel_comparisons_share_one_span_per_family():
 
             def run(k):
                 barrier.wait(timeout=60)
-                return {(a, b, bound): compare_ideals(shared[a], shared[b], bound)
-                        for a, b, bound in tasks[k:] + tasks[:k]}
+                return {(a, b): compare_ideals(shared[a], shared[b])
+                        for a, b in tasks[k:] + tasks[:k]}
 
             with ThreadPoolExecutor(max_workers=8) as pool:
                 outputs = list(pool.map(run, range(8), timeout=120))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -20,6 +21,13 @@ from oracles import (chain_by_xt_series, compare_ideals_by_products, family_by_p
 
 def C(g, j):
     return TautElement.generator(g, j)
+
+
+def oversize_family(g, d, r):
+    """vdgk6 plus one generator of size r+1, outside the comparison window."""
+    extra = RelationItem(s=r + 1, t_exp=2 * (r + 1),
+                         element=TautElement.monomial(g, (0,) * (r + 1)))
+    return RelationFamily("oversize", g, d, r, gen_family("vdgk6", g, d, r).items + (extra,))
 
 
 class TestGenTheorem1:
@@ -165,7 +173,8 @@ class TestCompareIdeals:
     def test_equivalence_at_4_5_2(self):
         f6 = gen_family("vdgk6", 4, 5, 2)
         f7 = gen_family("herbaut7", 4, 5, 2)
-        report = compare_ideals(f6, f7, (2, 6))
+        report = compare_ideals(f6, f7)
+        assert (report.i_max, report.j_max) == (2, 6)
         assert report.ideal_equal
 
     def test_self_comparison_trivial(self):
@@ -194,10 +203,10 @@ class TestCompareIdeals:
         assert report.notions_differ
 
     def test_window_missing_a_generator_is_inconclusive(self):
-        f6 = gen_family("vdgk6", 4, 5, 2)
-        f7 = gen_family("herbaut7", 4, 5, 2)
-        with pytest.raises(TruncationError):
-            compare_ideals(f6, f7, bidegree_bound=(1, 0))
+        big, f7 = oversize_family(4, 5, 2), gen_family("herbaut7", 4, 5, 2)
+        for pair in ((big, f7), (f7, big)):
+            with pytest.raises(TruncationError):
+                compare_ideals(*pair)
 
     def test_mismatched_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -270,34 +279,31 @@ class TestCompareIdeals:
 
 class TestSharedSpan:
     """Each family builds its graded span once and every comparison reuses
-    it, whatever the window and the order of the pair."""
+    it, whatever the order of the pair."""
 
-    @staticmethod
-    def low_part(g, d, r, top):
-        # the items of size <= top, so that a window below the default one
-        # still holds every generator
-        return [RelationFamily(f.family_id, g, d, r,
-                               tuple(it for it in f.items if it.s <= top))
-                for f in (gen_family(name, g, d, r)
-                          for name in ("vdgk6", "herbaut7", "strong8"))]
+    FAMILIES = ("vdgk6", "herbaut7", "strong8")
 
-    def test_windows_and_pair_orders_reuse_one_span(self):
-        shared = self.low_part(4, 6, 3, 2)
-        for bound in ((2, 6), None, (4, 10)):
-            for a, b in ((0, 1), (1, 2), (0, 2)):
-                for x, y in ((a, b), (b, a)):
-                    fresh = self.low_part(4, 6, 3, 2)
-                    assert compare_ideals(shared[x], shared[y], bound) == \
-                        compare_ideals_by_products(fresh[x], fresh[y], bound), (bound, x, y)
+    def test_pair_orders_reuse_one_span(self):
+        shared = [gen_family(name, 4, 6, 3) for name in self.FAMILIES]
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            for x, y in ((a, b), (b, a)):
+                fresh = [gen_family(name, 4, 6, 3) for name in self.FAMILIES]
+                assert compare_ideals(shared[x], shared[y]) == \
+                    compare_ideals_by_products(fresh[x], fresh[y]), (x, y)
+        spans = [f._span for f in shared]
+        compare_ideals(shared[2], shared[0])
+        assert all(f._span is span for f, span in zip(shared, spans))
 
-    def test_smaller_window_after_a_larger_one_still_misses_generators(self):
-        f6, f7 = gen_family("vdgk6", 4, 5, 2), gen_family("herbaut7", 4, 5, 2)
-        assert compare_ideals(f6, f7, (3, 8)).ideal_equal
-        for bound in ((1, 0), (2, 5), (1, 6)):
+    def test_built_cells_do_not_hide_a_missing_generator(self):
+        # span_contains builds the cell of the generator outside the window;
+        # the comparison still refuses the family, in either order
+        big, f7 = oversize_family(4, 5, 2), gen_family("herbaut7", 4, 5, 2)
+        assert span_contains(big, big)
+        assert (3, 0) in big._span.cells
+        for pair in ((big, f7), (f7, big)):
             with pytest.raises(TruncationError):
-                compare_ideals(f6, f7, bound)
-            with pytest.raises(TruncationError):
-                compare_ideals(f7, f6, bound)
+                compare_ideals(*pair)
+        assert compare_ideals(gen_family("vdgk6", 4, 5, 2), f7).ideal_equal
 
     def test_json_family_with_rational_coefficients(self):
         payload = json.loads(family_to_json(gen_family("herbaut7", 4, 6, 3)))
@@ -401,9 +407,11 @@ class TestImplicationChain:
             assert check.expected == F(factorial(check.m), factorial(check.n - 1)) \
                 * stirling2(check.n - 1, check.m)
 
-    def test_x_order_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            verify_implication_chain(3, 5, 2, x_order=0)
+    def test_x_order_option_is_gone(self):
+        # the window is 2(g+2), recorded on the report
+        assert verify_implication_chain(3, 5, 2).x_order == 10
+        with pytest.raises(TypeError):
+            verify_implication_chain(3, 5, 2, 8)
 
     def test_identity9_comparison_is_not_vacuous(self, monkeypatch):
         # check (a) rests on h_a = g_a + e_a per generator and on the power
@@ -413,7 +421,7 @@ class TestImplicationChain:
         import jacrel.relations as rel
         from jacrel.rings import LaurentSeries
         caches = (rel._power_law_ok, rel._generator_split_ok, rel._e_product, rel._head_table)
-        g, d, r, x_order = 3, 5, 2, 8
+        g, d, r, x_order = 3, 5, 2, 10  # the chain's window 2(g+2)
 
         def perturbed(real, at):
             bump = LaurentSeries(0, (F(1),), x_order)
@@ -422,7 +430,9 @@ class TestImplicationChain:
         def identity9():
             for cache in caches:
                 cache.cache_clear()
-            return verify_implication_chain(g, d, r, x_order).identity9_ok
+            report = verify_implication_chain(g, d, r)
+            assert report.x_order == x_order
+            return report.identity9_ok
 
         try:
             assert identity9()
@@ -438,29 +448,22 @@ class TestImplicationChain:
 
     def test_reports_match_pinned_hashes(self):
         # SHA-256 of the newline-joined ChainReport reprs on the criterion-6b
-        # grid and on 336 low-order cases, as the chain gave them when it
-        # summed whole series per cut
-        grids = {
-            "aa0d28e76be44ee5fd2127507d1d277cdc312d48395d0081ae82e37d7e01a315":
-                [(g, d, r, None) for g in (3, 4, 5, 6) for r in (2, 3)
-                 for d in range(2 * r, 9)],
-            "7103a60346b1d6f3192d48dd92808a12545878dea2baff239bef8592f83c367b":
-                [(g, d, r, x_order) for g in range(1, 5) for r in range(1, 4)
-                 for d in range(r - 1, 8) for x_order in (1, 2, 3, 5)],
-        }
-        for digest, cases in grids.items():
-            text = "\n".join(repr(verify_implication_chain(*case)) for case in cases)
-            assert hashlib.sha256(text.encode()).hexdigest() == digest, len(cases)
+        # grid, as the chain gave them when it summed whole series per cut
+        cases = [(g, d, r) for g in (3, 4, 5, 6) for r in (2, 3) for d in range(2 * r, 9)]
+        text = "\n".join(repr(verify_implication_chain(*case)) for case in cases)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "aa0d28e76be44ee5fd2127507d1d277cdc312d48395d0081ae82e37d7e01a315"
 
     def test_matches_algebra_valued_reference_at_low_orders(self):
-        # field for field, including the truncation-driven min_x_exponent and
-        # certified flags at x-orders too small to certify every bound
+        # the report does not depend on the window: the reference at
+        # x-orders 1, 2, 3 and 5 gives it field for field, x_order aside
         for g in range(1, 5):
             for r in range(1, 4):
                 for d in range(r - 1, 8):
-                    for x_order in (1, 3):
-                        assert verify_implication_chain(g, d, r, x_order) == \
-                            chain_by_xt_series(g, d, r, x_order), (g, d, r, x_order)
+                    report = verify_implication_chain(g, d, r)
+                    for x_order in (1, 2, 3, 5):
+                        assert replace(chain_by_xt_series(g, d, r, x_order),
+                                       x_order=report.x_order) == report, (g, d, r, x_order)
 
     def test_matches_algebra_valued_reference_at_default_orders(self):
         for g in range(1, 4):
