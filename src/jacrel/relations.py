@@ -24,10 +24,13 @@ reports the weaker per-bidegree span comparison of the bare generators and
 flags any parameter set where the two notions differ.  Its rows are integer
 vectors: each generator is scaled once to coprime integers, and multiplying
 by C(k) only moves a row's entries to other columns (see ``GradedSpan``).
-Each family's span is built once, kept on the family and shared by every
-comparison it enters.  It and the ``lru_cache``s are the shared state; a span
-publishes a cell only once complete, so racing threads at most build a cell
-twice, with the same rows.
+A cell whose columns the full cells below it all reach is full with no
+elimination, and a pair with a full side has the cell's dimension as its
+joint rank; only the other cells are reduced.  Each family's span is built
+once, kept on the family and shared by every comparison it enters.  It and
+the ``lru_cache``s (the column maps of C(k), ``_shift_columns``, among them)
+are the shared state; a span publishes a cell only once complete, so racing
+threads at most build a cell twice, with the same rows.
 
 ``epsilon_series`` and ``verify_implication_chain`` replay the series
 bookkeeping connecting the families: the substitution defect
@@ -104,13 +107,17 @@ class RelationFamily:
                                             -1 if it.u_exp is None else it.u_exp)))
 
 
-def _validate_params(g: int, d: int, r: int) -> None:
+def _validate_params(g: int, d: int, r: int, families: bool = True) -> None:
+    """g, r >= 1 and d >= 0; the three families also need d - r + s >= 0
+    for s = 1..r, which the composition sum does not."""
     if g < 1:
         raise ValueError("g must be >= 1")
     if r < 1:
         raise ValueError("r must be >= 1")
-    if d - r + 1 < 0:
+    if families and d - r + 1 < 0:
         raise ValueError("need d - r + s >= 0 for s = 1..r")
+    if d < 0:
+        raise ValueError("d must be >= 0")
 
 
 def _compositions(total: int, parts: int, bound: int):
@@ -125,6 +132,7 @@ def _compositions(total: int, parts: int, bound: int):
                 yield (w,) + rest
 
 
+@lru_cache(maxsize=None)
 def _orderings(mono: Monomial) -> int:
     """Number of distinct orderings of a multiset."""
     count = factorial(len(mono))
@@ -172,7 +180,7 @@ def gen_theorem1(g: int, d: int, r: int, N: int) -> TautElement:
     into r parts (each part below g), with multiset multiplicity equal to the
     number of distinct orderings.  Only N >= d-2r+1 indexes a relation.
     """
-    _validate_params(g, d, r)
+    _validate_params(g, d, r, families=False)
     if N < 0:
         raise ValueError("N must be >= 0")
     if N < d - 2 * r + 1:
@@ -240,12 +248,22 @@ class GradedSpan:
     """Per-bidegree exact row spaces of the graded ideal a family generates.
 
     Rows are integer vectors in the canonical monomial basis of each
-    bidegree.  Cell (i, j) takes the generators of bidegree (i, j) first,
-    then the echelon rows of the cells (i-1, j-k) times C(k), 0 <= k < g,
-    since every monomial of positive size has a factor C(k).  Multiplying by
-    C(k) is an injective map on monomials, so a shifted row is the same
-    integers written into other columns.  The first echelon rows of a cell,
-    up to its generator rank, span the bare generators of that bidegree.
+    bidegree.  The ideal's piece at (i, j), i >= 1, is spanned by the
+    generators of bidegree (i, j) and the pieces (i-1, j-k) times C(k),
+    0 <= k < g, since every monomial of positive size has a factor C(k).
+    Multiplying by C(k) is an injective map on monomials
+    (``_shift_columns``), so a shifted row is the same integers written into
+    other columns, and each monomial m' of a full piece (i-1, j-k) gives the
+    unit row at the column of m'*C(k): that column is covered.
+
+    A cell takes its generators first, so its first echelon rows, up to its
+    generator rank, span the bare generators of that bidegree.  When the
+    covered columns are all of them, the cell is full (rank = dim) with no
+    arithmetic, and it keeps only its generator rows.  Otherwise it adds the
+    unit rows at the covered columns, then the echelon rows of the deficient
+    cells below, shifted and with the covered columns cut, until it is full;
+    its rows then span its piece.  A full cell lends the cells above it
+    columns, never rows.
 
     A cell depends only on its generators and the cells below it, so each
     family has one span, kept on the family (``from_family``), and a cell is
@@ -270,7 +288,7 @@ class GradedSpan:
             common = gcd(*ints.values())
             self.generators.setdefault(bideg, []).append(
                 [ints.get(m, 0) // common for m in monomials_of_bidegree(self.g, *bideg)])
-        self.cells: dict[tuple[int, int], tuple[RowSpace, int]] = {}
+        self.cells: dict[tuple[int, int], tuple[RowSpace, int, int]] = {}
 
     @classmethod
     def from_family(cls, family: RelationFamily) -> "GradedSpan":
@@ -281,37 +299,54 @@ class GradedSpan:
             object.__setattr__(family, "_span", span)
         return span
 
-    def cell(self, i: int, j: int) -> tuple[RowSpace, int]:
-        """The ideal's row space at (i, j) and its generator rank."""
+    def cell(self, i: int, j: int) -> tuple[RowSpace, int, int]:
+        """The cell (i, j): its row space, generator rank and ideal rank.
+
+        The space holds the generator rows, and, when the rank is below the
+        dimension, rows that span the ideal's piece."""
         found = self.cells.get((i, j))
         if found is not None:
             return found
-        basis = monomials_of_bidegree(self.g, i, j)
-        space = RowSpace(len(basis))
+        dim = len(monomials_of_bidegree(self.g, i, j))
+        space = RowSpace(dim)
         for row in self.generators.get((i, j), ()):
             space.add(row)
-        generator_rank = space.rank
-        if i and space.rank < len(basis):
-            for row in self._shifted_rows(i, j, basis):
-                space.add(row)
-                if space.rank == len(basis):
-                    break
-        found = self.cells[(i, j)] = (space, generator_rank)
+        generator_rank = rank = space.rank
+        if i and rank < dim:
+            lower = [(_shift_columns(self.g, i, j, k), self.cell(i - 1, j - k))
+                     for k in range(min(self.g, j + 1))]
+            # a full cell below covers every column its monomials reach
+            covered = {c for shift, (_, _, n) in lower if n == len(shift) for c in shift}
+            rank = dim
+            if len(covered) < dim:
+                for row in _cut_rows(lower, covered, dim):
+                    if space.add(row) and space.rank == dim:
+                        break
+                rank = space.rank
+        found = self.cells[(i, j)] = (space, generator_rank, rank)
         return found
 
-    def _shifted_rows(self, i: int, j: int, basis: tuple[Monomial, ...]):
-        """The echelon rows of the cells (i-1, j-k) times C(k), written into
-        the columns of cell (i, j)."""
-        column = {m: c for c, m in enumerate(basis)}
-        for k in range(min(self.g, j + 1)):
-            below = self.cell(i - 1, j - k)[0]
-            shift = [column[_mono_mul(m, (k,))]
-                     for m in monomials_of_bidegree(self.g, i - 1, j - k)]
+
+@lru_cache(maxsize=None)
+def _shift_columns(g: int, i: int, j: int, k: int) -> tuple[int, ...]:
+    """The column of m'*C(k) in cell (i, j), for each monomial m' of cell
+    (i-1, j-k) in order."""
+    column = {m: c for c, m in enumerate(monomials_of_bidegree(g, i, j))}
+    return tuple(column[_mono_mul(m, (k,))] for m in monomials_of_bidegree(g, i - 1, j - k))
+
+
+def _cut_rows(lower, covered: set[int], dim: int):
+    """Unit rows at the covered columns, then the echelon rows of the
+    deficient lower cells times C(k), with the covered columns cut."""
+    for c in sorted(covered):
+        yield [int(x == c) for x in range(dim)]
+    for shift, (below, _, n) in lower:
+        if n < len(shift):
             for piv in below.pivots.values():
-                row = [0] * len(basis)
-                for c, x in enumerate(piv):
-                    if x:
-                        row[shift[c]] = x
+                row = [0] * dim
+                for c, x in zip(shift, piv):
+                    if c not in covered:
+                        row[c] = x
                 yield row
 
 
@@ -393,15 +428,16 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
     cells = []
     for i in range(1, i_max + 1):
         for j in range(0, j_max + 1):
-            (a, a_gens), (b, b_gens) = span1.cell(i, j), span2.cell(i, j)
-            if not (a.rank or b.rank):
+            (a, a_gens, a_rank), (b, b_gens, b_rank) = span1.cell(i, j), span2.cell(i, j)
+            if not (a_rank or b_rank):
                 continue
+            dim = a.ncols
             cells.append(CellComparison(
-                i=i, j=j, dim=a.ncols,
-                ideal_ranks=(a.rank, b.rank),
-                ideal_joint=_joint_rank(a, a.rank, b, b.rank),
+                i=i, j=j, dim=dim,
+                ideal_ranks=(a_rank, b_rank),
+                ideal_joint=dim if dim in (a_rank, b_rank) else _joint_rank(a, a_rank, b, b_rank),
                 span_ranks=(a_gens, b_gens),
-                span_joint=_joint_rank(a, a_gens, b, b_gens),
+                span_joint=dim if dim in (a_gens, b_gens) else _joint_rank(a, a_gens, b, b_gens),
             ))
     return IdealComparison(family_ids=(f1.family_id, f2.family_id),
                            g=g, d=d, r=r, i_max=i_max, j_max=j_max,
@@ -414,7 +450,7 @@ def span_contains(f_sub: RelationFamily, f_sup: RelationFamily) -> bool:
         raise ValueError("families must share the same (g, d, r)")
     sub, sup = GradedSpan.from_family(f_sub), GradedSpan.from_family(f_sup)
     for (i, j), rows in sub.generators.items():
-        space, generator_rank = sup.cell(i, j)
+        space, generator_rank, _ = sup.cell(i, j)
         gens = RowSpace(space.ncols, islice(space.pivots.items(), generator_rank))
         if not all(gens.contains(row) for row in rows):
             return False

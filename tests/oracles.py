@@ -446,6 +446,45 @@ def compare_ideals_by_products(f1, f2):
                            r=f1.r, i_max=i_max, j_max=j_max, cells=tuple(cells))
 
 
+def cells_by_shifted_rows(family, i_max: int, j_max: int) -> dict:
+    """The reference cell builder for ``GradedSpan.cell``: (ideal rank,
+    generator rank) per cell (i, j), 1 <= i <= i_max, j <= j_max.  A cell
+    takes its generators, then every echelon row of the cells (i-1, j-k)
+    times C(k), with no covered columns: a full cell below still lends all
+    of its rows."""
+    from jacrel.linalg import RowSpace
+    from jacrel.relations import monomials_of_bidegree
+    g = family.g
+    gens: dict = {}
+    for item in family.items:
+        if not item.element.is_zero:
+            gens.setdefault(item.element.bidegree(), []).append(item.element)
+    built: dict = {}
+
+    def build(i, j):
+        if (i, j) not in built:
+            basis = monomials_of_bidegree(g, i, j)
+            column = {m: c for c, m in enumerate(basis)}
+            space = RowSpace(len(basis))
+            for element in gens.get((i, j), ()):
+                space.add(_primitive_row([element.coefficient(m) for m in basis]))
+            generator_rank = space.rank
+            for k in range(min(g, j + 1) if i else 0):
+                below = build(i - 1, j - k)[0]
+                shift = [column[tuple(sorted(m + (k,), reverse=True))]
+                         for m in monomials_of_bidegree(g, i - 1, j - k)]
+                for piv in below.pivots.values():
+                    row = [0] * len(basis)
+                    for c, x in zip(shift, piv):
+                        row[c] = x
+                    space.add(row)
+            built[(i, j)] = space, generator_rank
+        return built[(i, j)]
+
+    return {(i, j): (build(i, j)[0].rank, build(i, j)[1])
+            for i in range(1, i_max + 1) for j in range(j_max + 1)}
+
+
 def span_contains_by_ranks(f_sub, f_sup) -> bool:
     """The reference route for ``span_contains``: an item of f_sub lies in the
     span of f_sup's items of its bidegree when adding it leaves the rank of

@@ -234,6 +234,23 @@ class TestGrrCommand:
             assert "overall: pass" in result.stdout
 
 
+    def test_relations_and_grr_agree_below_d_r_minus_one(self, capsys):
+        # d < r-1 bounds no family, yet the composition sum is a relation of
+        # weight N = M-2r+1 >= 0; both commands take it and print the same one
+        for g in (1, 2, 3):
+            for r in (2, 3):
+                for d in range(1, r - 1):
+                    for M in range(2 * r - 1, 2 * r + 2):
+                        N = M - 2 * r + 1
+                        assert main(["relations", "--g", str(g), "--d", str(d), "--r", str(r),
+                                     "--family", "theorem1", "--N", str(N),
+                                     "--format", "json"]) == 0, (g, d, r, N)
+                        items = json.loads(capsys.readouterr().out)["items"]
+                        assert main(["grr", "--g", str(g), "--d", str(d), "--r", str(r),
+                                     "--M", str(M), "--format", "json"]) == 0, (g, d, r, M)
+                        derived = json.loads(capsys.readouterr().out)["derived_relation"]
+                        assert derived == (items[0]["element"] if items else []), (g, d, r, M)
+
 class TestReadmeExamples:
     README = (ROOT / "README.md").read_text()
 

@@ -5,15 +5,18 @@ byte-identical results to serial evaluation.  The shared structures are the
 module caches: the Stirling memo table, whose writers are idempotent, and the
 ``functools.lru_cache``s (``monomials_of_bidegree``, ``_bare_log_inv_pow``,
 the per-monomial products ``_h_product`` and the certified P_n coefficients
-``_p_coefficients`` they are built from, the chain's ``_e_part``, the
-complement products ``_e_product`` built from them, the head tables
-``_head_table`` read off those products, the check-(a) facts
-``_power_law_ok`` and ``_generator_split_ok``, and the GRR replay's
-``ch_vk``), which lock their own bookkeeping; two threads may both compute
-a missing entry, and they compute the same value.  Two pieces of state are
-kept on values.  A family's ``GradedSpan`` publishes a cell only once the
-cell is complete, so threads that compare the same family at once can at
-most build a cell twice, with the same rows.  The ``ChernData`` that
+``_p_coefficients`` they are built from, the multiset counts
+``_orderings``, the ideal cells' column maps of C(k) ``_shift_columns``,
+the chain's ``_e_part``, the complement products ``_e_product`` built from
+them, the head tables ``_head_table`` read off those products, the
+check-(a) facts ``_power_law_ok`` and ``_generator_split_ok``, and the GRR
+replay's ``ch_vk``), which lock their own bookkeeping; two threads may both
+compute a missing entry, and they compute the same value.  Two pieces of
+state are kept on values.  A family's ``GradedSpan`` publishes a cell, with
+its rows and its ranks, only once the cell is complete, so threads that
+compare the same family at once can at most build a cell twice, the same
+way: whether a cell is full from the cells below it or reduces rows
+depends only on those cells.  The ``ChernData`` that
 ``ch_vk`` shares per (g, d, r) carries the Chern-class memo of
 ``chern_classes``, which is replaced, under a lock, only by a complete longer
 tower: threads that ask for different lengths at once never read a partial
@@ -31,8 +34,9 @@ import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
 from jacrel.relations import (_e_product, _generator_split_ok, _h_product, _head_table,
-                              _p_coefficients, _power_law_ok, compare_ideals,
-                              family_to_json, gen_family, verify_implication_chain)
+                              _orderings, _p_coefficients, _power_law_ok, _shift_columns,
+                              compare_ideals, family_to_json, gen_family,
+                              verify_implication_chain)
 from test_imports import run_fresh
 
 FAMILIES = ("vdgk6", "herbaut7", "strong8")
@@ -45,6 +49,7 @@ def test_parallel_family_generation_is_deterministic():
     # cold product tables, so the threads race to build the same entries
     _h_product.cache_clear()
     _p_coefficients.cache_clear()
+    _orderings.cache_clear()
     with ThreadPoolExecutor(max_workers=6) as pool:
         parallel = list(pool.map(lambda p: family_to_json(gen_family(*p)), params))
     assert parallel == serial
@@ -87,21 +92,24 @@ def test_parallel_chain_reports_match_serial():
     assert parallel == serial
 
 
-def test_parallel_comparisons_share_one_span_per_family():
-    g, d, r = 4, 5, 2
+def race_comparisons(g, d, r, rounds):
+    """Rounds of eight threads comparing three shared family objects with
+    cold spans and cold column maps; returns each round's families."""
     tasks = [(a, b) for a in range(3) for b in range(3) if a != b]
     expected = {(a, b): compare_ideals(gen_family(FAMILIES[a], g, d, r),
                                        gen_family(FAMILIES[b], g, d, r))
                 for a, b in tasks}
+    families = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for _ in range(8):
+        for _ in range(rounds):
             # eight threads start together on three family objects with cold
             # spans, each through the tasks in its own order; a cell read
             # before it is complete shows as a wrong rank or as a dict that
             # changed size during iteration
             shared = [gen_family(f, g, d, r) for f in FAMILIES]
+            _shift_columns.cache_clear()
             barrier = threading.Barrier(8)
 
             def run(k):
@@ -112,8 +120,24 @@ def test_parallel_comparisons_share_one_span_per_family():
             with ThreadPoolExecutor(max_workers=8) as pool:
                 outputs = list(pool.map(run, range(8), timeout=120))
             assert all(out == expected for out in outputs)
+            families.append(shared)
     finally:
         sys.setswitchinterval(interval)
+    return families
+
+
+def test_parallel_comparisons_share_one_span_per_family():
+    race_comparisons(4, 5, 2, rounds=8)
+
+
+def test_parallel_comparisons_cover_and_reduce_cells():
+    # at (4, 6, 3) some cells are full from the full cells below them alone
+    # (their space keeps fewer rows than their rank) and others reduce rows
+    # beyond their generators; threads race through both kinds
+    for shared in race_comparisons(4, 6, 3, rounds=16):
+        cells = [cell for f in shared for cell in f._span.cells.values()]
+        assert any(space.rank < rank for space, _, rank in cells)
+        assert any(space.rank > generator_rank for space, generator_rank, _ in cells)
 
 
 def test_parallel_gamma_extraction_shares_one_tower_per_bundle():

@@ -8,14 +8,15 @@ from math import comb, factorial
 import pytest
 
 from jacrel.combinat import stirling2
-from jacrel.relations import (RelationFamily, RelationItem, compare_ideals, epsilon_series,
-                              family_from_json, family_from_jsonable, family_to_json,
-                              gen_family, gen_theorem1, monomials_of_bidegree, span_contains,
-                              theorem1_family, verify_implication_chain)
+from jacrel.linalg import RowSpace
+from jacrel.relations import (GradedSpan, RelationFamily, RelationItem, compare_ideals,
+                              epsilon_series, family_from_json, family_from_jsonable,
+                              family_to_json, gen_family, gen_theorem1, monomials_of_bidegree,
+                              span_contains, theorem1_family, verify_implication_chain)
 from jacrel.rings import TruncationError
 from jacrel.tautalg import TautElement, build_g_poly, poly_power
-from oracles import (chain_by_xt_series, compare_ideals_by_products, family_by_powers,
-                     rand_homogeneous_taut, span_contains_by_ranks,
+from oracles import (cells_by_shifted_rows, chain_by_xt_series, compare_ideals_by_products,
+                     family_by_powers, rand_homogeneous_taut, span_contains_by_ranks,
                      split_sums_by_position_sets, stirling_by_enumeration)
 
 
@@ -49,6 +50,17 @@ class TestGenTheorem1:
             gen_theorem1(4, 5, 2, 1)  # threshold is d-2r+1 = 2
         with pytest.raises(ValueError):
             gen_theorem1(4, 5, 2, -1)
+
+    def test_d_below_r_minus_one_bounds_only_the_families(self):
+        # the composition sum needs d >= 0; d - r + s >= 0 is the families'
+        assert gen_theorem1(3, 1, 3, 0) == C(3, 0) * C(3, 0) * C(3, 0)
+        assert theorem1_family(2, 0, 2, 1).items
+        for bad in ((3, -1, 3, 0), (0, 1, 1, 0), (3, 1, 0, 0)):
+            with pytest.raises(ValueError):
+                gen_theorem1(*bad)
+        for family_id in ("vdgk6", "herbaut7", "strong8"):
+            with pytest.raises(ValueError, match="d - r \\+ s"):
+                gen_family(family_id, 3, 1, 3)
 
     def test_high_weight_compositions_drop_out(self):
         # all parts would need to exceed g-1
@@ -224,6 +236,22 @@ class TestCompareIdeals:
                         assert compare_ideals(fams[a], fams[b]) == \
                             compare_ideals_by_products(fams[a], fams[b]), (g, d, r, a, b)
 
+    def test_reprs_match_pinned_hash_on_the_ideals_grid(self):
+        # SHA-256 of the newline-joined IdealComparison reprs on the ideals
+        # benchmark grid, as every cell gave them when it reduced all the
+        # shifted rows of the cells below it
+        fams = ("vdgk6", "herbaut7", "strong8")
+        reprs = []
+        for g in (5, 6, 7):
+            for r in (2, 3, 4):
+                for d in range(2 * r, 11):
+                    f = [gen_family(name, g, d, r) for name in fams]
+                    reprs += [repr(compare_ideals(f[a], f[b]))
+                              for a, b in ((0, 1), (1, 2), (0, 2))]
+        assert len(reprs) == 135
+        assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == \
+            "5bfc0213dfcd7790ea8e856bee08946a04c299e6fc8d29ac17b898aa0123df10"
+
     def test_random_families_match_product_route_reference(self):
         # random generators with rational coefficients: a wrong shift or
         # scaling that the three families' ideals happen to hide shows here
@@ -321,6 +349,31 @@ class TestSharedSpan:
                      for f in pair]
             assert report == compare_ideals_by_products(*fresh)
 
+    def test_cells_are_published_complete(self, monkeypatch):
+        # every row a span inserts finds each published cell, its rows and
+        # its ranks, as it will stay: no cell is published while it is built
+        fams = [gen_family(name, 4, 6, 3) for name in self.FAMILIES]
+
+        def published():
+            return {(k, key): (space.rank, generator_rank, rank)
+                    for k, f in enumerate(fams) if f._span
+                    for key, (space, generator_rank, rank) in f._span.cells.items()}
+
+        seen = []
+        add = RowSpace.add
+
+        def watched(space, row):
+            seen.append(published())
+            return add(space, row)
+
+        monkeypatch.setattr(RowSpace, "add", watched)
+        compare_ideals(fams[0], fams[2])
+        compare_ideals(fams[1], fams[2])
+        monkeypatch.undo()
+        final = published()
+        assert len(seen) > 100
+        assert all(final[key] == value for snapshot in seen for key, value in snapshot.items())
+
     def test_memo_is_not_part_of_the_value(self):
         used, fresh = gen_family("strong8", 4, 5, 2), gen_family("strong8", 4, 5, 2)
         before = repr(used)
@@ -329,6 +382,56 @@ class TestSharedSpan:
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) == before
         assert family_to_json(used) == family_to_json(fresh)
+
+
+class TestCoveredCells:
+    """A cell whose columns full cells below it all reach is full with no
+    elimination; the others reduce only the rows the covering leaves."""
+
+    FAMILIES = ("vdgk6", "herbaut7", "strong8")
+
+    # g = 4: (2,2) and (2,4) each have two monomials, and no product of the
+    # two generators with a C(k) fills a cell of size 3
+    NEVER_FULL = json.dumps({"family": "never_full", "g": 4, "d": 6, "r": 3, "items": [
+        {"s": 2, "t_exp": 6, "element": [{"monomial": [2, 0], "coeff": "3/2"},
+                                         {"monomial": [1, 1], "coeff": "-3/2"}]},
+        {"s": 2, "t_exp": 8, "element": [{"monomial": [3, 1], "coeff": "1"},
+                                         {"monomial": [2, 2], "coeff": "-5/7"}]}]})
+
+    def test_ranks_match_the_builder_without_covering(self):
+        # the criterion-5 grid, then the ideals benchmark grid
+        cases = [(g, d, r) for g in (3, 4, 5, 6) for r in (2, 3) for d in range(2 * r, 9)]
+        cases += [(g, d, r) for g in (5, 6, 7) for r in (2, 3, 4) for d in range(2 * r, 11)]
+        covered = deficient = 0
+        for g, d, r in cases:
+            for name in self.FAMILIES:
+                fam = gen_family(name, g, d, r)
+                span = GradedSpan(fam)
+                expected = cells_by_shifted_rows(fam, r, r * (g - 1))
+                got = {}
+                for (i, j) in expected:
+                    space, generator_rank, rank = span.cell(i, j)
+                    got[(i, j)] = (rank, generator_rank)
+                    if rank < space.ncols:
+                        assert space.rank == rank, (g, d, r, name, i, j)
+                    covered += space.rank < rank
+                    deficient += space.rank > generator_rank
+                assert got == expected, (g, d, r, name)
+        assert covered and deficient
+
+    def test_never_full_family_matches_product_route(self):
+        never_full = family_from_json(self.NEVER_FULL)
+        for name in self.FAMILIES:
+            for pair in ((never_full, gen_family(name, 4, 6, 3)),
+                         (gen_family(name, 4, 6, 3), never_full)):
+                report = compare_ideals(*pair)
+                assert report == compare_ideals_by_products(*pair), name
+                side = pair.index(never_full)
+                assert all(c.ideal_ranks[side] < c.dim for c in report.cells)
+                assert any(c.ideal_ranks[side] for c in report.cells)
+        # no nonempty cell is full, so no column is ever covered
+        cells = never_full._span.cells.values()
+        assert all(n < space.ncols for space, _, n in cells if space.ncols)
 
 
 class TestMonomialBasis:

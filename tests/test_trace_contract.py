@@ -25,10 +25,12 @@ for argv in (["identities", "--max-n", "3", "--order", "2"],
         sys.exit(f"{argv[0]} exited {code}")
     if argv[0] == "equivalence":
         # the chain's series products must pass through the hooked __mul__
-        # and size their operands, or the layer metrics read 0
+        # and size their operands, and the ideal cells must still insert
+        # rows through the hooked RowSpace.add, or the layer metrics read 0
         after = tracer.summary()
         for kind, key in (("calls", "rings.LaurentSeries.mul"),
-                          ("counters", "rings.LaurentSeries.mul.coeff_products")):
+                          ("counters", "rings.LaurentSeries.mul.coeff_products"),
+                          ("calls", "linalg.RowSpace.add")):
             if not after[kind].get(key, 0) > before[kind].get(key, 0):
                 sys.exit(f"equivalence left {kind} {key} at {after[kind].get(key)}")
     if argv[0] == "grr":
