@@ -181,7 +181,7 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
                      f"degree_bound={chain.degree_bound_ok} scalars={chain.scalar_ok}")
         lines.append("overall: " + ("equivalent" if ideal_ok else "NOT equivalent"))
         _emit("\n".join(lines), args.out)
-    return EXIT_OK if ideal_ok else EXIT_FAIL
+    return EXIT_OK if ideal_ok and chain.ok else EXIT_FAIL
 
 
 def cmd_grr(args: argparse.Namespace) -> int:

@@ -42,12 +42,10 @@ Laurent series over Q per generator: h_a = P_{a+2}(1/x) in H(1/x,t),
 g_a = (a+1)! L^-(a+2), L = log(1+x), in G(t/log(1+x)), and e_a = h_a - g_a
 in eps.  At a monomial m = (a_1..a_s) the expansion is the distributive law
 for prod (g_{a_i} + e_{a_i}), a sum over position sets S, so the facts it
-follows from are certified: the cached powers of L multiply as powers,
-h_a = g_a + e_a, and binomials count the position sets.  The degree bound
-needs only the window and valuation of the terms that the vdgk6 cut
-|S| + sum_{i in S} a_i <= d-r keeps: one cached table per (monomial,
-x-order) holds them by cut weight, read off the factors L^-N and prod e_a
-with no series product or sum, and every d looks up its entry.
+follows from are certified once per generator and power: the cached powers
+of L multiply as powers and h_a = g_a + e_a.  The degree bound is the
+paper's valuation lemma (see ``ChainReport``): it reads the valuations and
+windows of the cached e_a and L^-N, forms no product and visits no monomial.
 
 Note that eps has x-exponents >= 0 but genuinely nonzero x^0 terms
 (Bernoulli values B_n/n for even n = a+2), so the sharpest certifiable bound
@@ -57,26 +55,23 @@ is O(t^2) with no negative x-powers, not O(x t^2).
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
-from math import comb, factorial, gcd, lcm, prod
-from operator import itemgetter
+from itertools import islice
+from math import factorial, gcd, lcm
 
 from .combinat import _bare_log_inv_pow, p_poly, principal_part, stirling2
 from .linalg import RowSpace
 from .rings import (LaurentSeries, TruncationError, InvariantViolation, _rational,
-                    log1p_series, min_trunc)
+                    log1p_series)
 from .tautalg import Monomial, TautElement, _canonical_monomial, _mono_mul, mono_key
 
 
-# Bound on each of the chain's caches, keyed by x_order = 2(g+2) and by n
-# (``_e_part``, the check-(a) facts ``_power_law_ok``, ``_generator_split_ok``),
-# the complement (``_e_product``) or the monomial (``_head_table``).  The
-# criterion-6b grid puts 18, 66, 18, 191 and 191 entries in them.
+# Bound on each of the chain's caches, keyed by n and x_order = 2(g+2):
+# ``_e_part`` and the check-(a) facts ``_power_law_ok`` and
+# ``_generator_split_ok``.  The criterion-6b grid puts 18, 66 and 18
+# entries in them.
 _CACHE_SIZE = 4096
 
 
@@ -520,21 +515,9 @@ def epsilon_series(g: int, x_order: int) -> EpsilonReport:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _e_product(rest: Monomial, x_order: int) -> LaurentSeries:
-    """prod e_a over the weakly decreasing weights ``rest``, built on the
-    product without its last weight, as ``_h_product`` is: every monomial and
-    sub-multiset that leaves the same complement reads the same series."""
-    tail = _e_part(rest[-1] + 2, x_order)
-    return _e_product(rest[:-1], x_order) * tail if len(rest) > 1 else tail
-
-
-_ONE = LaurentSeries.monomial(0)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def _power_law_ok(n: int, x_order: int) -> bool:
     """L^-n * L = L^-(n-1) on its window, with L = log(1+x) and L^0 = 1."""
-    below = _bare_log_inv_pow(n - 1, x_order) if n > 1 else _ONE
+    below = _bare_log_inv_pow(n - 1, x_order) if n > 1 else LaurentSeries.monomial(0)
     return (_bare_log_inv_pow(n, x_order) * log1p_series(x_order + n)).agrees_with(below)
 
 
@@ -544,45 +527,6 @@ def _generator_split_ok(n: int, x_order: int) -> bool:
     integers that ``_h_product`` multiplies."""
     return LaurentSeries(-n, reversed(_p_coefficients(n))).agrees_with(
         _bare_log_inv_pow(n, x_order) * factorial(n - 1) + _e_part(n, x_order))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _head_table(mono: Monomial, x_order: int) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
-    """Heads of sum_S G_S * prod_{i not in S} e_{a_i} at m = (a_1..a_s),
-    G_S = prod_{i in S} (a_i+1)! * L^-(2|S| + sum_{i in S} a_i): whether the
-    facts of check (a) hold at m (see ``ChainReport``), and per cut weight
-    k = |S| + sum_{i in S} a_i, ascending, (k, trunc, valuation) of the sum
-    of the terms with cut weight <= k.  The position sets that choose one
-    sub-multiset T of m give one term, scaled by their count and never
-    formed: a product's window, valuation and coefficients are read off its
-    factors L^-N and ``_e_product``."""
-    weights = Counter(mono)
-    facts_ok = (all(_power_law_ok(n, x_order) for n in range(1, 2 * len(mono) + sum(mono) + 1))
-                and all(_generator_split_ok(a + 2, x_order) for a in weights))
-    terms = []  # (k, scale, L^-N, e-part)
-    for chosen, mult in Counter(c for size in range(len(mono) + 1)
-                                for c in combinations(mono, size)).items():
-        facts_ok = facts_ok and mult == prod(comb(weights[a], chosen.count(a))
-                                             for a in set(chosen))
-        rest = tuple(a for a, n in weights.items() for _ in range(n - chosen.count(a)))
-        terms.append((len(chosen) + sum(chosen), mult * prod(factorial(a + 1) for a in chosen),
-                      _bare_log_inv_pow(2 * len(chosen) + sum(chosen), x_order) if chosen
-                      else _ONE, _e_product(rest, x_order) if rest else _ONE))
-    terms.sort(key=itemgetter(0))
-    table, window, leads = [], None, {}  # leads: summed leading coefficients by valuation
-    for i, (k, scale, gp, ep) in enumerate(terms):
-        window = min_trunc(window, gp._product_trunc(ep))
-        if not (gp.is_zero or ep.is_zero):
-            v = gp.valuation + ep.valuation
-            leads[v] = leads.get(v, 0) + scale * gp.product_coeff(ep, v)
-        if i + 1 < len(terms) and terms[i + 1][0] == k:
-            continue
-        low = min(leads, default=window)
-        if low < window and not leads[low]:  # they cancel: sum later coefficients
-            low = next((v for v in range(low + 1, window) if sum(
-                scale * gp.product_coeff(ep, v) for _, scale, gp, ep in terms[: i + 1])), window)
-        table.append((k, window, min(low, window)))
-    return facts_ok, tuple(table)
 
 
 @dataclass(frozen=True)
@@ -606,7 +550,7 @@ class ScalarCheck:
 class DegreeBoundCheck:
     s: int
     bound: int
-    min_x_exponent: int | None
+    min_x_exponent: int
     certified: bool
 
 
@@ -614,9 +558,19 @@ class DegreeBoundCheck:
 class ChainReport:
     """Checks (a)-(c) of ``verify_implication_chain``.  ``x_order`` records
     the x-window the series were known below, 2(g+2).  ``identity9_ok``
-    holds when at each monomial m = (a_1..a_s): L^-n * L = L^-(n-1), L =
-    log(1+x), for n <= 2s + sum a_i; P_n(1/x) = (n-1)! L^-n + e_{n-2} for
-    n = a_i + 2; and prod_a C(m_a, T_a) position sets choose each T in m."""
+    holds when L^-n * L = L^-(n-1), L = log(1+x), for n <= r(g+1), and
+    P_n(1/x) = (n-1)! L^-n + e_{n-2} for n = a+2, a < g: the facts that the
+    distributive law at every monomial of the window follows from.
+
+    Check (b) is the valuation lemma.  With the vdgk6 relations rewritten to
+    zero, a kept term at m = (a_1..a_s) is G_S * prod_{i not in S} e_{a_i},
+    G_S a positive integer times L^-N, N = |S| + k with cut weight
+    k = |S| + sum_{i in S} a_i <= d-r (S empty always kept).  So once
+    every e_a has valuation >= 0, no kept term has an x-exponent below
+    -max N, the ``min_x_exponent`` of ``DegreeBoundCheck``, and it is
+    known below min(trunc L^-N, val L^-N + min_a trunc e_a).  The floor
+    is attained: by S = m when d-r >= s (the only term at -N), else by
+    |S| = d-r zero weights, since e_0 has valuation exactly 0."""
 
     g: int
     d: int
@@ -643,48 +597,41 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
     """Certify the series steps that tie the three families together.
 
     Every series involved is linear in the generators and C(a) carries
-    t^(a+2), so each check runs monomial by monomial on scalar series over Q,
-    exactly in t; only the x-order truncates, at the fixed window 2(g+2)
-    that ``ChainReport.x_order`` records.  Only the cut depends on d:
-    check (b) looks its heads up in the cached ``_head_table``, and the facts
-    of check (a) are cached, so a warm d does no series arithmetic.
+    t^(a+2), so each check reads scalar series over Q, exactly in t; only
+    the x-order truncates, at the fixed window 2(g+2) that
+    ``ChainReport.x_order`` records.  No check forms a product per
+    monomial, and every series it reads is cached, so a warm d does no
+    series arithmetic.
 
     (a) The binomial identity H(1/x,t)^s = sum_{s'} C(s,s') G(t/log(1+x))^s'
         eps^(s-s') holds for s = 1..r: at a monomial it is the distributive
         law for prod (g_{a_i} + e_{a_i}), certified by the facts it follows
         from (see ``ChainReport``).
     (b) With the vdgk6 vanishing rewritten into G's powers, the right-hand
-        side is certified to contain no x-exponent below -(d-r+s).
+        side is certified to contain no x-exponent below -(d-r+s), by the
+        valuation lemma (see ``ChainReport``).
     (c) The extraction scalar, the x^-(d-r+s) coefficient of
         x/(1+x) * log(1+x)^-n, equals (d-r+s)!/(n-1)! S(n-1, d-r+s) and is
         nonzero for every n > d-r+s.
     """
     _validate_params(g, d, r)
     x_order = 2 * (g + 2)
-    identity9_ok = True
+    identity9_ok = (all(_power_law_ok(n, x_order) for n in range(1, r * (g + 1) + 1))
+                    and all(_generator_split_ok(a + 2, x_order) for a in range(g)))
+    e_parts = [_e_part(a + 2, x_order) for a in range(g)]
+    e_ok = all(e.valuation >= 0 for e in e_parts)
+    e_trunc = min(e.trunc for e in e_parts)
     degree_checks: list[DegreeBoundCheck] = []
     for s in range(1, r + 1):
         bound = -(d - r + s)
-        lows: list[int] = []
-        certified = True
-        for w in range(s * (g - 1) + 1):
-            # one t-exponent 2s+w: it is known only where all its monomials are
-            heads = []
-            for mono in monomials_of_bidegree(g, s, w):
-                facts_ok, table = _head_table(mono, x_order)
-                identity9_ok = identity9_ok and facts_ok
-                # S empty (the k = 0 entry) and every S with k <= d-r
-                heads.append(table[max(bisect_right(table, d - r, key=itemgetter(0)), 1) - 1])
-            trunc = min(heads, key=itemgetter(1))[1]
-            if trunc < bound:
-                certified = False
-                continue
-            # a sum with no coefficient below its window has valuation >= trunc
-            lows += [v for _, _, v in heads if v < trunc]
-        min_exp = min(lows, default=None)
-        certified = certified and (min_exp is None or min_exp >= bound)
-        degree_checks.append(DegreeBoundCheck(s=s, bound=bound, min_x_exponent=min_exp,
-                                              certified=certified))
+        # max N over the kept (S, m): S = m, or d-r zero weights if d-r < s
+        top = s + min(d - r, s * g) if d - r >= s else 2 * max(d - r, 0)
+        powers = [_bare_log_inv_pow(n, x_order) for n in range(1, top + 1)]
+        floor = min((p.valuation for p in powers), default=0)
+        window = min([e_trunc] + [min(p.trunc, p.valuation + e_trunc) for p in powers])
+        degree_checks.append(DegreeBoundCheck(
+            s=s, bound=bound, min_x_exponent=floor,
+            certified=e_ok and window >= bound and floor >= bound))
 
     scalar_checks: list[ScalarCheck] = []
     # x/(1+x), wide enough that the product window always covers x^-m

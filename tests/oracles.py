@@ -589,7 +589,7 @@ def split_sums_by_position_sets(mono, h, e, x_order, kept_weights):
     """Both sides of the binomial identity at one monomial m = (a_1..a_s),
     summed over all 2^s position sets S one set at a time.
 
-    The reference route for ``relations._split_terms``: the right-hand side
+    The reference route for ``head_table``: the right-hand side
     is sum_S G_S * prod_{i not in S} e_{a_i}, with
     G_S = prod_{i in S} (a_i+1)! * log(1+x)^-(2|S| + sum_{i in S} a_i).
     Returns whether it agrees with prod h_{a_i}, and for each kept weight
@@ -623,6 +623,67 @@ def split_sums_by_position_sets(mono, h, e, x_order, kept_weights):
             sums[standing] = sum((terms[i][1] for i in standing), LaurentSeries.zero())
         kept.append(sums[standing])
     return lhs.agrees_with(full), kept
+
+
+@lru_cache(maxsize=None)
+def e_product(rest, x_order):
+    """prod e_a over the weakly decreasing weights ``rest``, built on the
+    product without its last weight."""
+    from jacrel.relations import _e_part
+    tail = _e_part(rest[-1] + 2, x_order)
+    return e_product(rest[:-1], x_order) * tail if len(rest) > 1 else tail
+
+
+@lru_cache(maxsize=None)
+def head_table(mono, x_order):
+    """Heads of sum_S G_S * prod_{i not in S} e_{a_i} at m = (a_1..a_s),
+    G_S = prod_{i in S} (a_i+1)! * L^-(2|S| + sum_{i in S} a_i), from the
+    actual valuation of every kept sum.
+
+    The reference route for check (b) of ``verify_implication_chain``, which
+    reads the valuation lemma instead.  Returns whether the facts of check
+    (a) hold at m, the position-set counts among them, and per cut weight
+    k = |S| + sum_{i in S} a_i, ascending, (k, trunc, valuation) of the sum
+    of the terms with cut weight <= k.  The position sets that choose one
+    sub-multiset T of m give one term, scaled by their count and never
+    formed: a product's window, valuation and coefficients are read off its
+    factors L^-N and ``e_product``.
+    """
+    from collections import Counter
+    from itertools import combinations
+    from math import comb, prod
+    from operator import itemgetter
+
+    from jacrel.relations import _bare_log_inv_pow as log_inv_pow
+    from jacrel.relations import _generator_split_ok, _power_law_ok
+    one = LaurentSeries.monomial(0)
+    weights = Counter(mono)
+    facts_ok = (all(_power_law_ok(n, x_order) for n in range(1, 2 * len(mono) + sum(mono) + 1))
+                and all(_generator_split_ok(a + 2, x_order) for a in weights))
+    terms = []  # (k, scale, L^-N, e-part)
+    for chosen, mult in Counter(c for size in range(len(mono) + 1)
+                                for c in combinations(mono, size)).items():
+        facts_ok = facts_ok and mult == prod(comb(weights[a], chosen.count(a))
+                                             for a in set(chosen))
+        rest = tuple(a for a, n in weights.items() for _ in range(n - chosen.count(a)))
+        terms.append((len(chosen) + sum(chosen), mult * prod(factorial(a + 1) for a in chosen),
+                      log_inv_pow(2 * len(chosen) + sum(chosen), x_order) if chosen else one,
+                      e_product(rest, x_order) if rest else one))
+    terms.sort(key=itemgetter(0))
+    table, window, leads = [], None, {}  # leads: summed leading coefficients by valuation
+    for i, (k, scale, gp, ep) in enumerate(terms):
+        window = min_trunc(window, gp._product_trunc(ep))
+        if not (gp.is_zero or ep.is_zero):
+            v = gp.valuation + ep.valuation
+            leads[v] = leads.get(v, 0) + scale * gp.product_coeff(ep, v)
+        if i + 1 < len(terms) and terms[i + 1][0] == k:
+            continue
+        low = min(leads, default=window)
+        if low < window and not leads[low]:  # they cancel: sum later coefficients
+            low = next((v for v in range(low + 1, window) if sum(
+                scale * gp.product_coeff(ep, v) for _, scale, gp, ep in terms[: i + 1])), window)
+        table.append((k, window, min(low, window)))
+    return facts_ok, tuple(table)
 
 
 @lru_cache(maxsize=None)

@@ -7,12 +7,10 @@ module caches: the Stirling memo table, whose writers are idempotent, and the
 the per-monomial products ``_h_product`` and the certified P_n coefficients
 ``_p_coefficients`` they are built from, the multiset counts
 ``_orderings``, the ideal cells' column maps of C(k) ``_shift_columns``,
-the chain's ``_e_part``, the complement products ``_e_product`` built from
-them, the head tables ``_head_table`` read off those products, the
-check-(a) facts ``_power_law_ok`` and ``_generator_split_ok``, and the GRR
-replay's ``ch_vk``), which lock their own bookkeeping; two threads may both
-compute a missing entry, and they compute the same value.  Two pieces of
-state are kept on values.  A family's ``GradedSpan`` publishes a cell, with
+the chain's ``_e_part``, the check-(a) facts ``_power_law_ok`` and
+``_generator_split_ok``, and the GRR replay's ``ch_vk``), which lock their
+own bookkeeping; two threads may both compute a missing entry, and they
+compute the same value.  Two pieces of state are kept on values.  A family's ``GradedSpan`` publishes a cell, with
 its rows and its ranks, only once the cell is complete, so threads that
 compare the same family at once can at most build a cell twice, the same
 way: whether a cell is full from the cells below it or reduces rows
@@ -33,8 +31,8 @@ from concurrent.futures import ThreadPoolExecutor
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_e_product, _generator_split_ok, _h_product, _head_table,
-                              _orderings, _p_coefficients, _power_law_ok, _shift_columns,
+from jacrel.relations import (_e_part, _generator_split_ok, _h_product, _orderings,
+                              _p_coefficients, _power_law_ok, _shift_columns,
                               compare_ideals, family_to_json, gen_family,
                               verify_implication_chain)
 from test_imports import run_fresh
@@ -77,9 +75,9 @@ def test_parallel_chain_reports_match_serial():
     params = [(3, 4, 2), (4, 6, 3), (5, 5, 2), (3, 7, 3), (4, 4, 2), (5, 7, 2),
               (3, 6, 2), (4, 8, 2)]
     serial = [verify_implication_chain(*p) for p in params]
-    # cold tables and frequent thread switches, so threads race to build and
+    # cold series and frequent thread switches, so threads race to build and
     # read the same entries
-    for cache in (_head_table, _e_product, _power_law_ok, _generator_split_ok):
+    for cache in (combinat._bare_log_inv_pow, _e_part, _power_law_ok, _generator_split_ok):
         cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

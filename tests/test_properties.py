@@ -6,8 +6,11 @@ truncation-aware agreement (operand order can legitimately change how much of
 the result is provably known, never its value on the shared window).
 """
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -255,7 +258,7 @@ def test_product_coeff_reads_the_product():
 
 
 def test_product_head_reads_the_factors():
-    # the head of a product off its factors, as the chain's head tables read
+    # the head of a product off its factors, as the reference head tables read
     # it: the window is _product_trunc, and nonzero factors give the summed
     # valuation and the product of the leading coefficients
     rng = random.Random(1013)
@@ -328,3 +331,18 @@ def test_json_round_trip_byte_equality_random_params():
         fam = gen_family(fid, g, d, r)
         text = family_to_json(fam)
         assert family_to_json(family_from_json(text)) == text
+
+
+def test_position_sets_count_as_binomials():
+    # the position sets S of m = (a_1..a_s) that choose the sub-multiset T
+    # of its weights number prod_a C(m_a, T_a): the count the distributive
+    # law for prod (g_{a_i} + e_{a_i}) groups its terms by
+    rng = random.Random(1014)
+    for _ in range(200):
+        mono = tuple(sorted((rng.randint(0, 4) for _ in range(rng.randint(0, 7))),
+                            reverse=True))
+        weights = Counter(mono)
+        for size in range(len(mono) + 1):
+            for chosen, count in Counter(combinations(mono, size)).items():
+                assert count == math.prod(math.comb(weights[a], chosen.count(a))
+                                          for a in set(chosen)), (mono, chosen)

@@ -16,8 +16,9 @@ from jacrel.relations import (GradedSpan, RelationFamily, RelationItem, compare_
 from jacrel.rings import TruncationError
 from jacrel.tautalg import TautElement, build_g_poly, poly_power
 from oracles import (cells_by_shifted_rows, chain_by_xt_series, compare_ideals_by_products,
-                     family_by_powers, rand_homogeneous_taut, span_contains_by_ranks,
-                     split_sums_by_position_sets, stirling_by_enumeration)
+                     e_product, family_by_powers, head_table, rand_homogeneous_taut,
+                     span_contains_by_ranks, split_sums_by_position_sets,
+                     stirling_by_enumeration)
 
 
 def C(g, j):
@@ -92,6 +93,29 @@ class TestGenFamily:
             expected = C(g, a) * scalar
             got = by_t.get(a + 2, TautElement.zero(g))
             assert got == expected, a
+
+    def test_closed_form_witnesses(self):
+        # vdgk6's item at (s, t) is strong8's at u^t; since Q_m(-1) = 0,
+        # herbaut7's is sum_{j>k} (-1)^(j-k-1) strong8's at u^j, k = d-r+s
+        items = 0
+        for g in range(2, 7):
+            zero = TautElement.zero(g)
+            for r in range(1, 4):
+                for d in range(2 * r, 10):
+                    strong8 = {(it.s, it.t_exp, it.u_exp): it.element
+                               for it in gen_family("strong8", g, d, r).items}
+                    vdgk6, herbaut7 = ({(it.s, it.t_exp): it.element
+                                        for it in gen_family(fid, g, d, r).items}
+                                       for fid in ("vdgk6", "herbaut7"))
+                    items += len(vdgk6) + len(herbaut7)
+                    for s in range(1, r + 1):
+                        k = d - r + s
+                        for t in range(2 * s, s * (g + 1) + 1):
+                            assert vdgk6.get((s, t), zero) == strong8.get((s, t, t), zero)
+                            witness = sum(((-1) ** (j - k - 1) * strong8.get((s, t, j), zero)
+                                           for j in range(k + 1, t + 1)), zero)
+                            assert herbaut7.get((s, t), zero) == witness, (g, d, r, s, t)
+        assert items == 800
 
     def test_strong8_empty_when_bound_exceeds_degree(self):
         fam = gen_family("strong8", 1, 5, 1)  # u-degree of H is 2 < d-r+s = 5
@@ -523,7 +547,7 @@ class TestImplicationChain:
         # generators (n <= g+1), so only the power law sees it
         import jacrel.relations as rel
         from jacrel.rings import LaurentSeries
-        caches = (rel._power_law_ok, rel._generator_split_ok, rel._e_product, rel._head_table)
+        caches = (rel._power_law_ok, rel._generator_split_ok)
         g, d, r, x_order = 3, 5, 2, 10  # the chain's window 2(g+2)
 
         def perturbed(real, at):
@@ -548,6 +572,27 @@ class TestImplicationChain:
             for cache in caches:
                 cache.cache_clear()
         assert identity9()
+
+    def test_degree_bound_comparison_is_not_vacuous(self, monkeypatch):
+        # check (b) rests on val(e_a) >= 0: an x^-1 term in e_0 must flip it
+        import jacrel.relations as rel
+        from jacrel.rings import LaurentSeries
+        g, d, r, x_order = 3, 5, 2, 10
+        real = rel._e_part
+        bump = LaurentSeries(-1, (F(1),), x_order)
+        try:
+            assert verify_implication_chain(g, d, r).ok
+            with monkeypatch.context() as patch:
+                patch.setattr(rel, "_e_part", lambda n, order: real(n, order) + bump
+                              if n == 2 else real(n, order))
+                rel._generator_split_ok.cache_clear()
+                report = verify_implication_chain(g, d, r)
+                assert not report.degree_bound_ok
+                assert not report.ok
+        finally:
+            rel._generator_split_ok.cache_clear()
+        report = verify_implication_chain(g, d, r)
+        assert report.degree_bound_ok and report.ok
 
     def test_reports_match_pinned_hashes(self):
         # SHA-256 of the newline-joined ChainReport reprs on the criterion-6b
@@ -592,11 +637,11 @@ def kept_head(table, cut):
 
 class TestSplitTable:
     def test_matches_position_set_sums(self):
-        # the cached head table, one term per sub-multiset scaled by its
+        # the reference head table, one term per sub-multiset scaled by its
         # multiplicity and read off its factors, against the plain sums over
         # all 2^s position sets, at every cut a d can make
         from jacrel.combinat import principal_part
-        from jacrel.relations import _e_part, _head_table
+        from jacrel.relations import _e_part
         g = 6
         for x_order in (1, 3, 8):
             h = [principal_part(a + 2) for a in range(g)]
@@ -604,7 +649,7 @@ class TestSplitTable:
             for s in range(1, 5):
                 for w in range(s * (g - 1) + 1):
                     for mono in monomials_of_bidegree(g, s, w):
-                        facts_ok, table = _head_table(mono, x_order)
+                        facts_ok, table = head_table(mono, x_order)
                         cuts = range(-1, s * (g - 1) + s + 1)
                         agrees, sums = split_sums_by_position_sets(mono, h, e, x_order, cuts)
                         assert facts_ok and agrees, (mono, x_order)
@@ -616,23 +661,35 @@ class TestSplitTable:
         # weight 1, the weight 2) cancel at their least valuation, so the
         # head reads later coefficients
         from jacrel.combinat import principal_part
-        from jacrel.relations import _bare_log_inv_pow, _e_part, _e_product, _head_table
+        from jacrel.relations import _bare_log_inv_pow, _e_part
         mono, x_order, cut = (2, 1, 1, 1), 3, 3
-        terms = (_e_product(mono, x_order),
-                 _bare_log_inv_pow(3, x_order) * _e_product((2, 1, 1), x_order),
-                 _bare_log_inv_pow(4, x_order) * _e_product((1, 1, 1), x_order))
+        terms = (e_product(mono, x_order),
+                 _bare_log_inv_pow(3, x_order) * e_product((2, 1, 1), x_order),
+                 _bare_log_inv_pow(4, x_order) * e_product((1, 1, 1), x_order))
         least = min(term.valuation for term in terms if not term.is_zero)
         h = [principal_part(a + 2) for a in range(3)]
         e = [_e_part(a + 2, x_order) for a in range(3)]
         kept = split_sums_by_position_sets(mono, h, e, x_order, [cut])[1][0]
-        trunc, valuation = kept_head(_head_table(mono, x_order)[1], cut)
+        trunc, valuation = kept_head(head_table(mono, x_order)[1], cut)
         assert valuation > least
         assert (trunc, valuation) == (kept.trunc, kept.valuation)
 
+    def test_floor_is_the_least_kept_head(self):
+        # the lemma's floor, min_x_exponent, is the least valuation of the
+        # kept sums that the reference table computes, and reaches the bound
+        cases = [(g, d, r) for g in (3, 4, 5, 6) for r in (2, 3) for d in range(2 * r, 9)]
+        for g, d, r in cases + [(9, d, 5) for d in (10, 11, 12)]:
+            report = verify_implication_chain(g, d, r)
+            for check in report.degree_bounds:
+                least = min(kept_head(head_table(mono, report.x_order)[1], d - r)[1]
+                            for w in range(check.s * (g - 1) + 1)
+                            for mono in monomials_of_bidegree(g, check.s, w))
+                assert least == check.min_x_exponent >= check.bound, (g, d, r, check.s)
+
     def test_reports_do_not_depend_on_cache_state(self):
-        from jacrel.relations import (_CACHE_SIZE, _e_part, _e_product, _generator_split_ok,
-                                      _head_table, _power_law_ok)
-        caches = (_head_table, _e_part, _e_product, _power_law_ok, _generator_split_ok)
+        from jacrel.relations import (_CACHE_SIZE, _bare_log_inv_pow, _e_part,
+                                      _generator_split_ok, _power_law_ok)
+        caches = (_bare_log_inv_pow, _e_part, _power_law_ok, _generator_split_ok)
 
         def report(g, d, r):
             chain = verify_implication_chain(g, d, r)
@@ -648,7 +705,7 @@ class TestSplitTable:
                     for cache in caches:
                         cache.cache_clear()
                     cleared.append(report(g, d, r))
-                # every d reads the same tables, now all cached
+                # every d reads the same series, now all cached
                 ascending = [report(g, d, r) for d in ds]
                 descending = [report(g, d, r) for d in reversed(ds)]
                 assert ascending == cleared, (g, r)
