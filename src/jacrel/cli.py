@@ -179,7 +179,9 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
                     f"span ranks {cell['span_ranks']} joint {cell['span_joint']}")
         lines.append(f"  chain: identity9={chain.identity9_ok} "
                      f"degree_bound={chain.degree_bound_ok} scalars={chain.scalar_ok}")
-        lines.append("overall: " + ("equivalent" if ideal_ok else "NOT equivalent"))
+        verdict = "NOT equivalent" if not ideal_ok else (
+            "equivalent" if chain.ok else "ideals equal, chain NOT certified")
+        lines.append("overall: " + verdict)
         _emit("\n".join(lines), args.out)
     return EXIT_OK if ideal_ok and chain.ok else EXIT_FAIL
 

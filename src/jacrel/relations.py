@@ -22,15 +22,20 @@ herbaut7 one is [u^(d-r+s)] of Q_m(u)/(1+u), B_{d-r+s}(a_1+1..a_s+1).
 computations, whether two families generate the same graded ideal; it also
 reports the weaker per-bidegree span comparison of the bare generators and
 flags any parameter set where the two notions differ.  Its rows are integer
-vectors: each generator is scaled once to coprime integers, and multiplying
-by C(k) only moves a row's entries to other columns (see ``GradedSpan``).
+vectors, and multiplying by C(k) only moves a row's entries to other columns
+(see ``GradedSpan``).  A family that ``gen_family`` made reads its generator
+rows off one cached echelon per bidegree (``_top_echelon``), shared by every
+d, r and family and stopped at the symmetric bound floor(w/2)+1; any other
+family, read from JSON or built by hand, has each item scaled once to
+coprime integers.
 A cell whose columns the full cells below it all reach is full with no
 elimination, and a pair with a full side has the cell's dimension as its
 joint rank; only the other cells are reduced.  Each family's span is built
 once, kept on the family and shared by every comparison it enters.  It and
-the ``lru_cache``s (the column maps of C(k), ``_shift_columns``, among them)
-are the shared state; a span publishes a cell only once complete, so racing
-threads at most build a cell twice, with the same rows.
+the ``lru_cache``s (the column maps of C(k), ``_shift_columns``, and the
+echelon tables, ``_top_echelon``, among them) are the shared state; a span
+publishes a cell only once complete, so racing threads at most build a cell
+twice, with the same rows.
 
 ``epsilon_series`` and ``verify_implication_chain`` replay the series
 bookkeeping connecting the families: the substitution defect
@@ -59,7 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .combinat import _bare_log_inv_pow, p_poly, principal_part, stirling2
 from .linalg import RowSpace
@@ -95,6 +100,9 @@ class RelationFamily:
     r: int
     items: tuple[RelationItem, ...]
     _span: GradedSpan | None = field(default=None, init=False, repr=False, compare=False)
+    # (family_id, d-r) on a family that ``gen_family`` made; never serialized
+    _route: tuple[str, int] | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def sorted_items(self) -> tuple[RelationItem, ...]:
         return tuple(sorted(self.items,
@@ -139,10 +147,16 @@ def _orderings(mono: Monomial) -> int:
 @lru_cache(maxsize=None)
 def _p_coefficients(n: int) -> tuple[int, ...]:
     """Integer coefficients of P_n(u), u^0 first, certified to vanish at
-    u = -1, so that every product of them is exactly divisible by (1+u)."""
+    u = -1, so that every product of them is exactly divisible by (1+u),
+    and at u = 0, with P_n(-1-u) = (-1)^n P_n(u): the facts that bound the
+    rank of a cell's strong8 table (``_top_echelon``)."""
     coeffs = tuple(int(c) for c in p_poly(n).coeffs)
     if sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs)):
         raise InvariantViolation(f"P_{n}(-1) != 0: (1+u) does not divide H(u,t)")
+    flipped = [sum((-1) ** i * comb(i, j) * c for i, c in enumerate(coeffs) if i >= j)
+               for j in range(len(coeffs))]
+    if coeffs[0] or flipped != [(-1) ** n * c for c in coeffs]:
+        raise InvariantViolation(f"P_{n}(0) != 0 or P_{n}(-1-u) != (-1)^{n} P_{n}(u)")
     return coeffs
 
 
@@ -159,6 +173,27 @@ def _h_product(mono: Monomial) -> tuple[int, ...]:
         for j, y in enumerate(tail):
             out[i + j] += x * y
     return tuple(out)
+
+
+def _cell_table(g: int, s: int, w: int) -> list[tuple[Monomial, int, tuple[int, ...]]]:
+    """(m, orderings(m), Q_m) for each monomial m of bidegree (s, w), in order."""
+    return [(m, _orderings(m), _h_product(m)) for m in monomials_of_bidegree(g, s, w)]
+
+
+@lru_cache(maxsize=None)
+def _h_quotient(mono: Monomial) -> tuple[int, ...]:
+    """Integer coefficients, u^0 first, of Q_m(u)/(1+u), exact since every
+    factor vanishes at u = -1."""
+    out, carry = [], 0
+    for c in _h_product(mono)[:-1]:
+        carry = c - carry
+        out.append(carry)
+    return tuple(out)
+
+
+def _divided_row(g: int, s: int, w: int, k: int) -> list[int]:
+    """[u^k] of Q_m(u)/(1+u) for each monomial m of bidegree (s, w)."""
+    return [h[k] if k < len(h) else 0 for h in map(_h_quotient, monomials_of_bidegree(g, s, w))]
 
 
 def _g_power_coefficient(g: int, s: int, w: int) -> TautElement:
@@ -196,6 +231,8 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
     Items are read monomial by monomial off Q_m(u) (``_h_product``): with
     k = d-r+s, strong8 takes its u^e coefficients for e > k, herbaut7 the
     u^k one of Q_m(u)/(1+u), vdgk6 the top one, u^(2s+w), if 2s+w > k.
+    The family carries (family_id, d-r), so that its span reads its
+    generators off the shared tables instead of its items (``GradedSpan``).
     """
     _validate_params(g, d, r)
     if family_id not in ("vdgk6", "herbaut7", "strong8"):
@@ -204,25 +241,23 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
     for s in range(1, r + 1):
         k = d - r + s
         for w in range(0, s * (g - 1) + 1):
-            by_u: dict[int, dict[Monomial, int]] = {}
-            for mono in monomials_of_bidegree(g, s, w):
-                q = _h_product(mono)
-                if family_id == "herbaut7":  # [u^k] of q / (1+u)
-                    coeffs = {k: sum((-1) ** (k - i) * q[i]
-                                     for i in range(min(k + 1, len(q))))}
-                else:
-                    first = k + 1 if family_id == "strong8" else max(k + 1, 2 * s + w)
-                    coeffs = {e: q[e] for e in range(first, len(q))}
-                weight = _orderings(mono)
-                for e, c in coeffs.items():
-                    if c:
-                        by_u.setdefault(e, {})[mono] = weight * c
-            for e in sorted(by_u):
-                items.append(RelationItem(
-                    s=s, t_exp=2 * s + w, element=TautElement._trusted(g, by_u[e]),
-                    u_exp=e if family_id == "strong8" else None))
-    items.sort(key=lambda it: (it.s, it.t_exp, -1 if it.u_exp is None else it.u_exp))
-    return RelationFamily(family_id, g, d, r, tuple(items))
+            top, table = 2 * s + w, _cell_table(g, s, w)
+            # (u_exp, terms) per item, in order
+            if family_id == "strong8":
+                found = [(e, {m: n * q[e] for m, n, q in table if q[e]})
+                         for e in range(k + 1, top + 1)]
+            elif family_id == "vdgk6":
+                found = [(None, {m: n * q[top] for m, n, q in table})] if top > k else []
+            else:
+                found = [(None, {m: n * c for (m, n, _), c in zip(table, _divided_row(g, s, w, k))
+                                 if c})]
+            for e, terms in found:
+                if terms:
+                    items.append(RelationItem(s=s, t_exp=top, u_exp=e,
+                                              element=TautElement._trusted(g, terms)))
+    family = RelationFamily(family_id, g, d, r, tuple(items))
+    object.__setattr__(family, "_route", (family_id, d - r))
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +298,22 @@ class GradedSpan:
     A cell depends only on its generators and the cells below it, so each
     family has one span, kept on the family (``from_family``), and a cell is
     built the first time it is read.
+
+    The generator rows come by one of two routes, which give every cell the
+    same generator span.  A family that ``gen_family`` made carries
+    (family_id, d-r), and its items are never read: with k = d-r+i, a
+    strong8 cell starts from the first ``ranks[k+1]`` echelon rows of the
+    cell's shared table (``_top_echelon``), a vdgk6 cell from its first row
+    when 2i+j > k, and a herbaut7 cell inserts its one row,
+    orderings(m) [u^k] Q_m/(1+u).  Any other family (read from JSON, built
+    by hand or edited) scales each item to coprime integers and inserts the
+    rows in item order.
     """
 
     def __init__(self, family: RelationFamily) -> None:
-        self.g = family.g
+        self.g, self.r, self.route = family.g, family.r, family._route
         self.generators: dict[tuple[int, int], list[list[int]]] = {}
-        for item in family.items:
+        for item in () if self.route else family.items:
             terms = item.element.terms
             if not terms:
                 continue
@@ -297,15 +342,14 @@ class GradedSpan:
     def cell(self, i: int, j: int) -> tuple[RowSpace, int, int]:
         """The cell (i, j): its row space, generator rank and ideal rank.
 
-        The space holds the generator rows, and, when the rank is below the
-        dimension, rows that span the ideal's piece."""
+        The space starts from the generators' echelon rows, read off the
+        shared tables or the items (see the class), and holds, when the rank
+        is below the dimension, rows that span the ideal's piece."""
         found = self.cells.get((i, j))
         if found is not None:
             return found
         dim = len(monomials_of_bidegree(self.g, i, j))
-        space = RowSpace(dim)
-        for row in self.generators.get((i, j), ()):
-            space.add(row)
+        space = self._generator_space(i, j, dim)
         generator_rank = rank = space.rank
         if i and rank < dim:
             lower = [(_shift_columns(self.g, i, j, k), self.cell(i - 1, j - k))
@@ -320,6 +364,49 @@ class GradedSpan:
                 rank = space.rank
         found = self.cells[(i, j)] = (space, generator_rank, rank)
         return found
+
+    def _generator_space(self, i: int, j: int, dim: int) -> RowSpace:
+        """The echelon rows of the generators of bidegree (i, j)."""
+        space = RowSpace(dim)
+        if self.route is None:
+            for row in self.generators.get((i, j), ()):
+                space.add(row)
+            return space
+        family_id, cut = self.route
+        k = cut + i
+        if not dim or not 1 <= i <= self.r:
+            return space
+        if family_id == "herbaut7":
+            space.add([_orderings(m) * c for m, c in zip(monomials_of_bidegree(self.g, i, j),
+                                                         _divided_row(self.g, i, j, k))])
+        elif 2 * i + j > k:
+            pivots, ranks = _top_echelon(self.g, i, j)
+            space.pivots.update(pivots[:1 if family_id == "vdgk6" else ranks[k + 1]])
+        return space
+
+
+@lru_cache(maxsize=None)
+def _top_echelon(g: int, s: int, w: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...],
+                                                  tuple[int, ...]]:
+    """The echelon rows of the rows A[e] = (orderings(m) [u^e] Q_m)_m of
+    cell (s, w), inserted from e = 2s+w down, and ``ranks[e]``, the rank of
+    the rows e..2s+w (``ranks[2s+w+1] = 0``).  Strong8's generators in the
+    cell are the rows e > d-r+s, and vdgk6's the row e = 2s+w.
+
+    Since P_n(0) = P_n(-1) = 0 and P_n(-1-u) = (-1)^n P_n(u) (certified in
+    ``_p_coefficients``), every Q_m is (u(1+u))^s times a polynomial f of
+    degree w with f(-1-u) = (-1)^w f(u), a space of dimension
+    floor(w/2) + 1 that holds every column of A; once the rank reaches
+    that, or the cell's dimension, no further row is inserted."""
+    table = _cell_table(g, s, w)
+    bound = min(len(table), w // 2 + 1)
+    space = RowSpace(len(table))
+    ranks = [0]
+    for e in range(2 * s + w, -1, -1):
+        if space.rank < bound:
+            space.add([n * q[e] for _, n, q in table])
+        ranks.append(space.rank)
+    return tuple(space.pivots.items()), tuple(reversed(ranks))
 
 
 @lru_cache(maxsize=None)
@@ -415,8 +502,8 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
     g, d, r = f1.g, f1.d, f1.r
     i_max, j_max = r, r * (g - 1)
     span1, span2 = GradedSpan.from_family(f1), GradedSpan.from_family(f2)
-    for family, span in ((f1, span1), (f2, span2)):
-        for s, w in span.generators:
+    for family in (f1, f2):
+        for s, w in _generator_bidegrees(family):
             if s > i_max or w > j_max:
                 raise TruncationError(f"window ({i_max}, {j_max}) misses the "
                                       f"{family.family_id} generator of bidegree ({s}, {w})")
@@ -444,12 +531,18 @@ def span_contains(f_sub: RelationFamily, f_sup: RelationFamily) -> bool:
     if (f_sub.g, f_sub.d, f_sub.r) != (f_sup.g, f_sup.d, f_sup.r):
         raise ValueError("families must share the same (g, d, r)")
     sub, sup = GradedSpan.from_family(f_sub), GradedSpan.from_family(f_sup)
-    for (i, j), rows in sub.generators.items():
+    for i, j in dict.fromkeys(_generator_bidegrees(f_sub)):
+        rows, row_rank, _ = sub.cell(i, j)
         space, generator_rank, _ = sup.cell(i, j)
         gens = RowSpace(space.ncols, islice(space.pivots.items(), generator_rank))
-        if not all(gens.contains(row) for row in rows):
+        if not all(gens.contains(row) for row in islice(rows.pivots.values(), row_rank)):
             return False
     return True
+
+
+def _generator_bidegrees(family: RelationFamily):
+    """The labeled bidegrees of the family's nonzero items, in item order."""
+    return (item.bidegree for item in family.items if not item.element.is_zero)
 
 
 # ---------------------------------------------------------------------------

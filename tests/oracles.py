@@ -485,6 +485,36 @@ def cells_by_shifted_rows(family, i_max: int, j_max: int) -> dict:
             for i in range(1, i_max + 1) for j in range(j_max + 1)}
 
 
+def top_ranks_by_full_reduction(g: int, s: int, w: int) -> tuple[int, ...]:
+    """The reference for ``relations._top_echelon``'s ranks: for e = 0..2s+w+1,
+    the rank of the rows (orderings(m) [u^e] Q_m)_m, e' = e..2s+w, of cell
+    (s, w).  Q_m is multiplied out term by term from the ``p_poly``
+    coefficients, orderings(m) is a multinomial, and every row is reduced:
+    no stop at the symmetric bound."""
+    from collections import Counter
+    from jacrel.combinat import p_poly
+    from jacrel.linalg import RowSpace
+    from jacrel.relations import monomials_of_bidegree
+    columns = []
+    for mono in monomials_of_bidegree(g, s, w):
+        q = [1]
+        for a in mono:
+            p = [int(c) for c in p_poly(a + 2).coeffs]
+            q = [sum(q[i] * p[e - i] for i in range(len(q)) if 0 <= e - i < len(p))
+                 for e in range(len(q) + len(p) - 1)]
+        count = factorial(s)
+        for k in Counter(mono).values():
+            count //= factorial(k)
+        columns.append([count * x for x in q])
+    top = 2 * s + w
+    space = RowSpace(len(columns))
+    ranks = [0]
+    for e in range(top, -1, -1):
+        space.add([column[e] for column in columns])
+        ranks.append(space.rank)
+    return tuple(reversed(ranks))
+
+
 def span_contains_by_ranks(f_sub, f_sup) -> bool:
     """The reference route for ``span_contains``: an item of f_sub lies in the
     span of f_sup's items of its bidegree when adding it leaves the rank of

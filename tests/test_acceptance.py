@@ -206,6 +206,18 @@ def test_criterion_08_single_cover_degeneration():
             ok, time.perf_counter() - start, 10.0)
 
 
+def test_colombo_van_geemen_relations_at_r1():
+    # the abstract: "The relations generalize the relations found by Colombo
+    # and van Geemen".  With a g^1_d, C(a) vanishes for a >= d-1; at r = 1
+    # vdgk6 is exactly that set, each generator with the factor (a+1)!
+    for g in range(1, 12):
+        for d in range(0, 14):
+            items = [item.element for item in gen_family("vdgk6", g, d, 1).items]
+            expected = {factorial(a + 1) * TautElement.generator(g, a)
+                        for a in range(max(d - 1, 0), g)}
+            assert len(items) == len(expected) and set(items) == expected, (g, d)
+
+
 def test_criterion_09_property_suites():
     start = time.perf_counter()
     ok = True

@@ -201,7 +201,7 @@ class TestEquivalenceCommand:
         assert main(["equivalence", "--g", "3", "--d", "4", "--r", "2"]) == 1
         out = capsys.readouterr().out
         assert "  chain: identity9=False degree_bound=True scalars=True\n" in out
-        assert out.endswith("overall: equivalent\n")
+        assert out.endswith("overall: ideals equal, chain NOT certified\n")
 
     def test_x_order_flag_is_gone(self):
         result = run_cli("equivalence", "--g", "3", "--d", "4", "--r", "2",

@@ -4,9 +4,11 @@ Values are immutable and operations pure, so parallel evaluation must give
 byte-identical results to serial evaluation.  The shared structures are the
 module caches: the Stirling memo table, whose writers are idempotent, and the
 ``functools.lru_cache``s (``monomials_of_bidegree``, ``_bare_log_inv_pow``,
-the per-monomial products ``_h_product`` and the certified P_n coefficients
-``_p_coefficients`` they are built from, the multiset counts
+the per-monomial products ``_h_product``, their quotients by (1+u)
+``_h_quotient`` and the certified P_n coefficients ``_p_coefficients``
+they are built from, the multiset counts
 ``_orderings``, the ideal cells' column maps of C(k) ``_shift_columns``,
+the echelon tables of strong8's generator rows per bidegree ``_top_echelon``,
 the chain's ``_e_part``, the check-(a) facts ``_power_law_ok`` and
 ``_generator_split_ok``, and the GRR replay's ``ch_vk``), which lock their
 own bookkeeping; two threads may both compute a missing entry, and they
@@ -31,9 +33,9 @@ from concurrent.futures import ThreadPoolExecutor
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_e_part, _generator_split_ok, _h_product, _orderings,
-                              _p_coefficients, _power_law_ok, _shift_columns,
-                              compare_ideals, family_to_json, gen_family,
+from jacrel.relations import (_e_part, _generator_split_ok, _h_product, _h_quotient,
+                              _orderings, _p_coefficients, _power_law_ok, _shift_columns,
+                              _top_echelon, compare_ideals, family_to_json, gen_family,
                               verify_implication_chain)
 from test_imports import run_fresh
 
@@ -46,6 +48,7 @@ def test_parallel_family_generation_is_deterministic():
     serial = [family_to_json(gen_family(*p)) for p in params]
     # cold product tables, so the threads race to build the same entries
     _h_product.cache_clear()
+    _h_quotient.cache_clear()
     _p_coefficients.cache_clear()
     _orderings.cache_clear()
     with ThreadPoolExecutor(max_workers=6) as pool:
@@ -92,7 +95,8 @@ def test_parallel_chain_reports_match_serial():
 
 def race_comparisons(g, d, r, rounds):
     """Rounds of eight threads comparing three shared family objects with
-    cold spans and cold column maps; returns each round's families."""
+    cold spans, cold column maps and cold echelon tables; returns each
+    round's families."""
     tasks = [(a, b) for a in range(3) for b in range(3) if a != b]
     expected = {(a, b): compare_ideals(gen_family(FAMILIES[a], g, d, r),
                                        gen_family(FAMILIES[b], g, d, r))
@@ -108,6 +112,7 @@ def race_comparisons(g, d, r, rounds):
             # changed size during iteration
             shared = [gen_family(f, g, d, r) for f in FAMILIES]
             _shift_columns.cache_clear()
+            _top_echelon.cache_clear()
             barrier = threading.Barrier(8)
 
             def run(k):

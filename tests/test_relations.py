@@ -9,16 +9,17 @@ import pytest
 
 from jacrel.combinat import stirling2
 from jacrel.linalg import RowSpace
-from jacrel.relations import (GradedSpan, RelationFamily, RelationItem, compare_ideals,
-                              epsilon_series, family_from_json, family_from_jsonable,
-                              family_to_json, gen_family, gen_theorem1, monomials_of_bidegree,
-                              span_contains, theorem1_family, verify_implication_chain)
+from jacrel.relations import (GradedSpan, RelationFamily, RelationItem, _top_echelon,
+                              compare_ideals, epsilon_series, family_from_json,
+                              family_from_jsonable, family_to_json, gen_family, gen_theorem1,
+                              monomials_of_bidegree, span_contains, theorem1_family,
+                              verify_implication_chain)
 from jacrel.rings import TruncationError
 from jacrel.tautalg import TautElement, build_g_poly, poly_power
 from oracles import (cells_by_shifted_rows, chain_by_xt_series, compare_ideals_by_products,
                      e_product, family_by_powers, head_table, rand_homogeneous_taut,
                      span_contains_by_ranks, split_sums_by_position_sets,
-                     stirling_by_enumeration)
+                     stirling_by_enumeration, top_ranks_by_full_reduction)
 
 
 def C(g, j):
@@ -182,6 +183,25 @@ class TestGenFamily:
         try:
             with pytest.raises(InvariantViolation):
                 gen_family("herbaut7", 3, 4, 2)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
+    def test_symmetry_of_p_is_certified(self, monkeypatch):
+        # P_4 + u^2 (1+u) still vanishes at u = 0 and u = -1, but is no
+        # longer symmetric under u -> -1-u: the bound that stops the strong8
+        # echelon tables would not hold, so the coefficients are refused
+        from jacrel import relations
+        from jacrel.rings import DensePoly, InvariantViolation
+        real = relations.p_poly
+        monkeypatch.setattr(relations, "p_poly",
+                            lambda n: real(n) + DensePoly([0, 0, 1, 1]) if n == 4 else real(n))
+        caches = (relations._p_coefficients, relations._h_product, relations._top_echelon)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            with pytest.raises(InvariantViolation, match=r"P_4\(-1-u\)"):
+                gen_family("strong8", 3, 4, 2)
         finally:
             for cache in caches:
                 cache.cache_clear()
@@ -375,8 +395,10 @@ class TestSharedSpan:
 
     def test_cells_are_published_complete(self, monkeypatch):
         # every row a span inserts finds each published cell, its rows and
-        # its ranks, as it will stay: no cell is published while it is built
+        # its ranks, as it will stay: no cell is published while it is built;
+        # cold echelon tables, so strong8's generator rows are inserted here
         fams = [gen_family(name, 4, 6, 3) for name in self.FAMILIES]
+        _top_echelon.cache_clear()
 
         def published():
             return {(k, key): (space.rank, generator_rank, rank)
@@ -393,6 +415,7 @@ class TestSharedSpan:
         monkeypatch.setattr(RowSpace, "add", watched)
         compare_ideals(fams[0], fams[2])
         compare_ideals(fams[1], fams[2])
+        compare_ideals(fams[0], fams[1])  # its joint ranks insert rows too
         monkeypatch.undo()
         final = published()
         assert len(seen) > 100
@@ -456,6 +479,47 @@ class TestCoveredCells:
         # no nonempty cell is full, so no column is ever covered
         cells = never_full._span.cells.values()
         assert all(n < space.ncols for space, _, n in cells if space.ncols)
+
+
+class TestEchelonRoute:
+    """A family that ``gen_family`` made reads its generators off the shared
+    echelon tables (``_top_echelon``); the same family read back from JSON,
+    or edited, reduces its item rows.  The routes must agree cell by cell."""
+
+    FAMILIES = ("vdgk6", "herbaut7", "strong8")
+
+    def test_marked_and_json_routes_agree(self):
+        # the criterion-5 grid, then the ideals benchmark grid
+        cases = [(g, d, r) for g in (3, 4, 5, 6) for r in (2, 3) for d in range(2 * r, 9)]
+        cases += [(g, d, r) for g in (5, 6, 7) for r in (2, 3, 4) for d in range(2 * r, 11)]
+        for g, d, r in cases:
+            for name in self.FAMILIES:
+                marked = gen_family(name, g, d, r)
+                plain = family_from_json(family_to_json(marked))
+                assert marked._route == (name, d - r) and plain._route is None
+                a, b = GradedSpan(marked), GradedSpan(plain)
+                assert not a.generators
+                for i in range(1, r + 1):
+                    for j in range(r * (g - 1) + 1):
+                        assert a.cell(i, j)[1:] == b.cell(i, j)[1:], (g, d, r, name, i, j)
+
+    def test_edited_family_takes_the_row_route(self):
+        f7, f8 = gen_family("herbaut7", 4, 6, 3), gen_family("strong8", 4, 6, 3)
+        edited = replace(f8, items=f8.items[1:])  # no generator in cell (1, 3)
+        assert edited._route is None
+        report = compare_ideals(edited, f7)
+        assert report == compare_ideals_by_products(edited, f7)
+        assert report != compare_ideals(f8, f7)
+
+    def test_echelon_ranks_match_full_reduction(self):
+        # the tables stop at rank min(dim, floor(w/2) + 1); the reference
+        # reduces every row
+        for g in range(1, 9):
+            for s in range(1, 6):
+                for w in range(s * (g - 1) + 1):
+                    pivots, ranks = _top_echelon(g, s, w)
+                    assert ranks == top_ranks_by_full_reduction(g, s, w), (g, s, w)
+                    assert len(pivots) == ranks[0]
 
 
 class TestMonomialBasis:
