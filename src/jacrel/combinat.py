@@ -14,8 +14,14 @@ The Laurent expansion of (n-1)!/log(1+x)^n equals P_n(1/x) in all negative
 exponents; its constant term is the Bernoulli value B_n/n (1/2 for n = 1),
 which vanishes exactly when n >= 3 is odd.  ``verify_identity4`` certifies
 the principal-part equality and reports the non-negative residual tail.
-log(1+x)^-n is built in one place, the cached ``_bare_log_inv_pow``, which
-the implication chain in ``jacrel.relations`` shares.
+
+L^-n, L = log(1+x), is built in one place, the cached ``_bare_log_inv_pow``,
+which the implication chain in ``jacrel.relations`` shares.  It reads a rung
+of one ladder per x-order (``_log_ladder``): L^-1 is inverted once, and since
+d/dx L^-n = -n L^-(n+1)/(1+x), each next power is
+L^-(n+1) = -(1+x) (L^-n)'/n, one pass over the coefficients that costs one
+order of window.  The ladders are the module's other shared state; one is
+published only complete, under a lock, and only in place of a shorter one.
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from threading import Lock
 
-from .rings import (DensePoly, LaurentSeries, laurent_pow_inv, log1p_series,
+from .rings import (DensePoly, LaurentSeries, _series, laurent_pow_inv, log1p_series,
                     series_exp)
 
 P_ROUTES = ("stirling", "genfunc", "laurent")
@@ -33,6 +40,10 @@ P_ROUTES = ("stirling", "genfunc", "laurent")
 # Memoized Stirling table.  Writers always store identical values, so
 # concurrent use is idempotent (last write wins with the same entry).
 _stirling_table: dict[tuple[int, int], int] = {}
+# The log ladders, keyed by x-order (see ``_log_ladder``), and the lock that
+# serializes their check-and-replace; ladders are built outside it.
+_ladders: dict[int, tuple[LaurentSeries, ...]] = {}
+_PUBLISH = Lock()
 
 
 def stirling2(n: int, m: int) -> int:
@@ -61,10 +72,45 @@ def stirling2(n: int, m: int) -> int:
     return value
 
 
+def _ladder_step(power: LaurentSeries, n: int) -> LaurentSeries:
+    """L^-(n+1) = -(1+x) (L^-n)' / n from power = L^-n, L = log(1+x): the
+    derivative costs one order of window, and no product is formed."""
+    v = power.valuation
+    slope = [(v + i) * c for i, c in enumerate(power.nums)]
+    nums = [a + b for a, b in zip(slope + [0], [0] + slope)]  # (1+x) * slope
+    return _series(v - 1, nums, -n * power.den, power.trunc - 1)
+
+
+def _log_ladder(top: int, order: int) -> tuple[LaurentSeries, ...]:
+    """L^-1 .. L^-k for some k >= top, each known strictly below x^order.
+
+    A taller ladder is rebuilt whole, at least twice as tall, so ascending
+    requests stay amortized; it replaces the published one, under the lock,
+    only if it is taller.
+    """
+    ladder = _ladders.get(order, ())
+    if len(ladder) >= top:
+        return ladder
+    top = max(top, 2 * len(ladder))
+    # each step loses one order, so L^-top, top-1 steps up, is known below order
+    power = laurent_pow_inv(log1p_series(order + top + 1), 1, order + top - 1)
+    rungs = [power.truncate(order)]
+    for n in range(1, top):
+        power = _ladder_step(power, n)
+        rungs.append(power.truncate(order))
+    ladder = tuple(rungs)
+    with _PUBLISH:
+        if len(_ladders.get(order, ())) < top:
+            _ladders[order] = ladder
+    return ladder
+
+
 @lru_cache(maxsize=None)
 def _bare_log_inv_pow(n: int, order: int) -> LaurentSeries:
-    """log(1+x)^(-n), known strictly below x^order."""
-    return laurent_pow_inv(log1p_series(order + n + 1), n, order)
+    """log(1+x)^(-n), known strictly below x^order: a rung of the ladder."""
+    if n < 1:
+        raise ValueError("inverse power exponent must be >= 1")
+    return _log_ladder(n, order)[n - 1]
 
 
 def inv_log1p_pow(n: int, order: int) -> LaurentSeries:

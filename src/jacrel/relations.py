@@ -66,7 +66,7 @@ from functools import lru_cache
 from itertools import islice
 from math import comb, factorial, gcd, lcm
 
-from .combinat import _bare_log_inv_pow, p_poly, principal_part, stirling2
+from .combinat import _bare_log_inv_pow, _log_ladder, p_poly, principal_part, stirling2
 from .linalg import RowSpace
 from .rings import (LaurentSeries, TruncationError, InvariantViolation, _rational,
                     log1p_series)
@@ -590,6 +590,7 @@ def epsilon_series(g: int, x_order: int) -> EpsilonReport:
         raise ValueError("g must be >= 1")
     if x_order < 1:
         raise ValueError("x_order must be >= 1 to certify exponent bounds")
+    _log_ladder(g + 1, x_order)  # every power read below, built at once
     parts: dict[int, LaurentSeries] = {}
     x0: dict[int, TautElement] = {}
     for a in range(g):
@@ -653,7 +654,10 @@ class ChainReport:
     the x-window the series were known below, 2(g+2).  ``identity9_ok``
     holds when L^-n * L = L^-(n-1), L = log(1+x), for n <= r(g+1), and
     P_n(1/x) = (n-1)! L^-n + e_{n-2} for n = a+2, a < g: the facts that the
-    distributive law at every monomial of the window follows from.
+    distributive law at every monomial of the window follows from.  The
+    power law is also what certifies the powers themselves: they come off
+    ``combinat``'s derivative ladder, and the law checks them by products,
+    which share no code with it.
 
     Check (b) is the valuation lemma.  With the vdgk6 relations rewritten to
     zero, a kept term at m = (a_1..a_s) is G_S * prod_{i not in S} e_{a_i},
@@ -709,6 +713,7 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
     """
     _validate_params(g, d, r)
     x_order = 2 * (g + 2)
+    _log_ladder(r * (g + 1), x_order)  # every power read below, built at once
     identity9_ok = (all(_power_law_ok(n, x_order) for n in range(1, r * (g + 1) + 1))
                     and all(_generator_split_ok(a + 2, x_order) for a in range(g)))
     e_parts = [_e_part(a + 2, x_order) for a in range(g)]

@@ -554,7 +554,8 @@ def laurent_pow_inv(s: LaurentSeries, n: int, order: int) -> LaurentSeries:
     lead^(-n).  With u_i = nums[i]/nums[0], p_k * nums[0]^k is an integer,
     so the recurrence runs on integers.  If the input's truncation cannot
     support the requested order, a TruncationError is raised rather than
-    returning an under-truncated result.
+    returning an under-truncated result.  In the package it makes only
+    log(1+x)^-1, the base of ``combinat``'s log ladders.
     """
     if n < 1:
         raise ValueError("inverse power exponent must be >= 1")

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+import jacrel.combinat as combinat
 from jacrel.combinat import (b_gen, b_sum, inv_log1p_pow, p_poly, stirling2,
                              verify_identity4)
 from jacrel.rings import DensePoly
+from oracles import _bare_log_inv_pow as log_inv_pow_by_inversion
 from oracles import stirling_row_by_enumeration
 
 
@@ -163,3 +166,44 @@ class TestInvLogPow:
             p = p_poly(n)
             for m in range(1, n + 1):
                 assert series.coeff(-m) == p.coeff(m)
+
+
+def cold_ladders():
+    combinat._ladders.clear()
+    combinat._bare_log_inv_pow.cache_clear()
+
+
+class TestLogLadder:
+    CASES = [(n, order) for order in range(1, 17) for n in range(1, 41)]
+
+    def test_matches_one_inversion_per_power_in_any_request_order(self):
+        # each power of the ladder against its own laurent_pow_inv run, on a
+        # cold store per request order, so no value depends on which powers
+        # and windows were asked for before it
+        interleaved = list(self.CASES)
+        random.Random(27).shuffle(interleaved)
+        try:
+            for requests in (self.CASES, self.CASES[::-1], interleaved):
+                cold_ladders()
+                for n, order in requests:
+                    got, want = combinat._bare_log_inv_pow(n, order), \
+                        log_inv_pow_by_inversion(n, order)
+                    assert got == want and got.trunc == want.trunc == order, (n, order)
+                    assert repr(got) == repr(want), (n, order)
+        finally:
+            cold_ladders()
+
+    def test_ladder_grows_at_least_twofold_and_never_shrinks(self):
+        cold_ladders()
+        try:
+            assert len(combinat._log_ladder(5, 4)) == 5
+            assert len(combinat._log_ladder(3, 4)) == 5
+            assert len(combinat._log_ladder(6, 4)) == 10
+            assert len(combinat._log_ladder(31, 4)) == 31
+            assert len(combinat._ladders[4]) == 31
+        finally:
+            cold_ladders()
+
+    def test_power_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            combinat._bare_log_inv_pow(0, 4)

@@ -637,6 +637,52 @@ class TestImplicationChain:
                 cache.cache_clear()
         assert identity9()
 
+    def test_power_law_certifies_the_ladder(self, monkeypatch):
+        # the ladder builds L^-(n+1) = -(1+x) (L^-n)' / n, check (a) multiplies
+        # L^-n by L: a step without the (1+x) factor, or one dividing by n+1,
+        # must flip identity9_ok, while h_a = g_a + e_a still holds, since
+        # e_a is read off the same powers
+        import jacrel.combinat as combinat
+        import jacrel.relations as rel
+        from jacrel.rings import LaurentSeries
+        real = combinat._ladder_step
+
+        def without_one_plus_x(power, n):
+            v = power.valuation
+            return LaurentSeries(v - 1, [F(-(v + i) * c, n * power.den)
+                                         for i, c in enumerate(power.nums)], power.trunc - 1)
+
+        def over_n_plus_one(power, n):
+            return real(power, n) * F(n, n + 1)
+
+        def report():
+            combinat._ladders.clear()
+            for cache in (combinat._bare_log_inv_pow, rel._e_part, rel._power_law_ok,
+                          rel._generator_split_ok):
+                cache.cache_clear()
+            return verify_implication_chain(3, 5, 2)
+
+        try:
+            assert report().ok
+            for step in (without_one_plus_x, over_n_plus_one):
+                with monkeypatch.context() as patch:
+                    patch.setattr(combinat, "_ladder_step", step)
+                    corrupted = report()
+                    assert not corrupted.identity9_ok and not corrupted.ok, step.__name__
+                    assert all(rel._generator_split_ok(a + 2, 10) for a in range(3))
+        finally:
+            assert report().ok
+
+    def test_frontier_reports_match_pinned_hashes(self):
+        # 84 and 91 log powers at x-order 2(g+2); the reprs hash as they did
+        # when each power was inverted on its own
+        for case, digest in (
+                ((11, 14, 7), "5a321241a9037a7a6a0dd382aa9482baa6df0cff4ead8dd996b092d80cc108e3"),
+                ((12, 14, 7), "065b6fd5f4b5fe3c7b7dba2b9b5455646f2e74e9f65070763dba66452acc9382")):
+            report = verify_implication_chain(*case)
+            assert report.ok, case
+            assert hashlib.sha256(repr(report).encode()).hexdigest() == digest, case
+
     def test_degree_bound_comparison_is_not_vacuous(self, monkeypatch):
         # check (b) rests on val(e_a) >= 0: an x^-1 term in e_0 must flip it
         import jacrel.relations as rel
