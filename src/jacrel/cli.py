@@ -55,9 +55,6 @@ def cmd_identities(args: argparse.Namespace) -> int:
     if max_n < 1 or order < 1:
         print("error: --max-n and --order must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    # the log powers the checks read, each x-order's ladder built once
-    for x_order in (1, order):
-        combinat._log_ladder(max_n, x_order)
     checks: list[dict[str, Any]] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:

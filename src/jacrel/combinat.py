@@ -123,9 +123,9 @@ def inv_log1p_pow(n: int, order: int) -> LaurentSeries:
 
 
 def _p_stirling(n: int) -> DensePoly:
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for m in range(1, n + 1):
-        coeffs[m] = Fraction(factorial(m - 1) * stirling2(n, m))
+        coeffs[m] = factorial(m - 1) * stirling2(n, m)
     return DensePoly(coeffs)
 
 
@@ -169,8 +169,9 @@ def p_poly(n: int, route: str = "stirling") -> DensePoly:
 
 
 def principal_part(n: int) -> LaurentSeries:
-    """P_n(1/x) as an exact Laurent polynomial."""
-    return LaurentSeries(-n, tuple(reversed(p_poly(n).coeffs[1:])))
+    """P_n(1/x) as an exact Laurent polynomial: P_n's numerators reversed."""
+    p = p_poly(n)
+    return _series(-p.degree, p.series.nums[::-1], p.series.den, None)
 
 
 def b_sum(d: int, a: tuple[int, ...]) -> Fraction:

@@ -70,7 +70,7 @@ from .combinat import _bare_log_inv_pow, _log_ladder, p_poly, principal_part, st
 from .linalg import RowSpace
 from .rings import (LaurentSeries, TruncationError, InvariantViolation, _rational,
                     log1p_series)
-from .tautalg import Monomial, TautElement, _canonical_monomial, _mono_mul, mono_key
+from .tautalg import Monomial, TautElement, _canonical_monomial, _mono_mul
 
 
 # Bound on each of the chain's caches, keyed by n and x_order = 2(g+2):
@@ -266,12 +266,11 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
 
 @lru_cache(maxsize=None)
 def monomials_of_bidegree(g: int, size: int, weight: int) -> tuple[Monomial, ...]:
-    """All monomials of the given bidegree, in canonical order."""
+    """All monomials of the given bidegree, in canonical order, which for
+    one size is ``_compositions``' order: weights descending."""
     if size < 0 or weight < 0:
         return ()
-    monos = list(_compositions(weight, size, g - 1))
-    monos.sort(key=mono_key)
-    return tuple(monos)
+    return tuple(_compositions(weight, size, g - 1))
 
 
 class GradedSpan:

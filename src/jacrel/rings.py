@@ -13,17 +13,19 @@ holds the normal form, sums, negation, equality, hashing and rendering that
 Chern-character ring) share; each subclass keeps its own checked
 constructor, monomial text and product.
 
-A :class:`DensePoly` keeps its coefficients as a tuple of ``Fraction``.  A
-:class:`LaurentSeries` keeps integer numerators over one common denominator:
-``valuation``, ``nums`` (a tuple of ``int``), ``den`` (a positive ``int``)
-and ``trunc``, so that ``nums[i] / den`` is the coefficient of
-``x^(valuation+i)``.  The form is canonical: ``nums`` has no zero at either
-end and the gcd of all numerators with ``den`` is 1 (the zero series stores
-no numerators, ``den = 1`` and ``valuation = trunc``, or 0 when exact), so
-equal series compare and hash equal however they were built.  Products, sums
-and the power and exponential recurrences run on integers and reduce once
-per result; ``coeff``, ``items``, ``coeffs`` and ``render`` hand out
-``Fraction`` values.
+The dense arithmetic has one kernel.  A :class:`LaurentSeries` keeps
+integer numerators over one common denominator: ``valuation``, ``nums`` (a
+tuple of ``int``), ``den`` (a positive ``int``) and ``trunc``, so that
+``nums[i] / den`` is the coefficient of ``x^(valuation+i)``.  The form is
+canonical: ``nums`` has no zero at either end and the gcd of all numerators
+with ``den`` is 1 (the zero series stores no numerators, ``den = 1`` and
+``valuation = trunc``, or 0 when exact), so equal series compare and hash
+equal however they were built.  Products, sums and the power and
+exponential recurrences run on integers and reduce once per result;
+``coeff``, ``items``, ``render`` and ``coeffs`` (a tuple) hand out
+``Fraction`` values.  A :class:`DensePoly` is that kernel's exact face with
+no negative exponent: it stores an exact series and forwards its arithmetic
+to it.
 
 Truncation orders are explicit fields, never implicit globals.  A
 :class:`LaurentSeries` knows exactly which window of exponents it has
@@ -36,7 +38,6 @@ everything is safe to share across threads.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Any, Iterable, Iterator
@@ -71,19 +72,15 @@ def _rational(c: Any) -> int | Fraction:
 
 
 class DensePoly:
-    """Dense univariate polynomial over Q.
+    """Dense univariate polynomial over Q: ``series``, an exact
+    :class:`LaurentSeries` with no negative exponent, read from x^0, whose
+    arithmetic it forwards to.  ``coeffs`` holds the coefficients at exponents
+    ``0..deg`` as Fractions, the last nonzero (the zero polynomial has none)."""
 
-    Coefficients are indexed by exponent ``0..deg``; the highest stored
-    coefficient is nonzero (the zero polynomial stores nothing).
-    """
-
-    __slots__ = ("coeffs",)
+    __slots__ = ("series",)
 
     def __init__(self, coeffs: Iterable[int | Fraction] = ()) -> None:
-        coeffs = [c if type(c) is Fraction else Fraction(_rational(c)) for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "series", LaurentSeries(0, coeffs))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("DensePoly is immutable")
@@ -100,66 +97,55 @@ class DensePoly:
     def monomial(cls, exp: int, coeff: int | Fraction = 1) -> "DensePoly":
         if exp < 0:
             raise ValueError("DensePoly exponents must be >= 0")
-        return cls((0,) * exp + (coeff,))
+        return _poly(LaurentSeries.monomial(exp, coeff))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return (Fraction(0),) * self.series.valuation + self.series.coeffs
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return self.series.valuation + len(self.series.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.series.is_zero
 
     def coeff(self, exp: int) -> Fraction:
-        if 0 <= exp < len(self.coeffs):
-            return self.coeffs[exp]
-        return Fraction(0)
+        return self.series.coeff(exp)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         """Yield (exponent, coefficient) for the nonzero coefficients."""
-        for e, c in enumerate(self.coeffs):
-            if c:
-                yield e, c
+        return self.series.items()
 
     def __add__(self, other: "DensePoly") -> "DensePoly":
         if not isinstance(other, DensePoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return DensePoly(out)
+        return _poly(self.series + other.series)
 
     def __sub__(self, other: "DensePoly") -> "DensePoly":
-        return self + (-other)
+        if not isinstance(other, DensePoly):
+            return NotImplemented
+        return _poly(self.series - other.series)
 
     def __neg__(self) -> "DensePoly":
-        return DensePoly(tuple(-c for c in self.coeffs))
+        return _poly(-self.series)
 
     def __mul__(self, other: Any) -> "DensePoly":
         if isinstance(other, DensePoly):
-            if self.is_zero or other.is_zero:
-                return DensePoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return DensePoly(out)
-        if type(other) not in _EXACT_TYPES:
+            other = other.series
+        elif type(other) not in _EXACT_TYPES:
             return NotImplemented
-        return DensePoly(tuple(c * other for c in self.coeffs))
+        return _poly(self.series * other)
 
     def __rmul__(self, other: Any) -> "DensePoly":
         return self.__mul__(other)
 
     def truncate(self, order: int) -> "DensePoly":
         """Drop all coefficients at exponents >= order."""
-        return DensePoly(self.coeffs[: max(order, 0)])
+        s = self.series
+        return _poly(_series(s.valuation, s.nums[: max(order - s.valuation, 0)], s.den, None))
 
     def evaluate(self, point: Any) -> Any:
         """Evaluate by Horner's rule; the point must multiply with Fractions."""
@@ -171,13 +157,20 @@ class DensePoly:
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, DensePoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.series == other.series
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self.series)
 
     def __repr__(self) -> str:
         return f"DensePoly({list(self.coeffs)!r})"
+
+
+def _poly(series: LaurentSeries) -> DensePoly:
+    """The polynomial whose exact series this is (no negative exponent)."""
+    p = object.__new__(DensePoly)
+    object.__setattr__(p, "series", series)
+    return p
 
 
 class LaurentSeries:
@@ -239,9 +232,9 @@ class LaurentSeries:
         return cls(exp, (coeff,), trunc)
 
     @property
-    def coeffs(self) -> "FractionView":
+    def coeffs(self) -> tuple[Fraction, ...]:
         """The stored window's coefficients, as Fractions."""
-        return FractionView(self.nums, self.den)
+        return tuple([Fraction(x, self.den) for x in self.nums])
 
     @property
     def is_zero(self) -> bool:
@@ -373,33 +366,6 @@ class LaurentSeries:
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self.render()})"
-
-
-class FractionView(Sequence):
-    """A read-only sequence of Fractions nums[i]/den, each built on access;
-    its length costs nothing, and it compares equal to any sequence of the
-    same values."""
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums: tuple[int, ...], den: int) -> None:
-        self._nums, self._den = nums, den
-
-    def __len__(self) -> int:
-        return len(self._nums)
-
-    def __getitem__(self, i: Any) -> Any:
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        return Fraction(self._nums[i], self._den)
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 def _series(valuation: int, nums: Any, den: int, trunc: int | None) -> LaurentSeries:

@@ -529,8 +529,17 @@ class TestMonomialBasis:
         assert monomials_of_bidegree(3, 2, 5) == ()
 
     def test_sorted_canonically(self):
-        basis = monomials_of_bidegree(4, 3, 4)
-        assert list(basis) == sorted(basis, key=lambda m: (len(m), tuple(-w for w in m)))
+        # the basis is _compositions' own order, never re-sorted, on every
+        # cell of g <= 11, s <= 7: size first, then weights descending
+        def canonical(m):
+            return (len(m), tuple(-x for x in m))
+
+        for g in range(1, 12):
+            for s in range(8):
+                for w in range(s * (g - 1) + 1):
+                    basis = monomials_of_bidegree(g, s, w)
+                    assert list(basis) == sorted(basis, key=canonical), (g, s, w)
+                    assert len(set(basis)) == len(basis), (g, s, w)
 
 
 class TestEpsilonSeries:

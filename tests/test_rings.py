@@ -142,6 +142,45 @@ class TestDensePoly:
         p = DensePoly((F(1), F(2), F(3)))
         assert p.evaluate(F(2)) == 1 + 4 + 12
 
+    def test_coeffs_read_from_x0_with_leading_zeros(self):
+        p = DensePoly.monomial(2)
+        assert p.coeffs == (F(0), F(0), F(1)) and p.degree == 2
+        assert all(type(c) is F for c in p.coeffs)
+        assert DensePoly.zero().coeffs == () and DensePoly.zero().degree == -1
+
+    def test_coeff_outside_the_support_is_zero(self):
+        # a polynomial is exact: no exponent is beyond a truncation order
+        p = DensePoly([1, F(1, 2)])
+        for exp in (-3, -1, 2, 50):
+            assert p.coeff(exp) == 0 and type(p.coeff(exp)) is F
+        assert p.coeff(1) == F(1, 2)
+
+    def test_truncate_stays_exact(self):
+        p = DensePoly([1, F(1, 2), 3, F(-4, 3)])
+        cut = p.truncate(2)
+        assert cut == DensePoly([1, F(1, 2)]) and cut.coeff(3) == 0
+        assert cut * DensePoly.monomial(3) == DensePoly([0, 0, 0, 1, F(1, 2)])
+        assert p.truncate(10) == p
+        assert p.truncate(0).is_zero and p.truncate(-1).is_zero
+        assert DensePoly.monomial(3, 5).truncate(2).is_zero
+
+    def test_repr(self):
+        assert repr(DensePoly([1, F(1, 2)])) == "DensePoly([Fraction(1, 1), Fraction(1, 2)])"
+        assert repr(DensePoly.zero()) == "DensePoly([])"
+        assert repr(DensePoly.monomial(1, -2)) == "DensePoly([Fraction(0, 1), Fraction(-2, 1)])"
+
+    def test_int_and_fraction_coefficients_compare_and_hash_equal(self):
+        a, b = DensePoly([2, 0, -3, 0]), DensePoly([F(4, 2), F(0), F(-3)])
+        assert a == b and hash(a) == hash(b)
+        assert DensePoly([F(1, 3), 1]) * 3 == DensePoly([1, 3])
+        assert hash(DensePoly([F(1, 3), 1]) * 3) == hash(DensePoly([1, 3]))
+
+    def test_never_equal_to_a_laurent_series(self):
+        for p, s in ((DensePoly([1, 2]), LaurentSeries(0, [1, 2])),
+                     (DensePoly.zero(), LaurentSeries.zero()),
+                     (DensePoly.one(), LaurentSeries.monomial(0))):
+            assert p != s and s != p and not p == s
+
 
 class TestExactCoefficientsOnly:
     def test_float_coefficients_rejected(self):
