@@ -13,10 +13,12 @@ parameter pair (d, r) on a genus-g curve class:
 No power is expanded: the algebra is free and C(a) carries t^(a+2), so a
 monomial m = (a_1..a_s) of bidegree (s, w) appears only at t^(2s+w), with
 coefficient orderings(m) * Q_m(u) in H(u,t)^s, Q_m(u) = prod P_{a_i+2}(u),
-one cached integer product per monomial (``_h_product``).  P_{a+2}(u) has
-leading term (a+1)! u^(a+2), so G(t) is the top-u part of H(u,t): the
-vdgk6 and theorem1 coefficients read the top coefficient of Q_m, and the
-herbaut7 one is [u^(d-r+s)] of Q_m(u)/(1+u), B_{d-r+s}(a_1+1..a_s+1).
+one cached integer product per monomial (``_h_product``), so every family
+reads the rows A[e] = (orderings(m) [u^e] Q_m)_m of one table per cell
+(``_generator_terms``).  G(t) is the top-u part of H(u,t), since P_{a+2}
+has leading term (a+1)! u^(a+2): vdgk6 and theorem1 read the top row.
+Q_m vanishes at u = -1, so herbaut7's [u^k] Q_m/(1+u), k = d-r+s, is the
+alternating tail sum_{e>k} (-1)^(e-k-1) A[e] of strong8's rows e > k.
 
 ``compare_ideals`` decides, bidegree by bidegree and by exact rank
 computations, whether two families generate the same graded ideal; it also
@@ -24,10 +26,11 @@ reports the weaker per-bidegree span comparison of the bare generators and
 flags any parameter set where the two notions differ.  Its rows are integer
 vectors, and multiplying by C(k) only moves a row's entries to other columns
 (see ``GradedSpan``).  A family that ``gen_family`` made reads its generator
-rows off one cached echelon per bidegree (``_top_echelon``), shared by every
-d, r and family and stopped at the symmetric bound floor(w/2)+1; any other
-family, read from JSON or built by hand, has each item scaled once to
-coprime integers.
+rows off its cell table: strong8 and vdgk6 a prefix of one cached echelon
+per bidegree (``_top_echelon``), shared by every d and r and stopped at the
+symmetric bound floor(w/2)+1, and herbaut7 its one alternating row; any
+other family, read from JSON or built by hand, has each item scaled once
+to integers.
 A cell whose columns the full cells below it all reach is full with no
 elimination, and a pair with a full side has the cell's dimension as its
 joint rank; only the other cells are reduced.  Each family's span is built
@@ -64,7 +67,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 
 from .combinat import _bare_log_inv_pow, _log_ladder, p_poly, principal_part, stirling2
 from .linalg import RowSpace
@@ -146,11 +149,14 @@ def _orderings(mono: Monomial) -> int:
 
 @lru_cache(maxsize=None)
 def _p_coefficients(n: int) -> tuple[int, ...]:
-    """Integer coefficients of P_n(u), u^0 first, certified to vanish at
-    u = -1, so that every product of them is exactly divisible by (1+u),
+    """Coefficients of P_n(u), u^0 first, certified to be integers, to vanish
+    at u = -1, so that every product of them is exactly divisible by (1+u),
     and at u = 0, with P_n(-1-u) = (-1)^n P_n(u): the facts that bound the
     rank of a cell's strong8 table (``_top_echelon``)."""
-    coeffs = tuple(int(c) for c in p_poly(n).coeffs)
+    exact = p_poly(n).coeffs
+    if any(c.denominator != 1 for c in exact):
+        raise InvariantViolation(f"P_{n} has a non-integral coefficient")
+    coeffs = tuple(c.numerator for c in exact)
     if sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs)):
         raise InvariantViolation(f"P_{n}(-1) != 0: (1+u) does not divide H(u,t)")
     flipped = [sum((-1) ** i * comb(i, j) * c for i, c in enumerate(coeffs) if i >= j)
@@ -180,20 +186,20 @@ def _cell_table(g: int, s: int, w: int) -> list[tuple[Monomial, int, tuple[int, 
     return [(m, _orderings(m), _h_product(m)) for m in monomials_of_bidegree(g, s, w)]
 
 
-@lru_cache(maxsize=None)
-def _h_quotient(mono: Monomial) -> tuple[int, ...]:
-    """Integer coefficients, u^0 first, of Q_m(u)/(1+u), exact since every
-    factor vanishes at u = -1."""
-    out, carry = [], 0
-    for c in _h_product(mono)[:-1]:
-        carry = c - carry
-        out.append(carry)
-    return tuple(out)
-
-
-def _divided_row(g: int, s: int, w: int, k: int) -> list[int]:
-    """[u^k] of Q_m(u)/(1+u) for each monomial m of bidegree (s, w)."""
-    return [h[k] if k < len(h) else 0 for h in map(_h_quotient, monomials_of_bidegree(g, s, w))]
+def _generator_terms(family_id: str, g: int, s: int, w: int, k: int):
+    """(u_exp, terms) of each generator of the family in cell (s, w), with
+    k = d-r+s, read off the rows A[e] = (orderings(m) [u^e] Q_m)_m of the
+    cell table: strong8 takes A[e] for each e > k, labelled e, vdgk6 the top
+    row A[2s+w] when 2s+w > k, and herbaut7 the alternating tail
+    sum_{e>k} (-1)^(e-k-1) A[e], which is orderings(m) [u^k] Q_m/(1+u)
+    since (1+u) divides Q_m.  Each terms dict is the whole row: every
+    monomial of the cell, in order, zeros included."""
+    table, top = _cell_table(g, s, w), 2 * s + w
+    if family_id == "herbaut7":
+        yield None, {m: n * (sum(q[k + 1::2]) - sum(q[k + 2::2])) for m, n, q in table}
+        return
+    for e in range(max(k + 1, top if family_id == "vdgk6" else 0), top + 1):
+        yield (e if family_id == "strong8" else None), {m: n * q[e] for m, n, q in table}
 
 
 def _g_power_coefficient(g: int, s: int, w: int) -> TautElement:
@@ -228,9 +234,8 @@ def theorem1_family(g: int, d: int, r: int, N: int) -> RelationFamily:
 def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
     """Generate one of the three relation families, deterministically ordered.
 
-    Items are read monomial by monomial off Q_m(u) (``_h_product``): with
-    k = d-r+s, strong8 takes its u^e coefficients for e > k, herbaut7 the
-    u^k one of Q_m(u)/(1+u), vdgk6 the top one, u^(2s+w), if 2s+w > k.
+    Items are the rows of each cell's table that ``_generator_terms`` picks:
+    strong8 the rows e > d-r+s, herbaut7 their alternating tail, vdgk6 the top.
     The family carries (family_id, d-r), so that its span reads its
     generators off the shared tables instead of its items (``GradedSpan``).
     """
@@ -239,22 +244,11 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
         raise ValueError(f"unknown family {family_id!r}")
     items: list[RelationItem] = []
     for s in range(1, r + 1):
-        k = d - r + s
         for w in range(0, s * (g - 1) + 1):
-            top, table = 2 * s + w, _cell_table(g, s, w)
-            # (u_exp, terms) per item, in order
-            if family_id == "strong8":
-                found = [(e, {m: n * q[e] for m, n, q in table if q[e]})
-                         for e in range(k + 1, top + 1)]
-            elif family_id == "vdgk6":
-                found = [(None, {m: n * q[top] for m, n, q in table})] if top > k else []
-            else:
-                found = [(None, {m: n * c for (m, n, _), c in zip(table, _divided_row(g, s, w, k))
-                                 if c})]
-            for e, terms in found:
-                if terms:
-                    items.append(RelationItem(s=s, t_exp=top, u_exp=e,
-                                              element=TautElement._trusted(g, terms)))
+            for e, terms in _generator_terms(family_id, g, s, w, d - r + s):
+                element = TautElement._trusted(g, terms)  # drops the zeros
+                if not element.is_zero:
+                    items.append(RelationItem(s=s, t_exp=2 * s + w, u_exp=e, element=element))
     family = RelationFamily(family_id, g, d, r, tuple(items))
     object.__setattr__(family, "_route", (family_id, d - r))
     return family
@@ -303,10 +297,10 @@ class GradedSpan:
     (family_id, d-r), and its items are never read: with k = d-r+i, a
     strong8 cell starts from the first ``ranks[k+1]`` echelon rows of the
     cell's shared table (``_top_echelon``), a vdgk6 cell from its first row
-    when 2i+j > k, and a herbaut7 cell inserts its one row,
-    orderings(m) [u^k] Q_m/(1+u).  Any other family (read from JSON, built
-    by hand or edited) scales each item to coprime integers and inserts the
-    rows in item order.
+    when 2i+j > k, and a herbaut7 cell inserts its one row, the alternating
+    tail of the table's rows e > k (``_generator_terms``).  Any other family
+    (read from JSON, built by hand or edited) scales each item to integers
+    and inserts the rows in item order.
     """
 
     def __init__(self, family: RelationFamily) -> None:
@@ -321,12 +315,11 @@ class GradedSpan:
                 raise InvariantViolation(
                     f"item at s={item.s}, t^{item.t_exp} is not homogeneous "
                     f"of the labeled bidegree")
-            # coprime integers: a nonzero scalar changes neither span nor ideal
+            # integers: a nonzero scalar changes neither span nor ideal, and
+            # ``RowSpace.add`` divides each reduced row by its gcd
             den = lcm(*(c.denominator for c in terms.values()))
-            ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-            common = gcd(*ints.values())
             self.generators.setdefault(bideg, []).append(
-                [ints.get(m, 0) // common for m in monomials_of_bidegree(self.g, *bideg)])
+                [int(terms.get(m, 0) * den) for m in monomials_of_bidegree(self.g, *bideg)])
         self.cells: dict[tuple[int, int], tuple[RowSpace, int, int]] = {}
 
     @classmethod
@@ -376,8 +369,8 @@ class GradedSpan:
         if not dim or not 1 <= i <= self.r:
             return space
         if family_id == "herbaut7":
-            space.add([_orderings(m) * c for m, c in zip(monomials_of_bidegree(self.g, i, j),
-                                                         _divided_row(self.g, i, j, k))])
+            for _, terms in _generator_terms(family_id, self.g, i, j, k):
+                space.add(list(terms.values()))
         elif 2 * i + j > k:
             pivots, ranks = _top_echelon(self.g, i, j)
             space.pivots.update(pivots[:1 if family_id == "vdgk6" else ranks[k + 1]])
@@ -390,7 +383,8 @@ def _top_echelon(g: int, s: int, w: int) -> tuple[tuple[tuple[int, tuple[int, ..
     """The echelon rows of the rows A[e] = (orderings(m) [u^e] Q_m)_m of
     cell (s, w), inserted from e = 2s+w down, and ``ranks[e]``, the rank of
     the rows e..2s+w (``ranks[2s+w+1] = 0``).  Strong8's generators in the
-    cell are the rows e > d-r+s, and vdgk6's the row e = 2s+w.
+    cell are the rows e > d-r+s, herbaut7's their alternating sum, and
+    vdgk6's the row e = 2s+w (``_generator_terms``).
 
     Since P_n(0) = P_n(-1) = 0 and P_n(-1-u) = (-1)^n P_n(u) (certified in
     ``_p_coefficients``), every Q_m is (u(1+u))^s times a polynomial f of

@@ -4,9 +4,9 @@ Values are immutable and operations pure, so parallel evaluation must give
 byte-identical results to serial evaluation.  The shared structures are the
 module caches: the Stirling memo table, whose writers are idempotent, and the
 ``functools.lru_cache``s (``monomials_of_bidegree``, ``_bare_log_inv_pow``,
-the per-monomial products ``_h_product``, their quotients by (1+u)
-``_h_quotient`` and the certified P_n coefficients ``_p_coefficients``
-they are built from, the multiset counts
+the per-monomial products ``_h_product``, whose rows every family reads,
+and the certified P_n coefficients ``_p_coefficients`` they are built
+from, the multiset counts
 ``_orderings``, the ideal cells' column maps of C(k) ``_shift_columns``,
 the echelon tables of strong8's generator rows per bidegree ``_top_echelon``,
 the chain's ``_e_part``, the check-(a) facts ``_power_law_ok`` and
@@ -36,9 +36,9 @@ from concurrent.futures import ThreadPoolExecutor
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_e_part, _generator_split_ok, _h_product, _h_quotient,
-                              _orderings, _p_coefficients, _power_law_ok, _shift_columns,
-                              _top_echelon, compare_ideals, family_to_json, gen_family,
+from jacrel.relations import (_e_part, _generator_split_ok, _h_product, _orderings,
+                              _p_coefficients, _power_law_ok, _shift_columns, _top_echelon,
+                              compare_ideals, family_to_json, gen_family,
                               verify_implication_chain)
 from test_imports import run_fresh
 
@@ -51,7 +51,6 @@ def test_parallel_family_generation_is_deterministic():
     serial = [family_to_json(gen_family(*p)) for p in params]
     # cold product tables, so the threads race to build the same entries
     _h_product.cache_clear()
-    _h_quotient.cache_clear()
     _p_coefficients.cache_clear()
     _orderings.cache_clear()
     with ThreadPoolExecutor(max_workers=6) as pool:

@@ -14,7 +14,7 @@ from jacrel.relations import (GradedSpan, RelationFamily, RelationItem, _top_ech
                               family_from_jsonable, family_to_json, gen_family, gen_theorem1,
                               monomials_of_bidegree, span_contains, theorem1_family,
                               verify_implication_chain)
-from jacrel.rings import TruncationError
+from jacrel.rings import InvariantViolation, TruncationError
 from jacrel.tautalg import TautElement, build_g_poly, poly_power
 from oracles import (cells_by_shifted_rows, chain_by_xt_series, compare_ideals_by_products,
                      e_product, family_by_powers, head_table, rand_homogeneous_taut,
@@ -187,6 +187,25 @@ class TestGenFamily:
             for cache in caches:
                 cache.cache_clear()
 
+    def test_integrality_of_p_is_certified(self, monkeypatch):
+        # P_4/2 has coefficients 0, 1/2, 7/2, 6, 3: truncated to integers
+        # they are 3u^2(1+u)^2, which passes every other check, so the
+        # fraction itself must be refused
+        from jacrel import relations
+        from jacrel.rings import InvariantViolation
+        real = relations.p_poly
+        monkeypatch.setattr(relations, "p_poly",
+                            lambda n: real(n) * F(1, 2) if n == 4 else real(n))
+        caches = (relations._p_coefficients, relations._h_product)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            with pytest.raises(InvariantViolation, match="P_4 has a non-integral coefficient"):
+                gen_family("strong8", 3, 4, 2)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
     def test_symmetry_of_p_is_certified(self, monkeypatch):
         # P_4 + u^2 (1+u) still vanishes at u = 0 and u = -1, but is no
         # longer symmetric under u -> -1-u: the bound that stops the strong8
@@ -263,6 +282,16 @@ class TestCompareIdeals:
         for pair in ((big, f7), (f7, big)):
             with pytest.raises(TruncationError):
                 compare_ideals(*pair)
+
+    @pytest.mark.parametrize("element", [C(3, 1), C(3, 0) + C(3, 1)],
+                             ids=["other_bidegree", "mixed"])
+    def test_item_off_its_labeled_bidegree_is_refused(self, element):
+        f7 = gen_family("herbaut7", 3, 4, 2)
+        message = "item at s=1, t\\^2 is not homogeneous of the labeled bidegree"
+        bad = RelationFamily("bad", 3, 4, 2, (RelationItem(s=1, t_exp=2, element=element),))
+        for compare in (compare_ideals, span_contains):
+            with pytest.raises(InvariantViolation, match=message):
+                compare(bad, f7)
 
     def test_mismatched_parameters_rejected(self):
         with pytest.raises(ValueError):
