@@ -25,12 +25,13 @@ computations, whether two families generate the same graded ideal; it also
 reports the weaker per-bidegree span comparison of the bare generators and
 flags any parameter set where the two notions differ.  Its rows are integer
 vectors, and multiplying by C(k) only moves a row's entries to other columns
-(see ``GradedSpan``).  A family that ``gen_family`` made reads its generator
-rows off its cell table: strong8 and vdgk6 a prefix of one cached echelon
-per bidegree (``_top_echelon``), shared by every d and r and stopped at the
-symmetric bound floor(w/2)+1, and herbaut7 its one alternating row; any
-other family, read from JSON or built by hand, has each item scaled once
-to integers.
+(see ``GradedSpan``).  A strong8 cell has up to 2s+w-k generators, all
+rows of one table that every d and r share, so a strong8 family that
+``gen_family`` made reads them as a prefix of one cached echelon per
+bidegree (``_top_echelon``), stopped at the symmetric bound floor(w/2)+1.
+Every other family (vdgk6 and herbaut7, one generator per cell, and any
+family read from JSON, built by hand or edited) reduces its own item rows,
+each scaled once to integers.
 A cell whose columns the full cells below it all reach is full with no
 elimination, and a pair with a full side has the cell's dimension as its
 joint rank; only the other cells are reduced.  Each family's span is built
@@ -103,9 +104,9 @@ class RelationFamily:
     r: int
     items: tuple[RelationItem, ...]
     _span: GradedSpan | None = field(default=None, init=False, repr=False, compare=False)
-    # (family_id, d-r) on a family that ``gen_family`` made; never serialized
-    _route: tuple[str, int] | None = field(default=None, init=False, repr=False,
-                                           compare=False)
+    # d-r on a strong8 family that ``gen_family`` made, whose span reads its
+    # generators off ``_top_echelon``; may be 0 or -1; never serialized
+    _route: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def sorted_items(self) -> tuple[RelationItem, ...]:
         return tuple(sorted(self.items,
@@ -192,8 +193,7 @@ def _generator_terms(family_id: str, g: int, s: int, w: int, k: int):
     cell table: strong8 takes A[e] for each e > k, labelled e, vdgk6 the top
     row A[2s+w] when 2s+w > k, and herbaut7 the alternating tail
     sum_{e>k} (-1)^(e-k-1) A[e], which is orderings(m) [u^k] Q_m/(1+u)
-    since (1+u) divides Q_m.  Each terms dict is the whole row: every
-    monomial of the cell, in order, zeros included."""
+    since (1+u) divides Q_m."""
     table, top = _cell_table(g, s, w), 2 * s + w
     if family_id == "herbaut7":
         yield None, {m: n * (sum(q[k + 1::2]) - sum(q[k + 2::2])) for m, n, q in table}
@@ -236,8 +236,8 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
 
     Items are the rows of each cell's table that ``_generator_terms`` picks:
     strong8 the rows e > d-r+s, herbaut7 their alternating tail, vdgk6 the top.
-    The family carries (family_id, d-r), so that its span reads its
-    generators off the shared tables instead of its items (``GradedSpan``).
+    A strong8 family carries d-r, so that its span reads its generators off
+    the shared echelon tables instead of its items (``GradedSpan``).
     """
     _validate_params(g, d, r)
     if family_id not in ("vdgk6", "herbaut7", "strong8"):
@@ -250,7 +250,8 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
                 if not element.is_zero:
                     items.append(RelationItem(s=s, t_exp=2 * s + w, u_exp=e, element=element))
     family = RelationFamily(family_id, g, d, r, tuple(items))
-    object.__setattr__(family, "_route", (family_id, d - r))
+    if family_id == "strong8":
+        object.__setattr__(family, "_route", d - r)
     return family
 
 
@@ -293,20 +294,21 @@ class GradedSpan:
     built the first time it is read.
 
     The generator rows come by one of two routes, which give every cell the
-    same generator span.  A family that ``gen_family`` made carries
-    (family_id, d-r), and its items are never read: with k = d-r+i, a
-    strong8 cell starts from the first ``ranks[k+1]`` echelon rows of the
-    cell's shared table (``_top_echelon``), a vdgk6 cell from its first row
-    when 2i+j > k, and a herbaut7 cell inserts its one row, the alternating
-    tail of the table's rows e > k (``_generator_terms``).  Any other family
-    (read from JSON, built by hand or edited) scales each item to integers
-    and inserts the rows in item order.
+    same generator span.  A strong8 family that ``gen_family`` made carries
+    d-r, and its items are never read: with k = d-r+i, a cell starts from
+    the first ``ranks[k+1]`` echelon rows of the cell's shared table
+    (``_top_echelon``).  Every other family (vdgk6 and herbaut7 from
+    ``gen_family``, and any family read from JSON, built by hand or edited)
+    scales each item to integers and inserts the rows in item order.
     """
 
     def __init__(self, family: RelationFamily) -> None:
         self.g, self.r, self.route = family.g, family.r, family._route
         self.generators: dict[tuple[int, int], list[list[int]]] = {}
-        for item in () if self.route else family.items:
+        for item in family.items if self.route is None else ():
+            if item.element.g != self.g:
+                raise ValueError(f"item at s={item.s}, t^{item.t_exp} is in genus "
+                                 f"{item.element.g}, its family in genus {self.g}")
             terms = item.element.terms
             if not terms:
                 continue
@@ -363,17 +365,9 @@ class GradedSpan:
         if self.route is None:
             for row in self.generators.get((i, j), ()):
                 space.add(row)
-            return space
-        family_id, cut = self.route
-        k = cut + i
-        if not dim or not 1 <= i <= self.r:
-            return space
-        if family_id == "herbaut7":
-            for _, terms in _generator_terms(family_id, self.g, i, j, k):
-                space.add(list(terms.values()))
-        elif 2 * i + j > k:
+        elif dim and 1 <= i <= self.r and i + j > self.route:  # 2i+j > k
             pivots, ranks = _top_echelon(self.g, i, j)
-            space.pivots.update(pivots[:1 if family_id == "vdgk6" else ranks[k + 1]])
+            space.pivots.update(pivots[:ranks[self.route + i + 1]])
         return space
 
 
@@ -383,8 +377,8 @@ def _top_echelon(g: int, s: int, w: int) -> tuple[tuple[tuple[int, tuple[int, ..
     """The echelon rows of the rows A[e] = (orderings(m) [u^e] Q_m)_m of
     cell (s, w), inserted from e = 2s+w down, and ``ranks[e]``, the rank of
     the rows e..2s+w (``ranks[2s+w+1] = 0``).  Strong8's generators in the
-    cell are the rows e > d-r+s, herbaut7's their alternating sum, and
-    vdgk6's the row e = 2s+w (``_generator_terms``).
+    cell are the rows e > d-r+s, so their span is the first
+    ``ranks[d-r+s+1]`` echelon rows; no other family reads the table.
 
     Since P_n(0) = P_n(-1) = 0 and P_n(-1-u) = (-1)^n P_n(u) (certified in
     ``_p_coefficients``), every Q_m is (u(1+u))^s times a polynomial f of
@@ -495,8 +489,9 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
     g, d, r = f1.g, f1.d, f1.r
     i_max, j_max = r, r * (g - 1)
     span1, span2 = GradedSpan.from_family(f1), GradedSpan.from_family(f2)
-    for family in (f1, f2):
-        for s, w in _generator_bidegrees(family):
+    # a routed strong8 family lies in the window by construction
+    for family, span in ((f1, span1), (f2, span2)):
+        for s, w in span.generators:
             if s > i_max or w > j_max:
                 raise TruncationError(f"window ({i_max}, {j_max}) misses the "
                                       f"{family.family_id} generator of bidegree ({s}, {w})")
@@ -524,18 +519,12 @@ def span_contains(f_sub: RelationFamily, f_sup: RelationFamily) -> bool:
     if (f_sub.g, f_sub.d, f_sub.r) != (f_sup.g, f_sup.d, f_sup.r):
         raise ValueError("families must share the same (g, d, r)")
     sub, sup = GradedSpan.from_family(f_sub), GradedSpan.from_family(f_sup)
-    for i, j in dict.fromkeys(_generator_bidegrees(f_sub)):
+    for i, j in dict.fromkeys(it.bidegree for it in f_sub.items if not it.element.is_zero):
         rows, row_rank, _ = sub.cell(i, j)
         space, generator_rank, _ = sup.cell(i, j)
-        gens = RowSpace(space.ncols, islice(space.pivots.items(), generator_rank))
-        if not all(gens.contains(row) for row in islice(rows.pivots.values(), row_rank)):
+        if _joint_rank(space, generator_rank, rows, row_rank) > generator_rank:
             return False
     return True
-
-
-def _generator_bidegrees(family: RelationFamily):
-    """The labeled bidegrees of the family's nonzero items, in item order."""
-    return (item.bidegree for item in family.items if not item.element.is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -767,14 +756,17 @@ def family_to_json(family: RelationFamily) -> str:
 
 def family_from_jsonable(data: dict) -> RelationFamily:
     """The family of ``family_to_jsonable``.  Coefficients are strings or
-    integers; weights and g, d, r, s, t_exp and u_exp are integers (a JSON
-    float or boolean raises ``TypeError``); the coefficients of one
-    monomial, in any order of its weights, add up."""
+    integers (a JSON float or boolean raises ``TypeError``), with g, r >= 1
+    and d >= 0 (else ``ValueError``); the family name is a string; the
+    coefficients of one monomial, in any order of its weights, add up."""
     g = data["g"]
     for key, value in [("g", g), ("d", data["d"]), ("r", data["r"])] + [
             (k, e[k]) for e in data["items"] for k in ("s", "t_exp", "u_exp") if k in e]:
         if type(value) is not int:
             raise TypeError(f"{key} must be an int: {value!r}")
+    if not isinstance(data["family"], str):
+        raise TypeError(f"family must be a str: {data['family']!r}")
+    _validate_params(g, data["d"], data["r"], families=False)
     items = []
     for entry in data["items"]:
         terms: dict[Monomial, int | Fraction] = {}

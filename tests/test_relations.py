@@ -293,6 +293,16 @@ class TestCompareIdeals:
             with pytest.raises(InvariantViolation, match=message):
                 compare(bad, f7)
 
+    def test_item_from_another_genus_is_refused(self):
+        # C(4)*C(0) is no monomial of genus 3: its row would come out zero,
+        # and the family would compare equal to the empty one
+        item = RelationItem(s=2, t_exp=8, element=TautElement(5, {(4, 0): 7}))
+        bad = RelationFamily("bad", 3, 4, 2, (item,))
+        empty = RelationFamily("empty", 3, 4, 2, ())
+        for compare in (compare_ideals, span_contains):
+            with pytest.raises(ValueError, match="is in genus 5, its family in genus 3"):
+                compare(bad, empty)
+
     def test_mismatched_parameters_rejected(self):
         with pytest.raises(ValueError):
             compare_ideals(gen_family("vdgk6", 3, 4, 2),
@@ -511,9 +521,10 @@ class TestCoveredCells:
 
 
 class TestEchelonRoute:
-    """A family that ``gen_family`` made reads its generators off the shared
-    echelon tables (``_top_echelon``); the same family read back from JSON,
-    or edited, reduces its item rows.  The routes must agree cell by cell."""
+    """A strong8 family that ``gen_family`` made reads its generators off the
+    shared echelon tables (``_top_echelon``); every other family, and the
+    same strong8 family read back from JSON or edited, reduces its item rows.
+    The routes must agree cell by cell."""
 
     FAMILIES = ("vdgk6", "herbaut7", "strong8")
 
@@ -525,9 +536,12 @@ class TestEchelonRoute:
             for name in self.FAMILIES:
                 marked = gen_family(name, g, d, r)
                 plain = family_from_json(family_to_json(marked))
-                assert marked._route == (name, d - r) and plain._route is None
                 a, b = GradedSpan(marked), GradedSpan(plain)
-                assert not a.generators
+                if name == "strong8":
+                    assert marked._route == d - r and not a.generators
+                else:
+                    assert marked._route is None
+                assert plain._route is None
                 for i in range(1, r + 1):
                     for j in range(r * (g - 1) + 1):
                         assert a.cell(i, j)[1:] == b.cell(i, j)[1:], (g, d, r, name, i, j)
@@ -539,6 +553,24 @@ class TestEchelonRoute:
         report = compare_ideals(edited, f7)
         assert report == compare_ideals_by_products(edited, f7)
         assert report != compare_ideals(f8, f7)
+
+    @pytest.mark.parametrize("d", [3, 2], ids=["cut_0", "cut_minus_1"])
+    def test_comparisons_never_read_routed_items(self, d):
+        # a routed strong8 family lies in the window by construction, so no
+        # comparison iterates its items
+        class Unreadable(tuple):
+            def __iter__(self):
+                raise AssertionError("the routed family's items were read")
+
+        g, r = 4, 3
+        routed, untouched = gen_family("strong8", g, d, r), gen_family("strong8", g, d, r)
+        assert routed._route == d - r
+        object.__setattr__(routed, "items", Unreadable(routed.items))
+        for name in ("vdgk6", "herbaut7"):
+            other = gen_family(name, g, d, r)
+            assert compare_ideals(routed, other) == compare_ideals(untouched, other)
+            assert compare_ideals(other, routed) == compare_ideals(other, untouched)
+            assert span_contains(other, routed) == span_contains(other, untouched)
 
     def test_echelon_ranks_match_full_reduction(self):
         # the tables stop at rank min(dim, floor(w/2) + 1); the reference
@@ -943,6 +975,20 @@ class TestFamilyJson:
                 with pytest.raises(TypeError, match=f"^{key} must be an int"):
                     family_from_jsonable(payload(key, bad))
         assert family_from_jsonable(payload("u_exp", 3)).items[0].u_exp == 3
+
+    @pytest.mark.parametrize("key, value, error, message", [
+        ("g", 0, ValueError, "g must be >= 1"),
+        ("d", -1, ValueError, "d must be >= 0"),
+        ("r", 0, ValueError, "r must be >= 1"),
+        ("r", -2, ValueError, "r must be >= 1"),
+        ("family", 7, TypeError, "family must be a str"),
+    ], ids=["g_0", "d_minus_1", "r_0", "r_minus_2", "int_family"])
+    def test_json_out_of_range_parameters_rejected(self, key, value, error, message):
+        # read as they are, each compares ideal_equal=True over zero cells
+        data = {"family": "strong8", "g": 3, "d": 4, "r": 2, "items": []}
+        data[key] = value
+        with pytest.raises(error, match=message):
+            family_from_jsonable(data)
 
     def test_json_non_int_weights_and_bool_coefficients_rejected(self):
         def element(terms):
