@@ -15,7 +15,8 @@ Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 inconclusive
 across runs for identical inputs.
 
 Each subcommand imports the modules it runs when it runs, so a fresh process
-loads only those: ``identities`` never loads ``relations`` or ``grr``.
+loads only those: ``identities`` never loads ``relations`` or ``grr``, and
+``grr`` never loads ``relations`` or ``linalg``.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
 
 
 def cmd_grr(args: argparse.Namespace) -> int:
-    from . import grr, relations
+    from . import grr, tautalg
     g, d, r, M = args.g, args.d, args.r, args.M
     data = grr.gamma_extract(g, d, r, M)
     derived = data.theorem1()
@@ -203,7 +204,7 @@ def cmd_grr(args: argparse.Namespace) -> int:
         "gamma_top_matches_reference": True,
         "gamma_top_free_of_todd_unknowns": True,
         "gamma_table": {str(s): piece.render() for s, piece in data.items()},
-        "derived_relation": relations.element_to_jsonable(derived),
+        "derived_relation": tautalg.element_to_jsonable(derived),
         "derived_equals_composition_sum": True,  # GammaData.theorem1 raises otherwise
         "N": N,
     }

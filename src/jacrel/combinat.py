@@ -26,11 +26,11 @@ published only complete, under a lock, and only in place of a shorter one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from threading import Lock
+from typing import NamedTuple
 
 from .rings import (DensePoly, LaurentSeries, _series, laurent_pow_inv, log1p_series,
                     series_exp)
@@ -221,8 +221,7 @@ def b_gen(d: int, a: tuple[int, ...]) -> Fraction:
                Fraction(0))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Result of checking the Laurent expansion against P_n(1/x).
 
     ``ok`` certifies that every coefficient at a negative exponent matches,

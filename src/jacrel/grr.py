@@ -21,8 +21,8 @@ n*c_n = sum_j (-1)^(j-1) j! ch_j c_(n-j) scaled by (n-1)!, a recurrence on
 integers for C_n = n! c_n; each class is divided by n! once.  That every
 ch_j is integral and divisible by xi is checked, not assumed.  The top
 k-power of the xi^r component of the first vanishing Chern class reproduces
-the factorial composition relations of the relations module, whose sum
-``gamma_top_reference`` reads off the top coefficients of prod P_{a_i+2}(u).
+the factorial composition relations, whose sum ``gamma_top_reference``
+reads as orderings(m) prod (a_i+1)! per monomial (``tautalg``).
 
 Nothing before the Chern classes depends on M, and c_0..c_(M+1) is a prefix
 of every longer tower.  So ``ch_vk`` caches one ``ChernData`` per (g, d, r)
@@ -34,7 +34,6 @@ partial tower and at worst compute the same classes more than once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -42,9 +41,8 @@ from operator import add, mul
 from threading import Lock
 from typing import Any, Iterator, NamedTuple
 
-from .relations import _g_power_coefficient
 from .rings import _EXACT_TYPES, InvariantViolation, SparseElement, _rational
-from .tautalg import Monomial, TautElement
+from .tautalg import Monomial, TautElement, _g_power_coefficient
 
 # Bound on the ``ch_vk`` cache, keyed by (g, d, r); the criterion-7 grid
 # (r <= 3, g <= 5, d <= 8) has 120 keys.
@@ -54,17 +52,19 @@ _CACHE_SIZE = 256
 _PUBLISH = Lock()
 
 
-@dataclass(frozen=True)
-class GrrContext:
+class GrrContext(NamedTuple("_GrrParams", [("g", int), ("d", int), ("r", int)])):
     """Ambient parameters and the variable layout of the symbolic ring."""
 
-    g: int
-    d: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.g < 1 or self.d < 1 or self.r < 1:
+    def __new__(cls, g: int, d: int, r: int) -> "GrrContext":
+        if g < 1 or d < 1 or r < 1:
             raise ValueError("g, d, r must all be >= 1")
+        return super().__new__(cls, g, d, r)
+
+    @classmethod
+    def _make(cls, fields) -> "GrrContext":  # so that ``_replace`` checks too
+        return cls(*fields)
 
     @property
     def nvars(self) -> int:
@@ -274,30 +274,32 @@ class GrrElement(SparseElement):
         return f"GrrElement({self.render()})"
 
 
-@dataclass(frozen=True)
-class UpstairsTerm:
+class UpstairsTerm(NamedTuple("_UpstairsFields", [("ctx", GrrContext), ("mu", int), ("nu", int),
+                                                  ("rho", int), ("coeff", GrrElement)])):
     """Monomial l^mu x^nu rho^eps with a coefficient free of xi and FC.
 
     rho^2 = 0 keeps eps binary; x^(r+1) = 0 keeps nu within 0..r.
     """
 
-    ctx: GrrContext
-    mu: int
-    nu: int
-    rho: int
-    coeff: GrrElement
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mu < 0:
+    def __new__(cls, ctx: GrrContext, mu: int, nu: int, rho: int,
+                coeff: GrrElement) -> "UpstairsTerm":
+        if mu < 0:
             raise ValueError("mu must be >= 0")
-        if not 0 <= self.nu <= self.ctx.r:
-            raise ValueError(f"nu must lie in 0..{self.ctx.r}")
-        if self.rho not in (0, 1):
+        if not 0 <= nu <= ctx.r:
+            raise ValueError(f"nu must lie in 0..{ctx.r}")
+        if rho not in (0, 1):
             raise ValueError("rho exponent must be 0 or 1")
-        xi = self.ctx.xi_index
-        for e in self.coeff.terms:
-            if e[xi] or any(e[self.ctx.fc_index(j)] for j in range(self.ctx.g)):
+        xi = ctx.xi_index
+        for e in coeff.terms:
+            if e[xi] or any(e[ctx.fc_index(j)] for j in range(ctx.g)):
                 raise ValueError("upstairs coefficients must be free of xi and FC")
+        return super().__new__(cls, ctx, mu, nu, rho, coeff)
+
+    @classmethod
+    def _make(cls, fields) -> "UpstairsTerm":  # so that ``_replace`` checks too
+        return cls(*fields)
 
 
 def _q_star_pi_power(ctx: GrrContext, mu: int) -> GrrElement:
@@ -325,18 +327,23 @@ def pushforward(term: UpstairsTerm) -> GrrElement:
     return term.coeff * qpart * GrrElement.xi(ctx, term.nu + 1)
 
 
-@dataclass(frozen=True)
-class ChernData:
-    """Graded Chern-character components and, once derived, Chern classes.
-
-    ``_tower`` is ``chern_classes``' memo (see ``_Tower``); it is in
-    neither ``==``, ``hash`` nor ``repr``.
-    """
-
+class _Chern(NamedTuple):
     ctx: GrrContext
     ch: tuple[GrrElement, ...]
     c: tuple[GrrElement, ...] | None = None
-    _tower: _Tower | None = field(default=None, init=False, repr=False, compare=False)
+
+
+class ChernData(_Chern):
+    """Graded Chern-character components and, once derived, Chern classes.
+
+    ``_tower`` is ``chern_classes``' memo (see ``_Tower``), kept in the
+    instance dict: it is in neither ``==``, ``hash`` nor ``repr``.
+    """
+
+    _tower: _Tower | None = None
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("ChernData is immutable")
 
     def ch_j(self, j: int) -> GrrElement:
         if 0 <= j < len(self.ch):
@@ -475,8 +482,7 @@ def chern_classes(data: ChernData, t_order: int) -> ChernData:
     return ChernData(ctx=data.ctx, ch=data.ch, c=memo.classes[:t_order])
 
 
-@dataclass(frozen=True)
-class GammaData:
+class GammaData(NamedTuple):
     """The k-power decomposition of the xi^r part of the vanishing coefficient.
 
     ``gammas[s]`` is the coefficient of k^s, normalized by the sign

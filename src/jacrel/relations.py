@@ -16,7 +16,8 @@ coefficient orderings(m) * Q_m(u) in H(u,t)^s, Q_m(u) = prod P_{a_i+2}(u),
 one cached integer product per monomial (``_h_product``), so every family
 reads the rows A[e] = (orderings(m) [u^e] Q_m)_m of one table per cell
 (``_generator_terms``).  G(t) is the top-u part of H(u,t), since P_{a+2}
-has leading term (a+1)! u^(a+2): vdgk6 and theorem1 read the top row.
+has leading term (a+1)! u^(a+2): vdgk6 reads the top row, and theorem1
+reads prod (a_i+1)! directly, with no product (``_g_power_coefficient``).
 Q_m vanishes at u = -1, so herbaut7's [u^k] Q_m/(1+u), k = d-r+s, is the
 alternating tail sum_{e>k} (-1)^(e-k-1) A[e] of strong8's rows e > k.
 
@@ -64,17 +65,19 @@ is O(t^2) with no negative x-powers, not O(x t^2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from .combinat import _bare_log_inv_pow, _log_ladder, p_poly, principal_part, stirling2
 from .linalg import RowSpace
 from .rings import (LaurentSeries, TruncationError, InvariantViolation, _rational,
                     log1p_series)
-from .tautalg import Monomial, TautElement, _canonical_monomial, _mono_mul
+from .tautalg import (Monomial, TautElement, _canonical_monomial, _compositions,
+                      _g_power_coefficient, _mono_mul, _orderings, element_to_jsonable,
+                      monomials_of_bidegree)  # _compositions is re-exported
 
 
 # Bound on each of the chain's caches, keyed by n and x_order = 2(g+2):
@@ -84,8 +87,7 @@ from .tautalg import Monomial, TautElement, _canonical_monomial, _mono_mul
 _CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class RelationItem:
+class RelationItem(NamedTuple):
     s: int
     t_exp: int
     element: TautElement
@@ -96,17 +98,37 @@ class RelationItem:
         return (self.s, self.t_exp - 2 * self.s)
 
 
-@dataclass(frozen=True)
 class RelationFamily:
-    family_id: str
-    g: int
-    d: int
-    r: int
-    items: tuple[RelationItem, ...]
-    _span: GradedSpan | None = field(default=None, init=False, repr=False, compare=False)
-    # d-r on a strong8 family that ``gen_family`` made, whose span reads its
-    # generators off ``_top_echelon``; may be 0 or -1; never serialized
-    _route: int | None = field(default=None, init=False, repr=False, compare=False)
+    """Relation items at (g, d, r), with two memos in neither ``==``, ``hash``
+    nor ``repr``: ``_span``, the family's ``GradedSpan``, and ``_route``, d-r
+    on a strong8 family that ``gen_family`` made, whose span reads its
+    generators off ``_top_echelon`` (may be 0 or -1; never serialized)."""
+
+    __slots__ = ("family_id", "g", "d", "r", "items", "_span", "_route")
+
+    def __init__(self, family_id: str, g: int, d: int, r: int,
+                 items: tuple[RelationItem, ...]) -> None:
+        for name, value in zip(self.__slots__, (family_id, g, d, r, items, None, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("RelationFamily is immutable")
+
+    def _key(self) -> tuple:
+        return (self.family_id, self.g, self.d, self.r, self.items)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"RelationFamily(family_id={self.family_id!r}, g={self.g!r}, "
+                f"d={self.d!r}, r={self.r!r}, items={self.items!r})")
+
+    def __reduce__(self) -> tuple:  # a copy starts with no memo
+        return RelationFamily, self._key()
 
     def sorted_items(self) -> tuple[RelationItem, ...]:
         return tuple(sorted(self.items,
@@ -125,27 +147,6 @@ def _validate_params(g: int, d: int, r: int, families: bool = True) -> None:
         raise ValueError("need d - r + s >= 0 for s = 1..r")
     if d < 0:
         raise ValueError("d must be >= 0")
-
-
-def _compositions(total: int, parts: int, bound: int):
-    """Weakly decreasing tuples of the given length, entries in [0, bound]."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for w in range(min(bound, total), -1, -1):
-        if total - w <= (parts - 1) * w:
-            for rest in _compositions(total - w, parts - 1, w):
-                yield (w,) + rest
-
-
-@lru_cache(maxsize=None)
-def _orderings(mono: Monomial) -> int:
-    """Number of distinct orderings of a multiset."""
-    count = factorial(len(mono))
-    for w in set(mono):
-        count //= factorial(mono.count(w))
-    return count
 
 
 @lru_cache(maxsize=None)
@@ -202,13 +203,6 @@ def _generator_terms(family_id: str, g: int, s: int, w: int, k: int):
         yield (e if family_id == "strong8" else None), {m: n * q[e] for m, n, q in table}
 
 
-def _g_power_coefficient(g: int, s: int, w: int) -> TautElement:
-    """The t^(2s+w) coefficient of G(t)^s: orderings(m) times the top
-    coefficient prod (a_i+1)! of Q_m(u) at each monomial m of bidegree (s, w)."""
-    return TautElement._trusted(g, {mono: _orderings(mono) * _h_product(mono)[-1]
-                                    for mono in monomials_of_bidegree(g, s, w)})
-
-
 def gen_theorem1(g: int, d: int, r: int, N: int) -> TautElement:
     """The factorial-weighted composition sum of first degree r and weight N.
 
@@ -258,15 +252,6 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
 # ---------------------------------------------------------------------------
 # Graded ideal comparison
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def monomials_of_bidegree(g: int, size: int, weight: int) -> tuple[Monomial, ...]:
-    """All monomials of the given bidegree, in canonical order, which for
-    one size is ``_compositions``' order: weights descending."""
-    if size < 0 or weight < 0:
-        return ()
-    return tuple(_compositions(weight, size, g - 1))
-
 
 class GradedSpan:
     """Per-bidegree exact row spaces of the graded ideal a family generates.
@@ -431,8 +416,7 @@ def _joint_rank(a: RowSpace, a_rows: int, b: RowSpace, b_rows: int) -> int:
     return joint.rank
 
 
-@dataclass(frozen=True)
-class CellComparison:
+class CellComparison(NamedTuple):
     i: int
     j: int
     dim: int
@@ -450,8 +434,7 @@ class CellComparison:
         return self.span_ranks[0] == self.span_ranks[1] == self.span_joint
 
 
-@dataclass(frozen=True)
-class IdealComparison:
+class IdealComparison(NamedTuple):
     family_ids: tuple[str, str]
     g: int
     d: int
@@ -531,8 +514,7 @@ def span_contains(f_sub: RelationFamily, f_sup: RelationFamily) -> bool:
 # Series bookkeeping: eps(x,t) and the implication chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EpsilonReport:
+class EpsilonReport(NamedTuple):
     """The substitution defect eps(x,t) = H(1/x,t) - G(t/log(1+x)).
 
     ``parts[n]`` is the scalar series e_{n-2}(x) = P_n(1/x) - (n-1)!/log(1+x)^n,
@@ -605,8 +587,7 @@ def _generator_split_ok(n: int, x_order: int) -> bool:
         _bare_log_inv_pow(n, x_order) * factorial(n - 1) + _e_part(n, x_order))
 
 
-@dataclass(frozen=True)
-class ScalarCheck:
+class ScalarCheck(NamedTuple):
     s: int
     n: int
     m: int
@@ -622,16 +603,14 @@ class ScalarCheck:
         return self.value != 0
 
 
-@dataclass(frozen=True)
-class DegreeBoundCheck:
+class DegreeBoundCheck(NamedTuple):
     s: int
     bound: int
     min_x_exponent: int
     certified: bool
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Checks (a)-(c) of ``verify_implication_chain``.  ``x_order`` records
     the x-window the series were known below, 2(g+2).  ``identity9_ok``
     holds when L^-n * L = L^-(n-1), L = log(1+x), for n <= r(g+1), and
@@ -732,11 +711,6 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
-
-def element_to_jsonable(element: TautElement) -> list[dict]:
-    return [{"monomial": list(mono), "coeff": str(coeff)}
-            for mono, coeff in element.sorted_terms()]
-
 
 def family_to_jsonable(family: RelationFamily) -> dict:
     items = []

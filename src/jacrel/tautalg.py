@@ -11,6 +11,8 @@ The relation families are coefficients of the powers of
     H(u,t) = sum_a P_{a+2}(u) C(a) t^(a+2),
 
 which ``jacrel.relations`` builds monomial by monomial from closed forms.
+The bases of each bidegree and G(t)'s powers (``_g_power_coefficient``)
+live here, so the GRR replay needs neither the families nor linear algebra.
 ``BivarPoly``, ``build_g_poly``, ``build_h_poly`` and ``poly_power`` expand
 those powers literally; they are the tests' reference route, and the library
 does not call them.
@@ -19,7 +21,8 @@ does not call them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, prod
 from typing import Any, Iterator
 
 from .combinat import p_poly
@@ -48,6 +51,36 @@ def _canonical_monomial(g: int, weights) -> Monomial:
     if any(w < 0 or w >= g for w in weights):
         raise ValueError(f"generator weight out of range [0, {g - 1}]: {weights}")
     return tuple(sorted(weights, reverse=True))
+
+
+def _compositions(total: int, parts: int, bound: int):
+    """Weakly decreasing tuples of the given length, entries in [0, bound]."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for w in range(min(bound, total), -1, -1):
+        if total - w <= (parts - 1) * w:
+            for rest in _compositions(total - w, parts - 1, w):
+                yield (w,) + rest
+
+
+@lru_cache(maxsize=None)
+def monomials_of_bidegree(g: int, size: int, weight: int) -> tuple[Monomial, ...]:
+    """All monomials of the given bidegree, in canonical order, which for
+    one size is ``_compositions``' order: weights descending."""
+    if size < 0 or weight < 0:
+        return ()
+    return tuple(_compositions(weight, size, g - 1))
+
+
+@lru_cache(maxsize=None)
+def _orderings(mono: Monomial) -> int:
+    """Number of distinct orderings of a multiset."""
+    count = factorial(len(mono))
+    for w in set(mono):
+        count //= factorial(mono.count(w))
+    return count
 
 
 class TautElement(SparseElement):
@@ -135,6 +168,18 @@ class TautElement(SparseElement):
 
     def __repr__(self) -> str:
         return f"TautElement(g={self.g}, {self.render()})"
+
+
+def element_to_jsonable(element: TautElement) -> list[dict]:
+    return [{"monomial": list(mono), "coeff": str(coeff)}
+            for mono, coeff in element.sorted_terms()]
+
+
+def _g_power_coefficient(g: int, s: int, w: int) -> TautElement:
+    """The t^(2s+w) coefficient of G(t)^s: orderings(m) prod (a_i+1)! at each
+    monomial m = (a_1..a_s) of bidegree (s, w)."""
+    return TautElement._trusted(g, {m: _orderings(m) * prod(factorial(a + 1) for a in m)
+                                    for m in monomials_of_bidegree(g, s, w)})
 
 
 class BivarPoly:

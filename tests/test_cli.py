@@ -194,10 +194,9 @@ class TestEquivalenceCommand:
         assert result.returncode == 0
 
     def test_failed_chain_is_a_verification_failure(self, monkeypatch, capsys):
-        from dataclasses import replace
         real = relations.verify_implication_chain
         monkeypatch.setattr(relations, "verify_implication_chain",
-                            lambda g, d, r: replace(real(g, d, r), identity9_ok=False))
+                            lambda g, d, r: real(g, d, r)._replace(identity9_ok=False))
         assert main(["equivalence", "--g", "3", "--d", "4", "--r", "2"]) == 1
         out = capsys.readouterr().out
         assert "  chain: identity9=False degree_bound=True scalars=True\n" in out

@@ -3,11 +3,12 @@
 Values are immutable and operations pure, so parallel evaluation must give
 byte-identical results to serial evaluation.  The shared structures are the
 module caches: the Stirling memo table, whose writers are idempotent, and the
-``functools.lru_cache``s (``monomials_of_bidegree``, ``_bare_log_inv_pow``,
+``functools.lru_cache``s (``tautalg``'s monomial bases
+``monomials_of_bidegree`` and multiset counts ``_orderings``, which
+``relations`` re-exports, ``_bare_log_inv_pow``,
 the per-monomial products ``_h_product``, whose rows every family reads,
 and the certified P_n coefficients ``_p_coefficients`` they are built
-from, the multiset counts
-``_orderings``, the ideal cells' column maps of C(k) ``_shift_columns``,
+from, the ideal cells' column maps of C(k) ``_shift_columns``,
 the echelon tables of strong8's generator rows per bidegree ``_top_echelon``,
 the chain's ``_e_part``, the check-(a) facts ``_power_law_ok`` and
 ``_generator_split_ok``, and the GRR replay's ``ch_vk``), which lock their

@@ -18,16 +18,17 @@ import jacrel
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-# prints the jacrel modules loaded by importing jacrel and jacrel.cli and,
-# given argv, by running that command with its report discarded
+# prints the modules that importing jacrel and jacrel.cli and, given argv,
+# running that command with its report discarded add to a fresh process
 SCRIPT = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 import jacrel, jacrel.cli
 if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()):
         code = jacrel.cli.main(sys.argv[1:])
     assert code == 0, code
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("jacrel"))))
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
@@ -39,8 +40,8 @@ def run_fresh(code: str, *args: str) -> str:
     return result.stdout
 
 
-def loaded_modules(*argv: str) -> set[str]:
-    return {name.removeprefix("jacrel.") for name in json.loads(run_fresh(SCRIPT, *argv))}
+def added_modules(*argv: str) -> set[str]:
+    return set(json.loads(run_fresh(SCRIPT, *argv)))
 
 
 @pytest.mark.parametrize("argv, needed, absent", [
@@ -50,12 +51,16 @@ def loaded_modules(*argv: str) -> set[str]:
     (("relations", "--g", "4", "--d", "5", "--r", "2", "--family", "vdgk6"),
      {"relations"}, {"grr"}),
     (("equivalence", "--g", "3", "--d", "4", "--r", "2"), {"relations", "linalg"}, {"grr"}),
-    (("grr", "--g", "4", "--d", "5", "--r", "2", "--M", "5"), {"grr", "relations"}, set()),
+    (("grr", "--g", "4", "--d", "5", "--r", "2", "--M", "5"), {"grr", "tautalg"},
+     {"relations", "linalg"}),
 ])
 def test_each_command_loads_only_the_modules_it_runs(argv, needed, absent):
-    loaded = loaded_modules(*argv)
+    added = added_modules(*argv)
+    loaded = {m.removeprefix("jacrel.") for m in added if m.startswith("jacrel")}
     assert needed <= loaded
     assert not absent & loaded
+    # no record generates code at import: dataclasses alone pulls in inspect and ast
+    assert "dataclasses" not in added
 
 
 def test_every_export_is_its_submodule_object():
