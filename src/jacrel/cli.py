@@ -138,6 +138,8 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
     cmp68 = relations.compare_ideals(fam6, fam8)
     chain = relations.verify_implication_chain(args.g, args.d, args.r)
     ideal_ok = cmp67.ideal_equal and cmp78.ideal_equal and cmp68.ideal_equal
+    verdict = "NOT equivalent" if not ideal_ok else (
+        "equivalent" if chain.ok else "ideals equal, chain NOT certified")
     payload = {
         "command": "equivalence",
         "g": args.g, "d": args.d, "r": args.r,
@@ -148,7 +150,9 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
             "identity9_ok": chain.identity9_ok,
             "degree_bound_ok": chain.degree_bound_ok,
             "scalar_ok": chain.scalar_ok,
+            "ok": chain.ok,
         },
+        "overall": verdict,
     }
     for cmp in (cmp67, cmp78, cmp68):
         cells = [{
@@ -180,8 +184,6 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
                     f"span ranks {cell['span_ranks']} joint {cell['span_joint']}")
         lines.append(f"  chain: identity9={chain.identity9_ok} "
                      f"degree_bound={chain.degree_bound_ok} scalars={chain.scalar_ok}")
-        verdict = "NOT equivalent" if not ideal_ok else (
-            "equivalent" if chain.ok else "ideals equal, chain NOT certified")
         lines.append("overall: " + verdict)
         _emit("\n".join(lines), args.out)
     return EXIT_OK if ideal_ok and chain.ok else EXIT_FAIL

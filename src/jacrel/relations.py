@@ -13,11 +13,11 @@ parameter pair (d, r) on a genus-g curve class:
 No power is expanded: the algebra is free and C(a) carries t^(a+2), so a
 monomial m = (a_1..a_s) of bidegree (s, w) appears only at t^(2s+w), with
 coefficient orderings(m) * Q_m(u) in H(u,t)^s, Q_m(u) = prod P_{a_i+2}(u),
-one cached integer product per monomial (``_h_product``), so every family
-reads the rows A[e] = (orderings(m) [u^e] Q_m)_m of one table per cell
-(``_generator_terms``).  G(t) is the top-u part of H(u,t), since P_{a+2}
-has leading term (a+1)! u^(a+2): vdgk6 reads the top row, and theorem1
-reads prod (a_i+1)! directly, with no product (``_g_power_coefficient``).
+one cached integer product per monomial (``_h_product``), so strong8 and
+herbaut7 read the rows A[e] = (orderings(m) [u^e] Q_m)_m of one table per
+cell (``_generators``).  G(t) is the top-u part of H(u,t): vdgk6,
+theorem1 and the GRR check read its powers' coefficient, the composition
+sum orderings(m) prod (a_i+1)!, with no product (``_g_power_coefficient``).
 Q_m vanishes at u = -1, so herbaut7's [u^k] Q_m/(1+u), k = d-r+s, is the
 alternating tail sum_{e>k} (-1)^(e-k-1) A[e] of strong8's rows e > k.
 
@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 from .combinat import _bare_log_inv_pow, _log_ladder, p_poly, principal_part, stirling2
 from .linalg import RowSpace
-from .rings import (LaurentSeries, TruncationError, InvariantViolation, _rational,
+from .rings import (LaurentSeries, TruncationError, InvariantViolation, Value, _rational,
                     log1p_series)
 from .tautalg import (Monomial, TautElement, _canonical_monomial, _compositions,
                       _g_power_coefficient, _mono_mul, _orderings, element_to_jsonable,
@@ -98,10 +98,10 @@ class RelationItem(NamedTuple):
         return (self.s, self.t_exp - 2 * self.s)
 
 
-class RelationFamily:
-    """Relation items at (g, d, r), with two memos in neither ``==``, ``hash``
-    nor ``repr``: ``_span``, the family's ``GradedSpan``, and ``_route``, d-r
-    on a strong8 family that ``gen_family`` made, whose span reads its
+class RelationFamily(Value):
+    """Relation items at (g, d, r), with two memos in neither ``==``, ``hash``,
+    ``repr`` nor a copy: ``_span``, the family's ``GradedSpan``, and ``_route``,
+    d-r on a strong8 family that ``gen_family`` made, whose span reads its
     generators off ``_top_echelon`` (may be 0 or -1; never serialized)."""
 
     __slots__ = ("family_id", "g", "d", "r", "items", "_span", "_route")
@@ -110,25 +110,6 @@ class RelationFamily:
                  items: tuple[RelationItem, ...]) -> None:
         for name, value in zip(self.__slots__, (family_id, g, d, r, items, None, None)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RelationFamily is immutable")
-
-    def _key(self) -> tuple:
-        return (self.family_id, self.g, self.d, self.r, self.items)
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"RelationFamily(family_id={self.family_id!r}, g={self.g!r}, "
-                f"d={self.d!r}, r={self.r!r}, items={self.items!r})")
-
-    def __reduce__(self) -> tuple:  # a copy starts with no memo
-        return RelationFamily, self._key()
 
     def sorted_items(self) -> tuple[RelationItem, ...]:
         return tuple(sorted(self.items,
@@ -188,19 +169,23 @@ def _cell_table(g: int, s: int, w: int) -> list[tuple[Monomial, int, tuple[int, 
     return [(m, _orderings(m), _h_product(m)) for m in monomials_of_bidegree(g, s, w)]
 
 
-def _generator_terms(family_id: str, g: int, s: int, w: int, k: int):
-    """(u_exp, terms) of each generator of the family in cell (s, w), with
-    k = d-r+s, read off the rows A[e] = (orderings(m) [u^e] Q_m)_m of the
-    cell table: strong8 takes A[e] for each e > k, labelled e, vdgk6 the top
-    row A[2s+w] when 2s+w > k, and herbaut7 the alternating tail
-    sum_{e>k} (-1)^(e-k-1) A[e], which is orderings(m) [u^k] Q_m/(1+u)
-    since (1+u) divides Q_m."""
-    table, top = _cell_table(g, s, w), 2 * s + w
-    if family_id == "herbaut7":
-        yield None, {m: n * (sum(q[k + 1::2]) - sum(q[k + 2::2])) for m, n, q in table}
+def _generators(family_id: str, g: int, s: int, w: int, k: int):
+    """(u_exp, element) of each generator of the family in cell (s, w), with
+    k = d-r+s: vdgk6 takes G(t)^s's coefficient when 2s+w > k, strong8 the
+    rows A[e] = (orderings(m) [u^e] Q_m)_m of the cell table for each e > k,
+    labelled e, and herbaut7 their alternating tail sum_{e>k} (-1)^(e-k-1)
+    A[e], which is orderings(m) [u^k] Q_m/(1+u) since (1+u) divides Q_m."""
+    if family_id == "vdgk6":
+        if 2 * s + w > k:
+            yield None, _g_power_coefficient(g, s, w)
         return
-    for e in range(max(k + 1, top if family_id == "vdgk6" else 0), top + 1):
-        yield (e if family_id == "strong8" else None), {m: n * q[e] for m, n, q in table}
+    table = _cell_table(g, s, w)
+    if family_id == "herbaut7":
+        yield None, TautElement._trusted(
+            g, {m: n * (sum(q[k + 1::2]) - sum(q[k + 2::2])) for m, n, q in table})
+        return
+    for e in range(k + 1, 2 * s + w + 1):
+        yield e, TautElement._trusted(g, {m: n * q[e] for m, n, q in table})
 
 
 def gen_theorem1(g: int, d: int, r: int, N: int) -> TautElement:
@@ -228,8 +213,8 @@ def theorem1_family(g: int, d: int, r: int, N: int) -> RelationFamily:
 def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
     """Generate one of the three relation families, deterministically ordered.
 
-    Items are the rows of each cell's table that ``_generator_terms`` picks:
-    strong8 the rows e > d-r+s, herbaut7 their alternating tail, vdgk6 the top.
+    Items are the nonzero generators that ``_generators`` picks in each cell:
+    strong8 the rows e > d-r+s, herbaut7 their tail, vdgk6 the composition sum.
     A strong8 family carries d-r, so that its span reads its generators off
     the shared echelon tables instead of its items (``GradedSpan``).
     """
@@ -239,8 +224,7 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
     items: list[RelationItem] = []
     for s in range(1, r + 1):
         for w in range(0, s * (g - 1) + 1):
-            for e, terms in _generator_terms(family_id, g, s, w, d - r + s):
-                element = TautElement._trusted(g, terms)  # drops the zeros
+            for e, element in _generators(family_id, g, s, w, d - r + s):
                 if not element.is_zero:
                     items.append(RelationItem(s=s, t_exp=2 * s + w, u_exp=e, element=element))
     family = RelationFamily(family_id, g, d, r, tuple(items))

@@ -8,7 +8,7 @@ factors must be exactly ``int`` or ``Fraction`` (``_EXACT_TYPES``, so never a
 
 A :class:`SparseElement` is an immutable ``monomial -> int | Fraction`` map
 with no zero coefficient and every integral coefficient an ``int``.  It
-holds the normal form, sums, negation, equality, hashing and rendering that
+holds the normal form, sums, negation, hashing and rendering that
 ``tautalg.TautElement`` (the free algebra) and ``grr.GrrElement`` (the
 Chern-character ring) share; each subclass keeps its own checked
 constructor, monomial text and product.
@@ -33,13 +33,18 @@ computed; asking for a coefficient at or beyond the truncation order raises
 :class:`TruncationError` instead of silently returning zero.
 
 All values are immutable after construction and all operations are pure, so
-everything is safe to share across threads.
+everything is safe to share across threads.  The slotted values derive from
+:class:`Value`: their fields are their public slots, and the slots named
+with an underscore are memos.  The base refuses assignment and gives ``==``
+(within one class), ``hash``, ``repr``, copies and pickles by the fields; a
+copy's memos are ``None``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
 
@@ -71,7 +76,47 @@ def _rational(c: Any) -> int | Fraction:
     return c
 
 
-class DensePoly:
+class Value:
+    """Base of the slotted values (see the module docstring)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:  # the slot names, once per class
+        slots = [name for klass in reversed(cls.__mro__)
+                 for name in vars(klass).get("__slots__", ())]
+        cls._public_slots = tuple(name for name in slots if not name.startswith("_"))
+        cls._memo_slots = tuple(name for name in slots if name.startswith("_"))
+        cls._public_values = attrgetter(*cls._public_slots)  # one name: the bare value
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: Any) -> bool:
+        key = self._public_values
+        return key(self) == key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._public_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._public_slots)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return _rebuild, (type(self), tuple(getattr(self, name) for name in self._public_slots))
+
+
+def _rebuild(cls: type, values: tuple) -> Any:
+    """The value of ``cls`` with these fields and no memo."""
+    value = object.__new__(cls)
+    for name, field in zip(cls._public_slots, values):
+        object.__setattr__(value, name, field)
+    for name in cls._memo_slots:
+        object.__setattr__(value, name, None)
+    return value
+
+
+class DensePoly(Value):
     """Dense univariate polynomial over Q: ``series``, an exact
     :class:`LaurentSeries` with no negative exponent, read from x^0, whose
     arithmetic it forwards to.  ``coeffs`` holds the coefficients at exponents
@@ -81,9 +126,6 @@ class DensePoly:
 
     def __init__(self, coeffs: Iterable[int | Fraction] = ()) -> None:
         object.__setattr__(self, "series", LaurentSeries(0, coeffs))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("DensePoly is immutable")
 
     @classmethod
     def zero(cls) -> "DensePoly":
@@ -154,14 +196,6 @@ class DensePoly:
             acc = acc * point + c
         return acc
 
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, DensePoly):
-            return NotImplemented
-        return self.series == other.series
-
-    def __hash__(self) -> int:
-        return hash(self.series)
-
     def __repr__(self) -> str:
         return f"DensePoly({list(self.coeffs)!r})"
 
@@ -173,7 +207,7 @@ def _poly(series: LaurentSeries) -> DensePoly:
     return p
 
 
-class LaurentSeries:
+class LaurentSeries(Value):
     """Truncated Laurent series over Q, on integer numerators over one
     common denominator (see the module docstring for the canonical form).
 
@@ -218,9 +252,6 @@ class LaurentSeries:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "trunc", trunc)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("LaurentSeries is immutable")
 
     @classmethod
     def zero(cls, trunc: int | None = None) -> "LaurentSeries":
@@ -347,15 +378,6 @@ class LaurentSeries:
         difference is cut at the tighter truncation order."""
         return (self - other).is_zero
 
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (self.valuation == other.valuation and self.nums == other.nums
-                and self.den == other.den and self.trunc == other.trunc)
-
-    def __hash__(self) -> int:
-        return hash((self.valuation, self.nums, self.den, self.trunc))
-
     def render(self) -> str:
         """Human-readable form in x, ascending exponents, plus the O-term."""
         text = join_terms((c, "" if e == 0 else "x" if e == 1 else f"x^{e}")
@@ -401,7 +423,7 @@ def join_terms(terms: Iterable[tuple[Any, str]]) -> str:
     return text or "0"
 
 
-class SparseElement:
+class SparseElement(Value):
     """Immutable sparse element of an exact commutative algebra over Q:
     ``terms`` maps monomials to coefficients, over the parameters ``ambient``.
 
@@ -409,7 +431,7 @@ class SparseElement:
     ``int`` and any other a ``Fraction``, and the empty map is zero, so
     integer arithmetic stays on ``int``.  This kernel owns that form, the
     unchecked constructor ``_trusted``, sums, negation, scalars from the
-    left, ``==``, ``hash`` and ``render``.  A subclass names the ambient by
+    left, ``hash`` and ``render``.  A subclass names the ambient by
     aliasing the ``ambient`` slot and supplies the rest: its checked public
     constructor (a ``__new__`` ending in ``_trusted``), ``_check`` (a
     ``ValueError`` unless both operands share the ambient), the text of one
@@ -429,9 +451,6 @@ class SparseElement:
             key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
             for key, c in terms.items() if c})
         return self
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def is_zero(self) -> bool:
@@ -456,11 +475,6 @@ class SparseElement:
 
     def __rmul__(self, other: Any) -> Any:
         return self.__mul__(other)
-
-    def __eq__(self, other: Any) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.ambient == other.ambient and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.ambient, tuple(sorted(self.terms.items()))))

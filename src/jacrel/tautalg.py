@@ -26,7 +26,7 @@ from math import factorial, prod
 from typing import Any, Iterator
 
 from .combinat import p_poly
-from .rings import _EXACT_TYPES, SparseElement, _rational, min_trunc
+from .rings import _EXACT_TYPES, SparseElement, Value, _rational, min_trunc
 
 Monomial = tuple[int, ...]
 
@@ -178,15 +178,17 @@ def element_to_jsonable(element: TautElement) -> list[dict]:
 def _g_power_coefficient(g: int, s: int, w: int) -> TautElement:
     """The t^(2s+w) coefficient of G(t)^s: orderings(m) prod (a_i+1)! at each
     monomial m = (a_1..a_s) of bidegree (s, w)."""
-    return TautElement._trusted(g, {m: _orderings(m) * prod(factorial(a + 1) for a in m)
+    weights = [factorial(a + 1) for a in range(g)]
+    return TautElement._trusted(g, {m: _orderings(m) * prod(map(weights.__getitem__, m))
                                     for m in monomials_of_bidegree(g, s, w)})
 
 
-class BivarPoly:
+class BivarPoly(Value):
     """Polynomial in t and u with TautElement coefficients.
 
     Terms are keyed by (u_exp, t_exp).  An optional tracked t-truncation
     caps every operation: terms at t-exponents >= t_trunc are dropped.
+    ``==`` ignores ``t_trunc``, and ``terms`` is a dict, so it has no hash.
     """
 
     __slots__ = ("g", "terms", "t_trunc")
@@ -204,9 +206,6 @@ class BivarPoly:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "t_trunc", t_trunc)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("BivarPoly is immutable")
 
     @classmethod
     def zero(cls, g: int, t_trunc: int | None = None) -> "BivarPoly":

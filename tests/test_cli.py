@@ -202,6 +202,20 @@ class TestEquivalenceCommand:
         assert "  chain: identity9=False degree_bound=True scalars=True\n" in out
         assert out.endswith("overall: ideals equal, chain NOT certified\n")
 
+    def test_json_carries_the_verdicts(self, monkeypatch, capsys):
+        argv = ["equivalence", "--g", "3", "--d", "4", "--r", "2", "--format", "json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["chain"]["ok"] is True
+        assert payload["overall"] == "equivalent"
+        real = relations.verify_implication_chain
+        monkeypatch.setattr(relations, "verify_implication_chain",
+                            lambda g, d, r: real(g, d, r)._replace(identity9_ok=False))
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["chain"]["ok"] is False
+        assert payload["overall"] == "ideals equal, chain NOT certified"
+
     def test_x_order_flag_is_gone(self):
         result = run_cli("equivalence", "--g", "3", "--d", "4", "--r", "2",
                          "--x-order", "8")

@@ -6,7 +6,7 @@ module caches: the Stirling memo table, whose writers are idempotent, and the
 ``functools.lru_cache``s (``tautalg``'s monomial bases
 ``monomials_of_bidegree`` and multiset counts ``_orderings``, which
 ``relations`` re-exports, ``_bare_log_inv_pow``,
-the per-monomial products ``_h_product``, whose rows every family reads,
+the per-monomial products ``_h_product``, whose rows strong8 and herbaut7 read,
 and the certified P_n coefficients ``_p_coefficients`` they are built
 from, the ideal cells' column maps of C(k) ``_shift_columns``,
 the echelon tables of strong8's generator rows per bidegree ``_top_echelon``,

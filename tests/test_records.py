@@ -1,21 +1,28 @@
-"""The result records are immutable values.
+"""The result records, and the kernel values they hold, are immutable values.
 
-Most are ``typing.NamedTuple``s: they compare, hash and print by their
-fields, and ``_replace`` copies one with some fields changed.  ``GrrContext``
-and ``UpstairsTerm`` check their fields on every construction, ``_replace``
-included.  ``RelationFamily`` and ``ChernData`` carry memos that take no
-part in ``==``, ``hash`` or ``repr`` (see test_relations.py and
-test_grr.py).
+Most records are ``typing.NamedTuple``s: they compare, hash and print by
+their fields, and ``_replace`` copies one with some fields changed.
+``GrrContext`` and ``UpstairsTerm`` check their fields on every
+construction, ``_replace`` included.  ``RelationFamily`` and the kernel
+values derive from ``rings.Value``.  ``RelationFamily`` and ``ChernData``
+carry memos that take no part in ``==``, ``hash`` or ``repr`` (see
+test_relations.py and test_grr.py).  Every value copies, deep-copies and
+pickles to an equal value.
 """
 
 import copy
+import pickle
 
 import pytest
 
-from jacrel.combinat import verify_identity4
+from jacrel.combinat import p_poly, verify_identity4
 from jacrel.grr import GrrContext, GrrElement, UpstairsTerm, ch_vk, chern_classes, gamma_extract
 from jacrel.relations import (compare_ideals, epsilon_series, gen_family,
                               verify_implication_chain)
+from jacrel.rings import LaurentSeries
+from jacrel.tautalg import TautElement, build_h_poly
+
+ROUND_TRIPS = (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)))
 
 
 def records():
@@ -31,18 +38,44 @@ def records():
             gamma_extract(2, 3, 2, 3)]
 
 
+def kernel_values():
+    ctx = GrrContext(2, 3, 2)
+    return [LaurentSeries(-1, (1, 0, 2), 4), p_poly(4), TautElement.monomial(3, (2, 0), 5),
+            GrrElement.xi(ctx) + GrrElement.scalar(ctx, 3), build_h_poly(3)]
+
+
 def test_no_field_or_memo_can_be_assigned():
-    # a RelationFamily is no tuple: its fields are named here
-    extra = ("family_id", "items", "_span", "_route", "_tower", "extra")
-    for record in records():
+    # a slotted value is no tuple: its fields are named here
+    extra = ("family_id", "items", "_span", "_route", "_tower", "series", "nums", "trunc",
+             "terms", "ambient", "g", "t_trunc", "extra")
+    for record in records() + kernel_values():
         for name in getattr(record, "_fields", ()) + extra:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
 
 
 def test_a_copy_equals_its_record():
-    for record in records():
+    for record in records() + kernel_values():
         assert copy.copy(record) == record
+        for round_trip in ROUND_TRIPS:
+            clone = round_trip(record)
+            assert clone == record and repr(clone) == repr(record)
+            try:
+                expected = hash(record)
+            except TypeError:  # a dict field, or BivarPoly
+                continue
+            assert hash(clone) == expected
+
+
+def test_a_copied_family_starts_without_its_memos():
+    f6, f8 = gen_family("vdgk6", 5, 7, 3), gen_family("strong8", 5, 7, 3)
+    report = compare_ideals(f6, f8)
+    assert f8._span is not None and f8._route == 4
+    for round_trip in ROUND_TRIPS:
+        clone = round_trip(f8)
+        assert clone == f8
+        assert clone._span is None and clone._route is None
+        assert compare_ideals(f6, clone) == report
 
 
 def test_grr_records_check_their_fields_on_every_construction():

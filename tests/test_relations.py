@@ -236,6 +236,13 @@ class TestGenFamily:
         expected = 1 + sum(comb(g + s - 1, s) for s in range(1, r + 1))
         assert _h_product.cache_info().misses == expected
 
+    def test_vdgk6_builds_no_product(self):
+        # vdgk6 reads G(t)^s's coefficient, the composition sum
+        from jacrel.relations import _h_product
+        _h_product.cache_clear()
+        assert gen_family("vdgk6", 5, 7, 3).items
+        assert _h_product.cache_info().misses == 0
+
     def test_bad_family_id(self):
         with pytest.raises(ValueError):
             gen_family("theorem1", 3, 3, 1)  # use theorem1_family for this one
