@@ -337,13 +337,16 @@ class ChernData(_Chern):
     """Graded Chern-character components and, once derived, Chern classes.
 
     ``_tower`` is ``chern_classes``' memo (see ``_Tower``), kept in the
-    instance dict: it is in neither ``==``, ``hash`` nor ``repr``.
+    instance dict: it is in neither ``==``, ``hash``, ``repr`` nor a copy.
     """
 
     _tower: _Tower | None = None
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("ChernData is immutable")
+
+    def __reduce__(self) -> tuple:
+        return ChernData, tuple(self)
 
     def ch_j(self, j: int) -> GrrElement:
         if 0 <= j < len(self.ch):

@@ -26,21 +26,26 @@ computations, whether two families generate the same graded ideal; it also
 reports the weaker per-bidegree span comparison of the bare generators and
 flags any parameter set where the two notions differ.  Its rows are integer
 vectors, and multiplying by C(k) only moves a row's entries to other columns
-(see ``GradedSpan``).  A strong8 cell has up to 2s+w-k generators, all
-rows of one table that every d and r share, so a strong8 family that
-``gen_family`` made reads them as a prefix of one cached echelon per
-bidegree (``_top_echelon``), stopped at the symmetric bound floor(w/2)+1.
-Every other family (vdgk6 and herbaut7, one generator per cell, and any
-family read from JSON, built by hand or edited) reduces its own item rows,
-each scaled once to integers.
+(see ``GradedSpan``).  A family that ``gen_family`` made is routed: it
+forms its items only on first read, and its span reads its rows off the
+cell tables (``_generator_rows``), for the cells it builds.  A strong8 cell
+has up to 2s+w-k generators, all rows of one table that every d and r
+share, read as a prefix of one cached echelon per bidegree
+(``_top_echelon``), stopped at the symmetric bound floor(w/2)+1; vdgk6 and
+herbaut7 have one row per cell, and both lie in strong8's span, so a
+routed strong8 family's ranks are its joint ranks with either.  Every
+other family (read from JSON, built by hand or edited) reduces its own
+item rows, each scaled once to integers.
 A cell whose columns the full cells below it all reach is full with no
 elimination, and a pair with a full side has the cell's dimension as its
 joint rank; only the other cells are reduced.  Each family's span is built
-once, kept on the family and shared by every comparison it enters.  It and
-the ``lru_cache``s (the column maps of C(k), ``_shift_columns``, and the
-echelon tables, ``_top_echelon``, among them) are the shared state; a span
-publishes a cell only once complete, so racing threads at most build a cell
-twice, with the same rows.
+once, kept on the family and shared by every comparison it enters.  It, a
+routed family's items, and the ``lru_cache``s (the column maps of C(k),
+``_shift_columns``, and the echelon tables, ``_top_echelon``, among them)
+are the shared state; a span publishes a cell only once complete, so
+racing threads at most build a cell twice, with the same rows, and the
+first complete item tuple published, under a lock, is the one every
+thread reads.
 
 ``epsilon_series`` and ``verify_implication_chain`` replay the series
 bookkeeping connecting the families: the substitution defect
@@ -69,6 +74,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, factorial, lcm
+from threading import Lock
 from typing import NamedTuple
 
 from .combinat import _bare_log_inv_pow, _log_ladder, p_poly, principal_part, stirling2
@@ -86,6 +92,8 @@ from .tautalg import (Monomial, TautElement, _canonical_monomial, _compositions,
 # entries in them.
 _CACHE_SIZE = 4096
 
+_PUBLISH = Lock()  # publishes a routed family's items
+
 
 class RelationItem(NamedTuple):
     s: int
@@ -99,10 +107,14 @@ class RelationItem(NamedTuple):
 
 
 class RelationFamily(Value):
-    """Relation items at (g, d, r), with two memos in neither ``==``, ``hash``,
-    ``repr`` nor a copy: ``_span``, the family's ``GradedSpan``, and ``_route``,
-    d-r on a strong8 family that ``gen_family`` made, whose span reads its
-    generators off ``_top_echelon`` (may be 0 or -1; never serialized)."""
+    """Relation items at (g, d, r), with two memos in neither ``==``, ``hash``
+    nor ``repr``: ``_span``, the family's ``GradedSpan``, and ``_route``,
+    (family_id, d-r) on a family that ``gen_family`` made (d-r may be 0 or
+    -1; never serialized).  A routed family is its parameters: its items are
+    formed on first read and published complete, its span reads its
+    generator rows off the cell tables, and a copy is ``gen_family``'s
+    family again, routed and with no span.  A copy of any other family has
+    no memo."""
 
     __slots__ = ("family_id", "g", "d", "r", "items", "_span", "_route")
 
@@ -110,6 +122,23 @@ class RelationFamily(Value):
                  items: tuple[RelationItem, ...]) -> None:
         for name, value in zip(self.__slots__, (family_id, g, d, r, items, None, None)):
             object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str) -> tuple[RelationItem, ...]:
+        # reached only for an unset slot: a routed family's items before first read
+        if name != "items" or self._route is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        items = _items(self.family_id, self.g, self.d, self.r)
+        with _PUBLISH:  # threads that race here all return the first tuple published
+            try:
+                return object.__getattribute__(self, "items")
+            except AttributeError:
+                object.__setattr__(self, "items", items)
+                return items
+
+    def __reduce__(self) -> tuple:
+        if self._route is None:
+            return super().__reduce__()
+        return gen_family, (self.family_id, self.g, self.d, self.r)
 
     def sorted_items(self) -> tuple[RelationItem, ...]:
         return tuple(sorted(self.items,
@@ -169,23 +198,41 @@ def _cell_table(g: int, s: int, w: int) -> list[tuple[Monomial, int, tuple[int, 
     return [(m, _orderings(m), _h_product(m)) for m in monomials_of_bidegree(g, s, w)]
 
 
-def _generators(family_id: str, g: int, s: int, w: int, k: int):
-    """(u_exp, element) of each generator of the family in cell (s, w), with
-    k = d-r+s: vdgk6 takes G(t)^s's coefficient when 2s+w > k, strong8 the
-    rows A[e] = (orderings(m) [u^e] Q_m)_m of the cell table for each e > k,
-    labelled e, and herbaut7 their alternating tail sum_{e>k} (-1)^(e-k-1)
-    A[e], which is orderings(m) [u^k] Q_m/(1+u) since (1+u) divides Q_m."""
+def _generator_rows(family_id: str, g: int, s: int, w: int, k: int):
+    """(u_exp, row) of each generator of the family in cell (s, w), with
+    k = d-r+s, its row the integer coefficients on the cell's monomials in
+    order; none unless 2s+w > k.  vdgk6 takes G(t)^s's coefficient, strong8
+    the rows A[e] = (orderings(m) [u^e] Q_m)_m of the cell table for each
+    e > k, labelled e, and herbaut7 their alternating tail sum_{e>k}
+    (-1)^(e-k-1) A[e], which is orderings(m) [u^k] Q_m/(1+u) since (1+u)
+    divides Q_m.  So vdgk6's row is strong8's row A[2s+w], and herbaut7's
+    lies in strong8's span.  Items are formed from these rows; a routed
+    span reads vdgk6's and herbaut7's rows here and strong8's echelon off
+    ``_top_echelon``."""
+    if 2 * s + w <= k:
+        return
     if family_id == "vdgk6":
-        if 2 * s + w > k:
-            yield None, _g_power_coefficient(g, s, w)
+        yield None, list(_g_power_coefficient(g, s, w).terms.values())  # none is zero
         return
     table = _cell_table(g, s, w)
     if family_id == "herbaut7":
-        yield None, TautElement._trusted(
-            g, {m: n * (sum(q[k + 1::2]) - sum(q[k + 2::2])) for m, n, q in table})
+        yield None, [n * (sum(q[k + 1::2]) - sum(q[k + 2::2])) for _, n, q in table]
         return
     for e in range(k + 1, 2 * s + w + 1):
-        yield e, TautElement._trusted(g, {m: n * q[e] for m, n, q in table})
+        yield e, [n * q[e] for _, n, q in table]
+
+
+def _items(family_id: str, g: int, d: int, r: int) -> tuple[RelationItem, ...]:
+    """The nonzero generators of ``_generator_rows``, cell by cell."""
+    items: list[RelationItem] = []
+    for s in range(1, r + 1):
+        for w in range(0, s * (g - 1) + 1):
+            basis = monomials_of_bidegree(g, s, w)
+            for e, row in _generator_rows(family_id, g, s, w, d - r + s):
+                element = TautElement._trusted(g, dict(zip(basis, row)))
+                if not element.is_zero:
+                    items.append(RelationItem(s=s, t_exp=2 * s + w, u_exp=e, element=element))
+    return tuple(items)
 
 
 def gen_theorem1(g: int, d: int, r: int, N: int) -> TautElement:
@@ -213,23 +260,19 @@ def theorem1_family(g: int, d: int, r: int, N: int) -> RelationFamily:
 def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
     """Generate one of the three relation families, deterministically ordered.
 
-    Items are the nonzero generators that ``_generators`` picks in each cell:
-    strong8 the rows e > d-r+s, herbaut7 their tail, vdgk6 the composition sum.
-    A strong8 family carries d-r, so that its span reads its generators off
-    the shared echelon tables instead of its items (``GradedSpan``).
+    Items are the nonzero generators that ``_generator_rows`` picks in each
+    cell: strong8 the rows e > d-r+s, herbaut7 their tail, vdgk6 the
+    composition sum.  The family is routed, (family_id, d-r): its items are
+    formed on first read, and its span reads its rows off the cell tables
+    (``GradedSpan``), so a comparison forms no item.
     """
     _validate_params(g, d, r)
     if family_id not in ("vdgk6", "herbaut7", "strong8"):
         raise ValueError(f"unknown family {family_id!r}")
-    items: list[RelationItem] = []
-    for s in range(1, r + 1):
-        for w in range(0, s * (g - 1) + 1):
-            for e, element in _generators(family_id, g, s, w, d - r + s):
-                if not element.is_zero:
-                    items.append(RelationItem(s=s, t_exp=2 * s + w, u_exp=e, element=element))
-    family = RelationFamily(family_id, g, d, r, tuple(items))
-    if family_id == "strong8":
-        object.__setattr__(family, "_route", d - r)
+    family = object.__new__(RelationFamily)
+    for name, value in (("family_id", family_id), ("g", g), ("d", d), ("r", r),
+                        ("_span", None), ("_route", (family_id, d - r))):
+        object.__setattr__(family, name, value)
     return family
 
 
@@ -263,12 +306,14 @@ class GradedSpan:
     built the first time it is read.
 
     The generator rows come by one of two routes, which give every cell the
-    same generator span.  A strong8 family that ``gen_family`` made carries
-    d-r, and its items are never read: with k = d-r+i, a cell starts from
-    the first ``ranks[k+1]`` echelon rows of the cell's shared table
-    (``_top_echelon``).  Every other family (vdgk6 and herbaut7 from
-    ``gen_family``, and any family read from JSON, built by hand or edited)
-    scales each item to integers and inserts the rows in item order.
+    same generator span.  A family that ``gen_family`` made carries its
+    route (family_id, d-r), and its items are never read: with k = d-r+i, a
+    cell with 2i+j > k reads its rows off the cell table, and only when it
+    is built.  strong8 starts from the first ``ranks[k+1]`` echelon rows of
+    the cell's shared table (``_top_echelon``); vdgk6 and herbaut7 insert
+    their one row of ``_generator_rows``.  Every other family (read from
+    JSON, built by hand or edited) has its items checked for genus and
+    homogeneity, scales each to integers and inserts the rows in item order.
     """
 
     def __init__(self, family: RelationFamily) -> None:
@@ -334,9 +379,16 @@ class GradedSpan:
         if self.route is None:
             for row in self.generators.get((i, j), ()):
                 space.add(row)
-        elif dim and 1 <= i <= self.r and i + j > self.route:  # 2i+j > k
+            return space
+        family_id, cut = self.route
+        if not dim or not 1 <= i <= self.r or i + j <= cut:  # no generator: 2i+j <= k
+            return space
+        if family_id == "strong8":
             pivots, ranks = _top_echelon(self.g, i, j)
-            space.pivots.update(pivots[:ranks[self.route + i + 1]])
+            space.pivots.update(pivots[:ranks[cut + i + 1]])
+        else:
+            for _, row in _generator_rows(family_id, self.g, i, j, cut + i):
+                space.add(row)
         return space
 
 
@@ -449,14 +501,19 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
     family's rank equals the rank of the concatenation, in the cells (i, j)
     with 1 <= i <= r and j <= r(g-1); a generator beyond them raises
     ``TruncationError``.  Each family's span is built once and shared by
-    every comparison it enters.
+    every comparison it enters.  When both families are routed and one is
+    strong8, the other's generators lie in strong8's span cell by cell (see
+    ``_generator_rows``), so strong8's ranks are the joint ranks.
     """
     if (f1.g, f1.d, f1.r) != (f2.g, f2.d, f2.r):
         raise ValueError("families must share the same (g, d, r)")
     g, d, r = f1.g, f1.d, f1.r
     i_max, j_max = r, r * (g - 1)
     span1, span2 = GradedSpan.from_family(f1), GradedSpan.from_family(f2)
-    # a routed strong8 family lies in the window by construction
+    top = None  # the side whose ranks are the joint ranks, by inclusion
+    if span1.route and span2.route:
+        top = 1 if f2.family_id == "strong8" else 0 if f1.family_id == "strong8" else None
+    # a routed family lies in the window by construction
     for family, span in ((f1, span1), (f2, span2)):
         for s, w in span.generators:
             if s > i_max or w > j_max:
@@ -468,14 +525,15 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
             (a, a_gens, a_rank), (b, b_gens, b_rank) = span1.cell(i, j), span2.cell(i, j)
             if not (a_rank or b_rank):
                 continue
-            dim = a.ncols
-            cells.append(CellComparison(
-                i=i, j=j, dim=dim,
-                ideal_ranks=(a_rank, b_rank),
-                ideal_joint=dim if dim in (a_rank, b_rank) else _joint_rank(a, a_rank, b, b_rank),
-                span_ranks=(a_gens, b_gens),
-                span_joint=dim if dim in (a_gens, b_gens) else _joint_rank(a, a_gens, b, b_gens),
-            ))
+            dim, ranks, gens = a.ncols, (a_rank, b_rank), (a_gens, b_gens)
+            if top is not None:
+                ideal_joint, span_joint = ranks[top], gens[top]
+            else:
+                ideal_joint = dim if dim in ranks else _joint_rank(a, a_rank, b, b_rank)
+                span_joint = dim if dim in gens else _joint_rank(a, a_gens, b, b_gens)
+            cells.append(CellComparison(i=i, j=j, dim=dim, ideal_ranks=ranks,
+                                        ideal_joint=ideal_joint, span_ranks=gens,
+                                        span_joint=span_joint))
     return IdealComparison(family_ids=(f1.family_id, f2.family_id),
                            g=g, d=d, r=r, i_max=i_max, j_max=j_max,
                            cells=tuple(cells))

@@ -13,11 +13,13 @@ the echelon tables of strong8's generator rows per bidegree ``_top_echelon``,
 the chain's ``_e_part``, the check-(a) facts ``_power_law_ok`` and
 ``_generator_split_ok``, and the GRR replay's ``ch_vk``), which lock their
 own bookkeeping; two threads may both compute a missing entry, and they
-compute the same value.  Two pieces of state are kept on values.  A family's ``GradedSpan`` publishes a cell, with
+compute the same value.  Three pieces of state are kept on values.  A family's ``GradedSpan`` publishes a cell, with
 its rows and its ranks, only once the cell is complete, so threads that
 compare the same family at once can at most build a cell twice, the same
 way: whether a cell is full from the cells below it or reduces rows
-depends only on those cells.  The ``ChernData`` that
+depends only on those cells.  A family that ``gen_family`` made forms its
+items on first read and publishes the complete tuple under a lock, unless
+another thread published first: every thread reads one tuple.  The ``ChernData`` that
 ``ch_vk`` shares per (g, d, r) carries the Chern-class memo of
 ``chern_classes``, which is replaced, under a lock, only by a complete longer
 tower: threads that ask for different lengths at once never read a partial
@@ -41,6 +43,7 @@ from jacrel.relations import (_e_part, _generator_split_ok, _h_product, _orderin
                               _p_coefficients, _power_law_ok, _shift_columns, _top_echelon,
                               compare_ideals, family_to_json, gen_family,
                               verify_implication_chain)
+from oracles import family_by_powers
 from test_imports import run_fresh
 
 FAMILIES = ("vdgk6", "herbaut7", "strong8")
@@ -181,6 +184,43 @@ def test_parallel_comparisons_cover_and_reduce_cells():
         cells = [cell for f in shared for cell in f._span.cells.values()]
         assert any(space.rank < rank for space, _, rank in cells)
         assert any(space.rank > generator_rank for space, generator_rank, _ in cells)
+
+
+def test_routed_items_are_formed_once_under_races():
+    # eight threads read the items of three cold routed families and build
+    # their spans at once, each in its own order; every thread must read
+    # one tuple per family, the items of the expanded powers, in order
+    g, d, r = 4, 6, 3
+    expected = [family_by_powers(name, g, d, r) for name in FAMILIES]
+    tasks = [(a, b) for a in range(3) for b in range(3) if a != b]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(6):
+            shared = [gen_family(f, g, d, r) for f in FAMILIES]
+            _h_product.cache_clear()
+            _top_echelon.cache_clear()
+            barrier = threading.Barrier(8)
+
+            def run(k):
+                barrier.wait(timeout=60)
+                seen = {}
+                for a, b in tasks[k:] + tasks[:k]:
+                    if k % 2:  # half the threads build the spans first
+                        compare_ideals(shared[a], shared[b])
+                    seen.setdefault(a, shared[a].items)
+                    if not k % 2:
+                        compare_ideals(shared[a], shared[b])
+                return seen
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outputs = list(pool.map(run, range(8), timeout=120))
+            for a, family in enumerate(shared):
+                assert all(out[a] is family.items for out in outputs), FAMILIES[a]
+                assert [(it.s, it.t_exp, it.u_exp, it.element)
+                        for it in family.items] == expected[a], FAMILIES[a]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_parallel_gamma_extraction_shares_one_tower_per_bundle():

@@ -68,14 +68,25 @@ def test_a_copy_equals_its_record():
 
 
 def test_a_copied_family_starts_without_its_memos():
+    # a routed family is its parameters: its copy is routed again
     f6, f8 = gen_family("vdgk6", 5, 7, 3), gen_family("strong8", 5, 7, 3)
     report = compare_ideals(f6, f8)
-    assert f8._span is not None and f8._route == 4
+    assert f8._span is not None and f8._route == ("strong8", 4)
     for round_trip in ROUND_TRIPS:
         clone = round_trip(f8)
         assert clone == f8
-        assert clone._span is None and clone._route is None
+        assert clone._span is None and clone._route == f8._route
         assert compare_ideals(f6, clone) == report
+
+
+def test_a_copied_chern_data_starts_without_its_tower():
+    data = ch_vk(2, 3, 2)
+    classes = chern_classes(data, 3)
+    assert data._tower is not None
+    for round_trip in ROUND_TRIPS:
+        clone = round_trip(data)
+        assert clone == data and clone._tower is None
+        assert chern_classes(clone, 3) == classes
 
 
 def test_grr_records_check_their_fields_on_every_construction():

@@ -181,7 +181,7 @@ class TestGenFamily:
             cache.cache_clear()
         try:
             with pytest.raises(InvariantViolation):
-                gen_family("herbaut7", 3, 4, 2)
+                gen_family("herbaut7", 3, 4, 2).items  # formed on first read
         finally:
             for cache in caches:
                 cache.cache_clear()
@@ -200,7 +200,7 @@ class TestGenFamily:
             cache.cache_clear()
         try:
             with pytest.raises(InvariantViolation, match="P_4 has a non-integral coefficient"):
-                gen_family("strong8", 3, 4, 2)
+                gen_family("strong8", 3, 4, 2).items
         finally:
             for cache in caches:
                 cache.cache_clear()
@@ -219,7 +219,7 @@ class TestGenFamily:
             cache.cache_clear()
         try:
             with pytest.raises(InvariantViolation, match=r"P_4\(-1-u\)"):
-                gen_family("strong8", 3, 4, 2)
+                gen_family("strong8", 3, 4, 2).items
         finally:
             for cache in caches:
                 cache.cache_clear()
@@ -232,7 +232,7 @@ class TestGenFamily:
         _h_product.cache_clear()
         for dd in (d, d + 1):
             for fid in ("vdgk6", "herbaut7", "strong8"):
-                gen_family(fid, g, dd, r)
+                gen_family(fid, g, dd, r).items
         expected = 1 + sum(comb(g + s - 1, s) for s in range(1, r + 1))
         assert _h_product.cache_info().misses == expected
 
@@ -441,8 +441,10 @@ class TestSharedSpan:
     def test_cells_are_published_complete(self, monkeypatch):
         # every row a span inserts finds each published cell, its rows and
         # its ranks, as it will stay: no cell is published while it is built;
-        # cold echelon tables, so strong8's generator rows are inserted here
+        # cold echelon tables, so strong8's generator rows are inserted here,
+        # and an unrouted strong8 copy, which inserts its item rows
         fams = [gen_family(name, 4, 6, 3) for name in self.FAMILIES]
+        fams.append(family_from_json(family_to_json(fams[2])))
         _top_echelon.cache_clear()
 
         def published():
@@ -461,6 +463,7 @@ class TestSharedSpan:
         compare_ideals(fams[0], fams[2])
         compare_ideals(fams[1], fams[2])
         compare_ideals(fams[0], fams[1])  # its joint ranks insert rows too
+        compare_ideals(fams[3], fams[1])  # and so do an unrouted family's
         monkeypatch.undo()
         final = published()
         assert len(seen) > 100
@@ -475,7 +478,7 @@ class TestSharedSpan:
         assert repr(used) == repr(fresh) == before
         assert family_to_json(used) == family_to_json(fresh)
         unrouted = family_from_json(family_to_json(used))
-        assert used._route == 3 and unrouted._route is None
+        assert used._route == ("strong8", 3) and unrouted._route is None
         assert unrouted == used and hash(unrouted) == hash(used)
         assert repr(unrouted) == repr(used)
 
@@ -531,30 +534,41 @@ class TestCoveredCells:
 
 
 class TestEchelonRoute:
-    """A strong8 family that ``gen_family`` made reads its generators off the
-    shared echelon tables (``_top_echelon``); every other family, and the
-    same strong8 family read back from JSON or edited, reduces its item rows.
-    The routes must agree cell by cell."""
+    """A family that ``gen_family`` made reads its generator rows off the cell
+    tables: strong8 off the shared echelon tables (``_top_echelon``), vdgk6
+    and herbaut7 their one row per cell; the same family read back from
+    JSON or edited reduces its item rows.  The routes must agree cell by
+    cell, and so must the comparisons, whose joints with a routed strong8
+    family are strong8's own ranks."""
 
     FAMILIES = ("vdgk6", "herbaut7", "strong8")
+    # the criterion-5 grid, the ideals benchmark grid, and d = r-1
+    GRID = ([(g, d, r) for g in (3, 4, 5, 6) for r in (2, 3) for d in range(2 * r, 9)]
+            + [(g, d, r) for g in (5, 6, 7) for r in (2, 3, 4) for d in range(2 * r, 11)]
+            + [(g, r - 1, r) for g in range(1, 8) for r in range(1, 5)])
 
     def test_marked_and_json_routes_agree(self):
-        # the criterion-5 grid, then the ideals benchmark grid
-        cases = [(g, d, r) for g in (3, 4, 5, 6) for r in (2, 3) for d in range(2 * r, 9)]
-        cases += [(g, d, r) for g in (5, 6, 7) for r in (2, 3, 4) for d in range(2 * r, 11)]
-        for g, d, r in cases:
+        for g, d, r in self.GRID:
             for name in self.FAMILIES:
                 marked = gen_family(name, g, d, r)
                 plain = family_from_json(family_to_json(marked))
                 a, b = GradedSpan(marked), GradedSpan(plain)
-                if name == "strong8":
-                    assert marked._route == d - r and not a.generators
-                else:
-                    assert marked._route is None
+                assert marked._route == (name, d - r) and not a.generators
                 assert plain._route is None
                 for i in range(1, r + 1):
                     for j in range(r * (g - 1) + 1):
                         assert a.cell(i, j)[1:] == b.cell(i, j)[1:], (g, d, r, name, i, j)
+
+    def test_routed_comparisons_match_the_item_route(self):
+        # the JSON copies are unrouted, so every joint rank is reduced
+        for g, d, r in self.GRID:
+            routed = [gen_family(name, g, d, r) for name in self.FAMILIES]
+            plain = [family_from_json(family_to_json(f)) for f in routed]
+            for a in range(3):
+                for b in range(3):
+                    if a != b:
+                        assert compare_ideals(routed[a], routed[b]) == \
+                            compare_ideals(plain[a], plain[b]), (g, d, r, a, b)
 
     def test_edited_family_takes_the_row_route(self):
         f7, f8 = gen_family("herbaut7", 4, 6, 3), gen_family("strong8", 4, 6, 3)
@@ -567,21 +581,24 @@ class TestEchelonRoute:
 
     @pytest.mark.parametrize("d", [3, 2], ids=["cut_0", "cut_minus_1"])
     def test_comparisons_never_read_routed_items(self, d):
-        # a routed strong8 family lies in the window by construction, so no
-        # comparison iterates its items
+        # a routed family lies in the window by construction, so no
+        # comparison iterates its items, and none forms them
         class Unreadable(tuple):
             def __iter__(self):
                 raise AssertionError("the routed family's items were read")
 
         g, r = 4, 3
-        routed, untouched = gen_family("strong8", g, d, r), gen_family("strong8", g, d, r)
-        assert routed._route == d - r
-        object.__setattr__(routed, "items", Unreadable(routed.items))
-        for name in ("vdgk6", "herbaut7"):
-            other = gen_family(name, g, d, r)
-            assert compare_ideals(routed, other) == compare_ideals(untouched, other)
-            assert compare_ideals(other, routed) == compare_ideals(other, untouched)
-            assert span_contains(other, routed) == span_contains(other, untouched)
+        for name in self.FAMILIES:
+            routed, untouched = gen_family(name, g, d, r), gen_family(name, g, d, r)
+            assert routed._route == (name, d - r)
+            object.__setattr__(routed, "items", Unreadable(routed.items))
+            for other_name in self.FAMILIES:
+                other = gen_family(other_name, g, d, r)
+                assert compare_ideals(routed, other) == compare_ideals(untouched, other)
+                assert compare_ideals(other, routed) == compare_ideals(other, untouched)
+                assert span_contains(other, routed) == span_contains(other, untouched)
+            with pytest.raises(AttributeError):
+                object.__getattribute__(untouched, "items")
 
     def test_echelon_ranks_match_full_reduction(self):
         # the tables stop at rank min(dim, floor(w/2) + 1); the reference
