@@ -75,7 +75,7 @@ from functools import lru_cache
 from itertools import islice
 from math import comb, factorial, lcm
 from threading import Lock
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .combinat import _bare_log_inv_pow, _log_ladder, p_poly, principal_part, stirling2
 from .linalg import RowSpace
@@ -373,6 +373,15 @@ class GradedSpan:
         found = self.cells[(i, j)] = (space, generator_rank, rank)
         return found
 
+    def generator_cells(self) -> Iterable[tuple[int, int]]:
+        """The bidegrees of the generators: the items' (in item order), or
+        for a routed family every cell above the cut, as ``_items`` runs."""
+        if self.route is None:
+            return self.generators
+        cut = self.route[1]
+        return ((i, j) for i in range(1, self.r + 1)
+                for j in range(max(0, cut - i + 1), i * (self.g - 1) + 1))
+
     def _generator_space(self, i: int, j: int, dim: int) -> RowSpace:
         """The echelon rows of the generators of bidegree (i, j)."""
         space = RowSpace(dim)
@@ -540,11 +549,17 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
 
 
 def span_contains(f_sub: RelationFamily, f_sup: RelationFamily) -> bool:
-    """True when every item of f_sub lies in the per-bidegree span of f_sup."""
+    """True when every item of f_sub lies in the per-bidegree span of f_sup.
+
+    The cells come from f_sub's span (``GradedSpan.generator_cells``), so no
+    routed family forms its items; when both are routed and f_sup is
+    strong8, the inclusion answers (see ``compare_ideals``)."""
     if (f_sub.g, f_sub.d, f_sub.r) != (f_sup.g, f_sup.d, f_sup.r):
         raise ValueError("families must share the same (g, d, r)")
     sub, sup = GradedSpan.from_family(f_sub), GradedSpan.from_family(f_sup)
-    for i, j in dict.fromkeys(it.bidegree for it in f_sub.items if not it.element.is_zero):
+    if sub.route and sup.route and f_sup.family_id == "strong8":
+        return True
+    for i, j in sub.generator_cells():
         rows, row_rank, _ = sub.cell(i, j)
         space, generator_rank, _ = sup.cell(i, j)
         if _joint_rank(space, generator_rank, rows, row_rank) > generator_rank:

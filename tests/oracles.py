@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial, gcd
 from typing import Any
 
-from jacrel.grr import GrrElement
+from jacrel.grr import GrrElement, UpstairsTerm
 from jacrel.rings import DensePoly, LaurentSeries, TruncationError, min_trunc
 
 
@@ -186,6 +186,53 @@ def chern_classes_by_fractions(data, t_order):
             acc = acc + f_prime[j - 1] * c[n - j]
         c.append(acc * Fraction(1, n))
     return tuple(c)
+
+
+def pushforward_by_products(term):
+    """The four-case pushforward table as products of ``GrrElement``s: the
+    reference for the exponent shifts of ``grr.pushforward``."""
+    ctx = term.ctx
+    if term.rho == 1:
+        if term.mu > 0:
+            return GrrElement.zero(ctx)
+        return term.coeff * GrrElement.xi(ctx, term.nu + 1)
+    if term.mu == 0:
+        return term.coeff * GrrElement.scalar(ctx, ctx.d) * (
+            GrrElement.xi(ctx, term.nu) if term.nu else GrrElement.one(ctx))
+    if not 2 <= term.mu <= ctx.g + 1:
+        return GrrElement.zero(ctx)
+    qpart = GrrElement.fc(ctx, term.mu - 2) * factorial(term.mu)
+    return term.coeff * qpart * GrrElement.xi(ctx, term.nu + 1)
+
+
+def ch_route_by_elements(ctx):
+    """alpha_*(e^(k l) (A(x) + B(x) rho)) through ``pushforward_by_products``,
+    summed element by element: the reference for ``grr._ch_grr_route``."""
+    total = GrrElement.zero(ctx)
+    for mu in range(ctx.g + 2):
+        k_factor = GrrElement.k_power(ctx, mu, Fraction(1, factorial(mu)))
+        for j in range(ctx.r):
+            a_term = UpstairsTerm(ctx, mu, j, 0, k_factor * GrrElement.a_coeff(ctx, j))
+            b_term = UpstairsTerm(ctx, mu, j, 1, k_factor * GrrElement.b_coeff(ctx, j))
+            total = total + pushforward_by_products(a_term) + pushforward_by_products(b_term)
+    return total
+
+
+def ch_closed_form_by_elements(ctx):
+    """d A(xi) + xi B(xi) + (sum_mu k^(mu+2) FC_mu) xi A(xi) as products and
+    sums of elements: the reference for ``grr._ch_closed_form``."""
+    a_of_xi = GrrElement.zero(ctx)
+    b_of_xi = GrrElement.zero(ctx)
+    for j in range(ctx.r):
+        xi_j = GrrElement.xi(ctx, j) if j else GrrElement.one(ctx)
+        a_of_xi = a_of_xi + GrrElement.a_coeff(ctx, j) * xi_j
+        b_of_xi = b_of_xi + GrrElement.b_coeff(ctx, j) * xi_j
+    fourier = GrrElement.zero(ctx)
+    for mu in range(ctx.g):
+        fourier = fourier + GrrElement.k_power(ctx, mu + 2) * GrrElement.fc(ctx, mu)
+    return (GrrElement.scalar(ctx, ctx.d) * a_of_xi
+            + GrrElement.xi(ctx) * b_of_xi
+            + fourier * GrrElement.xi(ctx) * a_of_xi)
 
 
 def gammas_by_k_scan(signed):

@@ -1,19 +1,24 @@
+import random
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
+from jacrel import cli, grr
 from jacrel.grr import (ChernData, GrrContext, GrrElement, UpstairsTerm, ch_vk,
                         chern_classes, derive_theorem1, extract_amj,
                         gamma_extract, gamma_top_reference, pushforward)
 from jacrel.relations import gen_theorem1
 from jacrel.rings import InvariantViolation
 from jacrel.tautalg import TautElement
-from oracles import (GenericSeries, Ring, chern_classes_by_fractions, gammas_by_k_scan,
-                     generic_series_exp)
+from oracles import (GenericSeries, Ring, ch_closed_form_by_elements, ch_route_by_elements,
+                     chern_classes_by_fractions, gammas_by_k_scan, generic_series_exp,
+                     pushforward_by_products, rand_fraction)
 
 # the criterion-7 grid
 GRID = [(g, d, r) for r in range(1, 4) for g in range(1, 6) for d in range(1, 9)]
+# the criterion-7 grid with g = 6, and r = 4 for every g <= 6
+WIDE_GRID = [(g, d, r) for r in range(1, 5) for g in range(1, 7) for d in range(1, 9)]
 
 
 @pytest.fixture
@@ -53,6 +58,25 @@ class TestPushforward:
     def test_xi_nilpotency_in_table(self, ctx):
         # nu = r with mu >= 2 lands on xi^(r+1) = 0
         assert pushforward(UpstairsTerm(ctx, 2, ctx.r, 0, one(ctx))).is_zero
+
+    def test_matches_element_products(self):
+        # every case of the table, on coefficients of up to three terms in k,
+        # a_j and b_j with rational coefficients
+        rng = random.Random(34)
+        for ctx in (GrrContext(3, 4, 2), GrrContext(1, 1, 1), GrrContext(5, 8, 3)):
+            for _ in range(8):
+                coeff = GrrElement(ctx, {
+                    tuple(rng.choice((0, 1, 2)) if i < 2 * ctx.r else 0
+                          for i in range(ctx.nvars)): rand_fraction(rng)
+                    for _ in range(rng.randint(0, 3))})
+                for mu in range(ctx.g + 3):
+                    for nu in range(ctx.r + 1):
+                        for rho in (0, 1):
+                            term = UpstairsTerm(ctx, mu, nu, rho, coeff)
+                            got = pushforward(term)
+                            assert got == pushforward_by_products(term), term
+                            assert all(type(c) is int or c.denominator != 1
+                                       for c in got.terms.values())
 
     def test_invalid_terms_rejected(self, ctx):
         with pytest.raises(ValueError):
@@ -109,6 +133,48 @@ class TestChVk:
                         * GrrElement.xi(ctx)) if j - 2 <= ctx.g - 1 \
                 else GrrElement.zero(ctx)
             assert data.ch_j(j) == expected
+
+
+    def test_cross_check_failure_raises_and_fails_the_cli(self, monkeypatch, capsys):
+        closed_form = grr._ch_closed_form
+
+        def one_term_off(ctx):
+            return closed_form(ctx) + GrrElement.k_power(ctx, 1)
+
+        ch_vk.cache_clear()
+        monkeypatch.setattr(grr, "_ch_closed_form", one_term_off)
+        try:
+            with pytest.raises(InvariantViolation, match="closed form"):
+                ch_vk(3, 4, 2)
+            assert cli.main(["grr", "--g", "3", "--d", "4", "--r", "2", "--M", "4"]) == 1
+            assert "pushforward route disagrees" in capsys.readouterr().err
+        finally:
+            ch_vk.cache_clear()
+
+
+class TestBuildersMatchElementReference:
+    """The route, the closed form and the Chern tower write their terms
+    into one map; the references build them element by element."""
+
+    def test_ch_vk_matches_the_element_route(self):
+        for g, d, r in WIDE_GRID:
+            ctx = GrrContext(g, d, r)
+            route = ch_route_by_elements(ctx)
+            assert ch_closed_form_by_elements(ctx) == route, (g, d, r)
+            assert grr._ch_grr_route(ctx) == route, (g, d, r)
+            assert grr._ch_closed_form(ctx) == route, (g, d, r)
+            assert ch_vk(g, d, r).ch == route.codim_pieces(), (g, d, r)
+
+    def test_cold_and_warm_towers_match_the_fraction_route(self):
+        for g, d, r in WIDE_GRID:
+            shared, order = ch_vk(g, d, r), d + 4
+            expected = chern_classes_by_fractions(shared, order + 3)
+            tower = ChernData(ctx=shared.ctx, ch=shared.ch)
+            assert chern_classes(tower, order).c == expected[:order], (g, d, r)
+            assert chern_classes(tower, order + 3).c == expected, (g, d, r)
+            assert chern_classes(tower, 2).c == expected[:2], (g, d, r)
+            assert all(type(c) is int for element in tower._tower.scaled
+                       for c in element.terms.values())
 
 
 class TestExtractAmj:
@@ -178,6 +244,14 @@ class TestChernClasses:
     def test_t_order_below_one_rejected(self):
         with pytest.raises(ValueError):
             chern_classes(ch_vk(2, 3, 1), 0)
+
+    def test_t_order_checked_before_any_work(self):
+        # the character is not divisible by xi, but the order is refused first
+        ctx = GrrContext(2, 3, 2)
+        bad = ChernData(ctx=ctx, ch=(GrrElement.scalar(ctx, 3), GrrElement.one(ctx)))
+        with pytest.raises(ValueError, match="t_order"):
+            chern_classes(bad, 0)
+        assert bad._tower is None
 
 
 class TestIntegerTower:
@@ -280,6 +354,12 @@ class TestGamma:
     def test_requires_m_at_least_d(self):
         with pytest.raises(ValueError):
             gamma_extract(3, 4, 1, 3)
+
+    def test_reference_requires_m_at_least_d(self):
+        with pytest.raises(ValueError, match="M must be >= d"):
+            gamma_top_reference(2, 3, 1, 1)
+        with pytest.raises(ValueError, match="M must be >= d"):
+            gamma_extract(2, 3, 1, 1)
 
 
 class TestDeriveTheorem1:

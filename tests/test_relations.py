@@ -600,6 +600,22 @@ class TestEchelonRoute:
             with pytest.raises(AttributeError):
                 object.__getattribute__(untouched, "items")
 
+    def test_span_contains_forms_no_routed_items(self):
+        # the sub-family's cells come from its span, and strong8 above a
+        # routed family answers from the inclusion
+        f7, f8 = gen_family("herbaut7", 6, 8, 3), gen_family("strong8", 6, 8, 3)
+        assert span_contains(f7, f8)
+        assert f7._span.cells == {}
+        assert not span_contains(f8, f7)
+        small = [gen_family(name, 4, 4, 2) for name in self.FAMILIES]
+        for sub in small:
+            for sup in small:
+                assert span_contains(sub, sup) == span_contains_by_ranks(
+                    gen_family(sub.family_id, 4, 4, 2), gen_family(sup.family_id, 4, 4, 2))
+        for family in [f7, f8] + small:
+            with pytest.raises(AttributeError):
+                object.__getattribute__(family, "items")
+
     def test_echelon_ranks_match_full_reduction(self):
         # the tables stop at rank min(dim, floor(w/2) + 1); the reference
         # reduces every row
