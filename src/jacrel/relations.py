@@ -33,19 +33,25 @@ has up to 2s+w-k generators, all rows of one table that every d and r
 share, read as a prefix of one cached echelon per bidegree
 (``_top_echelon``), stopped at the symmetric bound floor(w/2)+1; vdgk6 and
 herbaut7 have one row per cell, and both lie in strong8's span, so a
-routed strong8 family's ranks are its joint ranks with either.  Every
-other family (read from JSON, built by hand or edited) reduces its own
-item rows, each scaled once to integers.
+routed strong8 family's ranks bound its joint ranks with either, and with
+each other.  Every other family (read from JSON, built by hand or edited)
+reduces its own item rows, each scaled once to integers.
 A cell whose columns the full cells below it all reach is full with no
-elimination, and a pair with a full side has the cell's dimension as its
-joint rank; only the other cells are reduced.  Each family's span is built
-once, kept on the family and shared by every comparison it enters.  It, a
-routed family's items, and the ``lru_cache``s (the column maps of C(k),
+elimination, and a pair with a side that reaches the bound (the cell's
+dimension, or for two routed families strong8's rank) has that bound as
+its joint rank; only the other cells are reduced.  A routed family's cell
+(i, j) depends only on its route key (family_id, g, d-r): its generators
+sit at every cell with i >= 1 and i+j > d-r, and a comparison at r reads
+the cells i <= r.  So there is one span per route key, kept in a module
+dict (``_SPANS``) and shared across r by every comparison; every other
+family's span is its own, kept on the family.  The spans, a routed
+family's items, and the ``lru_cache``s (the column maps of C(k),
 ``_shift_columns``, and the echelon tables, ``_top_echelon``, among them)
 are the shared state; a span publishes a cell only once complete, so
-racing threads at most build a cell twice, with the same rows, and the
-first complete item tuple published, under a lock, is the one every
-thread reads.
+racing threads at most build a cell twice, with the same rows, the first
+span published for a route key is the one every family of that key reads,
+and the first complete item tuple published, under a lock, is the one
+every thread reads.
 
 ``epsilon_series`` and ``verify_implication_chain`` replay the series
 bookkeeping connecting the families: the substitution defect
@@ -93,6 +99,8 @@ from .tautalg import (Monomial, TautElement, _canonical_monomial, _compositions,
 _CACHE_SIZE = 4096
 
 _PUBLISH = Lock()  # publishes a routed family's items
+# the span of each route key (family_id, g, d-r), first published wins
+_SPANS: dict[tuple[str, int, int], "GradedSpan"] = {}
 
 
 class RelationItem(NamedTuple):
@@ -108,7 +116,8 @@ class RelationItem(NamedTuple):
 
 class RelationFamily(Value):
     """Relation items at (g, d, r), with two memos in neither ``==``, ``hash``
-    nor ``repr``: ``_span``, the family's ``GradedSpan``, and ``_route``,
+    nor ``repr``: ``_span``, the family's ``GradedSpan`` (on a routed family
+    the one span of its route key, shared across r), and ``_route``,
     (family_id, d-r) on a family that ``gen_family`` made (d-r may be 0 or
     -1; never serialized).  A routed family is its parameters: its items are
     formed on first read and published complete, its span reads its
@@ -269,6 +278,11 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
     _validate_params(g, d, r)
     if family_id not in ("vdgk6", "herbaut7", "strong8"):
         raise ValueError(f"unknown family {family_id!r}")
+    return _routed_family(family_id, g, d, r)
+
+
+def _routed_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
+    """``gen_family``'s family, for parameters already checked."""
     family = object.__new__(RelationFamily)
     for name, value in (("family_id", family_id), ("g", g), ("d", d), ("r", r),
                         ("_span", None), ("_route", (family_id, d - r))):
@@ -301,8 +315,7 @@ class GradedSpan:
     its rows then span its piece.  A full cell lends the cells above it
     columns, never rows.
 
-    A cell depends only on its generators and the cells below it, so each
-    family has one span, kept on the family (``from_family``), and a cell is
+    A cell depends only on its generators and the cells below it, and is
     built the first time it is read.
 
     The generator rows come by one of two routes, which give every cell the
@@ -311,13 +324,17 @@ class GradedSpan:
     cell with 2i+j > k reads its rows off the cell table, and only when it
     is built.  strong8 starts from the first ``ranks[k+1]`` echelon rows of
     the cell's shared table (``_top_echelon``); vdgk6 and herbaut7 insert
-    their one row of ``_generator_rows``.  Every other family (read from
-    JSON, built by hand or edited) has its items checked for genus and
-    homogeneity, scales each to integers and inserts the rows in item order.
+    their one row of ``_generator_rows``.  Such a span carries no r: it has
+    generators at every i >= 1 with i+j > d-r, so one span per route key
+    (family_id, g, d-r) serves every r (``from_family``), and a comparison
+    at r reads its cells i <= r.  Every other family (read from JSON, built
+    by hand or edited) has its items checked for genus and homogeneity,
+    scales each to integers and inserts the rows in item order; its span is
+    its own, kept on the family.
     """
 
     def __init__(self, family: RelationFamily) -> None:
-        self.g, self.r, self.route = family.g, family.r, family._route
+        self.g, self.route = family.g, family._route
         self.generators: dict[tuple[int, int], list[list[int]]] = {}
         for item in family.items if self.route is None else ():
             if item.element.g != self.g:
@@ -340,10 +357,13 @@ class GradedSpan:
 
     @classmethod
     def from_family(cls, family: RelationFamily) -> "GradedSpan":
-        """The family's shared span."""
+        """The family's span, kept on the family: for a routed family the
+        one span of its route key (family_id, g, d-r), shared across r."""
         span = family._span
         if span is None:
             span = cls(family)
+            if span.route is not None:
+                span = _SPANS.setdefault((family.family_id, family.g, span.route[1]), span)
             object.__setattr__(family, "_span", span)
         return span
 
@@ -360,8 +380,9 @@ class GradedSpan:
         space = self._generator_space(i, j, dim)
         generator_rank = rank = space.rank
         if i and rank < dim:
+            # the cells below that have a monomial: j-k <= (i-1)(g-1)
             lower = [(_shift_columns(self.g, i, j, k), self.cell(i - 1, j - k))
-                     for k in range(min(self.g, j + 1))]
+                     for k in range(max(0, j - (i - 1) * (self.g - 1)), min(self.g, j + 1))]
             # a full cell below covers every column its monomials reach
             covered = {c for shift, (_, _, n) in lower if n == len(shift) for c in shift}
             rank = dim
@@ -373,13 +394,14 @@ class GradedSpan:
         found = self.cells[(i, j)] = (space, generator_rank, rank)
         return found
 
-    def generator_cells(self) -> Iterable[tuple[int, int]]:
+    def generator_cells(self, r: int) -> Iterable[tuple[int, int]]:
         """The bidegrees of the generators: the items' (in item order), or
-        for a routed family every cell above the cut, as ``_items`` runs."""
+        for a routed family at r every cell above the cut with i <= r, as
+        ``_items`` runs."""
         if self.route is None:
             return self.generators
         cut = self.route[1]
-        return ((i, j) for i in range(1, self.r + 1)
+        return ((i, j) for i in range(1, r + 1)
                 for j in range(max(0, cut - i + 1), i * (self.g - 1) + 1))
 
     def _generator_space(self, i: int, j: int, dim: int) -> RowSpace:
@@ -390,7 +412,7 @@ class GradedSpan:
                 space.add(row)
             return space
         family_id, cut = self.route
-        if not dim or not 1 <= i <= self.r or i + j <= cut:  # no generator: 2i+j <= k
+        if not dim or i < 1 or i + j <= cut:  # no generator: 2i+j <= k
             return space
         if family_id == "strong8":
             pivots, ranks = _top_echelon(self.g, i, j)
@@ -475,6 +497,11 @@ class CellComparison(NamedTuple):
         return self.ideal_ranks[0] == self.ideal_ranks[1] == self.ideal_joint
 
     @property
+    def quotient_dims(self) -> tuple[int, int]:
+        """dim - ideal rank on each side: the quotient algebra's dimension."""
+        return (self.dim - self.ideal_ranks[0], self.dim - self.ideal_ranks[1])
+
+    @property
     def span_equal(self) -> bool:
         return self.span_ranks[0] == self.span_ranks[1] == self.span_joint
 
@@ -509,19 +536,24 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
     the bare generator spans are compared; equality holds in a cell when each
     family's rank equals the rank of the concatenation, in the cells (i, j)
     with 1 <= i <= r and j <= r(g-1); a generator beyond them raises
-    ``TruncationError``.  Each family's span is built once and shared by
-    every comparison it enters.  When both families are routed and one is
-    strong8, the other's generators lie in strong8's span cell by cell (see
-    ``_generator_rows``), so strong8's ranks are the joint ranks.
+    ``TruncationError``.  Each span is built once and shared by every
+    comparison it enters: a routed family's by every comparison of its route
+    key (family_id, g, d-r), whatever r.  A joint rank is at most the cell's
+    dimension, and when both families are routed at most strong8's rank at
+    the same (g, d-r), since strong8's span holds every routed family's
+    generators cell by cell (see ``_generator_rows``), and so its ideal
+    holds their ideals; a side that reaches that bound has it as the joint
+    rank, and only the other cells are reduced.  So comparing two routed
+    families builds strong8's span too, if no comparison has yet.
     """
     if (f1.g, f1.d, f1.r) != (f2.g, f2.d, f2.r):
         raise ValueError("families must share the same (g, d, r)")
     g, d, r = f1.g, f1.d, f1.r
     i_max, j_max = r, r * (g - 1)
     span1, span2 = GradedSpan.from_family(f1), GradedSpan.from_family(f2)
-    top = None  # the side whose ranks are the joint ranks, by inclusion
+    top = None  # strong8's span at (g, d-r), whose ranks bound the joint ranks
     if span1.route and span2.route:
-        top = 1 if f2.family_id == "strong8" else 0 if f1.family_id == "strong8" else None
+        top = GradedSpan.from_family(_routed_family("strong8", g, d, r))
     # a routed family lies in the window by construction
     for family, span in ((f1, span1), (f2, span2)):
         for s, w in span.generators:
@@ -530,18 +562,18 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
                                       f"{family.family_id} generator of bidegree ({s}, {w})")
     cells = []
     for i in range(1, i_max + 1):
-        for j in range(0, j_max + 1):
+        for j in range(i * (g - 1) + 1):  # the cells with a monomial
             (a, a_gens, a_rank), (b, b_gens, b_rank) = span1.cell(i, j), span2.cell(i, j)
             if not (a_rank or b_rank):
                 continue
-            dim, ranks, gens = a.ncols, (a_rank, b_rank), (a_gens, b_gens)
-            if top is not None:
-                ideal_joint, span_joint = ranks[top], gens[top]
-            else:
-                ideal_joint = dim if dim in ranks else _joint_rank(a, a_rank, b, b_rank)
-                span_joint = dim if dim in gens else _joint_rank(a, a_gens, b, b_gens)
-            cells.append(CellComparison(i=i, j=j, dim=dim, ideal_ranks=ranks,
-                                        ideal_joint=ideal_joint, span_ranks=gens,
+            dim = a.ncols
+            _, gens_bound, rank_bound = top.cell(i, j) if top else (None, dim, dim)
+            ideal_joint = (rank_bound if max(a_rank, b_rank) == rank_bound
+                           else _joint_rank(a, a_rank, b, b_rank))
+            span_joint = (gens_bound if max(a_gens, b_gens) == gens_bound
+                          else _joint_rank(a, a_gens, b, b_gens))
+            cells.append(CellComparison(i=i, j=j, dim=dim, ideal_ranks=(a_rank, b_rank),
+                                        ideal_joint=ideal_joint, span_ranks=(a_gens, b_gens),
                                         span_joint=span_joint))
     return IdealComparison(family_ids=(f1.family_id, f2.family_id),
                            g=g, d=d, r=r, i_max=i_max, j_max=j_max,
@@ -552,17 +584,21 @@ def span_contains(f_sub: RelationFamily, f_sup: RelationFamily) -> bool:
     """True when every item of f_sub lies in the per-bidegree span of f_sup.
 
     The cells come from f_sub's span (``GradedSpan.generator_cells``), so no
-    routed family forms its items; when both are routed and f_sup is
-    strong8, the inclusion answers (see ``compare_ideals``)."""
+    routed family forms its items, and both sides read only their generator
+    rows (``GradedSpan._generator_space``), so no ideal cell is built; when
+    both are routed and f_sup is strong8, the inclusion answers (see
+    ``compare_ideals``)."""
     if (f_sub.g, f_sub.d, f_sub.r) != (f_sup.g, f_sup.d, f_sup.r):
         raise ValueError("families must share the same (g, d, r)")
     sub, sup = GradedSpan.from_family(f_sub), GradedSpan.from_family(f_sup)
     if sub.route and sup.route and f_sup.family_id == "strong8":
         return True
-    for i, j in sub.generator_cells():
-        rows, row_rank, _ = sub.cell(i, j)
-        space, generator_rank, _ = sup.cell(i, j)
-        if _joint_rank(space, generator_rank, rows, row_rank) > generator_rank:
+    for i, j in sub.generator_cells(f_sub.r):
+        dim = len(monomials_of_bidegree(f_sub.g, i, j))
+        rows, space = sub._generator_space(i, j, dim), RowSpace(dim)
+        if sup.route is None or i <= f_sup.r:  # a routed span's generators past r are not f_sup's
+            space = sup._generator_space(i, j, dim)
+        if not all(space.contains(row) for row in rows.pivots.values()):
             return False
     return True
 

@@ -17,8 +17,11 @@ compute the same value.  Three pieces of state are kept on values.  A family's `
 its rows and its ranks, only once the cell is complete, so threads that
 compare the same family at once can at most build a cell twice, the same
 way: whether a cell is full from the cells below it or reduces rows
-depends only on those cells.  A family that ``gen_family`` made forms its
-items on first read and publishes the complete tuple under a lock, unless
+depends only on those cells.  A routed family's span is the one span of
+its route key (family_id, g, d-r), shared across r through the module dict
+``relations._SPANS`` and published there with ``setdefault``: threads that
+race to make it all keep the first one published.  A family that
+``gen_family`` made forms its items on first read and publishes the complete tuple under a lock, unless
 another thread published first: every thread reads one tuple.  The ``ChernData`` that
 ``ch_vk`` shares per (g, d, r) carries the Chern-class memo of
 ``chern_classes``, which is replaced, under a lock, only by a complete longer
@@ -32,6 +35,7 @@ threads that first touch a name together all get the submodule's object.
 """
 
 import json
+import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_e_part, _generator_split_ok, _h_product, _orderings,
+from jacrel.relations import (_SPANS, _e_part, _generator_split_ok, _h_product, _orderings,
                               _p_coefficients, _power_law_ok, _shift_columns, _top_echelon,
                               compare_ideals, family_to_json, gen_family,
                               verify_implication_chain)
@@ -154,6 +158,7 @@ def race_comparisons(g, d, r, rounds):
             # before it is complete shows as a wrong rank or as a dict that
             # changed size during iteration
             shared = [gen_family(f, g, d, r) for f in FAMILIES]
+            _SPANS.clear()
             _shift_columns.cache_clear()
             _top_echelon.cache_clear()
             barrier = threading.Barrier(8)
@@ -186,6 +191,47 @@ def test_parallel_comparisons_cover_and_reduce_cells():
         assert any(space.rank > generator_rank for space, generator_rank, _ in cells)
 
 
+def test_spans_shared_across_r_are_published_once_under_races():
+    # (4, 4, 1), (4, 5, 2) and (4, 6, 3) all have d-r = 3, so every family
+    # below reads one of three route spans; eight threads make their own
+    # family objects and race through the three r from cold spans, each in
+    # its own order, so cells built at one r are read at another
+    cases = ((4, 4, 1), (4, 5, 2), (4, 6, 3))
+    tasks = [(case, a, b) for case in cases for a in range(3) for b in range(3) if a != b]
+    serial = {(case, a, b): compare_ideals(gen_family(FAMILIES[a], *case),
+                                           gen_family(FAMILIES[b], *case))
+              for case, a, b in tasks}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(6):
+            _SPANS.clear()
+            _shift_columns.cache_clear()
+            _top_echelon.cache_clear()
+            barrier = threading.Barrier(8)
+
+            def run(k):
+                barrier.wait(timeout=60)
+                out = {}
+                for case, a, b in random.Random(k).sample(tasks, len(tasks)):
+                    pair = (gen_family(FAMILIES[a], *case), gen_family(FAMILIES[b], *case))
+                    out[(case, a, b)] = compare_ideals(*pair), pair
+                return out
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outputs = list(pool.map(run, range(8), timeout=120))
+            spans: dict = {}
+            for out in outputs:
+                assert {task: report for task, (report, _) in out.items()} == serial
+                for _, pair in out.values():
+                    for f in pair:
+                        spans.setdefault((f.family_id, f.g, f.d - f.r), set()).add(id(f._span))
+            assert spans == {key: {id(span)} for key, span in _SPANS.items()}
+            assert set(spans) == {(name, 4, 3) for name in FAMILIES}
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_routed_items_are_formed_once_under_races():
     # eight threads read the items of three cold routed families and build
     # their spans at once, each in its own order; every thread must read
@@ -198,6 +244,7 @@ def test_routed_items_are_formed_once_under_races():
     try:
         for _ in range(6):
             shared = [gen_family(f, g, d, r) for f in FAMILIES]
+            _SPANS.clear()
             _h_product.cache_clear()
             _top_echelon.cache_clear()
             barrier = threading.Barrier(8)

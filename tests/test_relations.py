@@ -8,7 +8,7 @@ import pytest
 
 from jacrel.combinat import stirling2
 from jacrel.linalg import RowSpace
-from jacrel.relations import (GradedSpan, RelationFamily, RelationItem, _top_echelon,
+from jacrel.relations import (_SPANS, GradedSpan, RelationFamily, RelationItem, _top_echelon,
                               compare_ideals, epsilon_series, family_from_json,
                               family_from_jsonable, family_to_json, gen_family, gen_theorem1,
                               monomials_of_bidegree, span_contains, theorem1_family,
@@ -412,10 +412,11 @@ class TestSharedSpan:
         assert all(f._span is span for f, span in zip(shared, spans))
 
     def test_built_cells_do_not_hide_a_missing_generator(self):
-        # span_contains builds the cell of the generator outside the window;
-        # the comparison still refuses the family, in either order
+        # the cell of the generator outside the window is built first; the
+        # comparison still refuses the family, in either order
         big, f7 = oversize_family(4, 5, 2), gen_family("herbaut7", 4, 5, 2)
         assert span_contains(big, big)
+        GradedSpan.from_family(big).cell(3, 0)
         assert (3, 0) in big._span.cells
         for pair in ((big, f7), (f7, big)):
             with pytest.raises(TruncationError):
@@ -429,7 +430,7 @@ class TestSharedSpan:
                 term["coeff"] = str(F(term["coeff"]) * F(3, 2 * k + 5))
         text = json.dumps(payload)
         rational, f8 = family_from_json(text), gen_family("strong8", 4, 6, 3)
-        # span_contains builds part of both spans first
+        # span_contains reads both spans' generator rows first
         assert span_contains(rational, f8) == span_contains_by_ranks(rational, f8)
         for pair in ((rational, f8), (f8, rational)):
             report = compare_ideals(*pair)
@@ -441,8 +442,10 @@ class TestSharedSpan:
     def test_cells_are_published_complete(self, monkeypatch):
         # every row a span inserts finds each published cell, its rows and
         # its ranks, as it will stay: no cell is published while it is built;
-        # cold echelon tables, so strong8's generator rows are inserted here,
-        # and an unrouted strong8 copy, which inserts its item rows
+        # cold routed spans and echelon tables, so strong8's generator rows
+        # are inserted here, and an unrouted strong8 copy, which inserts its
+        # item rows
+        _SPANS.clear()
         fams = [gen_family(name, 4, 6, 3) for name in self.FAMILIES]
         fams.append(family_from_json(family_to_json(fams[2])))
         _top_echelon.cache_clear()
@@ -602,7 +605,8 @@ class TestEchelonRoute:
 
     def test_span_contains_forms_no_routed_items(self):
         # the sub-family's cells come from its span, and strong8 above a
-        # routed family answers from the inclusion
+        # routed family answers from the inclusion; cold routed spans
+        _SPANS.clear()
         f7, f8 = gen_family("herbaut7", 6, 8, 3), gen_family("strong8", 6, 8, 3)
         assert span_contains(f7, f8)
         assert f7._span.cells == {}
@@ -616,6 +620,17 @@ class TestEchelonRoute:
             with pytest.raises(AttributeError):
                 object.__getattribute__(family, "items")
 
+    def test_span_contains_builds_no_ideal_rows(self):
+        # both sides read only their generator rows, so no cell of either
+        # span holds a row past its generator rank
+        _SPANS.clear()
+        f7, f6 = gen_family("herbaut7", 6, 8, 3), gen_family("vdgk6", 6, 8, 3)
+        assert span_contains(f7, f6) == span_contains_by_ranks(
+            gen_family("herbaut7", 6, 8, 3), gen_family("vdgk6", 6, 8, 3))
+        for family in (f7, f6):
+            assert all(space.rank <= generator_rank
+                       for space, generator_rank, _ in family._span.cells.values())
+
     def test_echelon_ranks_match_full_reduction(self):
         # the tables stop at rank min(dim, floor(w/2) + 1); the reference
         # reduces every row
@@ -625,6 +640,75 @@ class TestEchelonRoute:
                     pivots, ranks = _top_echelon(g, s, w)
                     assert ranks == top_ranks_by_full_reduction(g, s, w), (g, s, w)
                     assert len(pivots) == ranks[0]
+
+
+class TestSharedRouteSpans:
+    """A routed family's span is the one span of its route key
+    (family_id, g, d-r), shared by every r: its cell (i, j) depends only on
+    that key, and a comparison at r reads the cells i <= r."""
+
+    FAMILIES = ("vdgk6", "herbaut7", "strong8")
+
+    def test_shuffled_comparisons_match_unrouted_copies(self):
+        # every ordered pair over the ideals benchmark grid and d = r-1, in a
+        # seeded shuffled order from cold spans, so that a span is first
+        # built at some r and read at others, smaller and larger
+        grid = ([(g, d, r) for g in (5, 6, 7) for r in (2, 3, 4) for d in range(2 * r, 11)]
+                + [(g, r - 1, r) for g in range(1, 8) for r in range(1, 5)])
+        tasks = [(case, a, b) for case in grid for a in range(3) for b in range(3) if a != b]
+        random.Random(35).shuffle(tasks)
+        _SPANS.clear()
+        for case, a, b in tasks:
+            routed = [gen_family(self.FAMILIES[k], *case) for k in (a, b)]
+            plain = [family_from_json(family_to_json(f)) for f in routed]
+            assert compare_ideals(*routed) == compare_ideals(*plain), (case, a, b)
+
+    def test_spans_are_reused_across_r(self):
+        # (5, 6, 2), (5, 7, 3) and (5, 8, 4) share d-r = 4: after (5, 7, 3)
+        # the smaller r builds no cell and the larger builds only i = 4
+        _SPANS.clear()
+
+        def compare_all(g, d, r):
+            fams = [gen_family(name, g, d, r) for name in self.FAMILIES]
+            for a in range(3):
+                for b in range(3):
+                    if a != b:
+                        compare_ideals(fams[a], fams[b])
+            return fams
+
+        spans = [f._span for f in compare_all(5, 7, 3)]
+        built = [set(span.cells) for span in spans]
+        assert all(max(i for i, _ in cells) == 3 for cells in built)
+        smaller = compare_all(5, 6, 2)
+        assert all(f._span is span for f, span in zip(smaller, spans))
+        assert [set(span.cells) for span in spans] == built
+        larger = compare_all(5, 8, 4)
+        assert all(f._span is span for f, span in zip(larger, spans))
+        added = [set(span.cells) - cells for span, cells in zip(spans, built)]
+        assert all(added) and all(i == 4 for cells in added for i, _ in cells)
+        assert _SPANS == {(name, 5, 4): span for name, span in zip(self.FAMILIES, spans)}
+
+    def test_routed_family_has_no_generator_past_r(self):
+        # the shared span of vdgk6's route key (4, 3) has generators at every
+        # size, but the family at r = 2 has none of size 3
+        extra = tuple(it for it in gen_family("vdgk6", 4, 6, 3).items if it.s == 3)
+        sub, sup = RelationFamily("extra", 4, 5, 2, extra), gen_family("vdgk6", 4, 5, 2)
+        assert GradedSpan.from_family(sup) is GradedSpan.from_family(gen_family("vdgk6", 4, 6, 3))
+        assert not span_contains(sub, sup) and not span_contains_by_ranks(sub, sup)
+
+    def test_quotient_dims_on_the_criterion_5_grid(self):
+        # dim - ideal rank per side, against the reference cell builder; the
+        # ideals agree, so the two quotients have one dimension
+        for g in (3, 4, 5, 6):
+            for r in (2, 3):
+                for d in range(2 * r, 9):
+                    fams = [gen_family(name, g, d, r) for name in self.FAMILIES]
+                    ranks = [cells_by_shifted_rows(f, r, r * (g - 1)) for f in fams]
+                    for a, b in ((0, 1), (1, 2), (0, 2)):
+                        for c in compare_ideals(fams[a], fams[b]).cells:
+                            expected = tuple(c.dim - ranks[k][(c.i, c.j)][0] for k in (a, b))
+                            assert c.quotient_dims == expected, (g, d, r, a, b, c.i, c.j)
+                            assert c.quotient_dims[0] == c.quotient_dims[1] >= 0
 
 
 class TestMonomialBasis:
