@@ -13,13 +13,14 @@ parameter pair (d, r) on a genus-g curve class:
 No power is expanded: the algebra is free and C(a) carries t^(a+2), so a
 monomial m = (a_1..a_s) of bidegree (s, w) appears only at t^(2s+w), with
 coefficient orderings(m) * Q_m(u) in H(u,t)^s, Q_m(u) = prod P_{a_i+2}(u),
-one cached integer product per monomial (``_h_product``), so strong8 and
-herbaut7 read the rows A[e] = (orderings(m) [u^e] Q_m)_m of one table per
-cell (``_generators``).  G(t) is the top-u part of H(u,t): vdgk6,
-theorem1 and the GRR check read its powers' coefficient, the composition
-sum orderings(m) prod (a_i+1)!, with no product (``_g_power_coefficient``).
-Q_m vanishes at u = -1, so herbaut7's [u^k] Q_m/(1+u), k = d-r+s, is the
-alternating tail sum_{e>k} (-1)^(e-k-1) A[e] of strong8's rows e > k.
+one cached integer product per monomial (``_h_product``), so strong8's and
+herbaut7's items read the rows A[e] = (orderings(m) [u^e] Q_m)_m of one
+table per cell (``_generator_rows``).  G(t) is the top-u part of H(u,t):
+vdgk6, theorem1 and the GRR check read its powers' coefficient, the
+composition sum orderings(m) prod (a_i+1)!, with no product
+(``_g_power_coefficient``).  Q_m vanishes at u = -1, so herbaut7's
+[u^k] Q_m/(1+u), k = d-r+s, is the alternating tail
+sum_{e>k} (-1)^(e-k-1) A[e] of strong8's rows e > k.
 
 ``compare_ideals`` decides, bidegree by bidegree and by exact rank
 computations, whether two families generate the same graded ideal; it also
@@ -28,30 +29,28 @@ flags any parameter set where the two notions differ.  Its rows are integer
 vectors, and multiplying by C(k) only moves a row's entries to other columns
 (see ``GradedSpan``).  A family that ``gen_family`` made is routed: it
 forms its items only on first read, and its span reads its rows off the
-cell tables (``_generator_rows``), for the cells it builds.  A strong8 cell
-has up to 2s+w-k generators, all rows of one table that every d and r
-share, read as a prefix of one cached echelon per bidegree
-(``_top_echelon``), stopped at the symmetric bound floor(w/2)+1; vdgk6 and
-herbaut7 have one row per cell, and both lie in strong8's span, so a
-routed strong8 family's ranks bound its joint ranks with either, and with
-each other.  Every other family (read from JSON, built by hand or edited)
-reduces its own item rows, each scaled once to integers.
-A cell whose columns the full cells below it all reach is full with no
+half-degree table F of each cell (``_f_table``).  With v = u(1+u),
+P_n = v (1+2u)^(n mod 2) pi_n(v) (``_pi_coefficients``), so
+Q_m = v^s (1+2u)^eps F_m(v), eps = w mod 2, and F has floor(w/2)+1 rows.
+strong8's generators span a suffix of F, vdgk6's row is its last row and
+herbaut7's a combination of the suffix, so both lie in strong8's span.  A
+routed family's cell (i, j) depends only on its route key (family_id, g,
+d-r), so there is one span per route key (``_SPANS``), shared across r,
+and the three spans of one (g, d-r) share one elimination per cell
+(``GradedSpan.joint``).  Every other family (read from JSON, built by hand
+or edited) reduces its own item rows, each scaled once to integers.  A
+cell whose columns the full cells below it all reach is full with no
 elimination, and a pair with a side that reaches the bound (the cell's
 dimension, or for two routed families strong8's rank) has that bound as
-its joint rank; only the other cells are reduced.  A routed family's cell
-(i, j) depends only on its route key (family_id, g, d-r): its generators
-sit at every cell with i >= 1 and i+j > d-r, and a comparison at r reads
-the cells i <= r.  So there is one span per route key, kept in a module
-dict (``_SPANS``) and shared across r by every comparison; every other
-family's span is its own, kept on the family.  The spans, a routed
+its joint rank; only the other cells are reduced.  The spans, a routed
 family's items, and the ``lru_cache``s (the column maps of C(k),
-``_shift_columns``, and the echelon tables, ``_top_echelon``, among them)
-are the shared state; a span publishes a cell only once complete, so
-racing threads at most build a cell twice, with the same rows, the first
-span published for a route key is the one every family of that key reads,
-and the first complete item tuple published, under a lock, is the one
-every thread reads.
+``_shift_columns``, and the tables F and their echelons among them) are
+the shared state; a span publishes a cell, and strong8's a joint cell,
+only once complete, and the first published is the one every reader
+gets, so racing threads at most build a cell twice, with the same rows;
+the first span published for a route key is the one every family of that
+key reads, and the first complete item tuple published, under a lock, is
+the one every thread reads.
 
 ``epsilon_series`` and ``verify_implication_chain`` replay the series
 bookkeeping connecting the families: the substitution defect
@@ -81,7 +80,7 @@ from functools import lru_cache
 from itertools import islice
 from math import comb, factorial, lcm
 from threading import Lock
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .combinat import _bare_log_inv_pow, _log_ladder, p_poly, principal_part, stirling2
 from .linalg import RowSpace
@@ -172,8 +171,9 @@ def _validate_params(g: int, d: int, r: int, families: bool = True) -> None:
 def _p_coefficients(n: int) -> tuple[int, ...]:
     """Coefficients of P_n(u), u^0 first, certified to be integers, to vanish
     at u = -1, so that every product of them is exactly divisible by (1+u),
-    and at u = 0, with P_n(-1-u) = (-1)^n P_n(u): the facts that bound the
-    rank of a cell's strong8 table (``_top_echelon``)."""
+    and at u = 0, with P_n(-1-u) = (-1)^n P_n(u): so P_n = v (1+2u)^(n mod 2)
+    pi_n(v), v = u(1+u), pi_n integral by Gauss's lemma, the factorization
+    that the tables F rest on (``_pi_coefficients``)."""
     exact = p_poly(n).coeffs
     if any(c.denominator != 1 for c in exact):
         raise InvariantViolation(f"P_{n} has a non-integral coefficient")
@@ -187,19 +187,23 @@ def _p_coefficients(n: int) -> tuple[int, ...]:
     return coeffs
 
 
+def _convolve(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The coefficients of the product of two integer polynomials."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _h_product(mono: Monomial) -> tuple[int, ...]:
     """Integer coefficients, u^0 first, of Q_m(u) = prod P_{a_i+2}(u) for
     m = (a_1..a_s), built on Q of m without its last weight.  The top one,
-    at u^(2s + sum a_i), is prod (a_i+1)!."""
+    at u^(2s + sum a_i), is prod (a_i+1)!.  Only items read it."""
     if not mono:
         return (1,)
-    head, tail = _h_product(mono[:-1]), _p_coefficients(mono[-1] + 2)
-    out = [0] * (len(head) + len(tail) - 1)
-    for i, x in enumerate(head):
-        for j, y in enumerate(tail):
-            out[i + j] += x * y
-    return tuple(out)
+    return _convolve(_h_product(mono[:-1]), _p_coefficients(mono[-1] + 2))
 
 
 def _cell_table(g: int, s: int, w: int) -> list[tuple[Monomial, int, tuple[int, ...]]]:
@@ -214,10 +218,8 @@ def _generator_rows(family_id: str, g: int, s: int, w: int, k: int):
     the rows A[e] = (orderings(m) [u^e] Q_m)_m of the cell table for each
     e > k, labelled e, and herbaut7 their alternating tail sum_{e>k}
     (-1)^(e-k-1) A[e], which is orderings(m) [u^k] Q_m/(1+u) since (1+u)
-    divides Q_m.  So vdgk6's row is strong8's row A[2s+w], and herbaut7's
-    lies in strong8's span.  Items are formed from these rows; a routed
-    span reads vdgk6's and herbaut7's rows here and strong8's echelon off
-    ``_top_echelon``."""
+    divides Q_m.  Items are formed from these rows; a routed span reads the
+    same spans off the half-degree table F instead (``_f_table``)."""
     if 2 * s + w <= k:
         return
     if family_id == "vdgk6":
@@ -229,6 +231,103 @@ def _generator_rows(family_id: str, g: int, s: int, w: int, k: int):
         return
     for e in range(k + 1, 2 * s + w + 1):
         yield e, [n * q[e] for _, n, q in table]
+
+
+@lru_cache(maxsize=None)
+def _pi_coefficients(n: int) -> tuple[int, ...]:
+    """Coefficients of pi_n(v), v^0 first: pi_2k = sum_j (2j+1)! T(2k, 2j+2)
+    v^j, and pi_(2k+1) the same sum with each term times j+1, where T are
+    the central factorial numbers, T(2n, 2m) = T(2n-2, 2m-2) +
+    m^2 T(2n-2, 2m) (Riordan, Combinatorial Identities, 1968).  Expanded in
+    u, it must give ``_p_coefficients(n)``, else ``InvariantViolation``."""
+    row = [1]  # T(2k, 2m), m = 0..k, for k up to n // 2
+    for k in range(1, n // 2 + 1):
+        row = [(row[m - 1] if m else 0) + m * m * (row[m] if m < k else 0)
+               for m in range(k + 1)]
+    pi = tuple((j + 1 if n % 2 else 1) * factorial(2 * j + 1) * row[j + 1]
+               for j in range(n // 2))
+    expanded: tuple[int, ...] = (0,)
+    for c in reversed(pi):  # Horner's rule in v = u + u^2
+        expanded = _convolve(expanded, (0, 1, 1))
+        expanded = (expanded[0] + c,) + expanded[1:]
+    expanded = _convolve(expanded, (0, 1, 1) if n % 2 == 0 else (0, 1, 3, 2))
+    if expanded[:n + 1] != _p_coefficients(n) or any(expanded[n + 1:]):
+        raise InvariantViolation(f"pi_{n}'s closed form does not reproduce P_{n}")
+    return pi
+
+
+@lru_cache(maxsize=None)
+def _f_table(g: int, s: int, w: int) -> tuple[tuple[int, ...], ...]:
+    """Rows i = 0..D, D = floor(w/2), of F: (orderings(m) [v^i] F_m)_m over
+    the monomials m = (a_1..a_s) of bidegree (s, w), where
+    Q_m = v^s (1+2u)^eps F_m(v), eps = w mod 2, so
+    F_m = (1+4v)^((o-eps)/2) prod pi_(a_i+2)(v), o odd weights.  The cell
+    table's rows are A = Phi F, column i of Phi the u-coefficients of
+    v^s (1+2u)^eps v^i.  Each column is one product on the column of m
+    without its first weight a_1, in the table of (s-1, w-a_1), with 1+4v
+    folded in when a_1 and w-a_1 are odd.  Every g >= w+1 has the
+    monomials, and the table, of g = w+1."""
+    if g > w + 1:
+        return _f_table(w + 1, s, w)
+    if not s:
+        return ((1,),) if not w else ()
+    columns = []
+    for a in range(min(g - 1, w), -1, -1):  # the first weight, as ``_compositions``
+        if w - a > (s - 1) * a:
+            break
+        rest = monomials_of_bidegree(g, s - 1, w - a)
+        factor = _pi_coefficients(a + 2)
+        if a % 2 and (w - a) % 2:
+            factor = _convolve(factor, (1, 4))
+        first = next(c for c, m in enumerate(rest) if not m or m[0] <= a)
+        for c, column in enumerate(tuple(zip(*_f_table(g, s - 1, w - a)))[first:], first):
+            n = 1 + rest[c].count(a)  # orderings(m) = orderings(rest) * s / n
+            columns.append(_convolve([x * s // n for x in column], factor))
+    return tuple(zip(*columns))
+
+
+def _suffix_start(s: int, w: int, k: int) -> int:
+    """i0: strong8's generators A[e], e > k, in cell (s, w) span exactly
+    F[i0:], since Phi's rows e > k vanish on the columns i < i0 and are
+    triangular with nonzero diagonal on the others."""
+    return max(0, (k - 2 * s - w % 2) // 2 + 1)
+
+
+@lru_cache(maxsize=None)
+def _f_echelon(g: int, s: int, w: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...],
+                                                tuple[int, ...]]:
+    """The echelon rows of F, inserted from i = D down until full, and
+    ``ranks[i]``, the rank of F[i:]: strong8's generator span is the first
+    ``ranks[i0]`` rows.  Keyed like F."""
+    if g > w + 1:
+        return _f_echelon(w + 1, s, w)
+    rows = _f_table(g, s, w)
+    space = RowSpace(len(rows[0]))
+    ranks = [0]
+    for row in reversed(rows):
+        if space.rank < space.ncols:
+            space.add(row)
+        ranks.append(space.rank)
+    return tuple(space.pivots.items()), tuple(reversed(ranks))
+
+
+def _route_row(family_id: str, g: int, s: int, w: int, k: int) -> list[int]:
+    """vdgk6's or herbaut7's row in cell (s, w), k = d-r+s, off F: vdgk6's
+    A[2s+w] = 2^eps F[D], herbaut7's orderings(m) [u^k] Q_m/(1+u) = lambda F,
+    lambda_i = [u^k] u^s (1+u)^(s-1) (1+2u)^eps v^i, zero for i < i0.  So
+    both lie in strong8's span."""
+    rows = _f_table(g, s, w)
+    if family_id == "vdgk6":
+        return list(rows[-1])
+    out = [0] * len(rows[0])
+    for i, row in enumerate(rows):
+        e = k - s - i  # [u^e] (1+u)^(s-1+i) (1+2u)^eps
+        weight = (comb(s - 1 + i, e) if e >= 0 else 0) + (
+            2 * comb(s - 1 + i, e - 1) if w % 2 and e >= 1 else 0)
+        if weight:
+            for c, x in enumerate(row):
+                out[c] += weight * x
+    return out
 
 
 def _items(family_id: str, g: int, d: int, r: int) -> tuple[RelationItem, ...]:
@@ -299,38 +398,47 @@ class GradedSpan:
 
     Rows are integer vectors in the canonical monomial basis of each
     bidegree.  The ideal's piece at (i, j), i >= 1, is spanned by the
-    generators of bidegree (i, j) and the pieces (i-1, j-k) times C(k),
+    generators of bidegree (i, j) and L, the pieces (i-1, j-k) times C(k),
     0 <= k < g, since every monomial of positive size has a factor C(k).
     Multiplying by C(k) is an injective map on monomials
     (``_shift_columns``), so a shifted row is the same integers written into
     other columns, and each monomial m' of a full piece (i-1, j-k) gives the
-    unit row at the column of m'*C(k): that column is covered.
+    unit row at the column of m'*C(k): that column is covered.  When the
+    covered columns are all of them, L is full (rank = dim) with no
+    arithmetic.  Otherwise L is spanned by the unit rows at the covered
+    columns and the echelon rows of the deficient cells below, shifted and
+    with the covered columns cut (``_grow``), added until the cell is full.
+    A full cell lends the cells above it columns, never rows.
 
-    A cell takes its generators first, so its first echelon rows, up to its
-    generator rank, span the bare generators of that bidegree.  When the
-    covered columns are all of them, the cell is full (rank = dim) with no
-    arithmetic, and it keeps only its generator rows.  Otherwise it adds the
-    unit rows at the covered columns, then the echelon rows of the deficient
-    cells below, shifted and with the covered columns cut, until it is full;
-    its rows then span its piece.  A full cell lends the cells above it
-    columns, never rows.
-
-    A cell depends only on its generators and the cells below it, and is
-    built the first time it is read.
+    A cell is (space, generator rank, rank); when the rank is below the
+    dimension, the space's rows span the piece.  A cell depends only on its
+    generators and the cells below it, is built the first time it is read,
+    and is published once complete: the first published is the one every
+    reader gets.
 
     The generator rows come by one of two routes, which give every cell the
-    same generator span.  A family that ``gen_family`` made carries its
-    route (family_id, d-r), and its items are never read: with k = d-r+i, a
-    cell with 2i+j > k reads its rows off the cell table, and only when it
-    is built.  strong8 starts from the first ``ranks[k+1]`` echelon rows of
-    the cell's shared table (``_top_echelon``); vdgk6 and herbaut7 insert
-    their one row of ``_generator_rows``.  Such a span carries no r: it has
-    generators at every i >= 1 with i+j > d-r, so one span per route key
-    (family_id, g, d-r) serves every r (``from_family``), and a comparison
-    at r reads its cells i <= r.  Every other family (read from JSON, built
-    by hand or edited) has its items checked for genus and homogeneity,
-    scales each to integers and inserts the rows in item order; its span is
-    its own, kept on the family.
+    same generator span.  A family read from JSON, built by hand or edited
+    has its items checked for genus and homogeneity, scales each to
+    integers, and reduces its own cells (``_reduce``): its generator rows
+    first, so that its first echelon rows, up to its generator rank, span
+    the bare generators, then L.  Its span is its own, kept on the family.
+
+    A family that ``gen_family`` made carries its route (family_id, d-r),
+    and its items are never read: with k = d-r+i, its generators sit at the
+    cells with i >= 1 and 2i+j > k, read off F: strong8's span is the
+    suffix F[i0:] (``_suffix_start``), vdgk6's row F[D] and herbaut7's
+    lambda F (``_route_row``).  Such a span carries no r: one span per
+    route key (family_id, g, d-r) serves every r (``from_family``).  The
+    three routed spans of one (g, d-r) share one elimination per cell, kept
+    on strong8's span (``joint``): L is reduced once, vdgk6's and herbaut7's
+    rows are tested for membership in L, and F[i0:] is added, which gives
+    strong8's piece.  By induction on i: if a family's pieces equal
+    strong8's in every cell below (i, j), its L is strong8's, so its piece
+    is L plus its row, of rank rank(L) + [row not in L], inside strong8's
+    piece; it equals strong8's exactly when the ranks agree, and the cell
+    is then strong8's.  Where they differ, or a cell below differed, the
+    family reduces its own cell from its own cells below (on the grids
+    tested, only herbaut7 at d-r = -1).
     """
 
     def __init__(self, family: RelationFamily) -> None:
@@ -354,6 +462,12 @@ class GradedSpan:
             self.generators.setdefault(bideg, []).append(
                 [int(terms.get(m, 0) * den) for m in monomials_of_bidegree(self.g, *bideg)])
         self.cells: dict[tuple[int, int], tuple[RowSpace, int, int]] = {}
+        # on strong8's routed span: the joint cells its route key shares
+        self.joints: dict[tuple[int, int], _JointCell] = {}
+        self.top = None  # a routed span's strong8 span of the same key
+        if self.route is not None:
+            self.top = (self if self.route[0] == "strong8"
+                        else _route_span("strong8", self.g, self.route[1]))
 
     @classmethod
     def from_family(cls, family: RelationFamily) -> "GradedSpan":
@@ -361,38 +475,78 @@ class GradedSpan:
         one span of its route key (family_id, g, d-r), shared across r."""
         span = family._span
         if span is None:
-            span = cls(family)
-            if span.route is not None:
-                span = _SPANS.setdefault((family.family_id, family.g, span.route[1]), span)
+            span = (cls(family) if family._route is None
+                    else _route_span(family.family_id, family.g, family._route[1]))
             object.__setattr__(family, "_span", span)
         return span
 
     def cell(self, i: int, j: int) -> tuple[RowSpace, int, int]:
-        """The cell (i, j): its row space, generator rank and ideal rank.
-
-        The space starts from the generators' echelon rows, read off the
-        shared tables or the items (see the class), and holds, when the rank
-        is below the dimension, rows that span the ideal's piece."""
+        """The cell (i, j): its row space, generator rank and ideal rank."""
         found = self.cells.get((i, j))
+        if found is None:
+            found = self.cells.setdefault((i, j), self._build(i, j))
+        return found
+
+    def _build(self, i: int, j: int) -> tuple[RowSpace, int, int]:
+        """The cell: a routed span's is its joint cell where the family's
+        piece is strong8's, every other cell is reduced."""
+        dim = len(monomials_of_bidegree(self.g, i, j))
+        if self.route is None:
+            return self._reduce(i, j, dim)
+        joint = self.top.joint(i, j)
+        if self.route[0] == "strong8":
+            return joint.space, self._generator_space(i, j, dim).rank, joint.rank
+        generator_rank, rank = joint.routed[self.route[0]]
+        if rank != joint.rank:  # None unless every cell below agreed
+            return self._reduce(i, j, dim)
+        return joint.space, generator_rank, rank
+
+    def joint(self, i: int, j: int) -> "_JointCell":
+        """The joint cell (i, j) of strong8's routed span (see
+        ``_JointCell``), from the joint cells below."""
+        found = self.joints.get((i, j))
         if found is not None:
             return found
-        dim = len(monomials_of_bidegree(self.g, i, j))
+        g, cut = self.g, self.route[1]
+        dim = len(monomials_of_bidegree(g, i, j))
+        below = [(_shift_columns(g, i, j, k), self.joint(i - 1, j - k)) for k in self._below(i, j)]
+        space = RowSpace(dim)
+        rank = rank_below = _grow(space, [(shift, c.space, c.rank) for shift, c in below], dim)
+        generators = {"vdgk6": 0, "herbaut7": 0}
+        ranks = dict.fromkeys(generators, rank_below)
+        pair = 0
+        if dim and i and i + j > cut:  # generators: 2i+j > k
+            rows, herbaut7 = _f_table(g, i, j), _route_row("herbaut7", g, i, j, cut + i)
+            top = rows[-1]  # vdgk6's row, with no zero entry
+            generators = {"vdgk6": 1, "herbaut7": int(any(herbaut7))}
+            pair = 1 + any(x * top[0] != y * herbaut7[0] for x, y in zip(herbaut7, top))
+            if rank_below < dim:
+                ranks["herbaut7"] += not space.contains(herbaut7)
+                ranks["vdgk6"] += space.add(top)  # strong8's first row too
+                for row in reversed(rows[_suffix_start(i, j, cut + i):-1]):
+                    if space.rank == dim:
+                        break
+                    space.add(row)
+                rank = space.rank
+        routed = {f: (n, ranks[f] if all(c.routed[f][1] == c.rank for _, c in below) else None)
+                  for f, n in generators.items()}
+        return self.joints.setdefault((i, j), _JointCell(space, rank, routed, pair))
+
+    def _reduce(self, i: int, j: int, dim: int) -> tuple[RowSpace, int, int]:
+        """The cell from the span's own generator rows and cells below."""
         space = self._generator_space(i, j, dim)
         generator_rank = rank = space.rank
-        if i and rank < dim:
-            # the cells below that have a monomial: j-k <= (i-1)(g-1)
-            lower = [(_shift_columns(self.g, i, j, k), self.cell(i - 1, j - k))
-                     for k in range(max(0, j - (i - 1) * (self.g - 1)), min(self.g, j + 1))]
-            # a full cell below covers every column its monomials reach
-            covered = {c for shift, (_, _, n) in lower if n == len(shift) for c in shift}
-            rank = dim
-            if len(covered) < dim:
-                for row in _cut_rows(lower, covered, dim):
-                    if space.add(row) and space.rank == dim:
-                        break
-                rank = space.rank
-        found = self.cells[(i, j)] = (space, generator_rank, rank)
-        return found
+        if rank < dim:
+            lower = [(_shift_columns(self.g, i, j, k), *self.cell(i - 1, j - k)[::2])
+                     for k in self._below(i, j)]
+            rank = _grow(space, lower, dim)
+        return space, generator_rank, rank
+
+    def _below(self, i: int, j: int) -> range:
+        """The k whose cell (i-1, j-k) has a monomial: j-k <= (i-1)(g-1)."""
+        if not i:
+            return range(0)
+        return range(max(0, j - (i - 1) * (self.g - 1)), min(self.g, j + 1))
 
     def generator_cells(self, r: int) -> Iterable[tuple[int, int]]:
         """The bidegrees of the generators: the items' (in item order), or
@@ -415,37 +569,52 @@ class GradedSpan:
         if not dim or i < 1 or i + j <= cut:  # no generator: 2i+j <= k
             return space
         if family_id == "strong8":
-            pivots, ranks = _top_echelon(self.g, i, j)
-            space.pivots.update(pivots[:ranks[cut + i + 1]])
+            pivots, ranks = _f_echelon(self.g, i, j)
+            space.pivots.update(pivots[:ranks[_suffix_start(i, j, cut + i)]])
         else:
-            for _, row in _generator_rows(family_id, self.g, i, j, cut + i):
-                space.add(row)
+            space.add(_route_row(family_id, self.g, i, j, cut + i))
         return space
 
+    def generator_rows(self, i: int, j: int, space: RowSpace) -> RowSpace:
+        """The cell space, if it takes its generators first, else the
+        generator space of (i, j)."""
+        return space if self.route is None else self._generator_space(i, j, space.ncols)
 
-@lru_cache(maxsize=None)
-def _top_echelon(g: int, s: int, w: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...],
-                                                  tuple[int, ...]]:
-    """The echelon rows of the rows A[e] = (orderings(m) [u^e] Q_m)_m of
-    cell (s, w), inserted from e = 2s+w down, and ``ranks[e]``, the rank of
-    the rows e..2s+w (``ranks[2s+w+1] = 0``).  Strong8's generators in the
-    cell are the rows e > d-r+s, so their span is the first
-    ``ranks[d-r+s+1]`` echelon rows; no other family reads the table.
 
-    Since P_n(0) = P_n(-1) = 0 and P_n(-1-u) = (-1)^n P_n(u) (certified in
-    ``_p_coefficients``), every Q_m is (u(1+u))^s times a polynomial f of
-    degree w with f(-1-u) = (-1)^w f(u), a space of dimension
-    floor(w/2) + 1 that holds every column of A; once the rank reaches
-    that, or the cell's dimension, no further row is inserted."""
-    table = _cell_table(g, s, w)
-    bound = min(len(table), w // 2 + 1)
-    space = RowSpace(len(table))
-    ranks = [0]
-    for e in range(2 * s + w, -1, -1):
-        if space.rank < bound:
-            space.add([n * q[e] for _, n, q in table])
-        ranks.append(space.rank)
-    return tuple(space.pivots.items()), tuple(reversed(ranks))
+class _JointCell(NamedTuple):
+    """The cell the routed spans of one (g, d-r) share: ``space`` holds the
+    echelon rows of L, then F[i0:]'s from F[D] (vdgk6's row) down, up to
+    strong8's ``rank``; ``routed`` maps vdgk6 and herbaut7 to (generator
+    rank, rank(L) + [row not in L], or None unless every cell below agreed
+    with strong8's); ``pair`` is the rank of their two rows."""
+
+    space: RowSpace
+    rank: int
+    routed: dict[str, tuple[int, int | None]]
+    pair: int
+
+
+def _grow(space: RowSpace, lower, dim: int) -> int:
+    """Adds L's rows to the space until it is full, from the cells below as
+    (shift, space, rank); returns the rank reached, dim when the covered
+    columns are all of them."""
+    covered = {c for shift, _, n in lower if n == len(shift) for c in shift}
+    if len(covered) == dim:
+        return dim
+    for row in _cut_rows(lower, covered, dim):
+        if space.add(row) and space.rank == dim:
+            break
+    return space.rank
+
+
+def _route_span(family_id: str, g: int, cut: int) -> GradedSpan:
+    """The one span of the route key (family_id, g, cut), first published
+    wins."""
+    span = _SPANS.get((family_id, g, cut))
+    if span is None:
+        span = _SPANS.setdefault((family_id, g, cut),
+                                 GradedSpan(_routed_family(family_id, g, cut + 1, 1)))
+    return span
 
 
 @lru_cache(maxsize=None)
@@ -461,7 +630,7 @@ def _cut_rows(lower, covered: set[int], dim: int):
     deficient lower cells times C(k), with the covered columns cut."""
     for c in sorted(covered):
         yield [int(x == c) for x in range(dim)]
-    for shift, (below, _, n) in lower:
+    for shift, below, n in lower:
         if n < len(shift):
             for piv in below.pivots.values():
                 row = [0] * dim
@@ -538,22 +707,22 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
     with 1 <= i <= r and j <= r(g-1); a generator beyond them raises
     ``TruncationError``.  Each span is built once and shared by every
     comparison it enters: a routed family's by every comparison of its route
-    key (family_id, g, d-r), whatever r.  A joint rank is at most the cell's
-    dimension, and when both families are routed at most strong8's rank at
-    the same (g, d-r), since strong8's span holds every routed family's
-    generators cell by cell (see ``_generator_rows``), and so its ideal
-    holds their ideals; a side that reaches that bound has it as the joint
-    rank, and only the other cells are reduced.  So comparing two routed
-    families builds strong8's span too, if no comparison has yet.
+    key (family_id, g, d-r), whatever r.  Two routed families read one
+    elimination per cell (``GradedSpan.joint``): each ideal lies in
+    strong8's at the same (g, d-r), cell by cell, so strong8's rank bounds
+    their joint rank, and a side that reaches it has it as the joint rank;
+    routed strong8's generator span holds the other side's, and a
+    vdgk6-herbaut7 span joint is the rank of their two rows.  Any other
+    joint rank is at most the cell's dimension, and only the cells where no
+    side reaches its bound are reduced.
     """
     if (f1.g, f1.d, f1.r) != (f2.g, f2.d, f2.r):
         raise ValueError("families must share the same (g, d, r)")
     g, d, r = f1.g, f1.d, f1.r
     i_max, j_max = r, r * (g - 1)
     span1, span2 = GradedSpan.from_family(f1), GradedSpan.from_family(f2)
-    top = None  # strong8's span at (g, d-r), whose ranks bound the joint ranks
-    if span1.route and span2.route:
-        top = GradedSpan.from_family(_routed_family("strong8", g, d, r))
+    routed = span1.route is not None and span2.route is not None
+    with_strong8 = routed and "strong8" in (span1.route[0], span2.route[0])
     # a routed family lies in the window by construction
     for family, span in ((f1, span1), (f2, span2)):
         for s, w in span.generators:
@@ -567,11 +736,16 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
             if not (a_rank or b_rank):
                 continue
             dim = a.ncols
-            _, gens_bound, rank_bound = top.cell(i, j) if top else (None, dim, dim)
-            ideal_joint = (rank_bound if max(a_rank, b_rank) == rank_bound
+            bound = span1.top.joint(i, j).rank if routed else dim
+            ideal_joint = (bound if max(a_rank, b_rank) == bound
                            else _joint_rank(a, a_rank, b, b_rank))
-            span_joint = (gens_bound if max(a_gens, b_gens) == gens_bound
-                          else _joint_rank(a, a_gens, b, b_gens))
+            span_joint = max(a_gens, b_gens)
+            if not routed:
+                if span_joint < dim:
+                    span_joint = _joint_rank(span1.generator_rows(i, j, a), a_gens,
+                                             span2.generator_rows(i, j, b), b_gens)
+            elif not with_strong8 and span1.route != span2.route:  # vdgk6 and herbaut7
+                span_joint = span1.top.joint(i, j).pair
             cells.append(CellComparison(i=i, j=j, dim=dim, ideal_ranks=(a_rank, b_rank),
                                         ideal_joint=ideal_joint, span_ranks=(a_gens, b_gens),
                                         span_joint=span_joint))

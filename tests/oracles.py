@@ -533,7 +533,7 @@ def cells_by_shifted_rows(family, i_max: int, j_max: int) -> dict:
 
 
 def top_ranks_by_full_reduction(g: int, s: int, w: int) -> tuple[int, ...]:
-    """The reference for ``relations._top_echelon``'s ranks: for e = 0..2s+w+1,
+    """The reference for strong8's generator ranks per cell: for e = 0..2s+w+1,
     the rank of the rows (orderings(m) [u^e] Q_m)_m, e' = e..2s+w, of cell
     (s, w).  Q_m is multiplied out term by term from the ``p_poly``
     coefficients, orderings(m) is a multinomial, and every row is reduced:

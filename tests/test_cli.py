@@ -35,6 +35,22 @@ def test_golden_commands_print_their_recorded_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], case["argv"]
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("equivalence", "--g", "3", "--d", "1", "--r", "2"),
+     "b45506fc2a31ca5179307e4606aad2ecdb4e32b27db6d85f50f71d3ab238bbf9"),
+    (("equivalence", "--g", "5", "--d", "2", "--r", "3"),
+     "f46333b4d9508bafbe42c0b15b3e14460375e262529e1679a383efffb6e3e453"),
+    (("equivalence", "--g", "5", "--d", "2", "--r", "3", "--format", "json"),
+     "ff287a6493749a8e0dc8bab497042ed775889de4728dcdff91bc91bd356272fe"),
+])
+def test_d_r_minus_one_equivalence_prints_its_recorded_bytes(argv, digest, capsys):
+    # d = r-1, where herbaut7's ideal differs from strong8's in some cells
+    # and the cells above them are reduced from herbaut7's own rows; the
+    # command exits 1 and prints the bytes recorded before the joint cells
+    assert main(list(argv)) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (("relations", "--g", "0", "--d", "3", "--r", "1", "--family", "vdgk6"), 2,
      "error: g must be >= 1"),

@@ -6,10 +6,11 @@ module caches: the Stirling memo table, whose writers are idempotent, and the
 ``functools.lru_cache``s (``tautalg``'s monomial bases
 ``monomials_of_bidegree`` and multiset counts ``_orderings``, which
 ``relations`` re-exports, ``_bare_log_inv_pow``,
-the per-monomial products ``_h_product``, whose rows strong8 and herbaut7 read,
+the per-monomial products ``_h_product``, whose rows the items read,
 and the certified P_n coefficients ``_p_coefficients`` they are built
-from, the ideal cells' column maps of C(k) ``_shift_columns``,
-the echelon tables of strong8's generator rows per bidegree ``_top_echelon``,
+from, the half-degree tables ``_f_table`` whose rows the routed spans read,
+and their suffix echelons ``_f_echelon``, the ideal cells' column maps of
+C(k) ``_shift_columns``,
 the chain's ``_e_part``, the check-(a) facts ``_power_law_ok`` and
 ``_generator_split_ok``, and the GRR replay's ``ch_vk``), which lock their
 own bookkeeping; two threads may both compute a missing entry, and they
@@ -17,7 +18,9 @@ compute the same value.  Three pieces of state are kept on values.  A family's `
 its rows and its ranks, only once the cell is complete, so threads that
 compare the same family at once can at most build a cell twice, the same
 way: whether a cell is full from the cells below it or reduces rows
-depends only on those cells.  A routed family's span is the one span of
+depends only on those cells; the joint cells that strong8's routed span
+shares with vdgk6's and herbaut7's are published the same way, and the
+first published is the one every span reads.  A routed family's span is the one span of
 its route key (family_id, g, d-r), shared across r through the module dict
 ``relations._SPANS`` and published there with ``setdefault``: threads that
 race to make it all keep the first one published.  A family that
@@ -40,11 +43,14 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
 from jacrel.relations import (_SPANS, _e_part, _generator_split_ok, _h_product, _orderings,
-                              _p_coefficients, _power_law_ok, _shift_columns, _top_echelon,
+                              _f_echelon, _f_table, _p_coefficients, _power_law_ok,
+                              _shift_columns,
                               compare_ideals, family_to_json, gen_family,
                               verify_implication_chain)
 from oracles import family_by_powers
@@ -160,7 +166,8 @@ def race_comparisons(g, d, r, rounds):
             shared = [gen_family(f, g, d, r) for f in FAMILIES]
             _SPANS.clear()
             _shift_columns.cache_clear()
-            _top_echelon.cache_clear()
+            _f_table.cache_clear()
+            _f_echelon.cache_clear()
             barrier = threading.Barrier(8)
 
             def run(k):
@@ -207,7 +214,8 @@ def test_spans_shared_across_r_are_published_once_under_races():
         for _ in range(6):
             _SPANS.clear()
             _shift_columns.cache_clear()
-            _top_echelon.cache_clear()
+            _f_table.cache_clear()
+            _f_echelon.cache_clear()
             barrier = threading.Barrier(8)
 
             def run(k):
@@ -232,6 +240,56 @@ def test_spans_shared_across_r_are_published_once_under_races():
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("g, d, r", [(4, 6, 3), (5, 2, 3)], ids=["d_ge_r", "d_r_minus_one"])
+def test_joint_cells_are_published_once_under_races(g, d, r):
+    # eight threads race through the six ordered pairs of one cold key, each
+    # in its own order; at d = r-1 herbaut7 also falls back to its own cells.
+    # Every joint cell must be published complete, with the serial ranks,
+    # and once: every routed cell that reads it holds the published space
+    tasks = [(a, b) for a in range(3) for b in range(3) if a != b]
+
+    def cold():
+        _SPANS.clear()
+        _shift_columns.cache_clear()
+        _f_table.cache_clear()
+        _f_echelon.cache_clear()
+
+    def joint_ranks():
+        return {key: (c.space.rank, c.rank, c.routed, c.pair)
+                for key, c in _SPANS[("strong8", g, d - r)].joints.items()}
+
+    cold()
+    fams = [gen_family(f, g, d, r) for f in FAMILIES]
+    serial = {(a, b): repr(compare_ideals(fams[a], fams[b])) for a, b in tasks}
+    expected = joint_ranks()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(6):
+            cold()
+            shared = [gen_family(f, g, d, r) for f in FAMILIES]
+            barrier = threading.Barrier(8)
+
+            def run(k):
+                barrier.wait(timeout=60)
+                return {(a, b): repr(compare_ideals(shared[a], shared[b]))
+                        for a, b in random.Random(k).sample(tasks, len(tasks))}
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outputs = list(pool.map(run, range(8), timeout=120))
+            assert all(out == serial for out in outputs)
+            assert joint_ranks() == expected
+            joints = _SPANS[("strong8", g, d - r)].joints
+            for f in shared:
+                for key, (space, _, rank) in f._span.cells.items():
+                    _, own = joints[key].routed.get(f.family_id, (0, rank))  # strong8: its own
+                    if own == rank == joints[key].rank:
+                        assert space is joints[key].space, (f.family_id, key)
+    finally:
+        sys.setswitchinterval(interval)
+        cold()
+
+
 def test_routed_items_are_formed_once_under_races():
     # eight threads read the items of three cold routed families and build
     # their spans at once, each in its own order; every thread must read
@@ -246,7 +304,8 @@ def test_routed_items_are_formed_once_under_races():
             shared = [gen_family(f, g, d, r) for f in FAMILIES]
             _SPANS.clear()
             _h_product.cache_clear()
-            _top_echelon.cache_clear()
+            _f_table.cache_clear()
+            _f_echelon.cache_clear()
             barrier = threading.Barrier(8)
 
             def run(k):

@@ -6,13 +6,14 @@ from math import comb, factorial
 
 import pytest
 
-from jacrel.combinat import stirling2
-from jacrel.linalg import RowSpace
-from jacrel.relations import (_SPANS, GradedSpan, RelationFamily, RelationItem, _top_echelon,
-                              compare_ideals, epsilon_series, family_from_json,
-                              family_from_jsonable, family_to_json, gen_family, gen_theorem1,
-                              monomials_of_bidegree, span_contains, theorem1_family,
-                              verify_implication_chain)
+from jacrel.combinat import p_poly, stirling2
+from jacrel.linalg import RowSpace, rank
+from jacrel.relations import (_SPANS, GradedSpan, RelationFamily, RelationItem, _f_echelon,
+                              _f_table, _generator_rows, _h_product, _p_coefficients,
+                              _pi_coefficients, _route_row, _suffix_start, compare_ideals,
+                              epsilon_series, family_from_json, family_from_jsonable,
+                              family_to_json, gen_family, gen_theorem1, monomials_of_bidegree,
+                              span_contains, theorem1_family, verify_implication_chain)
 from jacrel.rings import InvariantViolation, TruncationError
 from jacrel.tautalg import TautElement, build_g_poly, poly_power
 from oracles import (cells_by_shifted_rows, chain_by_xt_series, compare_ideals_by_products,
@@ -207,14 +208,15 @@ class TestGenFamily:
 
     def test_symmetry_of_p_is_certified(self, monkeypatch):
         # P_4 + u^2 (1+u) still vanishes at u = 0 and u = -1, but is no
-        # longer symmetric under u -> -1-u: the bound that stops the strong8
-        # echelon tables would not hold, so the coefficients are refused
+        # longer symmetric under u -> -1-u: P_4 = v pi_4(v), v = u(1+u), on
+        # which the span route's tables F rest, would not hold, so the
+        # coefficients are refused
         from jacrel import relations
         from jacrel.rings import DensePoly, InvariantViolation
         real = relations.p_poly
         monkeypatch.setattr(relations, "p_poly",
                             lambda n: real(n) + DensePoly([0, 0, 1, 1]) if n == 4 else real(n))
-        caches = (relations._p_coefficients, relations._h_product, relations._top_echelon)
+        caches = (relations._p_coefficients, relations._h_product)
         for cache in caches:
             cache.cache_clear()
         try:
@@ -442,13 +444,14 @@ class TestSharedSpan:
     def test_cells_are_published_complete(self, monkeypatch):
         # every row a span inserts finds each published cell, its rows and
         # its ranks, as it will stay: no cell is published while it is built;
-        # cold routed spans and echelon tables, so strong8's generator rows
-        # are inserted here, and an unrouted strong8 copy, which inserts its
+        # cold routed spans and tables F, so strong8's generator rows are
+        # inserted here, and an unrouted strong8 copy, which inserts its
         # item rows
         _SPANS.clear()
         fams = [gen_family(name, 4, 6, 3) for name in self.FAMILIES]
         fams.append(family_from_json(family_to_json(fams[2])))
-        _top_echelon.cache_clear()
+        _f_table.cache_clear()
+        _f_echelon.cache_clear()
 
         def published():
             return {(k, key): (space.rank, generator_rank, rank)
@@ -538,8 +541,8 @@ class TestCoveredCells:
 
 class TestEchelonRoute:
     """A family that ``gen_family`` made reads its generator rows off the cell
-    tables: strong8 off the shared echelon tables (``_top_echelon``), vdgk6
-    and herbaut7 their one row per cell; the same family read back from
+    tables: strong8 the suffix of the half-degree table F (``_f_table``),
+    vdgk6 and herbaut7 their one row per cell; the same family read back from
     JSON or edited reduces its item rows.  The routes must agree cell by
     cell, and so must the comparisons, whose joints with a routed strong8
     family are strong8's own ranks."""
@@ -631,14 +634,17 @@ class TestEchelonRoute:
             assert all(space.rank <= generator_rank
                        for space, generator_rank, _ in family._span.cells.values())
 
-    def test_echelon_ranks_match_full_reduction(self):
-        # the tables stop at rank min(dim, floor(w/2) + 1); the reference
-        # reduces every row
+    def test_suffix_ranks_match_full_reduction(self):
+        # strong8's generators at k, the rows e > k of the full-degree
+        # table, have the rank of F's suffix from i0; the reference
+        # multiplies out every Q_m and reduces every row
         for g in range(1, 9):
             for s in range(1, 6):
                 for w in range(s * (g - 1) + 1):
-                    pivots, ranks = _top_echelon(g, s, w)
-                    assert ranks == top_ranks_by_full_reduction(g, s, w), (g, s, w)
+                    pivots, ranks = _f_echelon(g, s, w)
+                    full = top_ranks_by_full_reduction(g, s, w)
+                    assert [ranks[_suffix_start(s, w, k)] for k in range(-1, 2 * s + w + 1)] \
+                        == list(full), (g, s, w)
                     assert len(pivots) == ranks[0]
 
 
@@ -709,6 +715,166 @@ class TestSharedRouteSpans:
                             expected = tuple(c.dim - ranks[k][(c.i, c.j)][0] for k in (a, b))
                             assert c.quotient_dims == expected, (g, d, r, a, b, c.i, c.j)
                             assert c.quotient_dims[0] == c.quotient_dims[1] >= 0
+
+
+class TestJointCells:
+    """The three routed spans of one (g, d-r) read one elimination per cell
+    off strong8's span; a family falls back to its own cell only above a
+    cell where its ideal differs from strong8's."""
+
+    FAMILIES = ("vdgk6", "herbaut7", "strong8")
+
+    @staticmethod
+    def watch_fallbacks(monkeypatch):
+        fell = []
+        reduce = GradedSpan._reduce
+
+        def watched(span, i, j, dim):
+            if span.route is not None:
+                fell.append((span.route, span.g, i, j))
+            return reduce(span, i, j, dim)
+
+        monkeypatch.setattr(GradedSpan, "_reduce", watched)
+        return fell
+
+    def test_ideals_grid_reads_every_cell_off_the_joint(self, monkeypatch):
+        # cold spans and tables: the three ideals agree with strong8's in
+        # every cell, so no cell falls back, and the comparisons build no
+        # full-degree product Q_m
+        _SPANS.clear()
+        for cache in (_f_table, _f_echelon, _h_product):
+            cache.cache_clear()
+        fell = self.watch_fallbacks(monkeypatch)
+        for g in (5, 6, 7):
+            for r in (2, 3, 4):
+                for d in range(2 * r, 11):
+                    fams = [gen_family(name, g, d, r) for name in self.FAMILIES]
+                    for a in range(3):
+                        for b in range(3):
+                            if a != b:
+                                assert compare_ideals(fams[a], fams[b]).ideal_equal
+        assert fell == []
+        assert _h_product.cache_info().misses == 0
+
+    def test_d_r_minus_one_falls_back_and_matches_unrouted_copies(self, monkeypatch):
+        # at d = r-1 some cells of herbaut7's ideal differ from strong8's,
+        # so the cells above them reduce herbaut7's own rows; every ordered
+        # pair must still equal the comparison of its JSON copies
+        _SPANS.clear()
+        fell = self.watch_fallbacks(monkeypatch)
+        for g in range(1, 8):
+            for r in range(1, 5):
+                routed = [gen_family(name, g, r - 1, r) for name in self.FAMILIES]
+                plain = [family_from_json(family_to_json(f)) for f in routed]
+                for a in range(3):
+                    for b in range(3):
+                        if a != b:
+                            assert compare_ideals(routed[a], routed[b]) == \
+                                compare_ideals(plain[a], plain[b]), (g, r, a, b)
+        assert fell
+        assert all(route == ("herbaut7", -1) for route, *_ in fell)
+
+    def test_vdgk6_herbaut7_alone_builds_no_suffix_echelon(self):
+        # its span joint is the rank of the two rows, read off the joint cell
+        _SPANS.clear()
+        _f_echelon.cache_clear()
+        f6, f7 = gen_family("vdgk6", 6, 8, 3), gen_family("herbaut7", 6, 8, 3)
+        report = compare_ideals(f6, f7)
+        assert _f_echelon.cache_info().currsize == 0
+        assert report == compare_ideals(*(family_from_json(family_to_json(f)) for f in (f6, f7)))
+
+    def test_joint_cells_are_the_routed_cells(self):
+        # strong8's cells are its joint cells, and so are a family's cells
+        # wherever it agrees with strong8
+        _SPANS.clear()
+        fams = [gen_family(name, 5, 7, 3) for name in self.FAMILIES]
+        for a in range(3):
+            compare_ideals(fams[a], fams[(a + 1) % 3])
+        top = _SPANS[("strong8", 5, 4)]
+        for f in fams:
+            for key, (space, _, n) in f._span.cells.items():
+                assert space is top.joints[key].space and n == top.joints[key].rank
+
+
+class TestHalfDegreeTable:
+    """The half-degree table F of a cell: pi_n's closed form, F's rows
+    against the full-degree cell table, strong8's span as a suffix of F,
+    and one table per stable key."""
+
+    def test_pi_closed_form_matches_every_p_route(self):
+        for n in range(2, 41):
+            pi = _pi_coefficients(n)
+            assert len(pi) == n // 2 and all(c > 0 for c in pi), n
+            # v (1+2u)^(n mod 2) pi_n(v) in u, with v^(j+1) = u^(j+1) (1+u)^(j+1)
+            expanded = [0] * (n + 1)
+            for j, c in enumerate(pi):
+                for e in range(j + 2):
+                    expanded[j + 1 + e] += c * comb(j + 1, e)
+            if n % 2:
+                expanded = [x + 2 * (expanded[e - 1] if e else 0) for e, x in enumerate(expanded)]
+            assert tuple(expanded) == _p_coefficients(n), n
+            for route in ("stirling", "genfunc", "laurent"):
+                assert list(p_poly(n, route).coeffs) == expanded, (n, route)
+
+    def test_pi_closed_form_is_checked(self, monkeypatch):
+        # P_4 + 7 v^2 is integral, vanishes at u = 0 and u = -1 and is even
+        # under u -> -1-u, so P_n's own checks pass it; pi_4's closed form
+        # does not reproduce it, and the span route refuses the table
+        from jacrel import relations
+        from jacrel.rings import DensePoly
+        real = relations.p_poly
+        monkeypatch.setattr(relations, "p_poly",
+                            lambda n: real(n) + DensePoly([0, 0, 7, 14, 7]) if n == 4 else real(n))
+        caches = (_p_coefficients, _pi_coefficients, _f_table, _f_echelon)
+
+        def cold():
+            _SPANS.clear()
+            for cache in caches:
+                cache.cache_clear()
+
+        cold()
+        try:
+            with pytest.raises(InvariantViolation, match="pi_4's closed form"):
+                compare_ideals(gen_family("vdgk6", 3, 4, 2), gen_family("strong8", 3, 4, 2))
+        finally:
+            cold()
+
+    def test_rows_match_the_cell_tables(self):
+        # vdgk6's row is 2^eps F[D], herbaut7's is lambda F, and strong8's
+        # rows e > k span F's suffix from i0, for every k with a generator,
+        # and for k = -1 (every row) and k = 2s+w (none)
+        rows = suffixes = 0
+        for g in range(1, 8):
+            for s in range(1, 5):
+                for w in range(s * (g - 1) + 1):
+                    table, dim = _f_table(g, s, w), len(monomials_of_bidegree(g, s, w))
+                    assert len(table) == w // 2 + 1 and all(len(row) == dim for row in table)
+                    for k in range(-1, 2 * s + w + 1):
+                        if 0 <= k < 2 * s + w:
+                            (_, vdgk6), = _generator_rows("vdgk6", g, s, w, k)
+                            (_, herbaut7), = _generator_rows("herbaut7", g, s, w, k)
+                            assert vdgk6 == [2 ** (w % 2) * x for x in table[-1]], (g, s, w)
+                            assert herbaut7 == _route_row("herbaut7", g, s, w, k), (g, s, w, k)
+                            rows += 1
+                        strong8 = RowSpace(dim)
+                        for _, row in _generator_rows("strong8", g, s, w, k):
+                            strong8.add(row)
+                        suffix = table[_suffix_start(s, w, k):]
+                        assert strong8.rank == rank(suffix, dim), (g, s, w, k)
+                        assert all(strong8.contains(row) for row in suffix), (g, s, w, k)
+                        suffixes += 1
+        assert (rows, suffixes) == (2870, 3346)
+
+    def test_table_is_keyed_by_the_stable_range(self):
+        # for g >= w+1 the monomials of (s, w) do not depend on g, so every
+        # such g reads the table and the echelon of g = w+1
+        for s, w in ((1, 0), (2, 3), (3, 5), (4, 6)):
+            table, echelon = _f_table(w + 1, s, w), _f_echelon(w + 1, s, w)
+            for g in range(w + 2, w + 6):
+                assert monomials_of_bidegree(g, s, w) == monomials_of_bidegree(w + 1, s, w)
+                assert _f_table(g, s, w) is table and _f_echelon(g, s, w) is echelon
+            if w:
+                assert len(_f_table(w, s, w)[0]) < len(table[0])
 
 
 class TestMonomialBasis:
