@@ -12,15 +12,17 @@ parameter pair (d, r) on a genus-g curve class:
 
 No power is expanded: the algebra is free and C(a) carries t^(a+2), so a
 monomial m = (a_1..a_s) of bidegree (s, w) appears only at t^(2s+w), with
-coefficient orderings(m) * Q_m(u) in H(u,t)^s, Q_m(u) = prod P_{a_i+2}(u),
-one cached integer product per monomial (``_h_product``), so strong8's and
-herbaut7's items read the rows A[e] = (orderings(m) [u^e] Q_m)_m of one
-table per cell (``_generator_rows``).  G(t) is the top-u part of H(u,t):
-vdgk6, theorem1 and the GRR check read its powers' coefficient, the
-composition sum orderings(m) prod (a_i+1)!, with no product
-(``_g_power_coefficient``).  Q_m vanishes at u = -1, so herbaut7's
-[u^k] Q_m/(1+u), k = d-r+s, is the alternating tail
-sum_{e>k} (-1)^(e-k-1) A[e] of strong8's rows e > k.
+coefficient orderings(m) * Q_m(u) in H(u,t)^s, Q_m(u) = prod P_{a_i+2}(u).
+With v = u(1+u), P_n = v (1+2u)^(n mod 2) pi_n(v) (``_pi_coefficients``), so
+Q_m = v^s (1+2u)^eps F_m(v), eps = w mod 2, and each cell has one table F
+of floor(w/2)+1 rows (orderings(m) [v^i] F_m)_m (``_f_table``).  Every
+family's row is one combination of F's rows (``_f_row``), for items and
+spans alike (``_generator_rows``): with k = d-r+s, strong8's rows are the
+u^e rows of orderings(m) Q_m for e > k, vdgk6's is the top row 2^eps F[D],
+G(t)^s's coefficient since G(t) is the top-u part of H(u,t), and
+herbaut7's is the u^k row of orderings(m) Q_m/(1+u).  theorem1 and the GRR
+check read G(t)^s's coefficient as the composition sum
+orderings(m) prod (a_i+1)!, with no product (``_g_power_coefficient``).
 
 ``compare_ideals`` decides, bidegree by bidegree and by exact rank
 computations, whether two families generate the same graded ideal; it also
@@ -28,10 +30,7 @@ reports the weaker per-bidegree span comparison of the bare generators and
 flags any parameter set where the two notions differ.  Its rows are integer
 vectors, and multiplying by C(k) only moves a row's entries to other columns
 (see ``GradedSpan``).  A family that ``gen_family`` made is routed: it
-forms its items only on first read, and its span reads its rows off the
-half-degree table F of each cell (``_f_table``).  With v = u(1+u),
-P_n = v (1+2u)^(n mod 2) pi_n(v) (``_pi_coefficients``), so
-Q_m = v^s (1+2u)^eps F_m(v), eps = w mod 2, and F has floor(w/2)+1 rows.
+forms its items only on first read, and its span reads its rows off F:
 strong8's generators span a suffix of F, vdgk6's row is its last row and
 herbaut7's a combination of the suffix, so both lie in strong8's span.  A
 routed family's cell (i, j) depends only on its route key (family_id, g,
@@ -87,7 +86,7 @@ from .linalg import RowSpace
 from .rings import (LaurentSeries, TruncationError, InvariantViolation, Value, _rational,
                     log1p_series)
 from .tautalg import (Monomial, TautElement, _canonical_monomial, _compositions,
-                      _g_power_coefficient, _mono_mul, _orderings, element_to_jsonable,
+                      _g_power_coefficient, _mono_mul, element_to_jsonable,
                       monomials_of_bidegree)  # _compositions is re-exported
 
 
@@ -120,7 +119,7 @@ class RelationFamily(Value):
     (family_id, d-r) on a family that ``gen_family`` made (d-r may be 0 or
     -1; never serialized).  A routed family is its parameters: its items are
     formed on first read and published complete, its span reads its
-    generator rows off the cell tables, and a copy is ``gen_family``'s
+    generator rows off the tables F, and a copy is ``gen_family``'s
     family again, routed and with no span.  A copy of any other family has
     no memo."""
 
@@ -194,43 +193,6 @@ def _convolve(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
         for j, y in enumerate(q):
             out[i + j] += x * y
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _h_product(mono: Monomial) -> tuple[int, ...]:
-    """Integer coefficients, u^0 first, of Q_m(u) = prod P_{a_i+2}(u) for
-    m = (a_1..a_s), built on Q of m without its last weight.  The top one,
-    at u^(2s + sum a_i), is prod (a_i+1)!.  Only items read it."""
-    if not mono:
-        return (1,)
-    return _convolve(_h_product(mono[:-1]), _p_coefficients(mono[-1] + 2))
-
-
-def _cell_table(g: int, s: int, w: int) -> list[tuple[Monomial, int, tuple[int, ...]]]:
-    """(m, orderings(m), Q_m) for each monomial m of bidegree (s, w), in order."""
-    return [(m, _orderings(m), _h_product(m)) for m in monomials_of_bidegree(g, s, w)]
-
-
-def _generator_rows(family_id: str, g: int, s: int, w: int, k: int):
-    """(u_exp, row) of each generator of the family in cell (s, w), with
-    k = d-r+s, its row the integer coefficients on the cell's monomials in
-    order; none unless 2s+w > k.  vdgk6 takes G(t)^s's coefficient, strong8
-    the rows A[e] = (orderings(m) [u^e] Q_m)_m of the cell table for each
-    e > k, labelled e, and herbaut7 their alternating tail sum_{e>k}
-    (-1)^(e-k-1) A[e], which is orderings(m) [u^k] Q_m/(1+u) since (1+u)
-    divides Q_m.  Items are formed from these rows; a routed span reads the
-    same spans off the half-degree table F instead (``_f_table``)."""
-    if 2 * s + w <= k:
-        return
-    if family_id == "vdgk6":
-        yield None, list(_g_power_coefficient(g, s, w).terms.values())  # none is zero
-        return
-    table = _cell_table(g, s, w)
-    if family_id == "herbaut7":
-        yield None, [n * (sum(q[k + 1::2]) - sum(q[k + 2::2])) for _, n, q in table]
-        return
-    for e in range(k + 1, 2 * s + w + 1):
-        yield e, [n * q[e] for _, n, q in table]
 
 
 @lru_cache(maxsize=None)
@@ -311,23 +273,29 @@ def _f_echelon(g: int, s: int, w: int) -> tuple[tuple[tuple[int, tuple[int, ...]
     return tuple(space.pivots.items()), tuple(reversed(ranks))
 
 
-def _route_row(family_id: str, g: int, s: int, w: int, k: int) -> list[int]:
-    """vdgk6's or herbaut7's row in cell (s, w), k = d-r+s, off F: vdgk6's
-    A[2s+w] = 2^eps F[D], herbaut7's orderings(m) [u^k] Q_m/(1+u) = lambda F,
-    lambda_i = [u^k] u^s (1+u)^(s-1) (1+2u)^eps v^i, zero for i < i0.  So
-    both lie in strong8's span."""
-    rows = _f_table(g, s, w)
-    if family_id == "vdgk6":
-        return list(rows[-1])
-    out = [0] * len(rows[0])
-    for i, row in enumerate(rows):
-        e = k - s - i  # [u^e] (1+u)^(s-1+i) (1+2u)^eps
-        weight = (comb(s - 1 + i, e) if e >= 0 else 0) + (
-            2 * comb(s - 1 + i, e - 1) if w % 2 and e >= 1 else 0)
+def _f_row(g: int, s: int, w: int, e: int, divided: int) -> list[int]:
+    """Row e of the cell table A = Phi F, (orderings(m) [u^e] Q_m)_m, or
+    with divided = 1 that of Q_m/(1+u): sum_i lambda_i F[i], with
+    lambda_i = [u^(e-s-i)] (1+u)^(s+i-divided) (1+2u)^eps, zero for i < i0."""
+    out = [0] * len(monomials_of_bidegree(g, s, w))
+    for i, row in enumerate(_f_table(g, s, w)):
+        n, c = s + i - divided, e - s - i
+        weight = (comb(n, c) if c >= 0 else 0) + (2 * comb(n, c - 1) if w % 2 and c >= 1 else 0)
         if weight:
-            for c, x in enumerate(row):
-                out[c] += weight * x
+            out = [x + weight * y for x, y in zip(out, row)]
     return out
+
+
+def _generator_rows(family_id: str, g: int, s: int, w: int, k: int):
+    """(u_exp, row) of each generator of the family in cell (s, w), with
+    k = d-r+s, its row the integer coefficients on the cell's monomials in
+    order, off F (``_f_row``); none unless 2s+w > k.  strong8 takes the
+    rows e > k, labelled e, vdgk6 the top row 2s+w, which is 2^eps F[D],
+    G(t)^s's coefficient, and herbaut7 orderings(m) [u^k] Q_m/(1+u)."""
+    if family_id == "strong8":
+        yield from ((e, _f_row(g, s, w, e, 0)) for e in range(k + 1, 2 * s + w + 1))
+    elif 2 * s + w > k:
+        yield None, _f_row(g, s, w, *((2 * s + w, 0) if family_id == "vdgk6" else (k, 1)))
 
 
 def _items(family_id: str, g: int, d: int, r: int) -> tuple[RelationItem, ...]:
@@ -371,7 +339,7 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
     Items are the nonzero generators that ``_generator_rows`` picks in each
     cell: strong8 the rows e > d-r+s, herbaut7 their tail, vdgk6 the
     composition sum.  The family is routed, (family_id, d-r): its items are
-    formed on first read, and its span reads its rows off the cell tables
+    formed on first read, and its span reads the same rows off the tables F
     (``GradedSpan``), so a comparison forms no item.
     """
     _validate_params(g, d, r)
@@ -416,29 +384,30 @@ class GradedSpan:
     and is published once complete: the first published is the one every
     reader gets.
 
-    The generator rows come by one of two routes, which give every cell the
-    same generator span.  A family read from JSON, built by hand or edited
-    has its items checked for genus and homogeneity, scales each to
-    integers, and reduces its own cells (``_reduce``): its generator rows
-    first, so that its first echelon rows, up to its generator rank, span
-    the bare generators, then L.  Its span is its own, kept on the family.
+    A span takes its generator rows from the family's items or, for a
+    routed family, from F, and both give every cell the same generator
+    span.  A family read from JSON, built by hand or edited has its items
+    checked for genus and homogeneity, scales each to integers, and
+    reduces its own cells (``_reduce``): its generator rows first, so that
+    its first echelon rows, up to its generator rank, span the bare
+    generators, then L.  Its span is its own, kept on the family.
 
     A family that ``gen_family`` made carries its route (family_id, d-r),
     and its items are never read: with k = d-r+i, its generators sit at the
     cells with i >= 1 and 2i+j > k, read off F: strong8's span is the
-    suffix F[i0:] (``_suffix_start``), vdgk6's row F[D] and herbaut7's
-    lambda F (``_route_row``).  Such a span carries no r: one span per
-    route key (family_id, g, d-r) serves every r (``from_family``).  The
-    three routed spans of one (g, d-r) share one elimination per cell, kept
-    on strong8's span (``joint``): L is reduced once, vdgk6's and herbaut7's
-    rows are tested for membership in L, and F[i0:] is added, which gives
-    strong8's piece.  By induction on i: if a family's pieces equal
-    strong8's in every cell below (i, j), its L is strong8's, so its piece
-    is L plus its row, of rank rank(L) + [row not in L], inside strong8's
-    piece; it equals strong8's exactly when the ranks agree, and the cell
-    is then strong8's.  Where they differ, or a cell below differed, the
-    family reduces its own cell from its own cells below (on the grids
-    tested, only herbaut7 at d-r = -1).
+    suffix F[i0:] (``_suffix_start``), and vdgk6's and herbaut7's rows are
+    their items' rows (``_generator_rows``), 2^eps F[D] and lambda F.  Such
+    a span carries no r: one span per route key (family_id, g, d-r) serves
+    every r (``from_family``).  The three routed spans of one (g, d-r) share
+    one elimination per cell, kept on strong8's span (``joint``): L is
+    reduced once, vdgk6's and herbaut7's rows are tested for membership in
+    L, and F[i0:] is added, which gives strong8's piece.  By induction on i:
+    if a family's pieces equal strong8's in every cell below (i, j), its L
+    is strong8's, so its piece is L plus its row, of rank rank(L) + [row
+    not in L], inside strong8's piece; it equals strong8's exactly when the
+    ranks agree, and the cell is then strong8's.  Where they differ, or a
+    cell below differed, the family reduces its own cell from its own cells
+    below (on the grids tested, only herbaut7 at d-r = -1).
     """
 
     def __init__(self, family: RelationFamily) -> None:
@@ -516,7 +485,7 @@ class GradedSpan:
         ranks = dict.fromkeys(generators, rank_below)
         pair = 0
         if dim and i and i + j > cut:  # generators: 2i+j > k
-            rows, herbaut7 = _f_table(g, i, j), _route_row("herbaut7", g, i, j, cut + i)
+            rows, herbaut7 = _f_table(g, i, j), _f_row(g, i, j, cut + i, 1)
             top = rows[-1]  # vdgk6's row, with no zero entry
             generators = {"vdgk6": 1, "herbaut7": int(any(herbaut7))}
             pair = 1 + any(x * top[0] != y * herbaut7[0] for x, y in zip(herbaut7, top))
@@ -572,7 +541,8 @@ class GradedSpan:
             pivots, ranks = _f_echelon(self.g, i, j)
             space.pivots.update(pivots[:ranks[_suffix_start(i, j, cut + i)]])
         else:
-            space.add(_route_row(family_id, self.g, i, j, cut + i))
+            for _, row in _generator_rows(family_id, self.g, i, j, cut + i):
+                space.add(row)
         return space
 
     def generator_rows(self, i: int, j: int, space: RowSpace) -> RowSpace:
@@ -849,7 +819,7 @@ def _power_law_ok(n: int, x_order: int) -> bool:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _generator_split_ok(n: int, x_order: int) -> bool:
     """P_n(1/x) = (n-1)! L^-n + e_{n-2} on its window, P_n read off the
-    integers that ``_h_product`` multiplies."""
+    integers that pi_n, and so the tables F, are checked against."""
     return LaurentSeries(-n, reversed(_p_coefficients(n))).agrees_with(
         _bare_log_inv_pow(n, x_order) * factorial(n - 1) + _e_part(n, x_order))
 

@@ -532,15 +532,13 @@ def cells_by_shifted_rows(family, i_max: int, j_max: int) -> dict:
             for i in range(1, i_max + 1) for j in range(j_max + 1)}
 
 
-def top_ranks_by_full_reduction(g: int, s: int, w: int) -> tuple[int, ...]:
-    """The reference for strong8's generator ranks per cell: for e = 0..2s+w+1,
-    the rank of the rows (orderings(m) [u^e] Q_m)_m, e' = e..2s+w, of cell
-    (s, w).  Q_m is multiplied out term by term from the ``p_poly``
-    coefficients, orderings(m) is a multinomial, and every row is reduced:
-    no stop at the symmetric bound."""
+def cell_rows_by_products(g: int, s: int, w: int) -> list[list[int]]:
+    """The reference for every family's generator rows: the full-degree
+    cell table of (s, w), row e = 0..2s+w holding (orderings(m) [u^e] Q_m)_m
+    over the cell's monomials in order.  Q_m is multiplied out term by term
+    from the ``p_poly`` coefficients, and orderings(m) is a multinomial."""
     from collections import Counter
     from jacrel.combinat import p_poly
-    from jacrel.linalg import RowSpace
     from jacrel.relations import monomials_of_bidegree
     columns = []
     for mono in monomials_of_bidegree(g, s, w):
@@ -553,11 +551,19 @@ def top_ranks_by_full_reduction(g: int, s: int, w: int) -> tuple[int, ...]:
         for k in Counter(mono).values():
             count //= factorial(k)
         columns.append([count * x for x in q])
-    top = 2 * s + w
-    space = RowSpace(len(columns))
+    return [[column[e] for column in columns] for e in range(2 * s + w + 1)]
+
+
+def top_ranks_by_full_reduction(g: int, s: int, w: int) -> tuple[int, ...]:
+    """The reference for strong8's generator ranks per cell: for e = 0..2s+w+1,
+    the rank of the rows e' = e..2s+w of ``cell_rows_by_products``.  Every
+    row is reduced: no stop at the symmetric bound."""
+    from jacrel.linalg import RowSpace
+    rows = cell_rows_by_products(g, s, w)
+    space = RowSpace(len(rows[0]))
     ranks = [0]
-    for e in range(top, -1, -1):
-        space.add([column[e] for column in columns])
+    for row in reversed(rows):
+        space.add(row)
         ranks.append(space.rank)
     return tuple(reversed(ranks))
 

@@ -4,13 +4,12 @@ Values are immutable and operations pure, so parallel evaluation must give
 byte-identical results to serial evaluation.  The shared structures are the
 module caches: the Stirling memo table, whose writers are idempotent, and the
 ``functools.lru_cache``s (``tautalg``'s monomial bases
-``monomials_of_bidegree`` and multiset counts ``_orderings``, which
-``relations`` re-exports, ``_bare_log_inv_pow``,
-the per-monomial products ``_h_product``, whose rows the items read,
-and the certified P_n coefficients ``_p_coefficients`` they are built
-from, the half-degree tables ``_f_table`` whose rows the routed spans read,
-and their suffix echelons ``_f_echelon``, the ideal cells' column maps of
-C(k) ``_shift_columns``,
+``monomials_of_bidegree`` and multiset counts ``_orderings``,
+``_bare_log_inv_pow``, the certified P_n coefficients ``_p_coefficients``,
+the closed forms pi_n ``_pi_coefficients`` checked against them, the
+half-degree tables ``_f_table`` built on those, whose rows the items and
+the routed spans read, and their suffix echelons ``_f_echelon``, the ideal
+cells' column maps of C(k) ``_shift_columns``,
 the chain's ``_e_part``, the check-(a) facts ``_power_law_ok`` and
 ``_generator_split_ok``, and the GRR replay's ``ch_vk``), which lock their
 own bookkeeping; two threads may both compute a missing entry, and they
@@ -48,11 +47,12 @@ import pytest
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_SPANS, _e_part, _generator_split_ok, _h_product, _orderings,
-                              _f_echelon, _f_table, _p_coefficients, _power_law_ok,
+from jacrel.relations import (_SPANS, _e_part, _generator_split_ok, _f_echelon, _f_table,
+                              _p_coefficients, _pi_coefficients, _power_law_ok,
                               _shift_columns,
                               compare_ideals, family_to_json, gen_family,
                               verify_implication_chain)
+from jacrel.tautalg import _orderings
 from oracles import family_by_powers
 from test_imports import run_fresh
 
@@ -63,8 +63,9 @@ def test_parallel_family_generation_is_deterministic():
     params = [("vdgk6", 4, 5, 2), ("herbaut7", 4, 5, 2), ("strong8", 4, 5, 2),
               ("vdgk6", 3, 4, 2), ("strong8", 5, 6, 2), ("herbaut7", 3, 6, 3)]
     serial = [family_to_json(gen_family(*p)) for p in params]
-    # cold product tables, so the threads race to build the same entries
-    _h_product.cache_clear()
+    # cold tables F, so the threads race to build the same entries
+    _f_table.cache_clear()
+    _pi_coefficients.cache_clear()
     _p_coefficients.cache_clear()
     _orderings.cache_clear()
     with ThreadPoolExecutor(max_workers=6) as pool:
@@ -73,7 +74,8 @@ def test_parallel_family_generation_is_deterministic():
 
 
 def test_same_family_from_many_threads():
-    _h_product.cache_clear()
+    _f_table.cache_clear()
+    _pi_coefficients.cache_clear()
     _p_coefficients.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
         outputs = list(pool.map(
@@ -148,8 +150,8 @@ def test_parallel_ladder_growth_matches_serial():
 
 def race_comparisons(g, d, r, rounds):
     """Rounds of eight threads comparing three shared family objects with
-    cold spans, cold column maps and cold echelon tables; returns each
-    round's families."""
+    cold spans, cold column maps, cold pi_n and cold tables F and echelons;
+    returns each round's families."""
     tasks = [(a, b) for a in range(3) for b in range(3) if a != b]
     expected = {(a, b): compare_ideals(gen_family(FAMILIES[a], g, d, r),
                                        gen_family(FAMILIES[b], g, d, r))
@@ -166,6 +168,7 @@ def race_comparisons(g, d, r, rounds):
             shared = [gen_family(f, g, d, r) for f in FAMILIES]
             _SPANS.clear()
             _shift_columns.cache_clear()
+            _pi_coefficients.cache_clear()
             _f_table.cache_clear()
             _f_echelon.cache_clear()
             barrier = threading.Barrier(8)
@@ -303,7 +306,7 @@ def test_routed_items_are_formed_once_under_races():
         for _ in range(6):
             shared = [gen_family(f, g, d, r) for f in FAMILIES]
             _SPANS.clear()
-            _h_product.cache_clear()
+            _pi_coefficients.cache_clear()
             _f_table.cache_clear()
             _f_echelon.cache_clear()
             barrier = threading.Barrier(8)

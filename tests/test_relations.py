@@ -9,14 +9,15 @@ import pytest
 from jacrel.combinat import p_poly, stirling2
 from jacrel.linalg import RowSpace, rank
 from jacrel.relations import (_SPANS, GradedSpan, RelationFamily, RelationItem, _f_echelon,
-                              _f_table, _generator_rows, _h_product, _p_coefficients,
-                              _pi_coefficients, _route_row, _suffix_start, compare_ideals,
+                              _f_table, _generator_rows, _p_coefficients, _pi_coefficients,
+                              _suffix_start, compare_ideals,
                               epsilon_series, family_from_json, family_from_jsonable,
                               family_to_json, gen_family, gen_theorem1, monomials_of_bidegree,
                               span_contains, theorem1_family, verify_implication_chain)
 from jacrel.rings import InvariantViolation, TruncationError
-from jacrel.tautalg import TautElement, build_g_poly, poly_power
-from oracles import (cells_by_shifted_rows, chain_by_xt_series, compare_ideals_by_products,
+from jacrel.tautalg import TautElement, _g_power_coefficient, build_g_poly, poly_power
+from oracles import (cell_rows_by_products, cells_by_shifted_rows, chain_by_xt_series,
+                     compare_ideals_by_products,
                      e_product, family_by_powers, head_table, rand_homogeneous_taut,
                      span_contains_by_ranks, split_sums_by_position_sets,
                      stirling_by_enumeration, top_ranks_by_full_reduction)
@@ -126,7 +127,8 @@ class TestGenFamily:
         # fully independent route: the u^(d-r+s) coefficient of
         # prod P_{a_i+2}(u)/(1+u) is the alternating sum B_{d-r+s}(a_1+1,...)
         from jacrel.combinat import b_sum
-        from jacrel.relations import _compositions, _orderings
+        from jacrel.relations import _compositions
+        from jacrel.tautalg import _orderings
         for (g, d, r) in ((3, 4, 2), (4, 5, 2), (3, 6, 3)):
             fam = gen_family("herbaut7", g, d, r)
             by_key = {(it.s, it.t_exp): it.element for it in fam.items}
@@ -177,7 +179,8 @@ class TestGenFamily:
                             lambda n: real(n) + real(1) if n == 3 else real(n))
         # the certified coefficients are cached: start from empty caches, and
         # leave nothing built from the perturbed P_3 to later tests
-        caches = (relations._p_coefficients, relations._h_product)
+        caches = (relations._p_coefficients, relations._pi_coefficients,
+                  relations._f_table)
         for cache in caches:
             cache.cache_clear()
         try:
@@ -196,7 +199,8 @@ class TestGenFamily:
         real = relations.p_poly
         monkeypatch.setattr(relations, "p_poly",
                             lambda n: real(n) * F(1, 2) if n == 4 else real(n))
-        caches = (relations._p_coefficients, relations._h_product)
+        caches = (relations._p_coefficients, relations._pi_coefficients,
+                  relations._f_table)
         for cache in caches:
             cache.cache_clear()
         try:
@@ -216,7 +220,8 @@ class TestGenFamily:
         real = relations.p_poly
         monkeypatch.setattr(relations, "p_poly",
                             lambda n: real(n) + DensePoly([0, 0, 1, 1]) if n == 4 else real(n))
-        caches = (relations._p_coefficients, relations._h_product)
+        caches = (relations._p_coefficients, relations._pi_coefficients,
+                  relations._f_table)
         for cache in caches:
             cache.cache_clear()
         try:
@@ -226,24 +231,36 @@ class TestGenFamily:
             for cache in caches:
                 cache.cache_clear()
 
-    def test_families_share_one_product_per_monomial(self):
-        # the three families at two values of d read one table: each
-        # monomial of size <= r, and (), is built once
-        from jacrel.relations import _h_product
+    def test_families_share_one_table_per_stable_key(self):
+        # the three families at two values of d read one table F per
+        # stable key (min(g, w+1), s, w): each is built once, the cells
+        # with a generator at d+1 are among those at d, and reading the
+        # items again builds none
         g, d, r = 4, 5, 3
-        _h_product.cache_clear()
+        _f_table.cache_clear()
+        misses = []
         for dd in (d, d + 1):
             for fid in ("vdgk6", "herbaut7", "strong8"):
                 gen_family(fid, g, dd, r).items
-        expected = 1 + sum(comb(g + s - 1, s) for s in range(1, r + 1))
-        assert _h_product.cache_info().misses == expected
+            misses.append(_f_table.cache_info().misses)
+        assert misses[0] and misses[1] == misses[0]
+        assert misses[0] == _f_table.cache_info().currsize
+        for fid in ("vdgk6", "herbaut7", "strong8"):
+            gen_family(fid, g, d, r).items
+        assert _f_table.cache_info().misses == misses[0]
 
-    def test_vdgk6_builds_no_product(self):
-        # vdgk6 reads G(t)^s's coefficient, the composition sum
-        from jacrel.relations import _h_product
-        _h_product.cache_clear()
-        assert gen_family("vdgk6", 5, 7, 3).items
-        assert _h_product.cache_info().misses == 0
+    def test_vdgk6_items_match_the_composition_sum(self):
+        # vdgk6's items, read off F as 2^eps F[D], are G(t)^s's coefficient,
+        # the composition sum that theorem1 reads, cell by cell
+        g, d, r = 5, 7, 3
+        items = gen_family("vdgk6", g, d, r).items
+        assert items
+        for it in items:
+            assert it.u_exp is None
+            assert it.element == _g_power_coefficient(g, *it.bidegree), it.bidegree
+        assert [it.bidegree for it in items] == [
+            (s, w) for s in range(1, r + 1) for w in range(s * (g - 1) + 1)
+            if 2 * s + w > d - r + s]
 
     def test_bad_family_id(self):
         with pytest.raises(ValueError):
@@ -739,10 +756,9 @@ class TestJointCells:
 
     def test_ideals_grid_reads_every_cell_off_the_joint(self, monkeypatch):
         # cold spans and tables: the three ideals agree with strong8's in
-        # every cell, so no cell falls back, and the comparisons build no
-        # full-degree product Q_m
+        # every cell, so no cell falls back
         _SPANS.clear()
-        for cache in (_f_table, _f_echelon, _h_product):
+        for cache in (_f_table, _f_echelon):
             cache.cache_clear()
         fell = self.watch_fallbacks(monkeypatch)
         for g in (5, 6, 7):
@@ -754,7 +770,6 @@ class TestJointCells:
                             if a != b:
                                 assert compare_ideals(fams[a], fams[b]).ideal_equal
         assert fell == []
-        assert _h_product.cache_info().misses == 0
 
     def test_d_r_minus_one_falls_back_and_matches_unrouted_copies(self, monkeypatch):
         # at d = r-1 some cells of herbaut7's ideal differ from strong8's,
@@ -797,9 +812,9 @@ class TestJointCells:
 
 
 class TestHalfDegreeTable:
-    """The half-degree table F of a cell: pi_n's closed form, F's rows
-    against the full-degree cell table, strong8's span as a suffix of F,
-    and one table per stable key."""
+    """The half-degree table F of a cell: pi_n's closed form, every
+    family's rows off F against the full-degree cell table of the products
+    Q_m, strong8's span as a suffix of F, and one table per stable key."""
 
     def test_pi_closed_form_matches_every_p_route(self):
         for n in range(2, 41):
@@ -840,30 +855,56 @@ class TestHalfDegreeTable:
             cold()
 
     def test_rows_match_the_cell_tables(self):
-        # vdgk6's row is 2^eps F[D], herbaut7's is lambda F, and strong8's
-        # rows e > k span F's suffix from i0, for every k with a generator,
-        # and for k = -1 (every row) and k = 2s+w (none)
+        # every family's rows, read off F, are rows of the full-degree cell
+        # table A[e] = (orderings(m) [u^e] Q_m)_m that the reference
+        # multiplies out term by term: strong8's are A[e], e > k, vdgk6's
+        # A[2s+w] = 2^eps F[D], herbaut7's the alternating tail
+        # sum_{e>k} (-1)^(e-k-1) A[e] = orderings(m) [u^k] Q_m/(1+u); and
+        # strong8's rows span F's suffix from i0, for every k with a
+        # generator, and for k = -1 (every row) and k = 2s+w (none)
         rows = suffixes = 0
         for g in range(1, 8):
             for s in range(1, 5):
                 for w in range(s * (g - 1) + 1):
                     table, dim = _f_table(g, s, w), len(monomials_of_bidegree(g, s, w))
                     assert len(table) == w // 2 + 1 and all(len(row) == dim for row in table)
-                    for k in range(-1, 2 * s + w + 1):
-                        if 0 <= k < 2 * s + w:
-                            (_, vdgk6), = _generator_rows("vdgk6", g, s, w, k)
-                            (_, herbaut7), = _generator_rows("herbaut7", g, s, w, k)
-                            assert vdgk6 == [2 ** (w % 2) * x for x in table[-1]], (g, s, w)
-                            assert herbaut7 == _route_row("herbaut7", g, s, w, k), (g, s, w, k)
-                            rows += 1
+                    cell, top = cell_rows_by_products(g, s, w), 2 * s + w
+                    assert cell[top] == [2 ** (w % 2) * x for x in table[-1]], (g, s, w)
+                    for k in range(-1, top + 1):
+                        tail = [sum((-1) ** (e - k - 1) * cell[e][c]
+                                    for e in range(k + 1, top + 1)) for c in range(dim)]
+                        expected = {"vdgk6": [(None, cell[top])], "herbaut7": [(None, tail)],
+                                    "strong8": [(e, cell[e]) for e in range(k + 1, top + 1)]}
+                        for name, want in expected.items():
+                            got = list(_generator_rows(name, g, s, w, k))
+                            assert got == (want if k < top else []), (name, g, s, w, k)
+                            rows += len(got)
                         strong8 = RowSpace(dim)
-                        for _, row in _generator_rows("strong8", g, s, w, k):
+                        for _, row in expected["strong8"]:
                             strong8.add(row)
                         suffix = table[_suffix_start(s, w, k):]
                         assert strong8.rank == rank(suffix, dim), (g, s, w, k)
                         assert all(strong8.contains(row) for row in suffix), (g, s, w, k)
                         suffixes += 1
-        assert (rows, suffixes) == (2870, 3346)
+        assert (rows, suffixes) == (33159, 3346)
+
+    def test_items_after_comparisons_build_no_table(self):
+        # a comparison of the three routed families builds the tables F of
+        # every cell with a generator; the items read those tables
+        # afterwards and build none, since items and spans read one table
+        # per cell
+        _SPANS.clear()
+        _f_table.cache_clear()
+        _f_echelon.cache_clear()
+        fams = [gen_family(name, 6, 8, 3) for name in ("vdgk6", "herbaut7", "strong8")]
+        for a in range(3):
+            assert compare_ideals(fams[a], fams[(a + 1) % 3]).ideal_equal
+        before = _f_table.cache_info()
+        assert before.misses
+        for f in fams:
+            assert f.items
+        after = _f_table.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
 
     def test_table_is_keyed_by_the_stable_range(self):
         # for g >= w+1 the monomials of (s, w) do not depend on g, so every
