@@ -26,9 +26,7 @@ reads as orderings(m) prod (a_i+1)! per monomial (``tautalg``).
 
 No builder makes throwaway elements: ``pushforward`` shifts exponents and
 scales, and both routes of ``ch_vk`` and each tower step (one product per j)
-sum into one map.  So the ``grr`` benchmark workload (Python 3.11, 2-core
-x86-64) runs at about 4100 cases/s with a 1.5 ms tail case time, against
-2170 cases/s and 2.8 ms when each step built and added elements.
+sum into one map.
 
 Nothing before the Chern classes depends on M, and c_0..c_(M+1) is a prefix
 of every longer tower.  So ``ch_vk`` caches one ``ChernData`` per (g, d, r)
@@ -96,17 +94,6 @@ class GrrContext(NamedTuple("_GrrParams", [("g", int), ("d", int), ("r", int)]))
             raise ValueError(f"FC_{j} out of range")
         return 2 * self.r + j
 
-    def var_name(self, idx: int) -> str:
-        if idx == 0:
-            return "k"
-        if 1 <= idx <= self.r - 1:
-            return f"a{idx}"
-        if self.r <= idx <= 2 * self.r - 1:
-            return f"b{idx - self.r}"
-        if 2 * self.r <= idx < self.xi_index:
-            return f"FC{idx - 2 * self.r}"
-        return "xi"
-
     def codim_weights(self) -> tuple[int, ...]:
         w = [0] * self.nvars
         for j in range(self.g):
@@ -114,14 +101,14 @@ class GrrContext(NamedTuple("_GrrParams", [("g", int), ("d", int), ("r", int)]))
         w[self.xi_index] = 1
         return tuple(w)
 
-    def display_order(self) -> list[int]:
-        """Variable order used when rendering a monomial."""
-        order = list(range(1, self.r))            # a1..a_{r-1}
-        order += list(range(self.r, 2 * self.r))  # b0..b_{r-1}
-        order.append(0)                           # k
-        order += list(range(2 * self.r, 2 * self.r + self.g))  # FC
-        order.append(self.xi_index)
-        return order
+    def display(self) -> tuple[tuple[int, str], ...]:
+        """(index, name) of each variable, in the order a monomial is
+        rendered: a1..a_(r-1), b0..b_(r-1), k, FC0..FC_(g-1), xi."""
+        r = self.r
+        return (tuple((j, f"a{j}") for j in range(1, r))
+                + tuple((r + j, f"b{j}") for j in range(r)) + ((0, "k"),)
+                + tuple((2 * r + j, f"FC{j}") for j in range(self.g))
+                + ((self.xi_index, "xi"),))
 
 
 class GrrElement(SparseElement):
@@ -162,35 +149,6 @@ class GrrElement(SparseElement):
     @classmethod
     def one(cls, ctx: GrrContext) -> "GrrElement":
         return cls.scalar(ctx, 1)
-
-    @classmethod
-    def variable(cls, ctx: GrrContext, idx: int, exp: int = 1) -> "GrrElement":
-        e = [0] * ctx.nvars
-        e[idx] = exp
-        return cls(ctx, {tuple(e): 1})
-
-    @classmethod
-    def k_power(cls, ctx: GrrContext, exp: int, coeff: int | Fraction = 1) -> "GrrElement":
-        e = [0] * ctx.nvars
-        e[0] = exp
-        return cls(ctx, {tuple(e): coeff})
-
-    @classmethod
-    def a_coeff(cls, ctx: GrrContext, j: int) -> "GrrElement":
-        idx = ctx.a_index(j)
-        return cls.one(ctx) if idx is None else cls.variable(ctx, idx)
-
-    @classmethod
-    def b_coeff(cls, ctx: GrrContext, j: int) -> "GrrElement":
-        return cls.variable(ctx, ctx.b_index(j))
-
-    @classmethod
-    def fc(cls, ctx: GrrContext, j: int) -> "GrrElement":
-        return cls.variable(ctx, ctx.fc_index(j))
-
-    @classmethod
-    def xi(cls, ctx: GrrContext, exp: int = 1) -> "GrrElement":
-        return cls.variable(ctx, ctx.xi_index, exp)
 
     # -- ring structure ----------------------------------------------------
 
@@ -268,13 +226,8 @@ class GrrElement(SparseElement):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def _monomial_text(self, exp: tuple[int, ...]) -> str:
-        factors = []
-        for idx in self.ctx.display_order():
-            e = exp[idx]
-            if e:
-                name = self.ctx.var_name(idx)
-                factors.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(factors)
+        return "*".join(name if exp[idx] == 1 else f"{name}^{exp[idx]}"
+                        for idx, name in self.ctx.display() if exp[idx])
 
     def __repr__(self) -> str:
         return f"GrrElement({self.render()})"

@@ -168,22 +168,13 @@ def _validate_params(g: int, d: int, r: int, families: bool = True) -> None:
 
 @lru_cache(maxsize=None)
 def _p_coefficients(n: int) -> tuple[int, ...]:
-    """Coefficients of P_n(u), u^0 first, certified to be integers, to vanish
-    at u = -1, so that every product of them is exactly divisible by (1+u),
-    and at u = 0, with P_n(-1-u) = (-1)^n P_n(u): so P_n = v (1+2u)^(n mod 2)
-    pi_n(v), v = u(1+u), pi_n integral by Gauss's lemma, the factorization
-    that the tables F rest on (``_pi_coefficients``)."""
+    """Coefficients of P_n(u), u^0 first, certified to be integers.  That
+    P_n = v (1+2u)^(n mod 2) pi_n(v), v = u(1+u), and so P_n(0) = P_n(-1)
+    = 0 and P_n(-1-u) = (-1)^n P_n(u), is ``_pi_coefficients``' check."""
     exact = p_poly(n).coeffs
     if any(c.denominator != 1 for c in exact):
         raise InvariantViolation(f"P_{n} has a non-integral coefficient")
-    coeffs = tuple(c.numerator for c in exact)
-    if sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs)):
-        raise InvariantViolation(f"P_{n}(-1) != 0: (1+u) does not divide H(u,t)")
-    flipped = [sum((-1) ** i * comb(i, j) * c for i, c in enumerate(coeffs) if i >= j)
-               for j in range(len(coeffs))]
-    if coeffs[0] or flipped != [(-1) ** n * c for c in coeffs]:
-        raise InvariantViolation(f"P_{n}(0) != 0 or P_{n}(-1-u) != (-1)^{n} P_{n}(u)")
-    return coeffs
+    return tuple(c.numerator for c in exact)
 
 
 def _convolve(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -201,7 +192,9 @@ def _pi_coefficients(n: int) -> tuple[int, ...]:
     v^j, and pi_(2k+1) the same sum with each term times j+1, where T are
     the central factorial numbers, T(2n, 2m) = T(2n-2, 2m-2) +
     m^2 T(2n-2, 2m) (Riordan, Combinatorial Identities, 1968).  Expanded in
-    u, it must give ``_p_coefficients(n)``, else ``InvariantViolation``."""
+    u, v (1+2u)^(n mod 2) pi_n(v) must equal ``_p_coefficients(n)``, else
+    ``InvariantViolation``: this certifies the factorization the tables F
+    rest on, so P_n(0) = P_n(-1) = 0 and P_n(-1-u) = (-1)^n P_n(u)."""
     row = [1]  # T(2k, 2m), m = 0..k, for k up to n // 2
     for k in range(1, n // 2 + 1):
         row = [(row[m - 1] if m else 0) + m * m * (row[m] if m < k else 0)
@@ -407,7 +400,9 @@ class GradedSpan:
     not in L], inside strong8's piece; it equals strong8's exactly when the
     ranks agree, and the cell is then strong8's.  Where they differ, or a
     cell below differed, the family reduces its own cell from its own cells
-    below (on the grids tested, only herbaut7 at d-r = -1).
+    below (on the grids tested, only herbaut7 at d-r = -1, which is empty:
+    its row at s is the u^(s-1) row of orderings(m) Q_m/(1+u), and Q_m has
+    u-valuation s).
     """
 
     def __init__(self, family: RelationFamily) -> None:

@@ -207,14 +207,6 @@ class BivarPoly(Value):
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "t_trunc", t_trunc)
 
-    @classmethod
-    def zero(cls, g: int, t_trunc: int | None = None) -> "BivarPoly":
-        return cls(g, {}, t_trunc)
-
-    @classmethod
-    def one(cls, g: int, t_trunc: int | None = None) -> "BivarPoly":
-        return cls(g, {(0, 0): TautElement.one(g)}, t_trunc)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -251,9 +243,6 @@ class BivarPoly(Value):
         for key, elt in other.terms.items():
             terms[key] = terms[key] + elt if key in terms else elt
         return BivarPoly(self.g, terms, min_trunc(self.t_trunc, other.t_trunc))
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self + (other * Fraction(-1))
 
     def __mul__(self, other: Any) -> "BivarPoly":
         if isinstance(other, BivarPoly):

@@ -188,6 +188,20 @@ def chern_classes_by_fractions(data, t_order):
     return tuple(c)
 
 
+def grr_monomial(ctx, coeff=1, *, k=0, xi=0, a=None, b=None, fc=None):
+    """coeff k^k xi^xi a_a b_b FC_fc through the checked ``GrrElement``
+    constructor (a_0 = 1, and xi^(r+1) = 0); each of a, b and fc names one
+    index, or None for no factor."""
+    exp = [0] * ctx.nvars
+    exp[0], exp[ctx.xi_index] = k, xi
+    for idx in (None if a is None else ctx.a_index(a),
+                None if b is None else ctx.b_index(b),
+                None if fc is None else ctx.fc_index(fc)):
+        if idx is not None:
+            exp[idx] += 1
+    return GrrElement(ctx, {tuple(exp): coeff})
+
+
 def pushforward_by_products(term):
     """The four-case pushforward table as products of ``GrrElement``s: the
     reference for the exponent shifts of ``grr.pushforward``."""
@@ -195,14 +209,13 @@ def pushforward_by_products(term):
     if term.rho == 1:
         if term.mu > 0:
             return GrrElement.zero(ctx)
-        return term.coeff * GrrElement.xi(ctx, term.nu + 1)
+        return term.coeff * grr_monomial(ctx, xi=term.nu + 1)
     if term.mu == 0:
-        return term.coeff * GrrElement.scalar(ctx, ctx.d) * (
-            GrrElement.xi(ctx, term.nu) if term.nu else GrrElement.one(ctx))
+        return term.coeff * GrrElement.scalar(ctx, ctx.d) * grr_monomial(ctx, xi=term.nu)
     if not 2 <= term.mu <= ctx.g + 1:
         return GrrElement.zero(ctx)
-    qpart = GrrElement.fc(ctx, term.mu - 2) * factorial(term.mu)
-    return term.coeff * qpart * GrrElement.xi(ctx, term.nu + 1)
+    qpart = grr_monomial(ctx, factorial(term.mu), fc=term.mu - 2)
+    return term.coeff * qpart * grr_monomial(ctx, xi=term.nu + 1)
 
 
 def ch_route_by_elements(ctx):
@@ -210,10 +223,10 @@ def ch_route_by_elements(ctx):
     summed element by element: the reference for ``grr._ch_grr_route``."""
     total = GrrElement.zero(ctx)
     for mu in range(ctx.g + 2):
-        k_factor = GrrElement.k_power(ctx, mu, Fraction(1, factorial(mu)))
+        k_factor = grr_monomial(ctx, Fraction(1, factorial(mu)), k=mu)
         for j in range(ctx.r):
-            a_term = UpstairsTerm(ctx, mu, j, 0, k_factor * GrrElement.a_coeff(ctx, j))
-            b_term = UpstairsTerm(ctx, mu, j, 1, k_factor * GrrElement.b_coeff(ctx, j))
+            a_term = UpstairsTerm(ctx, mu, j, 0, k_factor * grr_monomial(ctx, a=j))
+            b_term = UpstairsTerm(ctx, mu, j, 1, k_factor * grr_monomial(ctx, b=j))
             total = total + pushforward_by_products(a_term) + pushforward_by_products(b_term)
     return total
 
@@ -224,15 +237,14 @@ def ch_closed_form_by_elements(ctx):
     a_of_xi = GrrElement.zero(ctx)
     b_of_xi = GrrElement.zero(ctx)
     for j in range(ctx.r):
-        xi_j = GrrElement.xi(ctx, j) if j else GrrElement.one(ctx)
-        a_of_xi = a_of_xi + GrrElement.a_coeff(ctx, j) * xi_j
-        b_of_xi = b_of_xi + GrrElement.b_coeff(ctx, j) * xi_j
+        a_of_xi = a_of_xi + grr_monomial(ctx, a=j) * grr_monomial(ctx, xi=j)
+        b_of_xi = b_of_xi + grr_monomial(ctx, b=j) * grr_monomial(ctx, xi=j)
     fourier = GrrElement.zero(ctx)
     for mu in range(ctx.g):
-        fourier = fourier + GrrElement.k_power(ctx, mu + 2) * GrrElement.fc(ctx, mu)
+        fourier = fourier + grr_monomial(ctx, k=mu + 2) * grr_monomial(ctx, fc=mu)
     return (GrrElement.scalar(ctx, ctx.d) * a_of_xi
-            + GrrElement.xi(ctx) * b_of_xi
-            + fourier * GrrElement.xi(ctx) * a_of_xi)
+            + grr_monomial(ctx, xi=1) * b_of_xi
+            + fourier * grr_monomial(ctx, xi=1) * a_of_xi)
 
 
 def gammas_by_k_scan(signed):

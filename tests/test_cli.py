@@ -44,9 +44,11 @@ def test_golden_commands_print_their_recorded_bytes(capsys):
      "ff287a6493749a8e0dc8bab497042ed775889de4728dcdff91bc91bd356272fe"),
 ])
 def test_d_r_minus_one_equivalence_prints_its_recorded_bytes(argv, digest, capsys):
-    # d = r-1, where herbaut7's ideal differs from strong8's in some cells
-    # and the cells above them are reduced from herbaut7's own rows; the
-    # command exits 1 and prints the bytes recorded before the joint cells
+    # d = r-1, where herbaut7 is empty (its row at s is the u^(s-1)
+    # coefficient of Q_m/(1+u), of u-valuation s), so its ideal differs from
+    # strong8's wherever that is not zero, and those cells are reduced from
+    # herbaut7's own rows; the command exits 1 and prints the bytes recorded
+    # before the joint cells
     assert main(list(argv)) == 1
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -246,7 +246,8 @@ def test_spans_shared_across_r_are_published_once_under_races():
 @pytest.mark.parametrize("g, d, r", [(4, 6, 3), (5, 2, 3)], ids=["d_ge_r", "d_r_minus_one"])
 def test_joint_cells_are_published_once_under_races(g, d, r):
     # eight threads race through the six ordered pairs of one cold key, each
-    # in its own order; at d = r-1 herbaut7 also falls back to its own cells.
+    # in its own order; at d = r-1 herbaut7, empty there, also falls back to
+    # its own cells.
     # Every joint cell must be published complete, with the serial ranks,
     # and once: every routed cell that reads it holds the published space
     tasks = [(a, b) for a in range(3) for b in range(3) if a != b]

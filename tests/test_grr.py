@@ -13,7 +13,7 @@ from jacrel.rings import InvariantViolation
 from jacrel.tautalg import TautElement
 from oracles import (GenericSeries, Ring, ch_closed_form_by_elements, ch_route_by_elements,
                      chern_classes_by_fractions, gammas_by_k_scan, generic_series_exp,
-                     pushforward_by_products, rand_fraction)
+                     grr_monomial, pushforward_by_products, rand_fraction)
 
 # the criterion-7 grid
 GRID = [(g, d, r) for r in range(1, 4) for g in range(1, 6) for d in range(1, 9)]
@@ -33,7 +33,7 @@ def one(ctx):
 class TestPushforward:
     def test_ell_squared(self, ctx):
         term = UpstairsTerm(ctx, 2, 0, 0, one(ctx))
-        expected = GrrElement.fc(ctx, 0) * GrrElement.xi(ctx) * 2
+        expected = grr_monomial(ctx, 2, fc=0, xi=1)
         assert pushforward(term) == expected
 
     def test_single_ell_power_dies(self, ctx):
@@ -43,14 +43,14 @@ class TestPushforward:
     def test_rho_without_ell(self, ctx):
         for nu in range(ctx.r):
             got = pushforward(UpstairsTerm(ctx, 0, nu, 1, one(ctx)))
-            assert got == GrrElement.xi(ctx, nu + 1)
+            assert got == grr_monomial(ctx, xi=nu + 1)
 
     def test_rho_with_ell_dies(self, ctx):
         assert pushforward(UpstairsTerm(ctx, 3, 1, 1, one(ctx))).is_zero
 
     def test_degree_term(self, ctx):
         got = pushforward(UpstairsTerm(ctx, 0, 1, 0, one(ctx)))
-        assert got == GrrElement.xi(ctx) * ctx.d
+        assert got == grr_monomial(ctx, ctx.d, xi=1)
 
     def test_high_ell_powers_vanish(self, ctx):
         assert pushforward(UpstairsTerm(ctx, ctx.g + 2, 0, 0, one(ctx))).is_zero
@@ -84,7 +84,7 @@ class TestPushforward:
         with pytest.raises(ValueError):
             UpstairsTerm(ctx, 0, 0, 2, one(ctx))
         with pytest.raises(ValueError):
-            UpstairsTerm(ctx, 0, 0, 0, GrrElement.xi(ctx))
+            UpstairsTerm(ctx, 0, 0, 0, grr_monomial(ctx, xi=1))
 
 
 class TestChVk:
@@ -109,28 +109,24 @@ class TestChVk:
         for j in range(1, len(data.ch)):
             expected = GrrElement.zero(ctx)
             if j <= r:
-                diag = GrrElement.b_coeff(ctx, j - 1)
+                expected = expected + grr_monomial(ctx, b=j - 1, xi=j)
                 if j <= r - 1:
-                    diag = diag + GrrElement.a_coeff(ctx, j) * d
-                expected = expected + diag * GrrElement.xi(ctx, j)
+                    expected = expected + grr_monomial(ctx, d, a=j, xi=j)
             for m in range(1, min(j - 1, r) + 1):
                 fc_index = j - m - 1
                 if fc_index > g - 1:
                     continue
-                expected = expected + (GrrElement.a_coeff(ctx, m - 1)
-                                       * GrrElement.k_power(ctx, j - m + 1)
-                                       * GrrElement.fc(ctx, fc_index)
-                                       * GrrElement.xi(ctx, m))
+                expected = expected + grr_monomial(ctx, a=m - 1, k=j - m + 1,
+                                                   fc=fc_index, xi=m)
             assert data.ch_j(j) == expected, j
 
     def test_r1_shape(self):
         # rank + scalar*xi + FC-part*xi, nothing else
         data = ch_vk(3, 4, 1)
         ctx = data.ctx
-        assert data.ch_j(1) == GrrElement.b_coeff(ctx, 0) * GrrElement.xi(ctx)
+        assert data.ch_j(1) == grr_monomial(ctx, b=0, xi=1)
         for j in range(2, len(data.ch)):
-            expected = (GrrElement.k_power(ctx, j) * GrrElement.fc(ctx, j - 2)
-                        * GrrElement.xi(ctx)) if j - 2 <= ctx.g - 1 \
+            expected = grr_monomial(ctx, k=j, fc=j - 2, xi=1) if j - 2 <= ctx.g - 1 \
                 else GrrElement.zero(ctx)
             assert data.ch_j(j) == expected
 
@@ -139,7 +135,7 @@ class TestChVk:
         closed_form = grr._ch_closed_form
 
         def one_term_off(ctx):
-            return closed_form(ctx) + GrrElement.k_power(ctx, 1)
+            return closed_form(ctx) + grr_monomial(ctx, k=1)
 
         ch_vk.cache_clear()
         monkeypatch.setattr(grr, "_ch_closed_form", one_term_off)
@@ -181,14 +177,13 @@ class TestExtractAmj:
     def test_diagonal_case(self):
         data = ch_vk(4, 5, 3)
         ctx = data.ctx
-        expected = GrrElement.a_coeff(ctx, 2) * 5 + GrrElement.b_coeff(ctx, 1)
+        expected = grr_monomial(ctx, 5, a=2) + grr_monomial(ctx, b=1)
         assert extract_amj(data, 2, 2) == expected
 
     def test_below_diagonal(self):
         data = ch_vk(4, 5, 3)
         ctx = data.ctx
-        assert extract_amj(data, 1, 3) == (GrrElement.k_power(ctx, 3)
-                                           * GrrElement.fc(ctx, 1))
+        assert extract_amj(data, 1, 3) == grr_monomial(ctx, k=3, fc=1)
 
     def test_above_diagonal_zero(self):
         data = ch_vk(4, 5, 3)
@@ -285,7 +280,7 @@ class TestIntegerTower:
     def test_non_integral_character_rejected(self):
         ctx = GrrContext(2, 3, 2)
         half_xi = ChernData(ctx=ctx, ch=(GrrElement.scalar(ctx, 3),
-                                         GrrElement.xi(ctx) * F(1, 2)))
+                                         grr_monomial(ctx, F(1, 2), xi=1)))
         with pytest.raises(InvariantViolation):
             chern_classes(half_xi, 3)
 
@@ -307,13 +302,13 @@ class TestExactCoefficients:
         with pytest.raises(TypeError):
             GrrElement(ctx, {exp: 0.5})
         with pytest.raises(TypeError):
-            GrrElement.k_power(ctx, 2, 1.0)
+            grr_monomial(ctx, 1.0, k=2)
         with pytest.raises(TypeError):
             one(ctx) * 0.5
 
     def test_integral_coefficients_are_ints(self, ctx):
-        half = GrrElement.xi(ctx) * F(1, 2)
-        assert (half + half).terms == GrrElement.xi(ctx).terms
+        half = grr_monomial(ctx, xi=1) * F(1, 2)
+        assert (half + half).terms == grr_monomial(ctx, xi=1).terms
         assert all(type(c) is int for c in (half + half).terms.values())
         assert GrrElement.scalar(ctx, F(6, 3)) == GrrElement.scalar(ctx, 2)
         assert type(GrrElement.scalar(ctx, F(6, 3)).terms[(0,) * ctx.nvars]) is int
@@ -347,8 +342,7 @@ class TestGamma:
         assert not data.gamma(6).uses_todd_unknowns()
         # the power below the top does involve them here: gamma_5 = 24 b0 FC3
         ctx = data.ctx
-        assert data.gamma(5) == (GrrElement.b_coeff(ctx, 0)
-                                 * GrrElement.fc(ctx, 3) * 24)
+        assert data.gamma(5) == grr_monomial(ctx, 24, b=0, fc=3)
         assert data.gamma(5).uses_todd_unknowns()
 
     def test_requires_m_at_least_d(self):
@@ -392,3 +386,39 @@ class TestDeriveTheorem1:
     def test_m_below_d_rejected(self):
         with pytest.raises(ValueError):
             derive_theorem1(3, 4, 1, 3)
+
+
+class TestTheorem1Guards:
+    """``GammaData.theorem1`` is what ``jacrel grr`` prints "free of Todd
+    unknowns: pass" and "matches composition formula: pass" on: each of its
+    refusals is reached, and fails the command."""
+
+    ARGV = ["grr", "--g", "4", "--d", "5", "--r", "2", "--M", "5"]
+
+    @staticmethod
+    def with_b0(data):
+        top = data.M + 1
+        return data._replace(gammas={**data.gammas,
+                                     top: data.gamma(top) + grr_monomial(data.ctx, b=0)})
+
+    @staticmethod
+    def failure(capsys):
+        return [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("verification failure:")]
+
+    def test_todd_unknown_in_the_top_gamma_is_refused(self, monkeypatch, capsys):
+        with pytest.raises(InvariantViolation, match="still involves k, xi or Todd unknowns"):
+            self.with_b0(gamma_extract(4, 5, 2, 5)).theorem1()
+        real = grr.gamma_extract
+        monkeypatch.setattr(grr, "gamma_extract", lambda *args: self.with_b0(real(*args)))
+        assert cli.main(self.ARGV) == 1
+        assert ["Todd unknowns" in line for line in self.failure(capsys)] == [True]
+
+    def test_composition_sum_mismatch_is_refused(self, monkeypatch, capsys):
+        real = grr._g_power_coefficient
+        monkeypatch.setattr(grr, "_g_power_coefficient",
+                            lambda g, s, w: real(g, s, w) + TautElement.generator(g, 0))
+        with pytest.raises(InvariantViolation, match="disagrees with the composition sum"):
+            gamma_extract(4, 5, 2, 5).theorem1()
+        assert cli.main(self.ARGV) == 1
+        assert ["composition sum" in line for line in self.failure(capsys)] == [True]

@@ -17,10 +17,11 @@ import pytest
 
 from jacrel.combinat import p_poly, verify_identity4
 from jacrel.grr import GrrContext, GrrElement, UpstairsTerm, ch_vk, chern_classes, gamma_extract
-from jacrel.relations import (compare_ideals, epsilon_series, gen_family,
-                              verify_implication_chain)
+from jacrel.relations import (compare_ideals, epsilon_series, family_from_json,
+                              family_to_json, gen_family, verify_implication_chain)
 from jacrel.rings import LaurentSeries
 from jacrel.tautalg import TautElement, build_h_poly
+from oracles import grr_monomial
 
 ROUND_TRIPS = (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)))
 
@@ -41,7 +42,7 @@ def records():
 def kernel_values():
     ctx = GrrContext(2, 3, 2)
     return [LaurentSeries(-1, (1, 0, 2), 4), p_poly(4), TautElement.monomial(3, (2, 0), 5),
-            GrrElement.xi(ctx) + GrrElement.scalar(ctx, 3), build_h_poly(3)]
+            grr_monomial(ctx, xi=1) + GrrElement.scalar(ctx, 3), build_h_poly(3)]
 
 
 def test_no_field_or_memo_can_be_assigned():
@@ -77,6 +78,16 @@ def test_a_copied_family_starts_without_its_memos():
         assert clone == f8
         assert clone._span is None and clone._route == f8._route
         assert compare_ideals(f6, clone) == report
+    # a family read from JSON has no route: its copy keeps the items and
+    # drops the span
+    plain = family_from_json(family_to_json(f8))
+    assert compare_ideals(f6, plain) == report
+    assert plain._span is not None and plain._route is None
+    for round_trip in ROUND_TRIPS:
+        clone = round_trip(plain)
+        assert clone == plain
+        assert clone._span is None and clone._route is None
+        assert compare_ideals(f6, clone) == report
 
 
 def test_a_copied_chern_data_starts_without_its_tower():
@@ -102,4 +113,4 @@ def test_grr_records_check_their_fields_on_every_construction():
     with pytest.raises(ValueError, match="rho exponent"):
         term._replace(rho=2)
     with pytest.raises(ValueError, match="free of xi and FC"):
-        term._replace(coeff=GrrElement.xi(ctx))
+        term._replace(coeff=grr_monomial(ctx, xi=1))

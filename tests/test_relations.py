@@ -213,8 +213,8 @@ class TestGenFamily:
     def test_symmetry_of_p_is_certified(self, monkeypatch):
         # P_4 + u^2 (1+u) still vanishes at u = 0 and u = -1, but is no
         # longer symmetric under u -> -1-u: P_4 = v pi_4(v), v = u(1+u), on
-        # which the span route's tables F rest, would not hold, so the
-        # coefficients are refused
+        # which the tables F rest, would not hold, so pi_4's closed form,
+        # which certifies that factorization, refuses it
         from jacrel import relations
         from jacrel.rings import DensePoly, InvariantViolation
         real = relations.p_poly
@@ -225,7 +225,7 @@ class TestGenFamily:
         for cache in caches:
             cache.cache_clear()
         try:
-            with pytest.raises(InvariantViolation, match=r"P_4\(-1-u\)"):
+            with pytest.raises(InvariantViolation, match="pi_4's closed form"):
                 gen_family("strong8", 3, 4, 2).items
         finally:
             for cache in caches:
@@ -332,6 +332,8 @@ class TestCompareIdeals:
         with pytest.raises(ValueError):
             compare_ideals(gen_family("vdgk6", 3, 4, 2),
                            gen_family("vdgk6", 3, 5, 2))
+        with pytest.raises(ValueError, match=r"same \(g, d, r\)"):
+            span_contains(gen_family("vdgk6", 3, 4, 2), gen_family("strong8", 4, 4, 2))
 
     def test_matches_product_route_reference(self):
         # integer index-shift rows and the cell recursion give the same
@@ -772,15 +774,18 @@ class TestJointCells:
         assert fell == []
 
     def test_d_r_minus_one_falls_back_and_matches_unrouted_copies(self, monkeypatch):
-        # at d = r-1 some cells of herbaut7's ideal differ from strong8's,
-        # so the cells above them reduce herbaut7's own rows; every ordered
-        # pair must still equal the comparison of its JSON copies
+        # at d = r-1 herbaut7 is empty at every s: its row is the u^(s-1)
+        # coefficient of orderings(m) Q_m/(1+u), and Q_m has u-valuation s.
+        # So its ideal differs from strong8's wherever that is not zero, and
+        # those cells reduce herbaut7's own rows; every ordered pair must
+        # still equal the comparison of its JSON copies
         _SPANS.clear()
         fell = self.watch_fallbacks(monkeypatch)
         for g in range(1, 8):
             for r in range(1, 5):
                 routed = [gen_family(name, g, r - 1, r) for name in self.FAMILIES]
                 plain = [family_from_json(family_to_json(f)) for f in routed]
+                assert routed[1].items == (), (g, r)
                 for a in range(3):
                     for b in range(3):
                         if a != b:
@@ -974,6 +979,8 @@ class TestEpsilonSeries:
     def test_truncation_guard(self):
         with pytest.raises(ValueError):
             epsilon_series(2, 0)
+        with pytest.raises(ValueError, match="g must be >= 1"):
+            epsilon_series(0, 4)
 
 
 class TestImplicationChain:

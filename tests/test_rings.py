@@ -3,11 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from jacrel.grr import GrrContext, GrrElement
+from jacrel.grr import GrrContext
 from jacrel.rings import (DensePoly, LaurentSeries, TruncationError,
                           laurent_pow_inv, log1p_series, series_exp)
 from jacrel.tautalg import TautElement, build_g_poly
-from oracles import power
+from oracles import grr_monomial, power
 
 
 class TestLog1pSeries:
@@ -211,8 +211,8 @@ class TestExactCoefficientsOnly:
         lambda: LaurentSeries(-1, [1, F(1, 2)], 4),
         lambda: DensePoly([1, F(1, 2)]),
         lambda: TautElement.generator(3, 0) + TautElement.monomial(3, (2, 1), F(1, 3)),
-        lambda: (GrrElement.xi(GrrContext(3, 4, 2)) * F(1, 2)
-                 + GrrElement.fc(GrrContext(3, 4, 2), 1)),
+        lambda: (grr_monomial(GrrContext(3, 4, 2), F(1, 2), xi=1)
+                 + grr_monomial(GrrContext(3, 4, 2), fc=1)),
         lambda: build_g_poly(3),
     ], ids=["LaurentSeries", "DensePoly", "TautElement", "GrrElement", "BivarPoly"])
     def test_bool_is_not_a_scalar(self, make):
