@@ -24,9 +24,11 @@ k-power of the xi^r component of the first vanishing Chern class reproduces
 the factorial composition relations, whose sum ``gamma_top_reference``
 reads as orderings(m) prod (a_i+1)! per monomial (``tautalg``).
 
-No builder makes throwaway elements: ``pushforward`` shifts exponents and
-scales, and both routes of ``ch_vk`` and each tower step (one product per j)
-sum into one map.
+No builder makes throwaway elements.  One table, ``_pushforward_case``,
+gives each upstairs image as an exponent shift and a scalar, which
+``ch_vk``'s route writes straight into one map; one product kernel serves
+``GrrElement.__mul__`` and sums each tower step into its class's map; and
+``gamma_extract`` reads c_(M+1)'s xi^r terms into the gammas in one pass.
 
 Nothing before the Chern classes depends on M, and c_0..c_(M+1) is a prefix
 of every longer tower.  So ``ch_vk`` caches one ``ChernData`` per (g, d, r)
@@ -54,6 +56,7 @@ _CACHE_SIZE = 256
 # Serializes the check-and-replace of a Chern-class memo, so that it never
 # shrinks; the towers themselves are built outside it.
 _PUBLISH = Lock()
+_Terms = dict[tuple[int, ...], int | Fraction]
 
 
 class GrrContext(NamedTuple("_GrrParams", [("g", int), ("d", int), ("r", int)])):
@@ -111,6 +114,25 @@ class GrrContext(NamedTuple("_GrrParams", [("g", int), ("d", int), ("r", int)]))
                 + ((self.xi_index, "xi"),))
 
 
+def _quotient(a: int, b: int) -> int | Fraction:
+    """a/b in normal form: an ``int`` where b divides a."""
+    q, rem = divmod(a, b)
+    return Fraction(a, b) if rem else q
+
+
+def _multiply_into(acc: _Terms, ctx: GrrContext, terms1: _Terms, terms2: _Terms,
+                   scale: int | Fraction) -> None:
+    """Add scale * terms1 * terms2 into ``acc``, dropping every product at or
+    above xi^(r+1); ``acc`` may be left with zero coefficients."""
+    xi, cap = ctx.xi_index, ctx.r
+    for e1, c1 in terms1.items():
+        room, c1 = cap - e1[xi], c1 * scale
+        for e2, c2 in terms2.items():
+            if e2[xi] <= room:
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = acc.get(exp, 0) + c1 * c2
+
+
 class GrrElement(SparseElement):
     """Sparse polynomial of the symbolic ring, with xi^(r+1) reduced eagerly.
 
@@ -124,9 +146,8 @@ class GrrElement(SparseElement):
     __slots__ = ()
     ctx = SparseElement.ambient  # the ambient GrrContext
 
-    def __new__(cls, ctx: GrrContext,
-                terms: dict[tuple[int, ...], int | Fraction] | None = None) -> "GrrElement":
-        kept: dict[tuple[int, ...], int | Fraction] = {}
+    def __new__(cls, ctx: GrrContext, terms: _Terms | None = None) -> "GrrElement":
+        kept: _Terms = {}
         xi = ctx.xi_index
         for exp, coeff in (terms or {}).items():
             if len(exp) != ctx.nvars:
@@ -159,16 +180,8 @@ class GrrElement(SparseElement):
     def __mul__(self, other: Any) -> "GrrElement":
         if isinstance(other, GrrElement):
             self._check(other)
-            xi = self.ctx.xi_index
-            cap = self.ctx.r
-            terms: dict[tuple[int, ...], int | Fraction] = {}
-            for e1, c1 in self.terms.items():
-                room = cap - e1[xi]
-                for e2, c2 in other.terms.items():
-                    if e2[xi] > room:
-                        continue
-                    exp = tuple(map(add, e1, e2))
-                    terms[exp] = terms.get(exp, 0) + c1 * c2
+            terms: _Terms = {}
+            _multiply_into(terms, self.ctx, self.terms, other.terms, 1)
             return GrrElement._trusted(self.ctx, terms)
         if type(other) in _EXACT_TYPES:
             return GrrElement._trusted(self.ctx, {e: c * other for e, c in self.terms.items()})
@@ -179,7 +192,7 @@ class GrrElement(SparseElement):
     def codim_pieces(self) -> tuple["GrrElement", ...]:
         """The codimension-j components for j = 0 .. the top codimension."""
         weights = self.ctx.codim_weights()
-        split: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
+        split: dict[int, _Terms] = {}
         for e, c in self.terms.items():
             split.setdefault(sum(map(mul, weights, e)), {})[e] = c
         return tuple(GrrElement._trusted(self.ctx, split.get(j, {}))
@@ -187,14 +200,9 @@ class GrrElement(SparseElement):
 
     def xi_coefficient(self, m: int) -> "GrrElement":
         """The coefficient of xi^m, with the xi variable stripped."""
-        xi = self.ctx.xi_index
-        terms = {}
-        for e, c in self.terms.items():
-            if e[xi] == m:
-                stripped = list(e)
-                stripped[xi] = 0
-                terms[tuple(stripped)] = c
-        return GrrElement._trusted(self.ctx, terms)
+        xi = self.ctx.xi_index  # the last variable
+        return GrrElement._trusted(self.ctx, {e[:xi] + (0,): c
+                                              for e, c in self.terms.items() if e[xi] == m})
 
     @property
     def min_xi_exponent(self) -> int:
@@ -271,23 +279,29 @@ def _exponent(ctx: GrrContext, k: int, xi: int, *ones: int | None) -> tuple[int,
     return tuple(exp)
 
 
-def pushforward(term: UpstairsTerm) -> GrrElement:
-    """Apply the four-case pushforward table to one upstairs monomial, as an
-    exponent shift plus a scalar on the coefficient's terms: rho x^nu goes to
-    xi^(nu+1), x^nu to d xi^nu and l^mu x^nu, 2 <= mu <= g+1, to
-    mu! FC_(mu-2) xi^(nu+1) (the q-pushforward of the mu-th Poincare-class
-    power); every other case, and anything at xi^(r+1), is zero."""
-    ctx, mu, nu = term.ctx, term.mu, term.nu
-    shift = None
-    if term.rho:
-        if mu == 0:
-            shift, scale = _exponent(ctx, 0, nu + 1), 1
-    elif mu == 0:
-        shift, scale = _exponent(ctx, 0, nu), ctx.d
-    elif 2 <= mu <= ctx.g + 1:
+def _pushforward_case(ctx: GrrContext, mu: int, nu: int,
+                      rho: int) -> tuple[tuple[int, ...], int] | None:
+    """The four-case pushforward table for l^mu x^nu rho^eps (eps = ``rho``),
+    as an exponent shift and a scalar: rho x^nu goes to xi^(nu+1), x^nu to d xi^nu and
+    l^mu x^nu, 2 <= mu <= g+1, to mu! FC_(mu-2) xi^(nu+1) (the
+    q-pushforward of the mu-th Poincare-class power).  None stands for a zero
+    image: every other case, and anything at xi^(r+1)."""
+    if mu == 0:
+        shift, scale = (_exponent(ctx, 0, nu + 1), 1) if rho else (_exponent(ctx, 0, nu), ctx.d)
+    elif not rho and 2 <= mu <= ctx.g + 1:
         shift, scale = _exponent(ctx, 0, nu + 1, ctx.fc_index(mu - 2)), factorial(mu)
-    if shift is None or shift[ctx.xi_index] > ctx.r:
+    else:
+        return None
+    return None if shift[ctx.xi_index] > ctx.r else (shift, scale)
+
+
+def pushforward(term: UpstairsTerm) -> GrrElement:
+    """``_pushforward_case`` applied to each term of one monomial's coefficient."""
+    ctx = term.ctx
+    case = _pushforward_case(ctx, term.mu, term.nu, term.rho)
+    if case is None:
         return GrrElement.zero(ctx)
+    shift, scale = case
     # the coefficient is free of xi and FC, so the shift lands on zeros
     return GrrElement._trusted(ctx, {tuple(map(add, e, shift)): c * scale
                                      for e, c in term.coeff.terms.items()})
@@ -328,21 +342,22 @@ class ChernData(_Chern):
 
 
 def _ch_grr_route(ctx: GrrContext) -> GrrElement:
-    """alpha_*(e^(k l) (A(x) + B(x) rho)): each upstairs term
-    k^mu/mu! a_j l^mu x^j and k^mu/mu! b_j l^mu x^j rho goes through the
-    table, and the results are summed into one map.
+    """alpha_*(e^(k l) (A(x) + B(x) rho)): the table's shift and scalar for
+    each upstairs term k^mu/mu! a_j l^mu x^j and k^mu/mu! b_j l^mu x^j rho
+    apply to its one-term coefficient, and the images are summed into one map.
 
     The l-exponent stops at g+1: beyond it the q-pushforward rewrite is zero,
     which is the one geometric fact hard-coded into the engine.
     """
-    terms: dict[tuple[int, ...], int | Fraction] = {}
+    terms: _Terms = {}
     for mu in range(ctx.g + 2):
-        scale = Fraction(1, factorial(mu))
         for j in range(ctx.r):
             for rho, idx in ((0, ctx.a_index(j)), (1, ctx.b_index(j))):
-                coeff = GrrElement._trusted(ctx, {_exponent(ctx, mu, 0, idx): scale})
-                for e, c in pushforward(UpstairsTerm(ctx, mu, j, rho, coeff)).terms.items():
-                    terms[e] = terms.get(e, 0) + c
+                case = _pushforward_case(ctx, mu, j, rho)
+                if case is not None:
+                    shift, scale = case
+                    exp = tuple(map(add, _exponent(ctx, mu, 0, idx), shift))
+                    terms[exp] = terms.get(exp, 0) + _quotient(scale, factorial(mu))
     return GrrElement._trusted(ctx, terms)
 
 
@@ -350,7 +365,7 @@ def _ch_closed_form(ctx: GrrContext) -> GrrElement:
     """d A(xi) + xi B(xi) + (sum_mu k^(mu+2) FC_mu) xi A(xi), written term by
     term: d a_j xi^j, b_j xi^(j+1) and k^(mu+2) FC_mu a_j xi^(j+1) for
     j < r, so no term reaches xi^(r+1) and no two share a monomial."""
-    terms: dict[tuple[int, ...], int | Fraction] = {}
+    terms: _Terms = {}
     for j in range(ctx.r):
         a = ctx.a_index(j)
         terms[_exponent(ctx, 0, j, a)] = ctx.d
@@ -439,13 +454,12 @@ def chern_classes(data: ChernData, t_order: int) -> ChernData:
             acc: dict[tuple[int, ...], int] = {}
             falling = 1  # (n-1)!/(n-j)!
             for j in range(1, min(n, len(factors)) + 1):
-                for e, c in (factors[j - 1] * scaled[n - j]).terms.items():
-                    acc[e] = acc.get(e, 0) + c * falling
+                _multiply_into(acc, data.ctx, factors[j - 1].terms, scaled[n - j].terms, falling)
                 falling *= n - j
             scaled.append(GrrElement._trusted(data.ctx, acc))
             n_factorial = factorial(n)
             classes.append(GrrElement._trusted(
-                data.ctx, {e: Fraction(c, n_factorial) for e, c in acc.items()}))
+                data.ctx, {e: _quotient(c, n_factorial) for e, c in acc.items()}))
         memo = _Tower(factors, tuple(scaled), tuple(classes))
     if memo is not data._tower:
         with _PUBLISH:
@@ -500,15 +514,18 @@ def gamma_extract(g: int, d: int, r: int, M: int) -> GammaData:
     """Split the t^(M+1) Chern-class coefficient at xi^r into k-powers."""
     if M < d:
         raise ValueError("M must be >= d")
-    data = chern_classes(ch_vk(g, d, r), M + 2)
-    top = data.c_j(M + 1)
-    xi_r = top.xi_coefficient(r)
-    signed = xi_r * (-1) ** (M + 1)
-    split: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
-    for e, c in signed.terms.items():
-        split.setdefault(e[0], {})[(0,) + e[1:]] = c
-    gammas = {s: GrrElement._trusted(data.ctx, split[s]) for s in sorted(split)}
-    return GammaData(ctx=data.ctx, M=M, xi_r_part=signed, gammas=gammas)
+    shared = ch_vk(g, d, r)
+    ctx, xi, sign = shared.ctx, shared.ctx.xi_index, (-1) ** (M + 1)
+    top = chern_classes(shared, M + 2).c[M + 1]
+    xi_r: _Terms = {}
+    split: dict[int, _Terms] = {}
+    for e, c in top.terms.items():
+        if e[xi] == r:
+            stripped, c = e[:xi] + (0,), c * sign  # xi is the last variable
+            xi_r[stripped] = c
+            split.setdefault(e[0], {})[(0,) + stripped[1:]] = c
+    gammas = {s: GrrElement._trusted(ctx, split[s]) for s in sorted(split)}
+    return GammaData(ctx=ctx, M=M, xi_r_part=GrrElement._trusted(ctx, xi_r), gammas=gammas)
 
 
 def gamma_top_reference(g: int, d: int, r: int, M: int) -> GrrElement:

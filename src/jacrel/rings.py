@@ -166,11 +166,6 @@ class DensePoly(Value):
             return NotImplemented
         return _poly(self.series + other.series)
 
-    def __sub__(self, other: "DensePoly") -> "DensePoly":
-        if not isinstance(other, DensePoly):
-            return NotImplemented
-        return _poly(self.series - other.series)
-
     def __neg__(self) -> "DensePoly":
         return _poly(-self.series)
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial, gcd
 from typing import Any
 
-from jacrel.grr import GrrElement, UpstairsTerm
+from jacrel.grr import GrrElement, UpstairsTerm, ch_vk, chern_classes
 from jacrel.rings import DensePoly, LaurentSeries, TruncationError, min_trunc
 
 
@@ -263,6 +263,15 @@ def gammas_by_k_scan(signed):
         if terms:
             gammas[s] = GrrElement(signed.ctx, terms)
     return gammas
+
+
+def gamma_extract_by_elements(g, d, r, M):
+    """(xi_r_part, gammas) of ``grr.gamma_extract`` element by element: the
+    class c_(M+1), its xi^r coefficient, the sign (-1)^(M+1), then
+    ``gammas_by_k_scan``: the reference for its one pass over the terms."""
+    top = chern_classes(ch_vk(g, d, r), M + 2).c_j(M + 1)
+    signed = top.xi_coefficient(r) * (-1) ** (M + 1)
+    return signed, gammas_by_k_scan(signed)
 
 
 def pow_inv_by_products(s, n, order):

@@ -33,6 +33,14 @@ class TestStirling2:
         with pytest.raises(ValueError):
             stirling2(-1, 0)
 
+    def test_sum_not_divisible_by_m_factorial_is_refused(self, monkeypatch):
+        # S(4, 2) = 7 from an alternating sum of 14: twice 2! does not divide it
+        real = combinat.factorial
+        monkeypatch.setattr(combinat, "factorial", lambda m: 2 * real(m))
+        monkeypatch.setattr(combinat, "_stirling_table", {})
+        with pytest.raises(ArithmeticError, match="not divisible by m!"):
+            stirling2(4, 2)
+
 
 KNOWN_P_TABLE = {
     1: [0, 1],

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 from math import factorial
 
@@ -12,8 +13,9 @@ from jacrel.relations import gen_theorem1
 from jacrel.rings import InvariantViolation
 from jacrel.tautalg import TautElement
 from oracles import (GenericSeries, Ring, ch_closed_form_by_elements, ch_route_by_elements,
-                     chern_classes_by_fractions, gammas_by_k_scan, generic_series_exp,
-                     grr_monomial, pushforward_by_products, rand_fraction)
+                     chern_classes_by_fractions, gamma_extract_by_elements, gammas_by_k_scan,
+                     generic_series_exp, grr_monomial, pushforward_by_products,
+                     rand_fraction)
 
 # the criterion-7 grid
 GRID = [(g, d, r) for r in range(1, 4) for g in range(1, 6) for d in range(1, 9)]
@@ -171,6 +173,38 @@ class TestBuildersMatchElementReference:
             assert chern_classes(tower, 2).c == expected[:2], (g, d, r)
             assert all(type(c) is int for element in tower._tower.scaled
                        for c in element.terms.values())
+
+    def test_gamma_extract_matches_the_element_route(self):
+        for g, d, r in WIDE_GRID:
+            for M in (d, d + 1, d + 2, d + 4):
+                data = gamma_extract(g, d, r, M)
+                xi_r_part, gammas = gamma_extract_by_elements(g, d, r, M)
+                assert data.xi_r_part == xi_r_part, (g, d, r, M)
+                assert data.gammas == gammas, (g, d, r, M)
+                assert list(data.gammas) == list(gammas), (g, d, r, M)
+
+    def test_only_newton_factors_multiply(self, monkeypatch):
+        # the route and the tower build no product element: the one product
+        # kernel sums straight into their maps, and the route reads the
+        # pushforward table without calling ``pushforward``
+        callers = []
+        real = GrrElement.__mul__
+
+        def counted(self, other):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(self, other)
+
+        def refuse(term):
+            raise AssertionError("the route built a pushforward element")
+
+        monkeypatch.setattr(GrrElement, "__mul__", counted)
+        monkeypatch.setattr(grr, "pushforward", refuse)
+        for g, d, r in ((1, 1, 1), (3, 4, 2), (5, 8, 3), (6, 8, 4)):
+            callers.clear()
+            data = ch_vk.__wrapped__(g, d, r)  # uncached, so the tower starts cold
+            assert callers == [], (g, d, r)
+            chern_classes(data, d + 4)
+            assert callers == ["_newton_factors"] * (len(data.ch) - 1), (g, d, r)
 
 
 class TestExtractAmj:

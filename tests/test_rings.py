@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from jacrel.grr import GrrContext
-from jacrel.rings import (DensePoly, LaurentSeries, TruncationError,
-                          laurent_pow_inv, log1p_series, series_exp)
+from jacrel.rings import (DensePoly, InvariantViolation, LaurentSeries, TruncationError,
+                          _recurrence, laurent_pow_inv, log1p_series, series_exp)
 from jacrel.tautalg import TautElement, build_g_poly
 from oracles import grr_monomial, power
 
@@ -61,6 +61,12 @@ class TestLaurentPowInv:
         with pytest.raises(ValueError):
             laurent_pow_inv(LaurentSeries.zero(4), 1, 2)
 
+    def test_remainder_in_the_power_recurrence_is_refused(self):
+        # y' = y with y_0 = 1 on integers needs scale 2! for y_2 = 1/2;
+        # scale 1 leaves 1 to be divided by k = 2
+        with pytest.raises(InvariantViolation, match="left a remainder at k=2"):
+            _recurrence([0, 1], 1, 3, 1, 0, 1)
+
 
 class TestSeriesExp:
     def test_exp_t_order_three(self):
@@ -93,6 +99,10 @@ class TestSeriesExp:
     def test_polynomial_input_rejected(self):
         with pytest.raises(TypeError):
             series_exp(DensePoly.monomial(1), 3)
+
+    def test_unknown_constant_term_is_refused(self):
+        with pytest.raises(TruncationError, match="constant term is not known"):
+            series_exp(LaurentSeries(0, [], 0), 3)
 
     def test_laurent_exp(self):
         t = LaurentSeries.monomial(1, trunc=4)
