@@ -43,7 +43,7 @@ elimination, and a pair with a side that reaches the bound (the cell's
 dimension, or for two routed families strong8's rank) has that bound as
 its joint rank; only the other cells are reduced.  The spans, a routed
 family's items, and the ``lru_cache``s (the column maps of C(k),
-``_shift_columns``, and the tables F and their echelons among them) are
+``_shift_columns``, the tables F and their suffix ranks among them) are
 the shared state; a span publishes a cell, and strong8's a joint cell,
 only once complete, and the first published is the one every reader
 gets, so racing threads at most build a cell twice, with the same rows;
@@ -249,13 +249,11 @@ def _suffix_start(s: int, w: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _f_echelon(g: int, s: int, w: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...],
-                                                tuple[int, ...]]:
-    """The echelon rows of F, inserted from i = D down until full, and
-    ``ranks[i]``, the rank of F[i:]: strong8's generator span is the first
-    ``ranks[i0]`` rows.  Keyed like F."""
+def _suffix_ranks(g: int, s: int, w: int) -> tuple[int, ...]:
+    """``ranks[i]``, the rank of F[i:] (strong8's generator rank at i = i0),
+    by one elimination of F's rows from F[D] down that keeps no row.  Keyed like F."""
     if g > w + 1:
-        return _f_echelon(w + 1, s, w)
+        return _suffix_ranks(w + 1, s, w)
     rows = _f_table(g, s, w)
     space = RowSpace(len(rows[0]))
     ranks = [0]
@@ -263,7 +261,7 @@ def _f_echelon(g: int, s: int, w: int) -> tuple[tuple[tuple[int, tuple[int, ...]
         if space.rank < space.ncols:
             space.add(row)
         ranks.append(space.rank)
-    return tuple(space.pivots.items()), tuple(reversed(ranks))
+    return tuple(reversed(ranks))
 
 
 def _f_row(g: int, s: int, w: int, e: int, divided: int) -> list[int]:
@@ -388,8 +386,10 @@ class GradedSpan:
     A family that ``gen_family`` made carries its route (family_id, d-r),
     and its items are never read: with k = d-r+i, its generators sit at the
     cells with i >= 1 and 2i+j > k, read off F: strong8's span is the
-    suffix F[i0:] (``_suffix_start``), and vdgk6's and herbaut7's rows are
-    their items' rows (``_generator_rows``), 2^eps F[D] and lambda F.  Such
+    suffix F[i0:] (``_suffix_start``), of rank ``_suffix_ranks``, and
+    vdgk6's and herbaut7's rows are their items' rows, 2^eps F[D] and
+    lambda F; where rows are read (``span_contains``, or a comparison with
+    an unrouted family) each reduces its own (``_generator_rows``).  Such
     a span carries no r: one span per route key (family_id, g, d-r) serves
     every r (``from_family``).  The three routed spans of one (g, d-r) share
     one elimination per cell, kept on strong8's span (``joint``): L is
@@ -458,8 +458,11 @@ class GradedSpan:
         if self.route is None:
             return self._reduce(i, j, dim)
         joint = self.top.joint(i, j)
-        if self.route[0] == "strong8":
-            return joint.space, self._generator_space(i, j, dim).rank, joint.rank
+        if self.route[0] == "strong8":  # generators at i >= 1, 2i+j > k
+            k = self.route[1] + i
+            n = (_suffix_ranks(self.g, i, j)[_suffix_start(i, j, k)]
+                 if dim and i and 2 * i + j > k else 0)
+            return joint.space, n, joint.rank
         generator_rank, rank = joint.routed[self.route[0]]
         if rank != joint.rank:  # None unless every cell below agreed
             return self._reduce(i, j, dim)
@@ -523,21 +526,18 @@ class GradedSpan:
                 for j in range(max(0, cut - i + 1), i * (self.g - 1) + 1))
 
     def _generator_space(self, i: int, j: int, dim: int) -> RowSpace:
-        """The echelon rows of the generators of bidegree (i, j)."""
+        """The echelon rows of the generators of bidegree (i, j): the items'
+        rows, or a routed family's rows off F (``_generator_rows``)."""
         space = RowSpace(dim)
         if self.route is None:
-            for row in self.generators.get((i, j), ()):
-                space.add(row)
-            return space
-        family_id, cut = self.route
-        if not dim or i < 1 or i + j <= cut:  # no generator: 2i+j <= k
-            return space
-        if family_id == "strong8":
-            pivots, ranks = _f_echelon(self.g, i, j)
-            space.pivots.update(pivots[:ranks[_suffix_start(i, j, cut + i)]])
+            rows = self.generators.get((i, j), ())
+        elif i >= 1:
+            family_id, cut = self.route
+            rows = (row for _, row in _generator_rows(family_id, self.g, i, j, cut + i))
         else:
-            for _, row in _generator_rows(family_id, self.g, i, j, cut + i):
-                space.add(row)
+            rows = ()
+        for row in rows:
+            space.add(row)
         return space
 
     def generator_rows(self, i: int, j: int, space: RowSpace) -> RowSpace:

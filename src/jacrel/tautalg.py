@@ -14,8 +14,8 @@ which ``jacrel.relations`` builds monomial by monomial from closed forms.
 The bases of each bidegree and G(t)'s powers (``_g_power_coefficient``)
 live here, so the GRR replay needs neither the families nor linear algebra.
 ``BivarPoly``, ``build_g_poly``, ``build_h_poly`` and ``poly_power`` expand
-those powers literally; they are the tests' reference route, and the library
-does not call them.
+those powers literally; they are the tests' reference route, the library
+does not call them, and ``build_h_poly`` imports ``combinat`` when called.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Any, Iterator
 
-from .combinat import p_poly
 from .rings import _EXACT_TYPES, SparseElement, Value, _rational, min_trunc
 
 Monomial = tuple[int, ...]
@@ -302,6 +301,7 @@ def build_h_poly(g: int) -> BivarPoly:
     """H(u,t) = sum_{a=0}^{g-1} P_{a+2}(u) C(a) t^(a+2)."""
     if g < 1:
         raise ValueError("g must be >= 1")
+    from .combinat import p_poly
     terms: dict[tuple[int, int], TautElement] = {}
     for a in range(g):
         pn = p_poly(a + 2)

@@ -129,6 +129,8 @@ class TestBSums:
             b_sum(2, ())
         with pytest.raises(ValueError):
             b_gen(2, (-1,))
+        with pytest.raises(ValueError, match="d must be >= 0"):
+            b_gen(-1, (1,))
 
 
 class TestIdentity4:
@@ -165,6 +167,10 @@ class TestIdentity4:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             verify_identity4(3, 0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            verify_identity4(0, 0)  # n is checked first
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            inv_log1p_pow(3, 0)
 
 
 class TestInvLogPow:
@@ -215,3 +221,5 @@ class TestLogLadder:
     def test_power_below_one_rejected(self):
         with pytest.raises(ValueError):
             combinat._bare_log_inv_pow(0, 4)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            inv_log1p_pow(0, 4)

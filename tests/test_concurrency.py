@@ -8,7 +8,7 @@ module caches: the Stirling memo table, whose writers are idempotent, and the
 ``_bare_log_inv_pow``, the certified P_n coefficients ``_p_coefficients``,
 the closed forms pi_n ``_pi_coefficients`` checked against them, the
 half-degree tables ``_f_table`` built on those, whose rows the items and
-the routed spans read, and their suffix echelons ``_f_echelon``, the ideal
+the routed spans read, and their suffix ranks ``_suffix_ranks``, the ideal
 cells' column maps of C(k) ``_shift_columns``,
 the chain's ``_e_part``, the check-(a) facts ``_power_law_ok`` and
 ``_generator_split_ok``, and the GRR replay's ``ch_vk``), which lock their
@@ -47,9 +47,9 @@ import pytest
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_SPANS, _e_part, _generator_split_ok, _f_echelon, _f_table,
+from jacrel.relations import (_SPANS, _e_part, _generator_split_ok, _f_table,
                               _p_coefficients, _pi_coefficients, _power_law_ok,
-                              _shift_columns,
+                              _shift_columns, _suffix_ranks,
                               compare_ideals, family_to_json, gen_family,
                               verify_implication_chain)
 from jacrel.tautalg import _orderings
@@ -170,7 +170,7 @@ def race_comparisons(g, d, r, rounds):
             _shift_columns.cache_clear()
             _pi_coefficients.cache_clear()
             _f_table.cache_clear()
-            _f_echelon.cache_clear()
+            _suffix_ranks.cache_clear()
             barrier = threading.Barrier(8)
 
             def run(k):
@@ -218,7 +218,7 @@ def test_spans_shared_across_r_are_published_once_under_races():
             _SPANS.clear()
             _shift_columns.cache_clear()
             _f_table.cache_clear()
-            _f_echelon.cache_clear()
+            _suffix_ranks.cache_clear()
             barrier = threading.Barrier(8)
 
             def run(k):
@@ -256,7 +256,7 @@ def test_joint_cells_are_published_once_under_races(g, d, r):
         _SPANS.clear()
         _shift_columns.cache_clear()
         _f_table.cache_clear()
-        _f_echelon.cache_clear()
+        _suffix_ranks.cache_clear()
 
     def joint_ranks():
         return {key: (c.space.rank, c.rank, c.routed, c.pair)
@@ -309,7 +309,7 @@ def test_routed_items_are_formed_once_under_races():
             _SPANS.clear()
             _pi_coefficients.cache_clear()
             _f_table.cache_clear()
-            _f_echelon.cache_clear()
+            _suffix_ranks.cache_clear()
             barrier = threading.Barrier(8)
 
             def run(k):

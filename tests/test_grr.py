@@ -87,6 +87,17 @@ class TestPushforward:
             UpstairsTerm(ctx, 0, 0, 2, one(ctx))
         with pytest.raises(ValueError):
             UpstairsTerm(ctx, 0, 0, 0, grr_monomial(ctx, xi=1))
+        with pytest.raises(ValueError, match="mu must be >= 0"):
+            UpstairsTerm(ctx, -1, 0, 0, one(ctx))
+        # and the element and index checks under them
+        with pytest.raises(ValueError, match="exponent tuple has the wrong arity"):
+            GrrElement(ctx, {(0,) * (ctx.nvars - 1): 1})
+        with pytest.raises(ValueError, match="mismatched symbolic contexts"):
+            one(ctx) * one(GrrContext(ctx.g, ctx.d, ctx.r + 1))
+        for index, j, name in ((ctx.a_index, ctx.r, "a"), (ctx.b_index, -1, "b"),
+                               (ctx.fc_index, ctx.g, "FC")):
+            with pytest.raises(ValueError, match=f"{name}_{j} out of range"):
+                index(j)
 
 
 class TestChVk:
@@ -229,6 +240,8 @@ class TestExtractAmj:
             extract_amj(data, 0, 1)
         with pytest.raises(ValueError):
             extract_amj(data, 3, 1)
+        with pytest.raises(ValueError, match="j must be >= 1"):
+            extract_amj(data, 1, 0)
 
 
 class TestChernClasses:
@@ -253,6 +266,8 @@ class TestChernClasses:
     def test_classes_beyond_cutoff_unavailable(self):
         data = chern_classes(ch_vk(2, 3, 1), 4)
         assert data.c_j(10).is_zero
+        with pytest.raises(ValueError, match="Chern classes have not been derived yet"):
+            ch_vk(2, 3, 1).c_j(0)
 
     def test_newton_identity_matches_exponential_series(self):
         # reference: exp(F(t)) expanded as a series over the GRR ring, with

@@ -52,7 +52,7 @@ def added_modules(*argv: str) -> set[str]:
      {"relations"}, {"grr"}),
     (("equivalence", "--g", "3", "--d", "4", "--r", "2"), {"relations", "linalg"}, {"grr"}),
     (("grr", "--g", "4", "--d", "5", "--r", "2", "--M", "5"), {"grr", "tautalg"},
-     {"relations", "linalg"}),
+     {"relations", "linalg", "combinat"}),
 ])
 def test_each_command_loads_only_the_modules_it_runs(argv, needed, absent):
     added = added_modules(*argv)

@@ -8,9 +8,9 @@ import pytest
 
 from jacrel.combinat import p_poly, stirling2
 from jacrel.linalg import RowSpace, rank
-from jacrel.relations import (_SPANS, GradedSpan, RelationFamily, RelationItem, _f_echelon,
-                              _f_table, _generator_rows, _p_coefficients, _pi_coefficients,
-                              _suffix_start, compare_ideals,
+from jacrel.relations import (_SPANS, GradedSpan, RelationFamily, RelationItem, _f_table,
+                              _generator_rows, _p_coefficients, _pi_coefficients,
+                              _suffix_ranks, _suffix_start, compare_ideals,
                               epsilon_series, family_from_json, family_from_jsonable,
                               family_to_json, gen_family, gen_theorem1, monomials_of_bidegree,
                               span_contains, theorem1_family, verify_implication_chain)
@@ -470,7 +470,7 @@ class TestSharedSpan:
         fams = [gen_family(name, 4, 6, 3) for name in self.FAMILIES]
         fams.append(family_from_json(family_to_json(fams[2])))
         _f_table.cache_clear()
-        _f_echelon.cache_clear()
+        _suffix_ranks.cache_clear()
 
         def published():
             return {(k, key): (space.rank, generator_rank, rank)
@@ -660,11 +660,11 @@ class TestEchelonRoute:
         for g in range(1, 9):
             for s in range(1, 6):
                 for w in range(s * (g - 1) + 1):
-                    pivots, ranks = _f_echelon(g, s, w)
+                    ranks = _suffix_ranks(g, s, w)
                     full = top_ranks_by_full_reduction(g, s, w)
                     assert [ranks[_suffix_start(s, w, k)] for k in range(-1, 2 * s + w + 1)] \
                         == list(full), (g, s, w)
-                    assert len(pivots) == ranks[0]
+                    assert ranks[0] == rank(_f_table(g, s, w), len(monomials_of_bidegree(g, s, w)))
 
 
 class TestSharedRouteSpans:
@@ -760,7 +760,7 @@ class TestJointCells:
         # cold spans and tables: the three ideals agree with strong8's in
         # every cell, so no cell falls back
         _SPANS.clear()
-        for cache in (_f_table, _f_echelon):
+        for cache in (_f_table, _suffix_ranks):
             cache.cache_clear()
         fell = self.watch_fallbacks(monkeypatch)
         for g in (5, 6, 7):
@@ -786,6 +786,12 @@ class TestJointCells:
                 routed = [gen_family(name, g, r - 1, r) for name in self.FAMILIES]
                 plain = [family_from_json(family_to_json(f)) for f in routed]
                 assert routed[1].items == (), (g, r)
+                # k = -1 at s = 0 and the empty product is 1, but generators
+                # have size s >= 1: no cell (0, 0) has one
+                for f in routed + plain:
+                    span = GradedSpan.from_family(f)
+                    assert span.cell(0, 0)[1:] == (0, 0), (g, r, f.family_id)
+                    assert span.generator_rows(0, 0, RowSpace(1)).rank == 0
                 for a in range(3):
                     for b in range(3):
                         if a != b:
@@ -797,11 +803,44 @@ class TestJointCells:
     def test_vdgk6_herbaut7_alone_builds_no_suffix_echelon(self):
         # its span joint is the rank of the two rows, read off the joint cell
         _SPANS.clear()
-        _f_echelon.cache_clear()
+        _suffix_ranks.cache_clear()
         f6, f7 = gen_family("vdgk6", 6, 8, 3), gen_family("herbaut7", 6, 8, 3)
         report = compare_ideals(f6, f7)
-        assert _f_echelon.cache_info().currsize == 0
+        assert _suffix_ranks.cache_info().currsize == 0
         assert report == compare_ideals(*(family_from_json(family_to_json(f)) for f in (f6, f7)))
+
+    def test_routed_comparisons_reduce_no_generator_rows(self, monkeypatch):
+        # cold spans and tables, every routed pair of the ideals grid: strong8's
+        # generator rank is its suffix's rank and the others' ranks come off
+        # the joint cells, so no generator space is built, and the suffix
+        # ranks are tuples of ints, no rows
+        _SPANS.clear()
+        for cache in (_f_table, _suffix_ranks):
+            cache.cache_clear()
+        calls = []
+        generator_space = GradedSpan._generator_space
+
+        def watched(span, i, j, dim):
+            calls.append((span.route, i, j))
+            return generator_space(span, i, j, dim)
+
+        monkeypatch.setattr(GradedSpan, "_generator_space", watched)
+        for g in (5, 6, 7):
+            for r in (2, 3, 4):
+                for d in range(2 * r, 11):
+                    fams = [gen_family(name, g, d, r) for name in self.FAMILIES]
+                    for a in range(3):
+                        for b in range(3):
+                            if a != b:
+                                compare_ideals(fams[a], fams[b])
+        assert calls == []
+        assert _suffix_ranks.cache_info().currsize
+        for g in (5, 6, 7):
+            for s in range(1, 5):
+                for w in range(s * (g - 1) + 1):
+                    ranks = _suffix_ranks(g, s, w)
+                    assert type(ranks) is tuple and all(type(n) is int for n in ranks)
+                    assert len(ranks) == w // 2 + 2 and ranks[-1] == 0
 
     def test_joint_cells_are_the_routed_cells(self):
         # strong8's cells are its joint cells, and so are a family's cells
@@ -845,7 +884,7 @@ class TestHalfDegreeTable:
         real = relations.p_poly
         monkeypatch.setattr(relations, "p_poly",
                             lambda n: real(n) + DensePoly([0, 0, 7, 14, 7]) if n == 4 else real(n))
-        caches = (_p_coefficients, _pi_coefficients, _f_table, _f_echelon)
+        caches = (_p_coefficients, _pi_coefficients, _f_table, _suffix_ranks)
 
         def cold():
             _SPANS.clear()
@@ -889,6 +928,7 @@ class TestHalfDegreeTable:
                             strong8.add(row)
                         suffix = table[_suffix_start(s, w, k):]
                         assert strong8.rank == rank(suffix, dim), (g, s, w, k)
+                        assert _suffix_ranks(g, s, w)[_suffix_start(s, w, k)] == strong8.rank
                         assert all(strong8.contains(row) for row in suffix), (g, s, w, k)
                         suffixes += 1
         assert (rows, suffixes) == (33159, 3346)
@@ -900,7 +940,7 @@ class TestHalfDegreeTable:
         # per cell
         _SPANS.clear()
         _f_table.cache_clear()
-        _f_echelon.cache_clear()
+        _suffix_ranks.cache_clear()
         fams = [gen_family(name, 6, 8, 3) for name in ("vdgk6", "herbaut7", "strong8")]
         for a in range(3):
             assert compare_ideals(fams[a], fams[(a + 1) % 3]).ideal_equal
@@ -913,12 +953,12 @@ class TestHalfDegreeTable:
 
     def test_table_is_keyed_by_the_stable_range(self):
         # for g >= w+1 the monomials of (s, w) do not depend on g, so every
-        # such g reads the table and the echelon of g = w+1
+        # such g reads the table and the suffix ranks of g = w+1
         for s, w in ((1, 0), (2, 3), (3, 5), (4, 6)):
-            table, echelon = _f_table(w + 1, s, w), _f_echelon(w + 1, s, w)
+            table, ranks = _f_table(w + 1, s, w), _suffix_ranks(w + 1, s, w)
             for g in range(w + 2, w + 6):
                 assert monomials_of_bidegree(g, s, w) == monomials_of_bidegree(w + 1, s, w)
-                assert _f_table(g, s, w) is table and _f_echelon(g, s, w) is echelon
+                assert _f_table(g, s, w) is table and _suffix_ranks(g, s, w) is ranks
             if w:
                 assert len(_f_table(w, s, w)[0]) < len(table[0])
 

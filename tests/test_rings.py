@@ -60,6 +60,8 @@ class TestLaurentPowInv:
     def test_zero_not_invertible(self):
         with pytest.raises(ValueError):
             laurent_pow_inv(LaurentSeries.zero(4), 1, 2)
+        with pytest.raises(ValueError, match="inverse power exponent must be >= 1"):
+            laurent_pow_inv(log1p_series(4), 0, 2)
 
     def test_remainder_in_the_power_recurrence_is_refused(self):
         # y' = y with y_0 = 1 on integers needs scale 2! for y_2 = 1/2;
@@ -95,6 +97,8 @@ class TestSeriesExp:
             series_exp(LaurentSeries.monomial(0), 3)
         with pytest.raises(ValueError):
             series_exp(LaurentSeries.monomial(0, trunc=3), 3)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            series_exp(LaurentSeries.monomial(1), 0)
 
     def test_polynomial_input_rejected(self):
         with pytest.raises(TypeError):
@@ -159,11 +163,14 @@ class TestDensePoly:
         assert DensePoly.zero().coeffs == () and DensePoly.zero().degree == -1
 
     def test_coeff_outside_the_support_is_zero(self):
-        # a polynomial is exact: no exponent is beyond a truncation order
+        # a polynomial is exact: no exponent is beyond a truncation order,
+        # and none is negative
         p = DensePoly([1, F(1, 2)])
         for exp in (-3, -1, 2, 50):
             assert p.coeff(exp) == 0 and type(p.coeff(exp)) is F
         assert p.coeff(1) == F(1, 2)
+        with pytest.raises(ValueError, match="DensePoly exponents must be >= 0"):
+            DensePoly.monomial(-1)
 
     def test_truncate_stays_exact(self):
         p = DensePoly([1, F(1, 2), 3, F(-4, 3)])

@@ -40,6 +40,8 @@ class TestTautElement:
     def test_mismatched_genus_rejected(self):
         with pytest.raises(ValueError):
             C(3, 0) * C(4, 0)
+        with pytest.raises(ValueError, match="ambient genus parameter must be >= 1"):
+            TautElement(0, {})
 
     def test_zero_coefficients_dropped(self):
         g = 2
@@ -183,6 +185,15 @@ class TestPolyPower:
     def test_invalid_power(self):
         with pytest.raises(ValueError):
             poly_power(build_g_poly(2), 0)
+        # and the other bad inputs of the reference route
+        for build in (build_g_poly, build_h_poly):
+            with pytest.raises(ValueError, match="g must be >= 1"):
+                build(0)
+        with pytest.raises(ValueError, match="u and t exponents must be >= 0"):
+            BivarPoly(2, {(-1, 2): C(2, 0)})
+        for op in ("__add__", "__mul__"):  # an empty side has no element to refuse
+            with pytest.raises(ValueError, match="mismatched ambient genus"):
+                getattr(build_g_poly(2), op)(BivarPoly(3))
 
 
 class TestBivarPolyPlumbing:
