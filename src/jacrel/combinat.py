@@ -240,10 +240,6 @@ class IdentityReport(NamedTuple):
 
 def verify_identity4(n: int, order: int) -> IdentityReport:
     """Compare (n-1)!/log(1+x)^n with P_n(1/x) coefficient by coefficient."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if order < 1:
-        raise ValueError("order must be >= 1 to decide the principal part")
     residual = inv_log1p_pow(n, order) - principal_part(n)
     ok = all(e >= 0 for e, _ in residual.items())
     tail = tuple((e, c) for e, c in residual.items() if e >= 0)

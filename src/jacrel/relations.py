@@ -76,7 +76,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from math import comb, factorial, lcm
 from threading import Lock
 from typing import Iterable, NamedTuple, Sequence
@@ -250,18 +250,20 @@ def _suffix_start(s: int, w: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _suffix_ranks(g: int, s: int, w: int) -> tuple[int, ...]:
-    """``ranks[i]``, the rank of F[i:] (strong8's generator rank at i = i0),
-    by one elimination of F's rows from F[D] down that keeps no row.  Keyed like F."""
+    """``ranks[i]``, i = 0..D+1, the rank of F[i:] (strong8's generator rank
+    at i = i0): the number of leading degrees >= i in an echelon basis of U,
+    the span of F's columns F_m read from v^D down, since those of degree
+    < i span U's part of degree < i.  The last column comes first only
+    because it fills U sooner; the order changes no rank.  Keyed like F."""
     if g > w + 1:
         return _suffix_ranks(w + 1, s, w)
     rows = _f_table(g, s, w)
-    space = RowSpace(len(rows[0]))
-    ranks = [0]
-    for row in reversed(rows):
-        if space.rank < space.ncols:
-            space.add(row)
-        ranks.append(space.rank)
-    return tuple(reversed(ranks))
+    space = RowSpace(len(rows))
+    for m in reversed(range(len(rows[0]))):
+        if space.rank == space.ncols:
+            break
+        space.add([row[m] for row in reversed(rows)])
+    return tuple(accumulate((c in space.pivots for c in range(len(rows))), initial=0))[::-1]
 
 
 def _f_row(g: int, s: int, w: int, e: int, divided: int) -> list[int]:

@@ -9,7 +9,7 @@ import pytest
 from jacrel.combinat import p_poly, stirling2
 from jacrel.linalg import RowSpace, rank
 from jacrel.relations import (_SPANS, GradedSpan, RelationFamily, RelationItem, _f_table,
-                              _generator_rows, _p_coefficients, _pi_coefficients,
+                              _generator_rows, _joint_rank, _p_coefficients, _pi_coefficients,
                               _suffix_ranks, _suffix_start, compare_ideals,
                               epsilon_series, family_from_json, family_from_jsonable,
                               family_to_json, gen_family, gen_theorem1, monomials_of_bidegree,
@@ -362,7 +362,16 @@ class TestCompareIdeals:
         assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == \
             "5bfc0213dfcd7790ea8e856bee08946a04c299e6fc8d29ac17b898aa0123df10"
 
-    def test_random_families_match_product_route_reference(self):
+    def test_frontier_comparisons_match_pinned_hash(self):
+        # SHA-256 of the newline-joined reprs of the three comparisons that
+        # ``jacrel equivalence 11 14 7`` runs, as README's frontier probe
+        # prints it
+        f6, f7, f8 = (gen_family(name, 11, 14, 7) for name in ("vdgk6", "herbaut7", "strong8"))
+        reports = [compare_ideals(f6, f7), compare_ideals(f7, f8), compare_ideals(f6, f8)]
+        assert hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest() == \
+            "3324d694720e3e42ceece84b593f6db789a601c4b8bfb4ca712ad5a5167b1279"
+
+    def test_random_families_match_product_route_reference(self, monkeypatch):
         # random generators with rational coefficients: a wrong shift or
         # scaling that the three families' ideals happen to hide shows here
         rng = random.Random(6)
@@ -378,6 +387,19 @@ class TestCompareIdeals:
                                                   element=rand_homogeneous_taut(rng, g, s, w)))
                     fams.append(RelationFamily(name, g, 2 * r, r, tuple(items)))
                 assert compare_ideals(*fams) == compare_ideals_by_products(*fams), (g, r)
+        # and a hand-built pair whose joint cell (2, 4), of dim 3, fills on
+        # the first row of b: {C(4)C(0), C(3)C(1)} and {C(2)^2, C(3)C(1)}
+        a, b = (RelationFamily(name, 5, 4, 2, tuple(
+                    RelationItem(s=2, t_exp=8, element=TautElement.monomial(5, m)) for m in monos))
+                for name, monos in (("a", ((4, 0), (3, 1))), ("b", ((2, 2), (3, 1)))))
+        report = compare_ideals(a, b)
+        assert report == compare_ideals_by_products(a, b)
+        assert [c[:5] for c in report.cells] == [(2, 4, 3, (2, 2), 3)]
+        rows = []
+        add = RowSpace.add
+        monkeypatch.setattr(RowSpace, "add", lambda space, row: rows.append(row) or add(space, row))
+        assert _joint_rank(a._span.cell(2, 4)[0], 2, b._span.cell(2, 4)[0], 2) == 3
+        assert len(rows) == 1  # b's second row is never reduced
 
     def test_unit_generator_fills_every_cell(self):
         # a degree-0 item generates the whole algebra, and the recursion has
@@ -656,15 +678,34 @@ class TestEchelonRoute:
     def test_suffix_ranks_match_full_reduction(self):
         # strong8's generators at k, the rows e > k of the full-degree
         # table, have the rank of F's suffix from i0; the reference
-        # multiplies out every Q_m and reduces every row
-        for g in range(1, 9):
-            for s in range(1, 6):
-                for w in range(s * (g - 1) + 1):
-                    ranks = _suffix_ranks(g, s, w)
-                    full = top_ranks_by_full_reduction(g, s, w)
-                    assert [ranks[_suffix_start(s, w, k)] for k in range(-1, 2 * s + w + 1)] \
-                        == list(full), (g, s, w)
-                    assert ranks[0] == rank(_f_table(g, s, w), len(monomials_of_bidegree(g, s, w)))
+        # multiplies out every Q_m and reduces every row; past the grid, six
+        # deficient cells, rank F < min(D+1, #monomials), where U never
+        # fills and every column is eliminated
+        cells = [(g, s, w) for g in range(1, 9) for s in range(1, 6) for w in range(s * (g - 1) + 1)]
+        cells += [(4, 6, 12), (4, 7, 14), (10, 3, 19), (11, 3, 21), (10, 4, 28), (11, 4, 31)]
+        for g, s, w in cells:
+            ranks = _suffix_ranks(g, s, w)
+            full = top_ranks_by_full_reduction(g, s, w)
+            assert [ranks[_suffix_start(s, w, k)] for k in range(-1, 2 * s + w + 1)] \
+                == list(full), (g, s, w)
+            assert ranks[0] == rank(_f_table(g, s, w), len(monomials_of_bidegree(g, s, w)))
+
+    def test_suffix_ranks_eliminate_columns_of_length_d_plus_one(self, monkeypatch):
+        # at (8, 5, 20) F has 46 columns of length D+1 = 11; the elimination
+        # reads columns, and U fills before the last one
+        _suffix_ranks.cache_clear()
+        inserted = []
+        add = RowSpace.add
+
+        def watched(space, row):
+            inserted.append(len(row))
+            return add(space, row)
+
+        monkeypatch.setattr(RowSpace, "add", watched)
+        ranks = _suffix_ranks(8, 5, 20)
+        monkeypatch.undo()
+        assert len(monomials_of_bidegree(8, 5, 20)) == 46 and ranks[0] == 11
+        assert set(inserted) == {11} and 11 <= len(inserted) < 46
 
 
 class TestSharedRouteSpans:

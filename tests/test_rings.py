@@ -233,13 +233,19 @@ class TestExactCoefficientsOnly:
         lambda: build_g_poly(3),
     ], ids=["LaurentSeries", "DensePoly", "TautElement", "GrrElement", "BivarPoly"])
     def test_bool_is_not_a_scalar(self, make):
-        # the scalar branch of every product takes exactly int or Fraction
+        # the scalar branch of every product takes exactly int or Fraction,
+        # and no sum takes an int: + and - refuse it, and == says no
         x = make()
         with pytest.raises(TypeError):
             x * True
         with pytest.raises(TypeError):
             False * x
         assert x * 2 == x + x
+        with pytest.raises(TypeError):
+            x + 1
+        with pytest.raises(TypeError):
+            x - 1
+        assert not x == 1 and x != 1
 
     def test_int_and_fraction_scalars(self):
         s = LaurentSeries(0, [1, 2], 4)

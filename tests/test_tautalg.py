@@ -204,6 +204,8 @@ class TestBivarPolyPlumbing:
         total = p + q
         assert total.coeff(0, 2) == C(g, 0) + C(g, 1)
         assert total.coeff(1, 3) == C(g, 1)
+        # a term at or past the t-truncation is dropped
+        assert BivarPoly(g, {(0, 2): C(g, 0), (1, 4): C(g, 1)}, t_trunc=4) == p
 
     def test_scalar_and_element_multiplication(self):
         g = 2
