@@ -6,6 +6,9 @@ to integers first (a nonzero scalar changes no span).  ``RowSpace`` keeps
 one echelon row per pivot column and reduces each new row by fraction-free
 elimination against them, in the order they were inserted; the entries are
 divided by their gcd once per inserted row, after the whole reduction.
+``RowSpace.fill`` is the one loop that inserts rows until a space is full:
+it reads no row after the one that fills it, and ``rank`` is that loop on
+an empty space.
 """
 
 from __future__ import annotations
@@ -49,6 +52,15 @@ class RowSpace:
         self.pivots[col] = reduced
         return True
 
+    def fill(self, rows: Iterable[Sequence[int]]) -> int:
+        """Insert rows until the space is full, reading none after the one
+        that fills it; returns the rank."""
+        if len(self.pivots) < self.ncols:
+            for row in rows:
+                if self.add(row) and len(self.pivots) == self.ncols:
+                    break
+        return len(self.pivots)
+
     def contains(self, row: Sequence[int]) -> bool:
         return self._reduce(row) is None
 
@@ -58,7 +70,4 @@ class RowSpace:
 
 
 def rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
-    space = RowSpace(ncols)
-    for row in rows:
-        space.add(row)
-    return space.rank
+    return RowSpace(ncols).fill(rows)

@@ -79,12 +79,12 @@ from functools import lru_cache
 from itertools import accumulate, islice
 from math import comb, factorial, lcm
 from threading import Lock
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .combinat import _bare_log_inv_pow, _log_ladder, p_poly, principal_part, stirling2
 from .linalg import RowSpace
-from .rings import (LaurentSeries, TruncationError, InvariantViolation, Value, _rational,
-                    log1p_series)
+from .rings import (LaurentSeries, TruncationError, InvariantViolation, Value, _convolve,
+                    _rational, log1p_series)
 from .tautalg import (Monomial, TautElement, _canonical_monomial, _compositions,
                       _g_power_coefficient, _mono_mul, element_to_jsonable,
                       monomials_of_bidegree)  # _compositions is re-exported
@@ -167,33 +167,14 @@ def _validate_params(g: int, d: int, r: int, families: bool = True) -> None:
 
 
 @lru_cache(maxsize=None)
-def _p_coefficients(n: int) -> tuple[int, ...]:
-    """Coefficients of P_n(u), u^0 first, certified to be integers.  That
-    P_n = v (1+2u)^(n mod 2) pi_n(v), v = u(1+u), and so P_n(0) = P_n(-1)
-    = 0 and P_n(-1-u) = (-1)^n P_n(u), is ``_pi_coefficients``' check."""
-    exact = p_poly(n).coeffs
-    if any(c.denominator != 1 for c in exact):
-        raise InvariantViolation(f"P_{n} has a non-integral coefficient")
-    return tuple(c.numerator for c in exact)
-
-
-def _convolve(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """The coefficients of the product of two integer polynomials."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _pi_coefficients(n: int) -> tuple[int, ...]:
     """Coefficients of pi_n(v), v^0 first: pi_2k = sum_j (2j+1)! T(2k, 2j+2)
     v^j, and pi_(2k+1) the same sum with each term times j+1, where T are
     the central factorial numbers, T(2n, 2m) = T(2n-2, 2m-2) +
-    m^2 T(2n-2, 2m) (Riordan, Combinatorial Identities, 1968).  Expanded in
-    u, v (1+2u)^(n mod 2) pi_n(v) must equal ``_p_coefficients(n)``, else
-    ``InvariantViolation``: this certifies the factorization the tables F
+    m^2 T(2n-2, 2m) (Riordan, Combinatorial Identities, 1968).  P_n is read
+    once, as ``p_poly(n).coeffs``: each coefficient must be an integer, and
+    v (1+2u)^(n mod 2) pi_n(v), expanded in u, must equal them, else
+    ``InvariantViolation``.  This certifies the factorization the tables F
     rest on, so P_n(0) = P_n(-1) = 0 and P_n(-1-u) = (-1)^n P_n(u)."""
     row = [1]  # T(2k, 2m), m = 0..k, for k up to n // 2
     for k in range(1, n // 2 + 1):
@@ -201,12 +182,15 @@ def _pi_coefficients(n: int) -> tuple[int, ...]:
                for m in range(k + 1)]
     pi = tuple((j + 1 if n % 2 else 1) * factorial(2 * j + 1) * row[j + 1]
                for j in range(n // 2))
-    expanded: tuple[int, ...] = (0,)
+    expanded = [0]
     for c in reversed(pi):  # Horner's rule in v = u + u^2
         expanded = _convolve(expanded, (0, 1, 1))
-        expanded = (expanded[0] + c,) + expanded[1:]
+        expanded[0] += c
     expanded = _convolve(expanded, (0, 1, 1) if n % 2 == 0 else (0, 1, 3, 2))
-    if expanded[:n + 1] != _p_coefficients(n) or any(expanded[n + 1:]):
+    exact = p_poly(n).coeffs
+    if any(c.denominator != 1 for c in exact):
+        raise InvariantViolation(f"P_{n} has a non-integral coefficient")
+    if tuple(expanded[:n + 1]) != exact or any(expanded[n + 1:]):
         raise InvariantViolation(f"pi_{n}'s closed form does not reproduce P_{n}")
     return pi
 
@@ -259,10 +243,7 @@ def _suffix_ranks(g: int, s: int, w: int) -> tuple[int, ...]:
         return _suffix_ranks(w + 1, s, w)
     rows = _f_table(g, s, w)
     space = RowSpace(len(rows))
-    for m in reversed(range(len(rows[0]))):
-        if space.rank == space.ncols:
-            break
-        space.add([row[m] for row in reversed(rows)])
+    space.fill([row[m] for row in reversed(rows)] for m in reversed(range(len(rows[0]))))
     return tuple(accumulate((c in space.pivots for c in range(len(rows))), initial=0))[::-1]
 
 
@@ -492,11 +473,7 @@ class GradedSpan:
             if rank_below < dim:
                 ranks["herbaut7"] += not space.contains(herbaut7)
                 ranks["vdgk6"] += space.add(top)  # strong8's first row too
-                for row in reversed(rows[_suffix_start(i, j, cut + i):-1]):
-                    if space.rank == dim:
-                        break
-                    space.add(row)
-                rank = space.rank
+                rank = space.fill(reversed(rows[_suffix_start(i, j, cut + i):-1]))
         routed = {f: (n, ranks[f] if all(c.routed[f][1] == c.rank for _, c in below) else None)
                   for f, n in generators.items()}
         return self.joints.setdefault((i, j), _JointCell(space, rank, routed, pair))
@@ -568,10 +545,7 @@ def _grow(space: RowSpace, lower, dim: int) -> int:
     covered = {c for shift, _, n in lower if n == len(shift) for c in shift}
     if len(covered) == dim:
         return dim
-    for row in _cut_rows(lower, covered, dim):
-        if space.add(row) and space.rank == dim:
-            break
-    return space.rank
+    return space.fill(_cut_rows(lower, covered, dim))
 
 
 def _route_span(family_id: str, g: int, cut: int) -> GradedSpan:
@@ -612,11 +586,7 @@ def _joint_rank(a: RowSpace, a_rows: int, b: RowSpace, b_rows: int) -> int:
     if a_rows < b_rows:
         a, a_rows, b, b_rows = b, b_rows, a, a_rows
     joint = RowSpace(a.ncols, islice(a.pivots.items(), a_rows))
-    for row in islice(b.pivots.values(), b_rows):
-        if joint.rank == joint.ncols:
-            break
-        joint.add(row)
-    return joint.rank
+    return joint.fill(islice(b.pivots.values(), b_rows))
 
 
 class CellComparison(NamedTuple):
@@ -815,9 +785,9 @@ def _power_law_ok(n: int, x_order: int) -> bool:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _generator_split_ok(n: int, x_order: int) -> bool:
-    """P_n(1/x) = (n-1)! L^-n + e_{n-2} on its window, P_n read off the
-    integers that pi_n, and so the tables F, are checked against."""
-    return LaurentSeries(-n, reversed(_p_coefficients(n))).agrees_with(
+    """P_n(1/x) = (n-1)! L^-n + e_{n-2} on its window, with P_n(1/x) the
+    same ``principal_part`` that ``_e_part`` reads."""
+    return principal_part(n).agrees_with(
         _bare_log_inv_pow(n, x_order) * factorial(n - 1) + _e_part(n, x_order))
 
 

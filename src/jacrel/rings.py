@@ -21,11 +21,12 @@ canonical: ``nums`` has no zero at either end and the gcd of all numerators
 with ``den`` is 1 (the zero series stores no numerators, ``den = 1`` and
 ``valuation = trunc``, or 0 when exact), so equal series compare and hash
 equal however they were built.  Products, sums and the power and
-exponential recurrences run on integers and reduce once per result;
-``coeff``, ``items``, ``render`` and ``coeffs`` (a tuple) hand out
-``Fraction`` values.  A :class:`DensePoly` is that kernel's exact face with
-no negative exponent: it stores an exact series and forwards its arithmetic
-to it.
+exponential recurrences run on integers and reduce once per result; a
+product is one integer convolution, ``_convolve``, which also builds the
+tables F of ``relations``; ``coeff``, ``items``, ``render`` and ``coeffs``
+(a tuple) hand out ``Fraction`` values.  A :class:`DensePoly` is that
+kernel's exact face with no negative exponent: it stores an exact series
+and forwards its arithmetic to it.
 
 Truncation orders are explicit fields, never implicit globals.  A
 :class:`LaurentSeries` knows exactly which window of exponents it has
@@ -45,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import attrgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 
 class TruncationError(ArithmeticError):
@@ -67,6 +68,20 @@ def min_trunc(a: int | None, b: int | None) -> int | None:
     if b is None:
         return a
     return min(a, b)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], size: int | None = None) -> list[int]:
+    """The integer coefficients of the product of two coefficient lists,
+    x^0 first, cut at ``size`` (all of them by default); zero entries of a
+    are skipped."""
+    full = len(a) + len(b) - 1 if a and b else 0
+    size = full if size is None else max(min(size, full), 0)
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[: size - i], i):
+                out[j] += x * y
+    return out
 
 
 def _rational(c: Any) -> int | Fraction:
@@ -323,16 +338,7 @@ class LaurentSeries(Value):
             return LaurentSeries.zero()
         lo = self.valuation + other.valuation
         trunc = self._product_trunc(other)
-        a, b = self.nums, other.nums
-        size = len(a) + len(b) - 1
-        if trunc is not None:
-            size = max(min(size, trunc - lo), 0)
-        # the integer convolution, cut at the truncation
-        out = [0] * size
-        for i, x in enumerate(a[:size]):
-            if x:
-                for j, y in enumerate(b[: size - i], i):
-                    out[j] += x * y
+        out = _convolve(self.nums, other.nums, None if trunc is None else trunc - lo)
         return _series(lo, out, self.den * other.den, trunc)
 
     def __rmul__(self, other: Any) -> "LaurentSeries":

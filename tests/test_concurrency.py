@@ -5,12 +5,11 @@ byte-identical results to serial evaluation.  The shared structures are the
 module caches: the Stirling memo table, whose writers are idempotent, and the
 ``functools.lru_cache``s (``tautalg``'s monomial bases
 ``monomials_of_bidegree`` and multiset counts ``_orderings``,
-``_bare_log_inv_pow``, the certified P_n coefficients ``_p_coefficients``,
-the closed forms pi_n ``_pi_coefficients`` checked against them, the
-half-degree tables ``_f_table`` built on those, whose rows the items and
-the routed spans read, and their suffix ranks ``_suffix_ranks``, the ideal
-cells' column maps of C(k) ``_shift_columns``,
-the chain's ``_e_part``, the check-(a) facts ``_power_law_ok`` and
+``_bare_log_inv_pow``, the closed forms pi_n ``_pi_coefficients``, checked
+against P_n's coefficients, the half-degree tables ``_f_table`` built on
+them, whose rows the items and the routed spans read, and their suffix
+ranks ``_suffix_ranks``, the ideal cells' column maps of C(k)
+``_shift_columns``, the chain's ``_e_part``, the check-(a) facts ``_power_law_ok`` and
 ``_generator_split_ok``, and the GRR replay's ``ch_vk``), which lock their
 own bookkeeping; two threads may both compute a missing entry, and they
 compute the same value.  Three pieces of state are kept on values.  A family's ``GradedSpan`` publishes a cell, with
@@ -48,8 +47,7 @@ import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
 from jacrel.relations import (_SPANS, _e_part, _generator_split_ok, _f_table,
-                              _p_coefficients, _pi_coefficients, _power_law_ok,
-                              _shift_columns, _suffix_ranks,
+                              _pi_coefficients, _power_law_ok, _shift_columns, _suffix_ranks,
                               compare_ideals, family_to_json, gen_family,
                               verify_implication_chain)
 from jacrel.tautalg import _orderings
@@ -66,7 +64,6 @@ def test_parallel_family_generation_is_deterministic():
     # cold tables F, so the threads race to build the same entries
     _f_table.cache_clear()
     _pi_coefficients.cache_clear()
-    _p_coefficients.cache_clear()
     _orderings.cache_clear()
     with ThreadPoolExecutor(max_workers=6) as pool:
         parallel = list(pool.map(lambda p: family_to_json(gen_family(*p)), params))
@@ -76,7 +73,6 @@ def test_parallel_family_generation_is_deterministic():
 def test_same_family_from_many_threads():
     _f_table.cache_clear()
     _pi_coefficients.cache_clear()
-    _p_coefficients.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
         outputs = list(pool.map(
             lambda _: family_to_json(gen_family("strong8", 4, 6, 2)), range(16)))

@@ -38,7 +38,20 @@ def test_rank_matches_sympy():
         space = RowSpace(ncols)
         for row in rows:
             space.add(row)
-        assert space.rank == expected == rank(rows, ncols), rows
+        assert space.rank == expected == rank(rows, ncols) == RowSpace(ncols).fill(rows), rows
+
+
+def test_fill_reads_no_row_after_the_one_that_fills_the_space():
+    rows = iter([[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 0], [5, 5, 5], [9, 9, 9], [1, 1, 1]])
+    space = RowSpace(3)
+    assert space.fill(rows) == 3
+    assert list(rows) == [[9, 9, 9], [1, 1, 1]]
+    # a full space reads nothing; one that never fills reads every row
+    rows = iter([[1, 0, 0]])
+    assert space.fill(rows) == 3 and list(rows) == [[1, 0, 0]]
+    rows = iter([[1, 1, 0], [2, 2, 0], [0, 0, 0], [0, 3, 0]])
+    assert RowSpace(3).fill(rows) == 2 and list(rows) == []
+    assert RowSpace(0).fill(iter([[]])) == 0
 
 
 def test_contains_combinations_and_rejects_outsiders():

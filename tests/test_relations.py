@@ -9,8 +9,8 @@ import pytest
 from jacrel.combinat import p_poly, stirling2
 from jacrel.linalg import RowSpace, rank
 from jacrel.relations import (_SPANS, GradedSpan, RelationFamily, RelationItem, _f_table,
-                              _generator_rows, _joint_rank, _p_coefficients, _pi_coefficients,
-                              _suffix_ranks, _suffix_start, compare_ideals,
+                              _generator_rows, _joint_rank, _pi_coefficients, _suffix_ranks,
+                              _suffix_start, compare_ideals,
                               epsilon_series, family_from_json, family_from_jsonable,
                               family_to_json, gen_family, gen_theorem1, monomials_of_bidegree,
                               span_contains, theorem1_family, verify_implication_chain)
@@ -179,8 +179,7 @@ class TestGenFamily:
                             lambda n: real(n) + real(1) if n == 3 else real(n))
         # the certified coefficients are cached: start from empty caches, and
         # leave nothing built from the perturbed P_3 to later tests
-        caches = (relations._p_coefficients, relations._pi_coefficients,
-                  relations._f_table)
+        caches = (relations._pi_coefficients, relations._f_table)
         for cache in caches:
             cache.cache_clear()
         try:
@@ -199,8 +198,7 @@ class TestGenFamily:
         real = relations.p_poly
         monkeypatch.setattr(relations, "p_poly",
                             lambda n: real(n) * F(1, 2) if n == 4 else real(n))
-        caches = (relations._p_coefficients, relations._pi_coefficients,
-                  relations._f_table)
+        caches = (relations._pi_coefficients, relations._f_table)
         for cache in caches:
             cache.cache_clear()
         try:
@@ -220,8 +218,7 @@ class TestGenFamily:
         real = relations.p_poly
         monkeypatch.setattr(relations, "p_poly",
                             lambda n: real(n) + DensePoly([0, 0, 1, 1]) if n == 4 else real(n))
-        caches = (relations._p_coefficients, relations._pi_coefficients,
-                  relations._f_table)
+        caches = (relations._pi_coefficients, relations._f_table)
         for cache in caches:
             cache.cache_clear()
         try:
@@ -678,11 +675,12 @@ class TestEchelonRoute:
     def test_suffix_ranks_match_full_reduction(self):
         # strong8's generators at k, the rows e > k of the full-degree
         # table, have the rank of F's suffix from i0; the reference
-        # multiplies out every Q_m and reduces every row; past the grid, six
+        # multiplies out every Q_m and reduces every row; past the grid, ten
         # deficient cells, rank F < min(D+1, #monomials), where U never
         # fills and every column is eliminated
         cells = [(g, s, w) for g in range(1, 9) for s in range(1, 6) for w in range(s * (g - 1) + 1)]
-        cells += [(4, 6, 12), (4, 7, 14), (10, 3, 19), (11, 3, 21), (10, 4, 28), (11, 4, 31)]
+        cells += [(4, 6, 12), (4, 7, 14), (10, 3, 19), (11, 3, 21), (10, 4, 28), (11, 4, 31),
+                  (11, 5, 41), (11, 6, 51), (11, 7, 60), (11, 7, 61)]
         for g, s, w in cells:
             ranks = _suffix_ranks(g, s, w)
             full = top_ranks_by_full_reduction(g, s, w)
@@ -706,6 +704,28 @@ class TestEchelonRoute:
         monkeypatch.undo()
         assert len(monomials_of_bidegree(8, 5, 20)) == 46 and ranks[0] == 11
         assert set(inserted) == {11} and 11 <= len(inserted) < 46
+
+    def test_deficient_cells_of_genus_11(self, monkeypatch):
+        # rank F < min(D+1, #monomials) in exactly six of the 287 cells of
+        # g = 11, s <= 7; U never fills there, so every column is inserted
+        _suffix_ranks.cache_clear()
+        inserted = []
+        add = RowSpace.add
+
+        def watched(space, row):
+            inserted.append(row)
+            return add(space, row)
+
+        monkeypatch.setattr(RowSpace, "add", watched)
+        deficient = []
+        for s in range(1, 8):
+            for w in range(10 * s + 1):
+                inserted.clear()
+                dim = len(monomials_of_bidegree(11, s, w))
+                if _suffix_ranks(11, s, w)[0] < min(w // 2 + 1, dim):
+                    deficient.append((s, w))
+                    assert len(inserted) == dim, (s, w)
+        assert deficient == [(3, 21), (4, 31), (5, 41), (6, 51), (7, 60), (7, 61)]
 
 
 class TestSharedRouteSpans:
@@ -912,7 +932,7 @@ class TestHalfDegreeTable:
                     expanded[j + 1 + e] += c * comb(j + 1, e)
             if n % 2:
                 expanded = [x + 2 * (expanded[e - 1] if e else 0) for e, x in enumerate(expanded)]
-            assert tuple(expanded) == _p_coefficients(n), n
+            assert tuple(expanded) == p_poly(n).coeffs, n
             for route in ("stirling", "genfunc", "laurent"):
                 assert list(p_poly(n, route).coeffs) == expanded, (n, route)
 
@@ -925,7 +945,7 @@ class TestHalfDegreeTable:
         real = relations.p_poly
         monkeypatch.setattr(relations, "p_poly",
                             lambda n: real(n) + DensePoly([0, 0, 7, 14, 7]) if n == 4 else real(n))
-        caches = (_p_coefficients, _pi_coefficients, _f_table, _suffix_ranks)
+        caches = (_pi_coefficients, _f_table, _suffix_ranks)
 
         def cold():
             _SPANS.clear()

@@ -1,3 +1,4 @@
+import random
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 
 from jacrel.grr import GrrContext
 from jacrel.rings import (DensePoly, InvariantViolation, LaurentSeries, TruncationError,
-                          _recurrence, laurent_pow_inv, log1p_series, series_exp)
+                          _convolve, _recurrence, laurent_pow_inv, log1p_series, series_exp)
 from jacrel.tautalg import TautElement, build_g_poly
 from oracles import grr_monomial, power
 
@@ -141,6 +142,28 @@ class TestTruncationDiscipline:
         a = LaurentSeries(0, (F(1),), 5)
         b = LaurentSeries(0, (F(2),), 3)
         assert (a + b).trunc == 3
+
+
+class TestConvolve:
+    def test_matches_the_dense_product_and_its_prefix(self):
+        rng = random.Random(4207)
+        for _ in range(200):
+            # half the entries zero, as the skipped entries of a
+            a, b = ([rng.choice((0, rng.randint(-9, 9))) for _ in range(rng.randint(0, 6))]
+                    for _ in range(2))
+            product = DensePoly(a) * DensePoly(b)
+            full = _convolve(a, b)
+            assert len(full) == (len(a) + len(b) - 1 if a and b else 0), (a, b)
+            assert full == [product.coeff(e) for e in range(len(full))], (a, b)
+            assert product.degree < len(full) or product.is_zero, (a, b)
+            for size in range(len(full) + 2):
+                assert _convolve(a, b, size) == full[:size], (a, b, size)
+
+    def test_empty_operand_and_size_at_most_zero(self):
+        assert _convolve([], [1, 2]) == _convolve([1, 2], []) == _convolve([], []) == []
+        assert _convolve([], [1, 2], 3) == []
+        assert _convolve([1, 2], [3, 4], 0) == _convolve([1, 2], [3, 4], -1) == []
+        assert _convolve([0, 1], [1, 1]) == [0, 1, 1]
 
 
 class TestDensePoly:
