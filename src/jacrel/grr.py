@@ -160,10 +160,6 @@ class GrrElement(SparseElement):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx: GrrContext) -> "GrrElement":
-        return cls(ctx, {})
-
-    @classmethod
     def scalar(cls, ctx: GrrContext, value: int | Fraction) -> "GrrElement":
         return cls(ctx, {(0,) * ctx.nvars: value})
 

@@ -59,12 +59,13 @@ rewritten to zero, and the Stirling-coefficient nonvanishing that closes the
 chain.  All three series are linear in the generators, so each is a scalar
 Laurent series over Q per generator: h_a = P_{a+2}(1/x) in H(1/x,t),
 g_a = (a+1)! L^-(a+2), L = log(1+x), in G(t/log(1+x)), and e_a = h_a - g_a
-in eps.  At a monomial m = (a_1..a_s) the expansion is the distributive law
-for prod (g_{a_i} + e_{a_i}), a sum over position sets S, so the facts it
-follows from are certified once per generator and power: the cached powers
-of L multiply as powers and h_a = g_a + e_a.  The degree bound is the
-paper's valuation lemma (see ``ChainReport``): it reads the valuations and
-windows of the cached e_a and L^-N, forms no product and visits no monomial.
+in eps (``_e_part``).  At a monomial m = (a_1..a_s) the expansion is the
+distributive law for prod (g_{a_i} + e_{a_i}), a sum over position sets S.
+h_a = g_a + e_a is ``_e_part``'s definition, so the one fact the law needs
+beyond it is certified once per power: the cached powers of L multiply as
+powers (the power law).  The degree bound is the paper's valuation lemma
+(see ``ChainReport``): it reads the valuations and windows of the cached
+e_a and L^-N, forms no product and visits no monomial.
 
 Note that eps has x-exponents >= 0 but genuinely nonzero x^0 terms
 (Bernoulli values B_n/n for even n = a+2), so the sharpest certifiable bound
@@ -90,10 +91,9 @@ from .tautalg import (Monomial, TautElement, _canonical_monomial, _compositions,
                       monomials_of_bidegree)  # _compositions is re-exported
 
 
-# Bound on each of the chain's caches, keyed by n and x_order = 2(g+2):
-# ``_e_part`` and the check-(a) facts ``_power_law_ok`` and
-# ``_generator_split_ok``.  The criterion-6b grid puts 18, 66 and 18
-# entries in them.
+# Bound on each of the chain's two caches, keyed by n and x_order = 2(g+2):
+# ``_e_part`` and check (a)'s power law ``_power_law_ok``.  The criterion-6b
+# grid puts 18 and 66 entries in them.
 _CACHE_SIZE = 4096
 
 _PUBLISH = Lock()  # publishes a routed family's items
@@ -783,14 +783,6 @@ def _power_law_ok(n: int, x_order: int) -> bool:
     return (_bare_log_inv_pow(n, x_order) * log1p_series(x_order + n)).agrees_with(below)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _generator_split_ok(n: int, x_order: int) -> bool:
-    """P_n(1/x) = (n-1)! L^-n + e_{n-2} on its window, with P_n(1/x) the
-    same ``principal_part`` that ``_e_part`` reads."""
-    return principal_part(n).agrees_with(
-        _bare_log_inv_pow(n, x_order) * factorial(n - 1) + _e_part(n, x_order))
-
-
 class ScalarCheck(NamedTuple):
     s: int
     n: int
@@ -817,12 +809,12 @@ class DegreeBoundCheck(NamedTuple):
 class ChainReport(NamedTuple):
     """Checks (a)-(c) of ``verify_implication_chain``.  ``x_order`` records
     the x-window the series were known below, 2(g+2).  ``identity9_ok``
-    holds when L^-n * L = L^-(n-1), L = log(1+x), for n <= r(g+1), and
-    P_n(1/x) = (n-1)! L^-n + e_{n-2} for n = a+2, a < g: the facts that the
-    distributive law at every monomial of the window follows from.  The
-    power law is also what certifies the powers themselves: they come off
-    ``combinat``'s derivative ladder, and the law checks them by products,
-    which share no code with it.
+    holds when L^-n * L = L^-(n-1), L = log(1+x), for n <= r(g+1).  With
+    h_a = g_a + e_a, which is ``_e_part``'s definition, this power law is
+    what the distributive law at every monomial of the window follows
+    from.  The power law is also what certifies the powers
+    themselves: they come off ``combinat``'s derivative ladder, and the law
+    checks them by products, which share no code with it.
 
     Check (b) is the valuation lemma.  With the vdgk6 relations rewritten to
     zero, a kept term at m = (a_1..a_s) is G_S * prod_{i not in S} e_{a_i},
@@ -867,8 +859,9 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
 
     (a) The binomial identity H(1/x,t)^s = sum_{s'} C(s,s') G(t/log(1+x))^s'
         eps^(s-s') holds for s = 1..r: at a monomial it is the distributive
-        law for prod (g_{a_i} + e_{a_i}), certified by the facts it follows
-        from (see ``ChainReport``).
+        law for prod (g_{a_i} + e_{a_i}), certified by the power law of the
+        cached L^-n, the one fact it needs beyond ``_e_part``'s definition
+        h_a = g_a + e_a (see ``ChainReport``).
     (b) With the vdgk6 vanishing rewritten into G's powers, the right-hand
         side is certified to contain no x-exponent below -(d-r+s), by the
         valuation lemma (see ``ChainReport``).
@@ -879,8 +872,7 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
     _validate_params(g, d, r)
     x_order = 2 * (g + 2)
     _log_ladder(r * (g + 1), x_order)  # every power read below, built at once
-    identity9_ok = (all(_power_law_ok(n, x_order) for n in range(1, r * (g + 1) + 1))
-                    and all(_generator_split_ok(a + 2, x_order) for a in range(g)))
+    identity9_ok = all(_power_law_ok(n, x_order) for n in range(1, r * (g + 1) + 1))
     e_parts = [_e_part(a + 2, x_order) for a in range(g)]
     e_ok = all(e.valuation >= 0 for e in e_parts)
     e_trunc = min(e.trunc for e in e_parts)

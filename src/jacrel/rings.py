@@ -431,10 +431,11 @@ class SparseElement(Value):
     The normal form keeps no zero coefficient, an integral coefficient is an
     ``int`` and any other a ``Fraction``, and the empty map is zero, so
     integer arithmetic stays on ``int``.  This kernel owns that form, the
-    unchecked constructor ``_trusted``, sums, negation, scalars from the
-    left, ``hash`` and ``render``.  A subclass names the ambient by
+    unchecked constructor ``_trusted``, ``zero``, sums, negation, scalars
+    from the left, ``hash`` and ``render``.  A subclass names the ambient by
     aliasing the ``ambient`` slot and supplies the rest: its checked public
-    constructor (a ``__new__`` ending in ``_trusted``), ``_check`` (a
+    constructor (a ``__new__`` ending in ``_trusted``, which ``zero`` calls
+    with no terms, so the ambient is checked), ``_check`` (a
     ``ValueError`` unless both operands share the ambient), the text of one
     monomial, ``sorted_terms``, ``__repr__`` and its own ``__mul__``.
     """
@@ -452,6 +453,10 @@ class SparseElement(Value):
             key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
             for key, c in terms.items() if c})
         return self
+
+    @classmethod
+    def zero(cls, ambient: Any) -> Any:
+        return cls(ambient, {})
 
     @property
     def is_zero(self) -> bool:

@@ -107,10 +107,6 @@ class TautElement(SparseElement):
         return cls._trusted(g, summed)
 
     @classmethod
-    def zero(cls, g: int) -> "TautElement":
-        return cls(g, {})
-
-    @classmethod
     def one(cls, g: int) -> "TautElement":
         return cls(g, {(): 1})
 

@@ -759,11 +759,10 @@ def head_table(mono, x_order):
     from operator import itemgetter
 
     from jacrel.relations import _bare_log_inv_pow as log_inv_pow
-    from jacrel.relations import _generator_split_ok, _power_law_ok
+    from jacrel.relations import _power_law_ok
     one = LaurentSeries.monomial(0)
     weights = Counter(mono)
-    facts_ok = (all(_power_law_ok(n, x_order) for n in range(1, 2 * len(mono) + sum(mono) + 1))
-                and all(_generator_split_ok(a + 2, x_order) for a in weights))
+    facts_ok = all(_power_law_ok(n, x_order) for n in range(1, 2 * len(mono) + sum(mono) + 1))
     terms = []  # (k, scale, L^-N, e-part)
     for chosen, mult in Counter(c for size in range(len(mono) + 1)
                                 for c in combinations(mono, size)).items():

@@ -9,9 +9,9 @@ module caches: the Stirling memo table, whose writers are idempotent, and the
 against P_n's coefficients, the half-degree tables ``_f_table`` built on
 them, whose rows the items and the routed spans read, and their suffix
 ranks ``_suffix_ranks``, the ideal cells' column maps of C(k)
-``_shift_columns``, the chain's ``_e_part``, the check-(a) facts ``_power_law_ok`` and
-``_generator_split_ok``, and the GRR replay's ``ch_vk``), which lock their
-own bookkeeping; two threads may both compute a missing entry, and they
+``_shift_columns``, the chain's ``_e_part``, check (a)'s power law
+``_power_law_ok``, and the GRR replay's ``ch_vk``), which lock their own
+bookkeeping; two threads may both compute a missing entry, and they
 compute the same value.  Three pieces of state are kept on values.  A family's ``GradedSpan`` publishes a cell, with
 its rows and its ranks, only once the cell is complete, so threads that
 compare the same family at once can at most build a cell twice, the same
@@ -46,10 +46,9 @@ import pytest
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_SPANS, _e_part, _generator_split_ok, _f_table,
-                              _pi_coefficients, _power_law_ok, _shift_columns, _suffix_ranks,
-                              compare_ideals, family_to_json, gen_family,
-                              verify_implication_chain)
+from jacrel.relations import (_SPANS, _e_part, _f_table, _pi_coefficients, _power_law_ok,
+                              _shift_columns, _suffix_ranks, compare_ideals, family_to_json,
+                              gen_family, verify_implication_chain)
 from jacrel.tautalg import _orderings
 from oracles import family_by_powers
 from test_imports import run_fresh
@@ -94,7 +93,7 @@ def test_parallel_chain_reports_match_serial():
     serial = [verify_implication_chain(*p) for p in params]
     # cold series and frequent thread switches, so threads race to build and
     # read the same entries
-    for cache in (combinat._bare_log_inv_pow, _e_part, _power_law_ok, _generator_split_ok):
+    for cache in (combinat._bare_log_inv_pow, _e_part, _power_law_ok):
         cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

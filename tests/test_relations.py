@@ -1118,13 +1118,13 @@ class TestImplicationChain:
             verify_implication_chain(3, 5, 2, 8)
 
     def test_identity9_comparison_is_not_vacuous(self, monkeypatch):
-        # check (a) rests on h_a = g_a + e_a per generator and on the power
-        # law of the cached L^-n: a perturbed e_0, L^-4 or L^-8 must flip it;
+        # check (a) is the power law of the cached L^-n (h_a = g_a + e_a is
+        # _e_part's definition): a perturbed L^-4 or L^-8 must flip it;
         # L^-8 = L^-r(g+1), the largest power a G_S uses, lies beyond the
-        # generators (n <= g+1), so only the power law sees it
+        # generators (n <= g+1)
         import jacrel.relations as rel
         from jacrel.rings import LaurentSeries
-        caches = (rel._power_law_ok, rel._generator_split_ok)
+        caches = (rel._power_law_ok,)
         g, d, r, x_order = 3, 5, 2, 10  # the chain's window 2(g+2)
 
         def perturbed(real, at):
@@ -1140,8 +1140,7 @@ class TestImplicationChain:
 
         try:
             assert identity9()
-            for name, at in (("_e_part", 2), ("_bare_log_inv_pow", 4),
-                             ("_bare_log_inv_pow", 8)):
+            for name, at in (("_bare_log_inv_pow", 4), ("_bare_log_inv_pow", 8)):
                 with monkeypatch.context() as patch:
                     patch.setattr(rel, name, perturbed(getattr(rel, name), at))
                     assert not identity9(), (name, at)
@@ -1153,8 +1152,7 @@ class TestImplicationChain:
     def test_power_law_certifies_the_ladder(self, monkeypatch):
         # the ladder builds L^-(n+1) = -(1+x) (L^-n)' / n, check (a) multiplies
         # L^-n by L: a step without the (1+x) factor, or one dividing by n+1,
-        # must flip identity9_ok, while h_a = g_a + e_a still holds, since
-        # e_a is read off the same powers
+        # must flip identity9_ok
         import jacrel.combinat as combinat
         import jacrel.relations as rel
         from jacrel.rings import LaurentSeries
@@ -1170,8 +1168,7 @@ class TestImplicationChain:
 
         def report():
             combinat._ladders.clear()
-            for cache in (combinat._bare_log_inv_pow, rel._e_part, rel._power_law_ok,
-                          rel._generator_split_ok):
+            for cache in (combinat._bare_log_inv_pow, rel._e_part, rel._power_law_ok):
                 cache.cache_clear()
             return verify_implication_chain(3, 5, 2)
 
@@ -1182,7 +1179,6 @@ class TestImplicationChain:
                     patch.setattr(combinat, "_ladder_step", step)
                     corrupted = report()
                     assert not corrupted.identity9_ok and not corrupted.ok, step.__name__
-                    assert all(rel._generator_split_ok(a + 2, 10) for a in range(3))
         finally:
             assert report().ok
 
@@ -1203,19 +1199,29 @@ class TestImplicationChain:
         g, d, r, x_order = 3, 5, 2, 10
         real = rel._e_part
         bump = LaurentSeries(-1, (F(1),), x_order)
-        try:
-            assert verify_implication_chain(g, d, r).ok
-            with monkeypatch.context() as patch:
-                patch.setattr(rel, "_e_part", lambda n, order: real(n, order) + bump
-                              if n == 2 else real(n, order))
-                rel._generator_split_ok.cache_clear()
-                report = verify_implication_chain(g, d, r)
-                assert not report.degree_bound_ok
-                assert not report.ok
-        finally:
-            rel._generator_split_ok.cache_clear()
+        assert verify_implication_chain(g, d, r).ok
+        with monkeypatch.context() as patch:
+            patch.setattr(rel, "_e_part", lambda n, order: real(n, order) + bump
+                          if n == 2 else real(n, order))
+            report = verify_implication_chain(g, d, r)
+            assert not report.degree_bound_ok
+            assert not report.ok
         report = verify_implication_chain(g, d, r)
         assert report.degree_bound_ok and report.ok
+
+    def test_scalar_comparison_is_not_vacuous(self, monkeypatch):
+        # check (c) compares each extraction scalar with (m!/(n-1)!) S(n-1, m):
+        # S(6, 5) one too large (n = 7, m = 5 at s = 2) must flip it alone
+        import jacrel.relations as rel
+        g, d, r = 3, 5, 2
+        real = rel.stirling2
+        with monkeypatch.context() as patch:
+            patch.setattr(rel, "stirling2",
+                          lambda n, k: real(n, k) + 1 if (n, k) == (6, 5) else real(n, k))
+            report = verify_implication_chain(g, d, r)
+            assert not report.scalar_ok and not report.ok
+            assert report.identity9_ok and report.degree_bound_ok
+        assert verify_implication_chain(g, d, r).ok
 
     def test_reports_match_pinned_hashes(self):
         # SHA-256 of the newline-joined ChainReport reprs on the criterion-6b
@@ -1310,9 +1316,8 @@ class TestSplitTable:
                 assert least == check.min_x_exponent >= check.bound, (g, d, r, check.s)
 
     def test_reports_do_not_depend_on_cache_state(self):
-        from jacrel.relations import (_CACHE_SIZE, _bare_log_inv_pow, _e_part,
-                                      _generator_split_ok, _power_law_ok)
-        caches = (_bare_log_inv_pow, _e_part, _power_law_ok, _generator_split_ok)
+        from jacrel.relations import _CACHE_SIZE, _bare_log_inv_pow, _e_part, _power_law_ok
+        caches = (_bare_log_inv_pow, _e_part, _power_law_ok)
 
         def report(g, d, r):
             chain = verify_implication_chain(g, d, r)
