@@ -31,11 +31,13 @@ gives each upstairs image as an exponent shift and a scalar, which
 ``gamma_extract`` reads c_(M+1)'s xi^r terms into the gammas in one pass.
 
 Nothing before the Chern classes depends on M, and c_0..c_(M+1) is a prefix
-of every longer tower.  So ``ch_vk`` caches one ``ChernData`` per (g, d, r)
-in a bounded ``lru_cache``, and ``chern_classes`` keeps the tower on it as a
-memo, extended on demand.  These are the module's shared state: the memo is
-replaced only by a complete longer tower, so racing threads never read a
-partial tower and at worst compute the same classes more than once.
+of every longer tower.  So ``ch_vk`` caches one ``ChernData``, the bundle's
+character, per (g, d, r) in a bounded ``lru_cache``, and ``chern_classes``
+keeps the tower on it as a memo, extended on demand, and returns a slice of
+it: no class past the requested order is returned, so none reads as zero.
+These are the module's shared state: the memo is replaced only by a complete
+longer tower, so racing threads never read a partial tower and at worst
+compute the same classes more than once.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from operator import add, mul
 from threading import Lock
 from typing import Any, Iterator, NamedTuple
 
-from .rings import _EXACT_TYPES, InvariantViolation, SparseElement, _rational
+from .rings import _EXACT_TYPES, InvariantViolation, SparseElement, Value, _rational
 from .tautalg import Monomial, TautElement, _g_power_coefficient
 
 # Bound on the ``ch_vk`` cache, keyed by (g, d, r); the criterion-7 grid
@@ -303,37 +305,21 @@ def pushforward(term: UpstairsTerm) -> GrrElement:
                                      for e, c in term.coeff.terms.items()})
 
 
-class _Chern(NamedTuple):
-    ctx: GrrContext
-    ch: tuple[GrrElement, ...]
-    c: tuple[GrrElement, ...] | None = None
+class ChernData(Value):
+    """A bundle's graded Chern-character components ``ch``, with the memo
+    ``_tower`` of ``chern_classes`` (see ``_Tower``), which takes no part in
+    ``==``, ``hash``, ``repr`` or a copy."""
 
+    __slots__ = ("ctx", "ch", "_tower")
 
-class ChernData(_Chern):
-    """Graded Chern-character components and, once derived, Chern classes.
-
-    ``_tower`` is ``chern_classes``' memo (see ``_Tower``), kept in the
-    instance dict: it is in neither ``==``, ``hash``, ``repr`` nor a copy.
-    """
-
-    _tower: _Tower | None = None
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("ChernData is immutable")
-
-    def __reduce__(self) -> tuple:
-        return ChernData, tuple(self)
+    def __init__(self, ctx: GrrContext, ch: tuple[GrrElement, ...]) -> None:
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "ch", ch)
+        object.__setattr__(self, "_tower", None)
 
     def ch_j(self, j: int) -> GrrElement:
         if 0 <= j < len(self.ch):
             return self.ch[j]
-        return GrrElement.zero(self.ctx)
-
-    def c_j(self, n: int) -> GrrElement:
-        if self.c is None:
-            raise ValueError("Chern classes have not been derived yet")
-        if 0 <= n < len(self.c):
-            return self.c[n]
         return GrrElement.zero(self.ctx)
 
 
@@ -424,8 +410,8 @@ def _newton_factors(data: ChernData) -> tuple[GrrElement, ...]:
     return tuple(factors)
 
 
-def chern_classes(data: ChernData, t_order: int) -> ChernData:
-    """Chern classes from the exponential formula, below t^t_order.
+def chern_classes(data: ChernData, t_order: int) -> tuple[GrrElement, ...]:
+    """The Chern classes c_0..c_(t_order-1), from the exponential formula.
 
     c(t) = exp(F(t)) with F(t) = sum_j (-1)^(j-1) (j-1)! ch_j t^j, so
     c' = F' c gives Newton's identity c_0 = 1,
@@ -435,7 +421,8 @@ def chern_classes(data: ChernData, t_order: int) -> ChernData:
     is divided by n! once, as it joins the memo on ``data``.  The memo is
     extended on demand and replaced only by a complete longer one, so
     threads sharing ``data`` never read a partial tower and at worst compute
-    the same classes more than once.
+    the same classes more than once.  The classes are a slice of the memo:
+    no class past c_(t_order-1) is returned.
     """
     if t_order < 1:
         raise ValueError("t_order must be >= 1")
@@ -462,7 +449,7 @@ def chern_classes(data: ChernData, t_order: int) -> ChernData:
             current = data._tower
             if current is None or len(current.classes) < len(memo.classes):
                 object.__setattr__(data, "_tower", memo)
-    return ChernData(ctx=data.ctx, ch=data.ch, c=memo.classes[:t_order])
+    return memo.classes[:t_order]
 
 
 class GammaData(NamedTuple):
@@ -470,16 +457,17 @@ class GammaData(NamedTuple):
 
     ``gammas[s]`` is the coefficient of k^s, normalized by the sign
     (-1)^(M+1) so that the top entry carries the factorial composition sum
-    times (-1)^r / r!.
+    times (-1)^r / r!; the keys ascend and the zero powers are absent.
     """
 
     ctx: GrrContext
     M: int
-    xi_r_part: GrrElement
     gammas: dict[int, GrrElement]
 
     def gamma(self, s: int) -> GrrElement:
-        return self.gammas.get(s, GrrElement.zero(self.ctx))
+        """The coefficient of k^s; a zero is built only for an absent power."""
+        gamma = self.gammas.get(s)
+        return GrrElement.zero(self.ctx) if gamma is None else gamma
 
     @property
     def max_power(self) -> int:
@@ -512,16 +500,13 @@ def gamma_extract(g: int, d: int, r: int, M: int) -> GammaData:
         raise ValueError("M must be >= d")
     shared = ch_vk(g, d, r)
     ctx, xi, sign = shared.ctx, shared.ctx.xi_index, (-1) ** (M + 1)
-    top = chern_classes(shared, M + 2).c[M + 1]
-    xi_r: _Terms = {}
+    top = chern_classes(shared, M + 2)[M + 1]
     split: dict[int, _Terms] = {}
     for e, c in top.terms.items():
-        if e[xi] == r:
-            stripped, c = e[:xi] + (0,), c * sign  # xi is the last variable
-            xi_r[stripped] = c
-            split.setdefault(e[0], {})[(0,) + stripped[1:]] = c
+        if e[xi] == r:  # k is the first variable and xi the last
+            split.setdefault(e[0], {})[(0,) + e[1:xi] + (0,)] = c * sign
     gammas = {s: GrrElement._trusted(ctx, split[s]) for s in sorted(split)}
-    return GammaData(ctx=ctx, M=M, xi_r_part=GrrElement._trusted(ctx, xi_r), gammas=gammas)
+    return GammaData(ctx=ctx, M=M, gammas=gammas)
 
 
 def gamma_top_reference(g: int, d: int, r: int, M: int) -> GrrElement:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Any, Iterator
 
-from .rings import _EXACT_TYPES, SparseElement, Value, _rational, min_trunc
+from .rings import _EXACT_TYPES, SparseElement, TruncationError, Value, _rational, min_trunc
 
 Monomial = tuple[int, ...]
 
@@ -182,8 +182,9 @@ class BivarPoly(Value):
     """Polynomial in t and u with TautElement coefficients.
 
     Terms are keyed by (u_exp, t_exp).  An optional tracked t-truncation
-    caps every operation: terms at t-exponents >= t_trunc are dropped.
-    ``==`` ignores ``t_trunc``, and ``terms`` is a dict, so it has no hash.
+    caps every operation: terms at t-exponents >= t_trunc are dropped, and
+    ``coeff`` raises ``TruncationError`` there.  ``==`` ignores ``t_trunc``,
+    and ``terms`` is a dict, so it has no hash.
     """
 
     __slots__ = ("g", "terms", "t_trunc")
@@ -207,7 +208,12 @@ class BivarPoly(Value):
         return not self.terms
 
     def coeff(self, u_exp: int, t_exp: int) -> TautElement:
-        return self.terms.get((u_exp, t_exp), TautElement.zero(self.g))
+        """The coefficient of u^u_exp t^t_exp; a zero is built only for an absent term."""
+        if self.t_trunc is not None and t_exp >= self.t_trunc:
+            raise TruncationError(
+                f"coefficient at t-exponent {t_exp} is beyond truncation order {self.t_trunc}")
+        elt = self.terms.get((u_exp, t_exp))
+        return TautElement.zero(self.g) if elt is None else elt
 
     def t_coefficient(self, t_exp: int) -> dict[int, TautElement]:
         """The u-polynomial at a fixed t-exponent, as {u_exp: element}."""

@@ -266,10 +266,10 @@ def gammas_by_k_scan(signed):
 
 
 def gamma_extract_by_elements(g, d, r, M):
-    """(xi_r_part, gammas) of ``grr.gamma_extract`` element by element: the
-    class c_(M+1), its xi^r coefficient, the sign (-1)^(M+1), then
+    """(signed xi^r part, gammas) of ``grr.gamma_extract`` element by element:
+    the class c_(M+1), its xi^r coefficient times the sign (-1)^(M+1), then
     ``gammas_by_k_scan``: the reference for its one pass over the terms."""
-    top = chern_classes(ch_vk(g, d, r), M + 2).c_j(M + 1)
+    top = chern_classes(ch_vk(g, d, r), M + 2)[M + 1]
     signed = top.xi_coefficient(r) * (-1) ** (M + 1)
     return signed, gammas_by_k_scan(signed)
 

@@ -10,8 +10,8 @@ from jacrel.grr import (ChernData, GrrContext, GrrElement, UpstairsTerm, ch_vk,
                         chern_classes, derive_theorem1, extract_amj,
                         gamma_extract, gamma_top_reference, pushforward)
 from jacrel.relations import gen_theorem1
-from jacrel.rings import InvariantViolation
-from jacrel.tautalg import TautElement
+from jacrel.rings import InvariantViolation, SparseElement, TruncationError
+from jacrel.tautalg import TautElement, build_g_poly, build_h_poly, poly_power
 from oracles import (GenericSeries, Ring, ch_closed_form_by_elements, ch_route_by_elements,
                      chern_classes_by_fractions, gamma_extract_by_elements, gammas_by_k_scan,
                      generic_series_exp, grr_monomial, pushforward_by_products,
@@ -179,9 +179,9 @@ class TestBuildersMatchElementReference:
             shared, order = ch_vk(g, d, r), d + 4
             expected = chern_classes_by_fractions(shared, order + 3)
             tower = ChernData(ctx=shared.ctx, ch=shared.ch)
-            assert chern_classes(tower, order).c == expected[:order], (g, d, r)
-            assert chern_classes(tower, order + 3).c == expected, (g, d, r)
-            assert chern_classes(tower, 2).c == expected[:2], (g, d, r)
+            assert chern_classes(tower, order) == expected[:order], (g, d, r)
+            assert chern_classes(tower, order + 3) == expected, (g, d, r)
+            assert chern_classes(tower, 2) == expected[:2], (g, d, r)
             assert all(type(c) is int for element in tower._tower.scaled
                        for c in element.terms.values())
 
@@ -189,8 +189,7 @@ class TestBuildersMatchElementReference:
         for g, d, r in WIDE_GRID:
             for M in (d, d + 1, d + 2, d + 4):
                 data = gamma_extract(g, d, r, M)
-                xi_r_part, gammas = gamma_extract_by_elements(g, d, r, M)
-                assert data.xi_r_part == xi_r_part, (g, d, r, M)
+                _, gammas = gamma_extract_by_elements(g, d, r, M)
                 assert data.gammas == gammas, (g, d, r, M)
                 assert list(data.gammas) == list(gammas), (g, d, r, M)
 
@@ -246,15 +245,16 @@ class TestExtractAmj:
 
 class TestChernClasses:
     def test_constant_term_one(self):
-        data = chern_classes(ch_vk(3, 4, 2), 6)
-        assert data.c_j(0) == GrrElement.one(data.ctx)
+        data = ch_vk(3, 4, 2)
+        assert chern_classes(data, 6)[0] == GrrElement.one(data.ctx)
 
     def test_r1_signs(self):
         # with xi^2 = 0 the exponential collapses: c_j = (-1)^(j-1) (j-1)! ch_j
-        data = chern_classes(ch_vk(4, 5, 1), 7)
+        data = ch_vk(4, 5, 1)
+        classes = chern_classes(data, 7)
         for j in range(1, 7):
             sign = F((-1) ** (j - 1) * factorial(j - 1))
-            assert data.c_j(j) == data.ch_j(j) * sign, j
+            assert classes[j] == data.ch_j(j) * sign, j
 
     def test_divisibility_checked(self):
         ctx = GrrContext(2, 3, 2)
@@ -264,10 +264,11 @@ class TestChernClasses:
             chern_classes(bad, 4)
 
     def test_classes_beyond_cutoff_unavailable(self):
-        data = chern_classes(ch_vk(2, 3, 1), 4)
-        assert data.c_j(10).is_zero
-        with pytest.raises(ValueError, match="Chern classes have not been derived yet"):
-            ch_vk(2, 3, 1).c_j(0)
+        # a class past the requested order is absent, not a zero
+        classes = chern_classes(ch_vk(2, 3, 1), 4)
+        assert len(classes) == 4
+        with pytest.raises(IndexError):
+            classes[4]
 
     def test_newton_identity_matches_exponential_series(self):
         # reference: exp(F(t)) expanded as a series over the GRR ring, with
@@ -283,7 +284,7 @@ class TestChernClasses:
                         for j in range(1, len(data.ch))])
                     exp_f = generic_series_exp(f, order)
                     expected = tuple(exp_f.coeff(n) for n in range(order))
-                    assert chern_classes(data, order).c == expected, (g, d, r)
+                    assert chern_classes(data, order) == expected, (g, d, r)
 
     def test_t_order_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -308,14 +309,14 @@ class TestIntegerTower:
                 return ChernData(ctx=shared.ctx, ch=shared.ch)
 
             cold = fresh()
-            assert chern_classes(cold, order).c == expected[:order], (g, d, r)
+            assert chern_classes(cold, order) == expected[:order], (g, d, r)
             after = fresh()
-            assert chern_classes(after, order + 3).c == expected
-            assert chern_classes(after, order).c == expected[:order]
+            assert chern_classes(after, order + 3) == expected
+            assert chern_classes(after, order) == expected[:order]
             before = fresh()
-            assert chern_classes(before, order - 2).c == expected[:order - 2]
-            assert chern_classes(before, order).c == expected[:order]
-            classes = chern_classes(shared, order).c
+            assert chern_classes(before, order - 2) == expected[:order - 2]
+            assert chern_classes(before, order) == expected[:order]
+            classes = chern_classes(shared, order)
             assert classes == expected[:order]
             # canonical coefficients: int when integral, else a reduced Fraction
             assert all(type(c) is int or c.denominator != 1
@@ -340,9 +341,7 @@ class TestIntegerTower:
         assert data._tower is not None and bare._tower is None
         assert data == bare and hash(data) == hash(bare)
         assert repr(data) == repr(bare) and "_tower" not in repr(data)
-        derived = chern_classes(bare, 5)
-        assert derived == ChernData(ctx=data.ctx, ch=data.ch, c=derived.c)
-        assert repr(derived) == repr(ChernData(ctx=data.ctx, ch=data.ch, c=derived.c))
+        assert chern_classes(bare, 5) == chern_classes(data, 5)
 
 
 class TestExactCoefficients:
@@ -382,7 +381,8 @@ class TestGamma:
                 for d in range(1, 9):
                     for M in (d, d + 1, d + 2):
                         data = gamma_extract(g, d, r, M)
-                        want = gammas_by_k_scan(data.xi_r_part)
+                        signed, _ = gamma_extract_by_elements(g, d, r, M)
+                        want = gammas_by_k_scan(signed)
                         assert data.gammas == want, (g, d, r, M)
                         assert list(data.gammas) == list(want), (g, d, r, M)
 
@@ -397,6 +397,22 @@ class TestGamma:
     def test_requires_m_at_least_d(self):
         with pytest.raises(ValueError):
             gamma_extract(3, 4, 1, 3)
+
+    def test_a_lookup_that_hits_builds_no_zero(self, monkeypatch):
+        # a zero is built only for an absent key, and a truncated power has
+        # no coefficient past its order, zero or not (the untruncated one has
+        # 24*C(1)*C(2) at u^0 t^7)
+        data = gamma_extract(4, 5, 2, 5)
+        h, capped = build_h_poly(2), poly_power(build_g_poly(3), 2, t_order=6)
+
+        def refuse(cls, ambient):
+            raise AssertionError("a lookup built a zero element")
+
+        monkeypatch.setattr(SparseElement, "zero", classmethod(refuse))
+        assert data.gamma(6) is data.gammas[6]
+        assert h.coeff(1, 3) is h.terms[(1, 3)]
+        with pytest.raises(TruncationError, match="t-exponent 7"):
+            capped.coeff(0, 7)
 
     def test_reference_requires_m_at_least_d(self):
         with pytest.raises(ValueError, match="M must be >= d"):

@@ -3,10 +3,10 @@
 Most records are ``typing.NamedTuple``s: they compare, hash and print by
 their fields, and ``_replace`` copies one with some fields changed.
 ``GrrContext`` and ``UpstairsTerm`` check their fields on every
-construction, ``_replace`` included.  ``RelationFamily`` and the kernel
-values derive from ``rings.Value``.  ``RelationFamily`` and ``ChernData``
-carry memos that take no part in ``==``, ``hash`` or ``repr`` (see
-test_relations.py and test_grr.py).  Every value copies, deep-copies and
+construction, ``_replace`` included.  ``RelationFamily``, ``ChernData`` and
+the kernel values derive from ``rings.Value``.  ``RelationFamily`` and
+``ChernData`` carry memos that take no part in ``==``, ``hash`` or ``repr``
+(see test_relations.py and test_grr.py).  Every value copies, deep-copies and
 pickles to an equal value.
 """
 
@@ -47,8 +47,8 @@ def kernel_values():
 
 def test_no_field_or_memo_can_be_assigned():
     # a slotted value is no tuple: its fields are named here
-    extra = ("family_id", "items", "_span", "_route", "_tower", "series", "nums", "trunc",
-             "terms", "ambient", "g", "t_trunc", "extra")
+    extra = ("family_id", "items", "_span", "_route", "ctx", "ch", "_tower", "series", "nums",
+             "trunc", "terms", "ambient", "g", "t_trunc", "extra")
     for record in records() + kernel_values():
         for name in getattr(record, "_fields", ()) + extra:
             with pytest.raises(AttributeError):

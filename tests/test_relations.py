@@ -1119,7 +1119,7 @@ class TestImplicationChain:
 
     def test_identity9_comparison_is_not_vacuous(self, monkeypatch):
         # check (a) is the power law of the cached L^-n (h_a = g_a + e_a is
-        # _e_part's definition): a perturbed L^-4 or L^-8 must flip it;
+        # _e_part's definition): a perturbed L^-4 or L^-8 must flip it alone;
         # L^-8 = L^-r(g+1), the largest power a G_S uses, lies beyond the
         # generators (n <= g+1)
         import jacrel.relations as rel
@@ -1131,23 +1131,25 @@ class TestImplicationChain:
             bump = LaurentSeries(0, (F(1),), x_order)
             return lambda n, order: real(n, order) + bump if n == at else real(n, order)
 
-        def identity9():
+        def report():
             for cache in caches:
                 cache.cache_clear()
-            report = verify_implication_chain(g, d, r)
-            assert report.x_order == x_order
-            return report.identity9_ok
+            result = verify_implication_chain(g, d, r)
+            assert result.x_order == x_order
+            return result
 
         try:
-            assert identity9()
+            assert report().identity9_ok
             for name, at in (("_bare_log_inv_pow", 4), ("_bare_log_inv_pow", 8)):
                 with monkeypatch.context() as patch:
                     patch.setattr(rel, name, perturbed(getattr(rel, name), at))
-                    assert not identity9(), (name, at)
+                    corrupted = report()
+                    assert not corrupted.identity9_ok, (name, at)
+                    assert corrupted.degree_bound_ok and corrupted.scalar_ok, (name, at)
         finally:
             for cache in caches:
                 cache.cache_clear()
-        assert identity9()
+        assert report().identity9_ok
 
     def test_power_law_certifies_the_ladder(self, monkeypatch):
         # the ladder builds L^-(n+1) = -(1+x) (L^-n)' / n, check (a) multiplies
@@ -1193,7 +1195,7 @@ class TestImplicationChain:
             assert hashlib.sha256(repr(report).encode()).hexdigest() == digest, case
 
     def test_degree_bound_comparison_is_not_vacuous(self, monkeypatch):
-        # check (b) rests on val(e_a) >= 0: an x^-1 term in e_0 must flip it
+        # check (b) rests on val(e_a) >= 0: an x^-1 term in e_0 must flip it alone
         import jacrel.relations as rel
         from jacrel.rings import LaurentSeries
         g, d, r, x_order = 3, 5, 2, 10
@@ -1206,6 +1208,7 @@ class TestImplicationChain:
             report = verify_implication_chain(g, d, r)
             assert not report.degree_bound_ok
             assert not report.ok
+            assert report.identity9_ok and report.scalar_ok
         report = verify_implication_chain(g, d, r)
         assert report.degree_bound_ok and report.ok
 
