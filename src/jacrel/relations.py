@@ -86,9 +86,8 @@ from .combinat import _bare_log_inv_pow, _log_ladder, p_poly, principal_part, st
 from .linalg import RowSpace
 from .rings import (LaurentSeries, TruncationError, InvariantViolation, Value, _convolve,
                     _rational, log1p_series)
-from .tautalg import (Monomial, TautElement, _canonical_monomial, _compositions,
-                      _g_power_coefficient, _mono_mul, element_to_jsonable,
-                      monomials_of_bidegree)  # _compositions is re-exported
+from .tautalg import (Monomial, TautElement, _canonical_monomial, _g_power_coefficient,
+                      _mono_mul, element_to_jsonable, monomials_of_bidegree)
 
 
 # Bound on each of the chain's two caches, keyed by n and x_order = 2(g+2):
@@ -96,7 +95,7 @@ from .tautalg import (Monomial, TautElement, _canonical_monomial, _compositions,
 # grid puts 18 and 66 entries in them.
 _CACHE_SIZE = 4096
 
-_PUBLISH = Lock()  # publishes a routed family's items
+_PUBLISH = Lock()  # publishes a routed family's items and any family's span
 # the span of each route key (family_id, g, d-r), first published wins
 _SPANS: dict[tuple[str, int, int], "GradedSpan"] = {}
 
@@ -424,7 +423,10 @@ class GradedSpan:
         if span is None:
             span = (cls(family) if family._route is None
                     else _route_span(family.family_id, family.g, family._route[1]))
-            object.__setattr__(family, "_span", span)
+            with _PUBLISH:  # threads that race here all return the first span published
+                if family._span is None:
+                    object.__setattr__(family, "_span", span)
+                span = family._span
         return span
 
     def cell(self, i: int, j: int) -> tuple[RowSpace, int, int]:

@@ -300,10 +300,6 @@ class LaurentSeries(Value):
     def _merge(self, other: "LaurentSeries", sign: int) -> "LaurentSeries":
         trunc = min_trunc(self.trunc, other.trunc)
         a, b = self.nums, other.nums
-        if not b:
-            return _series(self.valuation, a, self.den, trunc)
-        if not a:
-            return _series(other.valuation, [sign * x for x in b], other.den, trunc)
         # both numerator tuples brought to the lcm of the two denominators
         common = gcd(self.den, other.den)
         scale_a, scale_b = other.den // common, sign * (self.den // common)

@@ -14,8 +14,9 @@ which ``jacrel.relations`` builds monomial by monomial from closed forms.
 The bases of each bidegree and G(t)'s powers (``_g_power_coefficient``)
 live here, so the GRR replay needs neither the families nor linear algebra.
 ``BivarPoly``, ``build_g_poly``, ``build_h_poly`` and ``poly_power`` expand
-those powers literally; they are the tests' reference route, the library
-does not call them, and ``build_h_poly`` imports ``combinat`` when called.
+those powers literally and exactly, with no t-truncation, since t carries no
+information; they are the tests' reference route, the library does not call
+them, and ``build_h_poly`` imports ``combinat`` when called.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Any, Iterator
 
-from .rings import _EXACT_TYPES, SparseElement, TruncationError, Value, _rational, min_trunc
+from .rings import _EXACT_TYPES, SparseElement, Value, _rational
 
 Monomial = tuple[int, ...]
 
@@ -179,45 +180,28 @@ def _g_power_coefficient(g: int, s: int, w: int) -> TautElement:
 
 
 class BivarPoly(Value):
-    """Polynomial in t and u with TautElement coefficients.
+    """Polynomial in t and u with TautElement coefficients, kept exact.
 
-    Terms are keyed by (u_exp, t_exp).  An optional tracked t-truncation
-    caps every operation: terms at t-exponents >= t_trunc are dropped, and
-    ``coeff`` raises ``TruncationError`` there.  ``==`` ignores ``t_trunc``,
-    and ``terms`` is a dict, so it has no hash.
+    Terms are keyed by (u_exp, t_exp); no term is zero.  ``terms`` is a
+    dict, so a BivarPoly has no hash.
     """
 
-    __slots__ = ("g", "terms", "t_trunc")
+    __slots__ = ("g", "terms")
 
-    def __init__(self, g: int, terms: dict[tuple[int, int], TautElement] | None = None,
-                 t_trunc: int | None = None) -> None:
+    def __init__(self, g: int, terms: dict[tuple[int, int], TautElement] | None = None) -> None:
         clean: dict[tuple[int, int], TautElement] = {}
         for (ue, te), elt in (terms or {}).items():
             if ue < 0 or te < 0:
                 raise ValueError("u and t exponents must be >= 0")
-            if t_trunc is not None and te >= t_trunc:
-                continue
             if not elt.is_zero:
                 clean[(ue, te)] = elt
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "t_trunc", t_trunc)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coeff(self, u_exp: int, t_exp: int) -> TautElement:
         """The coefficient of u^u_exp t^t_exp; a zero is built only for an absent term."""
-        if self.t_trunc is not None and t_exp >= self.t_trunc:
-            raise TruncationError(
-                f"coefficient at t-exponent {t_exp} is beyond truncation order {self.t_trunc}")
         elt = self.terms.get((u_exp, t_exp))
         return TautElement.zero(self.g) if elt is None else elt
-
-    def t_coefficient(self, t_exp: int) -> dict[int, TautElement]:
-        """The u-polynomial at a fixed t-exponent, as {u_exp: element}."""
-        return {ue: elt for (ue, te), elt in self.terms.items() if te == t_exp}
 
     def u_slice(self, u_exp: int) -> dict[int, TautElement]:
         """The t-polynomial at a fixed u-exponent, as {t_exp: element}."""
@@ -235,59 +219,18 @@ class BivarPoly(Value):
         for (ue, te) in sorted(self.terms):
             yield ue, te, self.terms[(ue, te)]
 
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
+    def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         if not isinstance(other, BivarPoly):
             return NotImplemented
         if self.g != other.g:
             raise ValueError("mismatched ambient genus")
-        terms = dict(self.terms)
-        for key, elt in other.terms.items():
-            terms[key] = terms[key] + elt if key in terms else elt
-        return BivarPoly(self.g, terms, min_trunc(self.t_trunc, other.t_trunc))
-
-    def __mul__(self, other: Any) -> "BivarPoly":
-        if isinstance(other, BivarPoly):
-            if self.g != other.g:
-                raise ValueError("mismatched ambient genus")
-            t_trunc = min_trunc(self.t_trunc, other.t_trunc)
-            terms: dict[tuple[int, int], TautElement] = {}
-            for (u1, t1), e1 in self.terms.items():
-                for (u2, t2), e2 in other.terms.items():
-                    te = t1 + t2
-                    if t_trunc is not None and te >= t_trunc:
-                        continue
-                    key = (u1 + u2, te)
-                    prod = e1 * e2
-                    terms[key] = terms[key] + prod if key in terms else prod
-            return BivarPoly(self.g, terms, t_trunc)
-        if type(other) in _EXACT_TYPES or isinstance(other, TautElement):
-            return BivarPoly(self.g, {k: e * other for k, e in self.terms.items()},
-                             self.t_trunc)
-        return NotImplemented
-
-    def __rmul__(self, other: Any) -> "BivarPoly":
-        return self.__mul__(other)
-
-    def truncate_t(self, order: int) -> "BivarPoly":
-        return BivarPoly(self.g, self.terms, min_trunc(self.t_trunc, order))
-
-    def eval_u(self, point: Fraction) -> "BivarPoly":
-        """Collapse the u-variable by evaluating it at a rational point."""
         terms: dict[tuple[int, int], TautElement] = {}
-        for (ue, te), elt in self.terms.items():
-            key = (0, te)
-            scaled = elt * point ** ue
-            terms[key] = terms[key] + scaled if key in terms else scaled
-        return BivarPoly(self.g, terms, self.t_trunc)
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        return self.g == other.g and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"u^{u}*t^{t}: {e}" for u, t, e in self.items())
-        return f"BivarPoly({body or '0'})"
+        for (u1, t1), e1 in self.terms.items():
+            for (u2, t2), e2 in other.terms.items():
+                key = (u1 + u2, t1 + t2)
+                prod = e1 * e2
+                terms[key] = terms[key] + prod if key in terms else prod
+        return BivarPoly(self.g, terms)
 
 
 def build_g_poly(g: int) -> BivarPoly:
@@ -312,12 +255,11 @@ def build_h_poly(g: int) -> BivarPoly:
     return BivarPoly(g, terms)
 
 
-def poly_power(p: BivarPoly, s: int, t_order: int | None = None) -> BivarPoly:
-    """Exact s-th power, truncating in t at every step when t_order is given."""
+def poly_power(p: BivarPoly, s: int) -> BivarPoly:
+    """The exact s-th power, s >= 1."""
     if s < 1:
         raise ValueError("power must be >= 1")
-    base = p if t_order is None else p.truncate_t(t_order)
-    result = base
+    result = p
     for _ in range(s - 1):
-        result = result * base
+        result = result * p
     return result

@@ -410,7 +410,7 @@ def divide_by_one_plus_u(p):
         if not elt.is_zero:
             raise InvariantViolation(
                 f"division by (1+u) left a remainder at t^{te}: {elt}")
-    return BivarPoly(p.g, quotient, p.t_trunc)
+    return BivarPoly(p.g, quotient)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,10 @@ ranks ``_suffix_ranks``, the ideal cells' column maps of C(k)
 ``_shift_columns``, the chain's ``_e_part``, check (a)'s power law
 ``_power_law_ok``, and the GRR replay's ``ch_vk``), which lock their own
 bookkeeping; two threads may both compute a missing entry, and they
-compute the same value.  Three pieces of state are kept on values.  A family's ``GradedSpan`` publishes a cell, with
+compute the same value.  Four pieces of state are kept on values.  A
+family keeps its ``GradedSpan``, published under a lock: threads that
+race to make a span for one family read from JSON all keep the first one
+published.  A family's ``GradedSpan`` publishes a cell, with
 its rows and its ranks, only once the cell is complete, so threads that
 compare the same family at once can at most build a cell twice, the same
 way: whether a cell is full from the cells below it or reduces rows
@@ -46,9 +49,10 @@ import pytest
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_SPANS, _e_part, _f_table, _pi_coefficients, _power_law_ok,
-                              _shift_columns, _suffix_ranks, compare_ideals, family_to_json,
-                              gen_family, verify_implication_chain)
+from jacrel.relations import (_SPANS, GradedSpan, _e_part, _f_table, _pi_coefficients,
+                              _power_law_ok, _shift_columns, _suffix_ranks, compare_ideals,
+                              family_from_json, family_to_json, gen_family,
+                              verify_implication_chain)
 from jacrel.tautalg import _orderings
 from oracles import family_by_powers
 from test_imports import run_fresh
@@ -234,6 +238,29 @@ def test_spans_shared_across_r_are_published_once_under_races():
                         spans.setdefault((f.family_id, f.g, f.d - f.r), set()).add(id(f._span))
             assert spans == {key: {id(span)} for key, span in _SPANS.items()}
             assert set(spans) == {(name, 4, 3) for name in FAMILIES}
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_unrouted_span_is_published_once_under_races():
+    # a family read from JSON has no route key, so every thread builds its
+    # own span; eight threads race to keep theirs on one family, and each
+    # must return the first one published
+    text = family_to_json(gen_family("strong8", 4, 6, 3))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(8):
+            family = family_from_json(text)
+            barrier = threading.Barrier(8)
+
+            def run(_):
+                barrier.wait(timeout=60)
+                return GradedSpan.from_family(family)
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                spans = list(pool.map(run, range(8), timeout=120))
+            assert all(span is family._span for span in spans)
     finally:
         sys.setswitchinterval(interval)
 

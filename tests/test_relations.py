@@ -127,8 +127,7 @@ class TestGenFamily:
         # fully independent route: the u^(d-r+s) coefficient of
         # prod P_{a_i+2}(u)/(1+u) is the alternating sum B_{d-r+s}(a_1+1,...)
         from jacrel.combinat import b_sum
-        from jacrel.relations import _compositions
-        from jacrel.tautalg import _orderings
+        from jacrel.tautalg import _compositions, _orderings
         for (g, d, r) in ((3, 4, 2), (4, 5, 2), (3, 6, 3)):
             fam = gen_family("herbaut7", g, d, r)
             by_key = {(it.s, it.t_exp): it.element for it in fam.items}
