@@ -10,9 +10,13 @@ Four subcommands drive the library:
   ideal/span verdicts and the series implication-chain report;
 * ``grr``         - the symbolic Chern-character replay with its cross-checks.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 inconclusive
-(a truncation was too small to certify a bound).  Output is byte-identical
-across runs for identical inputs.
+Each subcommand returns its report as an exit code, a JSON payload and the
+text lines; ``main`` alone renders the requested ``--format``, writes it to
+``--out`` or stdout, and maps every error to its exit code.
+
+Exit codes: 0 pass, 1 verification failure, 2 usage error (a report that
+cannot be written included), 3 inconclusive (a truncation was too small to
+certify a bound).  Output is byte-identical across runs for identical inputs.
 
 Each subcommand imports the modules it runs when it runs, so a fresh process
 loads only those: ``identities`` never loads ``relations`` or ``grr``, and
@@ -24,9 +28,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .rings import InvariantViolation, TruncationError
 
@@ -37,25 +42,14 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+Report = tuple[int, Any, Iterable[str]]  # exit code, JSON payload, text lines
 
 
-def cmd_identities(args: argparse.Namespace) -> int:
+def cmd_identities(args: argparse.Namespace) -> Report:
     from . import combinat
     max_n, order = args.max_n, args.order
     if max_n < 1 or order < 1:
-        print("error: --max-n and --order must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--max-n and --order must be >= 1")
     checks: list[dict[str, Any]] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:
@@ -81,54 +75,42 @@ def cmd_identities(args: argparse.Namespace) -> int:
            counterexample)
 
     all_ok = all(c["ok"] for c in checks)
-    expansion = None
+    payload = {"command": "identities", "max_n": max_n, "order": order,
+               "ok": all_ok, "checks": checks}
+    lines = [f"identities report (max_n={max_n}, order={order})"]
+    for c in checks:
+        status = "pass" if c["ok"] else "FAIL"
+        detail = f"  [{c['detail']}]" if c["detail"] else ""
+        lines.append(f"  {status}  {c['check']}{detail}")
     if max_n >= 5:
-        expansion = combinat.inv_log1p_pow(5, min(order, 6)).render()
-    if args.format == "json":
-        payload = {"command": "identities", "max_n": max_n, "order": order,
-                   "ok": all_ok, "checks": checks}
-        if expansion is not None:
-            payload["expansion_n5"] = expansion
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [f"identities report (max_n={max_n}, order={order})"]
-        for c in checks:
-            status = "pass" if c["ok"] else "FAIL"
-            detail = f"  [{c['detail']}]" if c["detail"] else ""
-            lines.append(f"  {status}  {c['check']}{detail}")
-        if expansion is not None:
-            lines.append(f"  expansion 4!/log(1+x)^5 = {expansion}")
-        lines.append("overall: " + ("pass" if all_ok else "FAIL"))
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK if all_ok else EXIT_FAIL
+        payload["expansion_n5"] = combinat.inv_log1p_pow(5, min(order, 6)).render()
+        lines.append(f"  expansion 4!/log(1+x)^5 = {payload['expansion_n5']}")
+    lines.append("overall: " + ("pass" if all_ok else "FAIL"))
+    return EXIT_OK if all_ok else EXIT_FAIL, payload, lines
 
 
-def cmd_relations(args: argparse.Namespace) -> int:
+def cmd_relations(args: argparse.Namespace) -> Report:
     from . import relations
     if args.family != "theorem1" and args.N is not None:
-        print("error: --N applies only to --family theorem1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--N applies only to --family theorem1")
     if args.family == "theorem1":
         if args.N is None:
-            print("error: --family theorem1 requires --N", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--family theorem1 requires --N")
         family = relations.theorem1_family(args.g, args.d, args.r, args.N)
     else:
         family = relations.gen_family(args.family, args.g, args.d, args.r)
-    if args.format == "json":
-        _emit(relations.family_to_json(family), args.out)
-    else:
-        lines = [f"family {family.family_id} (g={family.g}, d={family.d}, r={family.r})"]
+
+    def lines() -> Iterator[str]:  # rendered only for a text request
+        yield f"family {family.family_id} (g={family.g}, d={family.d}, r={family.r})"
         for item in family.sorted_items():
             u_part = f" u^{item.u_exp}" if item.u_exp is not None else ""
-            lines.append(f"  s={item.s} t^{item.t_exp}{u_part}: {item.element.render()}")
+            yield f"  s={item.s} t^{item.t_exp}{u_part}: {item.element.render()}"
         if not family.items:
-            lines.append("  (empty family)")
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK
+            yield "  (empty family)"
+    return EXIT_OK, family, lines()
 
 
-def cmd_equivalence(args: argparse.Namespace) -> int:
+def cmd_equivalence(args: argparse.Namespace) -> Report:
     from . import relations
     fam6 = relations.gen_family("vdgk6", args.g, args.d, args.r)
     fam7 = relations.gen_family("herbaut7", args.g, args.d, args.r)
@@ -168,28 +150,24 @@ def cmd_equivalence(args: argparse.Namespace) -> int:
             "notions_differ_at": [[c.i, c.j] for c in cmp.notions_differ],
             "cells": cells,
         })
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [f"equivalence report (g={args.g}, d={args.d}, r={args.r})"]
-        for pair in payload["pairs"]:
-            ids = "/".join(pair["families"])
-            lines.append(f"  {ids}: ideal_equal={pair['ideal_equal']} "
-                         f"span_equal={pair['span_equal']}")
-            for cell in pair["cells"]:
-                i, j = cell["bidegree"]
-                lines.append(
-                    f"    bidegree ({i},{j}) dim={cell['dim']}: "
-                    f"ideal ranks {cell['ideal_ranks']} joint {cell['ideal_joint']}; "
-                    f"span ranks {cell['span_ranks']} joint {cell['span_joint']}")
-        lines.append(f"  chain: identity9={chain.identity9_ok} "
-                     f"degree_bound={chain.degree_bound_ok} scalars={chain.scalar_ok}")
-        lines.append("overall: " + verdict)
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK if ideal_ok and chain.ok else EXIT_FAIL
+    lines = [f"equivalence report (g={args.g}, d={args.d}, r={args.r})"]
+    for pair in payload["pairs"]:
+        ids = "/".join(pair["families"])
+        lines.append(f"  {ids}: ideal_equal={pair['ideal_equal']} "
+                     f"span_equal={pair['span_equal']}")
+        for cell in pair["cells"]:
+            i, j = cell["bidegree"]
+            lines.append(
+                f"    bidegree ({i},{j}) dim={cell['dim']}: "
+                f"ideal ranks {cell['ideal_ranks']} joint {cell['ideal_joint']}; "
+                f"span ranks {cell['span_ranks']} joint {cell['span_joint']}")
+    lines.append(f"  chain: identity9={chain.identity9_ok} "
+                 f"degree_bound={chain.degree_bound_ok} scalars={chain.scalar_ok}")
+    lines.append("overall: " + verdict)
+    return EXIT_OK if ideal_ok and chain.ok else EXIT_FAIL, payload, lines
 
 
-def cmd_grr(args: argparse.Namespace) -> int:
+def cmd_grr(args: argparse.Namespace) -> Report:
     from . import grr, tautalg
     g, d, r, M = args.g, args.d, args.r, args.M
     data = grr.gamma_extract(g, d, r, M)
@@ -210,20 +188,15 @@ def cmd_grr(args: argparse.Namespace) -> int:
         "derived_equals_composition_sum": True,  # GammaData.theorem1 raises otherwise
         "N": N,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [f"grr report (g={g}, d={d}, r={r}, M={M})",
-                 "  pushforward route equals closed form: pass",
-                 f"  gamma_s = 0 for s > M+1: {'pass' if powers_ok else 'FAIL'}",
-                 "  gamma_(M+1) matches composition formula: pass",
-                 "  gamma_(M+1) free of Todd unknowns: pass"]
-        for s, piece in data.items():
-            lines.append(f"    gamma_{s} = {piece.render()}")
-        lines.append(f"  derived relation (N={N}): {derived.render()}")
-        lines.append("overall: " + ("pass" if powers_ok else "FAIL"))
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK if powers_ok else EXIT_FAIL
+    lines = [f"grr report (g={g}, d={d}, r={r}, M={M})",
+             "  pushforward route equals closed form: pass",
+             f"  gamma_s = 0 for s > M+1: {'pass' if powers_ok else 'FAIL'}",
+             "  gamma_(M+1) matches composition formula: pass",
+             "  gamma_(M+1) free of Todd unknowns: pass"]
+    lines += [f"    gamma_{s} = {rendered}" for s, rendered in payload["gamma_table"].items()]
+    lines.append(f"  derived relation (N={N}): {derived.render()}")
+    lines.append("overall: " + ("pass" if powers_ok else "FAIL"))
+    return EXIT_OK if powers_ok else EXIT_FAIL, payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,47 +206,51 @@ def build_parser() -> argparse.ArgumentParser:
                     "on Jacobian varieties.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, summary: str, func: Any, required: tuple[str, ...],
+                *options: tuple[str, dict[str, Any]]) -> None:
+        """The required integer options, then the others, then --format and --out."""
+        p = sub.add_parser(name, help=summary)
+        for flag in required:
+            p.add_argument(flag, type=int, required=True)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
+        p.set_defaults(func=func)
 
-    p_id = sub.add_parser("identities", help="combinatorial identity checks")
-    p_id.add_argument("--max-n", type=int, default=12, dest="max_n")
-    p_id.add_argument("--order", type=int, default=10)
-    common(p_id)
-    p_id.set_defaults(func=cmd_identities)
-
-    p_rel = sub.add_parser("relations", help="emit one relation family")
-    p_rel.add_argument("--g", type=int, required=True)
-    p_rel.add_argument("--d", type=int, required=True)
-    p_rel.add_argument("--r", type=int, required=True)
-    p_rel.add_argument("--family", choices=FAMILY_IDS, required=True)
-    p_rel.add_argument("--N", type=int, default=None)
-    common(p_rel)
-    p_rel.set_defaults(func=cmd_relations)
-
-    p_eq = sub.add_parser("equivalence", help="graded-ideal comparison of the families")
-    p_eq.add_argument("--g", type=int, required=True)
-    p_eq.add_argument("--d", type=int, required=True)
-    p_eq.add_argument("--r", type=int, required=True)
-    common(p_eq)
-    p_eq.set_defaults(func=cmd_equivalence)
-
-    p_grr = sub.add_parser("grr", help="symbolic Chern-character replay")
-    p_grr.add_argument("--g", type=int, required=True)
-    p_grr.add_argument("--d", type=int, required=True)
-    p_grr.add_argument("--r", type=int, required=True)
-    p_grr.add_argument("--M", type=int, required=True)
-    common(p_grr)
-    p_grr.set_defaults(func=cmd_grr)
+    gdr = ("--g", "--d", "--r")
+    command("identities", "combinatorial identity checks", cmd_identities, (),
+            ("--max-n", {"type": int, "default": 12}), ("--order", {"type": int, "default": 10}))
+    command("relations", "emit one relation family", cmd_relations, gdr,
+            ("--family", {"choices": FAMILY_IDS, "required": True}), ("--N", {"type": int}))
+    command("equivalence", "graded-ideal comparison of the families", cmd_equivalence, gdr)
+    command("grr", "symbolic Chern-character replay", cmd_grr, (*gdr, "--M"))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.format == "text":
+            text = "\n".join(lines)
+        elif args.command == "relations":  # the payload is the family, in its own compact form
+            from .relations import family_to_json
+            text = family_to_json(payload)
+        else:
+            text = json.dumps(payload, indent=2)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            try:
+                sys.stdout.write(text + "\n")
+                sys.stdout.flush()
+            except OSError:
+                # a full disk or closed pipe: let the flush at exit write to os.devnull
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise
+        return code
     except TruncationError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from jacrel import relations
-from jacrel.cli import main
+from jacrel.cli import build_parser, main
 from jacrel.relations import family_from_json, family_to_json
 from jacrel.rings import TruncationError
 
@@ -53,6 +53,105 @@ def test_d_r_minus_one_equivalence_prints_its_recorded_bytes(argv, digest, capsy
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("identities", "--max-n", "6", "--order", "8", "--format", "json"),  # has expansion_n5
+     "6d5d0e4e3d84dd8ba282a5e747efe20573f64f0a93954ab7cced0fb102a481bd"),
+    (("grr", "--g", "4", "--d", "5", "--r", "2", "--M", "5", "--format", "json"),
+     "a702c715b106e057758ebb9c33845677f4e6be8ad92cf2bb4d083fa2a49fb095"),
+    (("equivalence", "--g", "4", "--d", "5", "--r", "2", "--format", "json"),
+     "577dbf78784f90c429b8c4f679ace380fa45c9e19c3fd564544a0fc8ed27aa39"),
+    (("relations", "--g", "1", "--d", "2", "--r", "1", "--family", "herbaut7"),
+     "a7081d7abf6bea15167b9ba44375626db4e851af1dddf386b6891bd45be0ea37"),
+    (("relations", "--g", "1", "--d", "2", "--r", "1", "--family", "herbaut7",
+      "--format", "json"),
+     "afe490e8b2d6204bb2a4cab1e9579e6558501f23a4fb0fe51fd25e206bbbce17"),
+])
+def test_json_reports_and_the_empty_family_print_their_recorded_bytes(argv, digest, capsys):
+    # the output paths that the golden mix does not pin: the JSON form of
+    # identities, grr and equivalence, and an empty family in both formats
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+ONE_PER_COMMAND = [
+    ("identities", "--max-n", "5", "--order", "4"),
+    ("relations", "--g", "4", "--d", "5", "--r", "2", "--family", "vdgk6"),
+    ("equivalence", "--g", "3", "--d", "4", "--r", "2"),
+    ("grr", "--g", "4", "--d", "5", "--r", "2", "--M", "5"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", ONE_PER_COMMAND)
+def test_out_writes_the_bytes_that_stdout_prints(argv, fmt, tmp_path, capsys):
+    argv = [*argv, "--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "report"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.read_bytes() == printed.encode()
+
+
+def test_a_text_request_serializes_no_json(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a text report serialized JSON")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(relations, "family_to_json", refuse)
+    for argv in ONE_PER_COMMAND:
+        assert main(list(argv)) == 0, argv
+        assert not capsys.readouterr().out.startswith("{"), argv
+
+
+def test_each_subcommand_declares_its_options_in_order():
+    # (flags, dest, type, required, default, choices) of every option but -h
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    report = [("--format", "format", None, False, "text", ("json", "text")),
+              ("--out", "out", None, False, None, None)]
+    gdr = [(f"--{x}", x, int, True, None, None) for x in "gdr"]
+    expected = {
+        "identities": [("--max-n", "max_n", int, False, 12, None),
+                       ("--order", "order", int, False, 10, None)] + report,
+        "relations": gdr + [("--family", "family", None, True, None,
+                             ("theorem1", "vdgk6", "herbaut7", "strong8")),
+                            ("--N", "N", int, False, None, None)] + report,
+        "equivalence": gdr + report,
+        "grr": gdr + [("--M", "M", int, True, None, None)] + report,
+    }
+    assert list(sub.choices) == list(expected)
+    for name, options in expected.items():
+        actions = sub.choices[name]._actions[1:]
+        assert [(*a.option_strings, a.dest, a.type, a.required, a.default,
+                 None if a.choices is None else tuple(a.choices))
+                for a in actions] == options, name
+
+
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+def test_a_failed_stdout_write_exits_2_with_one_error_line(target):
+    # with stdout block-buffered (PYTHONUNBUFFERED unset) the report stays in
+    # the buffer until main flushes it; the failure must map to exit 2, not
+    # surface at interpreter shutdown
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full")
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    cmd = [sys.executable, "-m", "jacrel.cli", "grr", "--g", "4", "--d", "5", "--r", "2",
+           "--M", "5"]
+    if target == "/dev/full":
+        with open(target, "w") as full:
+            proc = subprocess.Popen(cmd, stdout=full, stderr=subprocess.PIPE,
+                                    env=dict(env, PYTHONPATH=path))
+    else:
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(env, PYTHONPATH=path))
+        proc.stdout.close()  # the reader is gone before the command writes
+    err = proc.communicate(timeout=300)[1].decode()
+    assert proc.returncode == 2, err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: cannot write the report:"), err
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (("relations", "--g", "0", "--d", "3", "--r", "1", "--family", "vdgk6"), 2,
      "error: g must be >= 1"),
@@ -62,12 +161,17 @@ def test_d_r_minus_one_equivalence_prints_its_recorded_bytes(argv, digest, capsy
     (("grr", "--g", "0", "--d", "1", "--r", "1", "--M", "1"), 2,
      "error: g, d, r must all be >= 1"),
     (("grr", "--g", "3", "--d", "4", "--r", "1", "--M", "3"), 2, "error: M must be >= d"),
+    (("identities", "--max-n", "0"), 2, "error: --max-n and --order must be >= 1"),
+    (("relations", "--g", "4", "--d", "5", "--r", "2", "--family", "vdgk6", "--N", "3"), 2,
+     "error: --N applies only to --family theorem1"),
+    (("relations", "--g", "4", "--d", "5", "--r", "2", "--family", "theorem1"), 2,
+     "error: --family theorem1 requires --N"),
 ])
 def test_library_errors_map_to_one_stderr_line_and_exit_code(argv, code, message,
                                                              monkeypatch, capsys):
-    # every command leaves ValueError and TruncationError to main()'s mapping;
-    # no valid input leaves the chain short of coefficients, so a stub chain
-    # raises the TruncationError
+    # every command leaves its own usage errors, ValueError and
+    # TruncationError to main()'s mapping; no valid input leaves the chain
+    # short of coefficients, so a stub chain raises the TruncationError
     def short_chain(*args):
         raise TruncationError("coefficient at exponent 5 is beyond truncation order 3")
 

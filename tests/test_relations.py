@@ -795,6 +795,34 @@ class TestSharedRouteSpans:
                             assert c.quotient_dims == expected, (g, d, r, a, b, c.i, c.j)
                             assert c.quotient_dims[0] == c.quotient_dims[1] >= 0
 
+    def test_ideals_nest_in_d_minus_r(self):
+        # strong8's rows at cut d-r = c+1 are among its rows at cut c, so as
+        # d-r grows by one no cell's ideal rank rises, for each family; the
+        # ranks are read off comparisons with another family (a cell that
+        # neither side reaches is left out, rank 0); herbaut7 is empty at
+        # d = r-1, so its step from c = -1 is skipped
+        falls = 0
+        for g in range(1, 8):
+            for r in range(1, 4):
+                cells = [(i, j) for i in range(1, r + 1) for j in range(i * (g - 1) + 1)]
+                previous = None
+                for c in range(-1, g + 2):
+                    f6, f7, f8 = (gen_family(name, g, r + c, r) for name in self.FAMILIES)
+                    ranks = {name: {} for name in self.FAMILIES}
+                    for a, b in ((f6, f7), (f7, f8)):
+                        for x in compare_ideals(a, b).cells:
+                            for f, rank in zip((a, b), x.ideal_ranks):
+                                ranks[f.family_id][x.i, x.j] = rank
+                    for name in self.FAMILIES if previous else ():
+                        if name == "herbaut7" and c == 0:
+                            continue
+                        for cell in cells:
+                            before, after = (rk[name].get(cell, 0) for rk in (previous, ranks))
+                            assert after <= before, (g, r, c, cell, name)
+                            falls += after < before
+                    previous = ranks
+        assert falls > 0
+
 
 class TestJointCells:
     """The three routed spans of one (g, d-r) read one elimination per cell
