@@ -16,33 +16,33 @@ which vanishes exactly when n >= 3 is odd.  ``verify_identity4`` certifies
 the principal-part equality and reports the non-negative residual tail.
 
 L^-n, L = log(1+x), is built in one place, the cached ``_bare_log_inv_pow``,
-which the implication chain in ``jacrel.relations`` shares.  It reads a rung
-of one ladder per x-order (``_log_ladder``): L^-1 is inverted once, and since
-d/dx L^-n = -n L^-(n+1)/(1+x), each next power is
-L^-(n+1) = -(1+x) (L^-n)'/n, one pass over the coefficients that costs one
-order of window.  The ladders are the module's other shared state; one is
-published only complete, under a lock, and only in place of a shorter one.
+which the implication chain in ``jacrel.relations`` shares.  It reads row n
+of one table of (x/L)^n that serves every x-window and only grows: row 1
+follows from (x/L)(L/x) = 1 and each next row from
+L^-(n+1) = -(1+x) (L^-n)'/n, which loses no coefficient, so a wider or
+taller request computes only the entries the table lacks (``_grown``).  The
+table is the module's other shared state; each larger one is published
+complete, under a lock, in place of the smaller one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from threading import Lock
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .rings import (DensePoly, LaurentSeries, _series, laurent_pow_inv, log1p_series,
-                    series_exp)
+from .rings import DensePoly, LaurentSeries, _series, series_exp
 
 P_ROUTES = ("stirling", "genfunc", "laurent")
 
 # Memoized Stirling table.  Writers always store identical values, so
 # concurrent use is idempotent (last write wins with the same entry).
 _stirling_table: dict[tuple[int, int], int] = {}
-# The log ladders, keyed by x-order (see ``_log_ladder``), and the lock that
-# serializes their check-and-replace; ladders are built outside it.
-_ladders: dict[int, tuple[LaurentSeries, ...]] = {}
+# The table of (x/L)^n (see ``_bare_log_inv_pow``): row n as (denominator,
+# numerators), all rows equally wide; a grown copy replaces it under the lock.
+_table: tuple[tuple[int, tuple[int, ...]], ...] = ()
 _PUBLISH = Lock()
 
 
@@ -72,45 +72,64 @@ def stirling2(n: int, m: int) -> int:
     return value
 
 
-def _ladder_step(power: LaurentSeries, n: int) -> LaurentSeries:
-    """L^-(n+1) = -(1+x) (L^-n)' / n from power = L^-n, L = log(1+x): the
-    derivative costs one order of window, and no product is formed."""
-    v = power.valuation
-    slope = [(v + i) * c for i, c in enumerate(power.nums)]
-    nums = [a + b for a, b in zip(slope + [0], [0] + slope)]  # (1+x) * slope
-    return _series(v - 1, nums, -n * power.den, power.trunc - 1)
+def _extend_base(nums: Sequence[int], den: int, width: int) -> tuple[list[int], int]:
+    """Row 1, x/L, extended from its entries ``nums`` over ``den`` to
+    ``width`` entries, over the least common denominator, which it returns:
+    y_0 = 1 and y_k = -sum_{i=1..k} (-1)^i y_(k-i)/(i+1), which is
+    (x/L)(L/x) = 1 read coefficient by coefficient."""
+    nums = list(nums) or [1]
+    m = lcm(*range(1, len(nums) + 1))  # lcm(1..k+1): the 1/(i+1) are integers over it
+    for k in range(len(nums), width):
+        m = lcm(m, k + 1)
+        acc = sum((-1) ** i * nums[k - i] * (m // (i + 1)) for i in range(1, k + 1))
+        common = gcd(acc, den * m)
+        num, below = -acc // common, den * m // common
+        if den % below:  # y_k's denominator does not divide den: rescale the base so far
+            grow = below // gcd(den, below)
+            nums, den = [x * grow for x in nums], den * grow
+        nums.append(num * (den // below))
+    return nums, den
 
 
-def _log_ladder(top: int, order: int) -> tuple[LaurentSeries, ...]:
-    """L^-1 .. L^-k for some k >= top, each known strictly below x^order.
+def _row_step(row: Sequence[int], den: int, n: int, start: int) -> tuple[list[int], int]:
+    """Row n+1's entries from k = start on, and their denominator, from row n
+    (``row`` over ``den``): n v(n+1)_k = (n-k) v(n)_k + (n-k+1) v(n)_(k-1),
+    so the numerators stay integers over n*den, and row n+1 is as wide as
+    row n."""
+    return [(n - k) * row[k] + (n - k + 1) * row[k - 1] if k else n * row[0]
+            for k in range(start, len(row))], den * n
 
-    A taller ladder is rebuilt whole, at least twice as tall, so ascending
-    requests stay amortized; it replaces the published one, under the lock,
-    only if it is taller.
-    """
-    ladder = _ladders.get(order, ())
-    if len(ladder) >= top:
-        return ladder
-    top = max(top, 2 * len(ladder))
-    # each step loses one order, so L^-top, top-1 steps up, is known below order
-    power = laurent_pow_inv(log1p_series(order + top + 1), 1, order + top - 1)
-    rungs = [power.truncate(order)]
-    for n in range(1, top):
-        power = _ladder_step(power, n)
-        rungs.append(power.truncate(order))
-    ladder = tuple(rungs)
-    with _PUBLISH:
-        if len(_ladders.get(order, ())) < top:
-            _ladders[order] = ladder
-    return ladder
+
+def _grown(rows: tuple, height: int, width: int) -> tuple:
+    """The table with at least ``height`` rows of at least ``width`` entries:
+    the base is extended first, the kept rows are rescaled once to its
+    denominator, and only the missing entries are computed."""
+    den, base = rows[0] if rows else (1, ())
+    base, new_den = _extend_base(base, den, width)
+    scale = new_den // den
+    out = [(new_den, tuple(base))]
+    for n in range(1, max(height, len(rows))):
+        kept = [x * scale for x in rows[n][1]] if n < len(rows) else []
+        tail, row_den = _row_step(out[-1][1], out[-1][0], n, len(kept))
+        out.append((row_den, tuple(kept + tail)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _bare_log_inv_pow(n: int, order: int) -> LaurentSeries:
-    """log(1+x)^(-n), known strictly below x^order: a rung of the ladder."""
+    """log(1+x)^(-n), known strictly below x^order: x^-n times row n of the
+    table, cut at k < order + n; the table grows first if it lacks them."""
+    global _table
     if n < 1:
         raise ValueError("inverse power exponent must be >= 1")
-    return _log_ladder(n, order)[n - 1]
+    rows = _table
+    if len(rows) < n or len(rows[0][1]) < order + n:
+        with _PUBLISH:
+            rows = _table
+            if len(rows) < n or len(rows[0][1]) < order + n:
+                rows = _table = _grown(rows, n, order + n)
+    den, nums = rows[n - 1]
+    return _series(-n, nums, den, order)
 
 
 def inv_log1p_pow(n: int, order: int) -> LaurentSeries:

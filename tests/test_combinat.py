@@ -183,12 +183,15 @@ class TestInvLogPow:
 
 
 def cold_ladders():
-    combinat._ladders.clear()
+    combinat._table = ()
     combinat._bare_log_inv_pow.cache_clear()
 
 
 class TestLogLadder:
     CASES = [(n, order) for order in range(1, 17) for n in range(1, 41)]
+    # the (n, x-order) requests of the chain workload's grid
+    CHAIN = sorted({(n, 2 * (g + 2)) for g in (3, 4, 5, 6) for r in (2, 3)
+                    for n in range(1, r * (g + 1) + 1)})
 
     def test_matches_one_inversion_per_power_in_any_request_order(self):
         # each power of the ladder against its own laurent_pow_inv run, on a
@@ -207,14 +210,42 @@ class TestLogLadder:
         finally:
             cold_ladders()
 
-    def test_ladder_grows_at_least_twofold_and_never_shrinks(self):
-        cold_ladders()
+    def test_table_computes_each_entry_once(self, monkeypatch):
+        # the chain grid's requests, ascending and then shuffled, each from
+        # cold: every entry the base or the row step computes is kept, so
+        # their count is the final table's size, and no request shrinks it
+        computed = []
+        extend, step = combinat._extend_base, combinat._row_step
+
+        def counted_base(nums, den, width):
+            out = extend(nums, den, width)
+            computed.append(len(out[0]) - len(nums))
+            return out
+
+        def counted_step(row, den, n, start):
+            out = step(row, den, n, start)
+            computed.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(combinat, "_extend_base", counted_base)
+        monkeypatch.setattr(combinat, "_row_step", counted_step)
+        shuffled = list(self.CHAIN)
+        random.Random(5).shuffle(shuffled)
         try:
-            assert len(combinat._log_ladder(5, 4)) == 5
-            assert len(combinat._log_ladder(3, 4)) == 5
-            assert len(combinat._log_ladder(6, 4)) == 10
-            assert len(combinat._log_ladder(31, 4)) == 31
-            assert len(combinat._ladders[4]) == 31
+            for requests in (self.CHAIN, shuffled):
+                cold_ladders()
+                computed.clear()
+                height = width = 0
+                for n, order in requests:
+                    combinat._bare_log_inv_pow(n, order)
+                    table = combinat._table
+                    assert {len(nums) for _, nums in table} == {len(table[0][1])}
+                    assert len(table) >= max(height, n)
+                    assert len(table[0][1]) >= max(width, order + n)
+                    height, width = len(table), len(table[0][1])
+                assert (height, width) == (max(n for n, _ in self.CHAIN),
+                                           max(n + order for n, order in self.CHAIN))
+                assert sum(computed) == height * width
         finally:
             cold_ladders()
 

@@ -30,10 +30,11 @@ another thread published first: every thread reads one tuple.  The ``ChernData``
 ``ch_vk`` shares per (g, d, r) carries the Chern-class memo of
 ``chern_classes``, which is replaced, under a lock, only by a complete longer
 tower: threads that ask for different lengths at once never read a partial
-tower, and at worst compute the same classes more than once.  The log
-ladders of ``combinat`` (L^-1 .. L^-k per x-order, L = log(1+x)) follow the
-same rule: a ladder is built whole outside the lock and replaces the
-published one, under it, only if it is taller.  The package's
+tower, and at worst compute the same classes more than once.  The table of
+``combinat`` (the powers (x/L)^n, L = log(1+x), that every x-window reads)
+is grown only under a lock, into a new table that replaces the published
+one once complete: threads never read a partly grown or partly rescaled
+table, and no entry is computed twice.  The package's
 lazy exports are resolved under the import system's per-module lock, so
 threads that first touch a name together all get the submodule's object.
 """
@@ -111,19 +112,22 @@ def test_parallel_chain_reports_match_serial():
 
 
 def test_parallel_ladder_growth_matches_serial():
-    # eight threads grow one x-order's cold ladder to different tops at once;
-    # a ladder read before it is complete, or one that shrank, shows as a
-    # short or wrong prefix
+    # eight threads grow the cold table of (x/L)^n to different tops at one
+    # x-order at once; a table read before it is complete, or one that
+    # shrank, shows as a wrong power or a short table
     order, tops = 12, (3, 40, 7, 21, 1, 33, 12, 26)
 
     def cold():
-        combinat._ladders.clear()
+        combinat._table = ()
         combinat._bare_log_inv_pow.cache_clear()
 
     serial = {}
     for top in tops:
         cold()
-        serial[top] = combinat._log_ladder(top, order)[:top]
+        serial[top] = tuple(combinat._bare_log_inv_pow(n, order) for n in range(1, top + 1))
+    cold()
+    combinat._bare_log_inv_pow(max(tops), order)
+    serial_table = combinat._table
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -133,15 +137,13 @@ def test_parallel_ladder_growth_matches_serial():
 
             def run(top):
                 barrier.wait(timeout=60)
-                ladder = combinat._log_ladder(top, order)
-                return ladder[:top], tuple(combinat._bare_log_inv_pow(n, order)
-                                           for n in range(top, 0, -1))
+                return tuple(combinat._bare_log_inv_pow(n, order) for n in range(top, 0, -1))
 
             with ThreadPoolExecutor(max_workers=8) as pool:
                 outputs = list(pool.map(run, tops, timeout=120))
-            for top, (prefix, powers) in zip(tops, outputs):
-                assert prefix == serial[top] and powers[::-1] == serial[top], top
-            assert combinat._ladders[order][:max(tops)] == serial[max(tops)]
+            for top, powers in zip(tops, outputs):
+                assert powers[::-1] == serial[top], top
+            assert combinat._table == serial_table
     finally:
         sys.setswitchinterval(interval)
         cold()

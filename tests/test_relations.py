@@ -748,6 +748,25 @@ class TestSharedRouteSpans:
             plain = [family_from_json(family_to_json(f)) for f in routed]
             assert compare_ideals(*routed) == compare_ideals(*plain), (case, a, b)
 
+    def test_cells_at_r_are_cells_at_larger_r(self):
+        # r is a window: on the criterion-5 grid each cell (i, j) of a
+        # comparison at (g, d, r) is the cell (i, j) at (g, d+1, r+1) and at
+        # (g, d+2, r+2), for all three pairs; the larger r compare unrouted
+        # copies, which reduce their own item rows and share no span
+        pairs = ((0, 1), (1, 2), (0, 2))
+        for g in (3, 4, 5, 6):
+            for r in (2, 3):
+                for d in range(2 * r, 9):
+                    fams = [gen_family(name, g, d, r) for name in self.FAMILIES]
+                    cells = {(a, b): compare_ideals(fams[a], fams[b]).cells for a, b in pairs}
+                    for k in (1, 2):
+                        plain = [family_from_json(family_to_json(gen_family(name, g, d + k, r + k)))
+                                 for name in self.FAMILIES]
+                        for a, b in pairs:
+                            wide = {(c.i, c.j): c for c in compare_ideals(plain[a], plain[b]).cells}
+                            for c in cells[a, b]:
+                                assert wide[c.i, c.j] == c, (g, d, r, k, a, b, c.i, c.j)
+
     def test_spans_are_reused_across_r(self):
         # (5, 6, 2), (5, 7, 3) and (5, 8, 4) share d-r = 4: after (5, 7, 3)
         # the smaller r builds no cell and the larger builds only i = 4
@@ -1179,24 +1198,23 @@ class TestImplicationChain:
         assert report().identity9_ok
 
     def test_power_law_certifies_the_ladder(self, monkeypatch):
-        # the ladder builds L^-(n+1) = -(1+x) (L^-n)' / n, check (a) multiplies
-        # L^-n by L: a step without the (1+x) factor, or one dividing by n+1,
-        # must flip identity9_ok
+        # the table steps from (x/L)^n to (x/L)^(n+1) by
+        # n v_k' = (n-k) v_k + (n-k+1) v_(k-1), which is
+        # L^-(n+1) = -(1+x) (L^-n)' / n; check (a) multiplies L^-n by L: a
+        # step without the (1+x) factor, the v_(k-1) term, or one dividing
+        # by n+1, must flip identity9_ok
         import jacrel.combinat as combinat
         import jacrel.relations as rel
-        from jacrel.rings import LaurentSeries
-        real = combinat._ladder_step
+        real = combinat._row_step
 
-        def without_one_plus_x(power, n):
-            v = power.valuation
-            return LaurentSeries(v - 1, [F(-(v + i) * c, n * power.den)
-                                         for i, c in enumerate(power.nums)], power.trunc - 1)
+        def without_one_plus_x(row, den, n, start):
+            return [(n - k) * row[k] for k in range(start, len(row))], den * n
 
-        def over_n_plus_one(power, n):
-            return real(power, n) * F(n, n + 1)
+        def over_n_plus_one(row, den, n, start):
+            return real(row, den, n, start)[0], den * (n + 1)
 
         def report():
-            combinat._ladders.clear()
+            combinat._table = ()
             for cache in (combinat._bare_log_inv_pow, rel._e_part, rel._power_law_ok):
                 cache.cache_clear()
             return verify_implication_chain(3, 5, 2)
@@ -1205,7 +1223,7 @@ class TestImplicationChain:
             assert report().ok
             for step in (without_one_plus_x, over_n_plus_one):
                 with monkeypatch.context() as patch:
-                    patch.setattr(combinat, "_ladder_step", step)
+                    patch.setattr(combinat, "_row_step", step)
                     corrupted = report()
                     assert not corrupted.identity9_ok and not corrupted.ok, step.__name__
         finally:
