@@ -77,7 +77,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import comb, factorial, lcm
 from threading import Lock
 from typing import Iterable, NamedTuple
@@ -357,13 +357,14 @@ class GradedSpan:
     and is published once complete: the first published is the one every
     reader gets.
 
-    A span takes its generator rows from the family's items or, for a
-    routed family, from F, and both give every cell the same generator
-    span.  A family read from JSON, built by hand or edited has its items
-    checked for genus and homogeneity, scales each to integers, and
-    reduces its own cells (``_reduce``): its generator rows first, so that
-    its first echelon rows, up to its generator rank, span the bare
-    generators, then L.  Its span is its own, kept on the family.
+    Every cell takes L's rows first and its generators' last.  A span
+    takes its generator rows from the family's items or, for a routed
+    family, from F, and both give every cell the same generator span.  A
+    family read from JSON, built by hand or edited has its items checked
+    for genus and homogeneity, scaled to integers and reduced once, into
+    one echelon space per bidegree (``generators``, which no reader
+    changes), and reduces its own cells (``_reduce``).  Its span is its
+    own, kept on the family.
 
     A family that ``gen_family`` made carries its route (family_id, d-r),
     and its items are never read: with k = d-r+i, its generators sit at the
@@ -389,7 +390,7 @@ class GradedSpan:
 
     def __init__(self, family: RelationFamily) -> None:
         self.g, self.route = family.g, family._route
-        self.generators: dict[tuple[int, int], list[list[int]]] = {}
+        self.generators: dict[tuple[int, int], RowSpace] = {}
         for item in family.items if self.route is None else ():
             if item.element.g != self.g:
                 raise ValueError(f"item at s={item.s}, t^{item.t_exp} is in genus "
@@ -405,8 +406,9 @@ class GradedSpan:
             # integers: a nonzero scalar changes neither span nor ideal, and
             # ``RowSpace.add`` divides each reduced row by its gcd
             den = lcm(*(c.denominator for c in terms.values()))
-            self.generators.setdefault(bideg, []).append(
-                [int(terms.get(m, 0) * den) for m in monomials_of_bidegree(self.g, *bideg)])
+            basis = monomials_of_bidegree(self.g, *bideg)
+            self.generators.setdefault(bideg, RowSpace(len(basis))).add(
+                [int(terms.get(m, 0) * den) for m in basis])
         self.cells: dict[tuple[int, int], tuple[RowSpace, int, int]] = {}
         # on strong8's routed span: the joint cells its route key shares
         self.joints: dict[tuple[int, int], _JointCell] = {}
@@ -481,14 +483,14 @@ class GradedSpan:
         return self.joints.setdefault((i, j), _JointCell(space, rank, routed, pair))
 
     def _reduce(self, i: int, j: int, dim: int) -> tuple[RowSpace, int, int]:
-        """The cell from the span's own generator rows and cells below."""
-        space = self._generator_space(i, j, dim)
-        generator_rank = rank = space.rank
+        """The cell from the span's own cells below, then its generators."""
+        space, generators = RowSpace(dim), self._generator_space(i, j, dim)
+        lower = [(_shift_columns(self.g, i, j, k), *self.cell(i - 1, j - k)[::2])
+                 for k in self._below(i, j)]
+        rank = _grow(space, lower, dim)
         if rank < dim:
-            lower = [(_shift_columns(self.g, i, j, k), *self.cell(i - 1, j - k)[::2])
-                     for k in self._below(i, j)]
-            rank = _grow(space, lower, dim)
-        return space, generator_rank, rank
+            rank = space.fill(generators.pivots.values())
+        return space, generators.rank, rank
 
     def _below(self, i: int, j: int) -> range:
         """The k whose cell (i-1, j-k) has a monomial: j-k <= (i-1)(g-1)."""
@@ -507,24 +509,16 @@ class GradedSpan:
                 for j in range(max(0, cut - i + 1), i * (self.g - 1) + 1))
 
     def _generator_space(self, i: int, j: int, dim: int) -> RowSpace:
-        """The echelon rows of the generators of bidegree (i, j): the items'
-        rows, or a routed family's rows off F (``_generator_rows``)."""
-        space = RowSpace(dim)
+        """The echelon rows of the generators of bidegree (i, j): the kept
+        space of the items' rows, or a routed family's rows off F
+        (``_generator_rows``)."""
         if self.route is None:
-            rows = self.generators.get((i, j), ())
-        elif i >= 1:
+            return self.generators.get((i, j)) or RowSpace(dim)
+        space = RowSpace(dim)
+        if i >= 1:
             family_id, cut = self.route
-            rows = (row for _, row in _generator_rows(family_id, self.g, i, j, cut + i))
-        else:
-            rows = ()
-        for row in rows:
-            space.add(row)
+            space.fill(row for _, row in _generator_rows(family_id, self.g, i, j, cut + i))
         return space
-
-    def generator_rows(self, i: int, j: int, space: RowSpace) -> RowSpace:
-        """The cell space, if it takes its generators first, else the
-        generator space of (i, j)."""
-        return space if self.route is None else self._generator_space(i, j, space.ncols)
 
 
 class _JointCell(NamedTuple):
@@ -583,12 +577,11 @@ def _cut_rows(lower, covered: set[int], dim: int):
                 yield row
 
 
-def _joint_rank(a: RowSpace, a_rows: int, b: RowSpace, b_rows: int) -> int:
-    """Rank of a's first a_rows and b's first b_rows echelon rows together."""
-    if a_rows < b_rows:
-        a, a_rows, b, b_rows = b, b_rows, a, a_rows
-    joint = RowSpace(a.ncols, islice(a.pivots.items(), a_rows))
-    return joint.fill(islice(b.pivots.values(), b_rows))
+def _joint_rank(a: RowSpace, b: RowSpace) -> int:
+    """Rank of a's and b's echelon rows together."""
+    if a.rank < b.rank:
+        a, b = b, a
+    return RowSpace(a.ncols, a.pivots.items()).fill(b.pivots.values())
 
 
 class CellComparison(NamedTuple):
@@ -676,13 +669,12 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
                 continue
             dim = a.ncols
             bound = span1.top.joint(i, j).rank if routed else dim
-            ideal_joint = (bound if max(a_rank, b_rank) == bound
-                           else _joint_rank(a, a_rank, b, b_rank))
+            ideal_joint = bound if max(a_rank, b_rank) == bound else _joint_rank(a, b)
             span_joint = max(a_gens, b_gens)
             if not routed:
                 if span_joint < dim:
-                    span_joint = _joint_rank(span1.generator_rows(i, j, a), a_gens,
-                                             span2.generator_rows(i, j, b), b_gens)
+                    span_joint = _joint_rank(span1._generator_space(i, j, dim),
+                                             span2._generator_space(i, j, dim))
             elif not with_strong8 and span1.route != span2.route:  # vdgk6 and herbaut7
                 span_joint = span1.top.joint(i, j).pair
             cells.append(CellComparison(i=i, j=j, dim=dim, ideal_ranks=(a_rank, b_rank),
@@ -780,8 +772,9 @@ def epsilon_series(g: int, x_order: int) -> EpsilonReport:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _power_law_ok(n: int, x_order: int) -> bool:
     """L^-n * L = L^-(n-1) on its window, with L = log(1+x) and L^0 = 1."""
+    power = _bare_log_inv_pow(n, x_order)  # before L^-(n-1): see check (a)
     below = _bare_log_inv_pow(n - 1, x_order) if n > 1 else LaurentSeries.monomial(0)
-    return (_bare_log_inv_pow(n, x_order) * log1p_series(x_order + n)).agrees_with(below)
+    return (power * log1p_series(x_order + n)).agrees_with(below)
 
 
 class ScalarCheck(NamedTuple):
@@ -873,7 +866,9 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
     """
     _validate_params(g, d, r)
     x_order = 2 * (g + 2)
-    identity9_ok = all(_power_law_ok(n, x_order) for n in range(1, r * (g + 1) + 1))
+    # tallest power first, so a cold table grows once to the window's full
+    # height and width, not once per new row, each growth rescaling it whole
+    identity9_ok = all(_power_law_ok(n, x_order) for n in range(r * (g + 1), 0, -1))
     e_parts = [_e_part(a + 2, x_order) for a in range(g)]
     e_ok = all(e.valuation >= 0 for e in e_parts)
     e_trunc = min(e.trunc for e in e_parts)

@@ -394,7 +394,7 @@ class TestCompareIdeals:
         rows = []
         add = RowSpace.add
         monkeypatch.setattr(RowSpace, "add", lambda space, row: rows.append(row) or add(space, row))
-        assert _joint_rank(a._span.cell(2, 4)[0], 2, b._span.cell(2, 4)[0], 2) == 3
+        assert _joint_rank(a._span.cell(2, 4)[0], b._span.cell(2, 4)[0]) == 3
         assert len(rows) == 1  # b's second row is never reduced
 
     def test_unit_generator_fills_every_cell(self):
@@ -612,6 +612,33 @@ class TestEchelonRoute:
                     if a != b:
                         assert compare_ideals(routed[a], routed[b]) == \
                             compare_ideals(plain[a], plain[b]), (g, d, r, a, b)
+
+    def test_kept_generator_spaces_are_read_never_changed(self):
+        # an unrouted span reduces its items once, into one echelon space per
+        # bidegree, which every comparison and containment reads; after all
+        # of them on the criterion-5 grid the spaces still equal a fresh
+        # span's, and every deficient cell holds exactly its rank's pivots,
+        # which is what a joint rank reads
+        for g in (3, 4, 5, 6):
+            for r in (2, 3):
+                for d in range(2 * r, 9):
+                    plain = [family_from_json(family_to_json(gen_family(name, g, d, r)))
+                             for name in self.FAMILIES]
+                    for a in range(3):
+                        for b in range(3):
+                            if a != b:
+                                compare_ideals(plain[a], plain[b])
+                                span_contains(plain[a], plain[b])
+                    for f in plain:
+                        kept, fresh = f._span, GradedSpan(f)
+                        assert kept.generators.keys() == fresh.generators.keys()
+                        for key, space in kept.generators.items():
+                            assert list(space.pivots.items()) == \
+                                list(fresh.generators[key].pivots.items()), (g, d, r, key)
+                        assert kept.cells
+                        for key, (space, _, rank) in kept.cells.items():
+                            if rank < space.ncols:
+                                assert space.rank == rank, (g, d, r, f.family_id, key)
 
     def test_edited_family_takes_the_row_route(self):
         f7, f8 = gen_family("herbaut7", 4, 6, 3), gen_family("strong8", 4, 6, 3)
@@ -898,7 +925,7 @@ class TestJointCells:
                 for f in routed + plain:
                     span = GradedSpan.from_family(f)
                     assert span.cell(0, 0)[1:] == (0, 0), (g, r, f.family_id)
-                    assert span.generator_rows(0, 0, RowSpace(1)).rank == 0
+                    assert span._generator_space(0, 0, 1).rank == 0
                 for a in range(3):
                     for b in range(3):
                         if a != b:
@@ -1228,6 +1255,21 @@ class TestImplicationChain:
                     assert not corrupted.identity9_ok and not corrupted.ok, step.__name__
         finally:
             assert report().ok
+
+    def test_cold_chain_grows_the_table_once(self, monkeypatch):
+        # check (a) reads the tallest power first, so a cold table grows once
+        # to the window's full height and width; ascending requests grew it
+        # 104 times at (12, 16, 8), each growth rescaling every kept row
+        import jacrel.combinat as combinat
+        import jacrel.relations as rel
+        grown, growths = combinat._grown, []
+        monkeypatch.setattr(combinat, "_grown",
+                            lambda *args: growths.append(args[1:]) or grown(*args))
+        combinat._table = ()
+        for cache in (combinat._bare_log_inv_pow, rel._e_part, rel._power_law_ok):
+            cache.cache_clear()
+        assert verify_implication_chain(12, 16, 8).ok
+        assert len(growths) <= 1, growths
 
     def test_frontier_reports_match_pinned_hashes(self):
         # 84 and 91 log powers at x-order 2(g+2); the reprs hash as they did

@@ -188,3 +188,11 @@ class TestBivarPolyPlumbing:
         H = build_h_poly(2)
         assert set(H.u_slice(1)) == {2, 3}
         assert {u for u, t, _ in H.items() if t == 3} == {1, 2, 3}
+
+    @pytest.mark.parametrize("product", [lambda p: p * 2, lambda p: 2 * p],
+                             ids=["poly*int", "int*poly"])
+    def test_product_with_a_non_poly_raises_type_error(self, product):
+        # __mul__ returns NotImplemented for any other operand, and int has
+        # no product with a BivarPoly either
+        with pytest.raises(TypeError):
+            product(build_g_poly(2))
