@@ -65,7 +65,9 @@ h_a = g_a + e_a is ``_e_part``'s definition, so the one fact the law needs
 beyond it is certified once per power: the cached powers of L multiply as
 powers (the power law).  The degree bound is the paper's valuation lemma
 (see ``ChainReport``): it reads the valuations and windows of the cached
-e_a and L^-N, forms no product and visits no monomial.
+e_a and L^-N, forms no product and visits no monomial.  The extraction
+scalar [x^-m] x/(1+x) L^-n reads only L^-n's principal part, which every
+x-window holds, so it is computed once per (n, m) (``_SCALARS``).
 
 Note that eps has x-exponents >= 0 but genuinely nonzero x^0 terms
 (Bernoulli values B_n/n for even n = a+2), so the sharpest certifiable bound
@@ -90,14 +92,18 @@ from .tautalg import (Monomial, TautElement, _canonical_monomial, _g_power_coeff
                       _mono_mul, element_to_jsonable, monomials_of_bidegree)
 
 
-# Bound on each of the chain's two caches, keyed by n and x_order = 2(g+2):
-# ``_e_part`` and check (a)'s power law ``_power_law_ok``.  The criterion-6b
-# grid puts 18 and 66 entries in them.
+# Bound on each of the chain's three caches: ``_e_part`` and check (a)'s
+# power law ``_power_law_ok``, keyed by n and x_order = 2(g+2), and check
+# (c)'s extraction scalars ``_SCALARS``, keyed by (n, m) alone.  The
+# criterion-6b grid puts 18, 66 and 65 entries in them.
 _CACHE_SIZE = 4096
 
-_PUBLISH = Lock()  # publishes a routed family's items and any family's span
+# publishes a routed family's items, any family's span and a chain scalar
+_PUBLISH = Lock()
 # the span of each route key (family_id, g, d-r), first published wins
 _SPANS: dict[tuple[str, int, int], "GradedSpan"] = {}
+# [x^-m] x/(1+x) L^-n, L = log(1+x), of every x-window, first published wins
+_SCALARS: dict[tuple[int, int], Fraction] = {}
 
 
 class RelationItem(NamedTuple):
@@ -819,7 +825,12 @@ class ChainReport(NamedTuple):
     -max N, the ``min_x_exponent`` of ``DegreeBoundCheck``, and it is
     known below min(trunc L^-N, val L^-N + min_a trunc e_a).  The floor
     is attained: by S = m when d-r >= s (the only term at -N), else by
-    |S| = d-r zero weights, since e_0 has valuation exactly 0."""
+    |S| = d-r zero weights, since e_0 has valuation exactly 0.
+
+    Check (c)'s ``value``, [x^-m] x/(1+x) L^-n with m = d-r+s < n, reads
+    only L^-n's principal part, at x^-n .. x^(-m-1), so it is one scalar
+    per (n, m), computed once whatever the window; ``expected``,
+    (m!/(n-1)!) S(n-1, m), is formed on every call."""
 
     g: int
     d: int
@@ -849,8 +860,9 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
     t^(a+2), so each check reads scalar series over Q, exactly in t; only
     the x-order truncates, at the fixed window 2(g+2) that
     ``ChainReport.x_order`` records.  No check forms a product per
-    monomial, and every series it reads is cached, so a warm d does no
-    series arithmetic.
+    monomial, every series it reads is cached, and each extraction scalar
+    is computed once per (n, m), so a call whose n and (n, m) are all warm
+    does no series arithmetic.
 
     (a) The binomial identity H(1/x,t)^s = sum_{s'} C(s,s') G(t/log(1+x))^s'
         eps^(s-s') holds for s = 1..r: at a monomial it is the distributive
@@ -862,7 +874,9 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
         valuation lemma (see ``ChainReport``).
     (c) The extraction scalar, the x^-(d-r+s) coefficient of
         x/(1+x) * log(1+x)^-n, equals (d-r+s)!/(n-1)! S(n-1, d-r+s) and is
-        nonzero for every n > d-r+s.
+        nonzero for every n > d-r+s.  It reads only log(1+x)^-n's
+        principal part, so it is computed once per (n, m = d-r+s), from
+        the call's own power, and kept whatever the window.
     """
     _validate_params(g, d, r)
     x_order = 2 * (g + 2)
@@ -885,14 +899,20 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
             certified=e_ok and window >= bound and floor >= bound))
 
     scalar_checks: list[ScalarCheck] = []
-    # x/(1+x), wide enough that the product window always covers x^-m
-    geom_order = max(x_order, r * (g + 1) + 2)
-    geom = LaurentSeries(1, [(-1) ** i for i in range(geom_order)], geom_order + 1)
+    geom = None  # x/(1+x), built on a miss only
     for s in range(1, r + 1):
         m = d - r + s
         for n in range(m + 1, s * (g + 1) + 1):
-            value = geom.product_coeff(_bare_log_inv_pow(n, x_order), -m)
-            expected = Fraction(factorial(m), factorial(n - 1)) * stirling2(n - 1, m)
+            value = _SCALARS.get((n, m))
+            if value is None:
+                if geom is None:  # wide enough that the product window covers x^-m
+                    order = max(x_order, r * (g + 1) + 2)
+                    geom = LaurentSeries(1, [(-1) ** i for i in range(order)], order + 1)
+                value = geom.product_coeff(_bare_log_inv_pow(n, x_order), -m)
+                with _PUBLISH:  # first published wins; the table stops at _CACHE_SIZE
+                    if len(_SCALARS) < _CACHE_SIZE:
+                        value = _SCALARS.setdefault((n, m), value)
+            expected = Fraction(factorial(m) * stirling2(n - 1, m), factorial(n - 1))
             scalar_checks.append(ScalarCheck(s=s, n=n, m=m, value=value,
                                              expected=expected))
 

@@ -12,9 +12,11 @@ ranks ``_suffix_ranks``, the ideal cells' column maps of C(k)
 ``_shift_columns``, the chain's ``_e_part``, check (a)'s power law
 ``_power_law_ok``, and the GRR replay's ``ch_vk``), which lock their own
 bookkeeping; two threads may both compute a missing entry, and they
-compute the same value.  Four pieces of state are kept on values.  A
-family keeps its ``GradedSpan``, published under a lock: threads that
-race to make a span for one family read from JSON all keep the first one
+compute the same value.  Check (c)'s extraction scalars are kept per
+(n, m) in the module dict ``relations._SCALARS``, published with
+``setdefault`` under a lock: the first value published wins.  Four pieces
+of state are kept on values.  A family keeps its ``GradedSpan``,
+published under a lock: threads that race to make a span for one family read from JSON all keep the first one
 published.  A family's ``GradedSpan`` publishes a cell, with
 its rows and its ranks, only once the cell is complete, so threads that
 compare the same family at once can at most build a cell twice, the same
@@ -50,9 +52,9 @@ import pytest
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_SPANS, GradedSpan, _e_part, _f_table, _pi_coefficients,
-                              _power_law_ok, _shift_columns, _suffix_ranks, compare_ideals,
-                              family_from_json, family_to_json, gen_family,
+from jacrel.relations import (_SCALARS, _SPANS, GradedSpan, _e_part, _f_table,
+                              _pi_coefficients, _power_law_ok, _shift_columns, _suffix_ranks,
+                              compare_ideals, family_from_json, family_to_json, gen_family,
                               verify_implication_chain)
 from jacrel.tautalg import _orderings
 from oracles import family_by_powers
@@ -100,6 +102,7 @@ def test_parallel_chain_reports_match_serial():
     # read the same entries
     for cache in (combinat._bare_log_inv_pow, _e_part, _power_law_ok):
         cache.cache_clear()
+    _SCALARS.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

@@ -869,6 +869,25 @@ class TestSharedRouteSpans:
                     previous = ranks
         assert falls > 0
 
+    def test_generators_at_the_next_cut_lie_in_strong8s_ideal(self):
+        # the membership half of the nesting: each vdgk6, herbaut7 and
+        # strong8 generator row at cut c+1 lies in strong8's ideal cell at
+        # cut c, full or containing the row; reading the rows at cut c-1
+        # instead puts 192 of 6919 outside
+        rows = 0
+        for g in range(1, 8):
+            for c in range(g + 1):
+                span = GradedSpan.from_family(gen_family("strong8", g, c + 1, 1))
+                for s in range(1, 4):
+                    for w in range(s * (g - 1) + 1):
+                        space, _, rank = span.cell(s, w)
+                        for name in self.FAMILIES:
+                            for _, row in _generator_rows(name, g, s, w, c + 1 + s):
+                                assert rank == space.ncols or space.contains(row), \
+                                    (g, c, s, w, name)
+                                rows += 1
+        assert rows == 5117
+
 
 class TestJointCells:
     """The three routed spans of one (g, d-r) read one elimination per cell
@@ -1207,6 +1226,7 @@ class TestImplicationChain:
         def report():
             for cache in caches:
                 cache.cache_clear()
+            rel._SCALARS.clear()
             result = verify_implication_chain(g, d, r)
             assert result.x_order == x_order
             return result
@@ -1222,6 +1242,7 @@ class TestImplicationChain:
         finally:
             for cache in caches:
                 cache.cache_clear()
+            rel._SCALARS.clear()
         assert report().identity9_ok
 
     def test_power_law_certifies_the_ladder(self, monkeypatch):
@@ -1244,6 +1265,7 @@ class TestImplicationChain:
             combinat._table = ()
             for cache in (combinat._bare_log_inv_pow, rel._e_part, rel._power_law_ok):
                 cache.cache_clear()
+            rel._SCALARS.clear()
             return verify_implication_chain(3, 5, 2)
 
         try:
@@ -1268,6 +1290,7 @@ class TestImplicationChain:
         combinat._table = ()
         for cache in (combinat._bare_log_inv_pow, rel._e_part, rel._power_law_ok):
             cache.cache_clear()
+        rel._SCALARS.clear()
         assert verify_implication_chain(12, 16, 8).ok
         assert len(growths) <= 1, growths
 
@@ -1407,12 +1430,14 @@ class TestSplitTable:
 
     def test_reports_do_not_depend_on_cache_state(self):
         from jacrel.relations import _CACHE_SIZE, _bare_log_inv_pow, _e_part, _power_law_ok
+        from jacrel.relations import _SCALARS
         caches = (_bare_log_inv_pow, _e_part, _power_law_ok)
 
         def report(g, d, r):
             chain = verify_implication_chain(g, d, r)
             for cache in caches:
                 assert cache.cache_info().currsize <= _CACHE_SIZE
+            assert len(_SCALARS) <= _CACHE_SIZE
             return chain
 
         for g in (3, 5):
@@ -1422,6 +1447,7 @@ class TestSplitTable:
                 for d in ds:
                     for cache in caches:
                         cache.cache_clear()
+                    _SCALARS.clear()
                     cleared.append(report(g, d, r))
                 # every d reads the same series, now all cached
                 ascending = [report(g, d, r) for d in ds]
@@ -1449,6 +1475,48 @@ class TestSplitTable:
         for d in (7, 8):
             assert verify_implication_chain(6, d, 3).ok, d
         assert calls == {"__mul__": 0, "_merge": 0}
+
+    def test_warm_grid_forms_no_series(self, monkeypatch):
+        # each extraction scalar is kept per (n, m), so a second pass over
+        # the criterion-6b grid builds no series and forms no product; one
+        # that rebuilt x/(1+x) per call made 304 products and 32 series
+        from jacrel.rings import LaurentSeries
+        cases = [(g, d, r) for g in (3, 4, 5, 6) for r in (2, 3) for d in range(2 * r, 9)]
+        for case in cases:
+            verify_implication_chain(*case)
+        calls = dict.fromkeys(("_fill", "__mul__", "_merge", "product_coeff"), 0)
+
+        def counting(name):
+            real = getattr(LaurentSeries, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(LaurentSeries, name, counting(name))
+        for case in cases:
+            assert verify_implication_chain(*case).ok, case
+        assert calls == dict.fromkeys(calls, 0)
+
+    def test_extraction_scalars_do_not_depend_on_the_window(self):
+        # the table of scalars is keyed by (n, m) alone: [x^-m] x/(1+x) L^-n
+        # reads only L^-n's principal part, so the full product read at the
+        # windows 1, 2(g+2) and 2(g+2)+8 gives every reported value
+        from jacrel.relations import _bare_log_inv_pow
+        from jacrel.rings import LaurentSeries
+        cases = [(g, d, r) for g in (3, 4, 5, 6) for r in (2, 3) for d in range(2 * r, 9)]
+        checks = 0
+        for g, d, r in cases:
+            for check in verify_implication_chain(g, d, r).scalar_checks:
+                n, m = check.n, check.m
+                geom = LaurentSeries(1, [(-1) ** i for i in range(n + 1)], n + 2)
+                for window in (1, 2 * (g + 2), 2 * (g + 2) + 8):
+                    assert (geom * _bare_log_inv_pow(n, window)).coeff(-m) == check.value, \
+                        (g, d, r, n, m, window)
+                checks += 1
+        assert checks == 304
 
 
 class TestFamilyJson:
