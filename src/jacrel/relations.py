@@ -62,12 +62,12 @@ g_a = (a+1)! L^-(a+2), L = log(1+x), in G(t/log(1+x)), and e_a = h_a - g_a
 in eps (``_e_part``).  At a monomial m = (a_1..a_s) the expansion is the
 distributive law for prod (g_{a_i} + e_{a_i}), a sum over position sets S.
 h_a = g_a + e_a is ``_e_part``'s definition, so the one fact the law needs
-beyond it is certified once per power: the cached powers of L multiply as
-powers (the power law).  The degree bound is the paper's valuation lemma
-(see ``ChainReport``): it reads the valuations and windows of the cached
-e_a and L^-N, forms no product and visits no monomial.  The extraction
-scalar [x^-m] x/(1+x) L^-n reads only L^-n's principal part, which every
-x-window holds, so it is computed once per (n, m) (``_SCALARS``).
+beyond it is certified once per power and multiple of 8 asked: the cached
+powers of L multiply as powers (the power law).  The degree bound is the
+paper's valuation lemma (see ``ChainReport``): it reads the valuations and
+windows of the cached e_a and L^-N, forms no product and visits no monomial.
+The extraction scalar [x^-m] x/(1+x) L^-n reads only L^-n's principal part,
+which every x-window holds, so it is computed once per (n, m) (``_SCALARS``).
 
 Note that eps has x-exponents >= 0 but genuinely nonzero x^0 terms
 (Bernoulli values B_n/n for even n = a+2), so the sharpest certifiable bound
@@ -92,18 +92,17 @@ from .tautalg import (Monomial, TautElement, _canonical_monomial, _g_power_coeff
                       _mono_mul, element_to_jsonable, monomials_of_bidegree)
 
 
-# Bound on each of the chain's three caches: ``_e_part`` and check (a)'s
-# power law ``_power_law_ok``, keyed by n and x_order = 2(g+2), and check
-# (c)'s extraction scalars ``_SCALARS``, keyed by (n, m) alone.  The
-# criterion-6b grid puts 18, 66 and 65 entries in them.
+# Bound on the chain's caches ``_e_part`` per (n, x_order), ``_LAW_WINDOWS``
+# per n and ``_SCALARS`` per (n, m): the criterion-6b grid fills 18, 21 and 65.
 _CACHE_SIZE = 4096
 
-# publishes a routed family's items, any family's span and a chain scalar
+# publishes a routed family's items, any family's span and a chain record
 _PUBLISH = Lock()
 # the span of each route key (family_id, g, d-r), first published wins
 _SPANS: dict[tuple[str, int, int], "GradedSpan"] = {}
 # [x^-m] x/(1+x) L^-n, L = log(1+x), of every x-window, first published wins
 _SCALARS: dict[tuple[int, int], Fraction] = {}
+_LAW_WINDOWS: dict[int, int] = {}  # n -> widest x-window where L^-n*L = L^-(n-1) held
 
 
 class RelationItem(NamedTuple):
@@ -775,12 +774,26 @@ def epsilon_series(g: int, x_order: int) -> EpsilonReport:
     )
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _power_law_ok(n: int, x_order: int) -> bool:
-    """L^-n * L = L^-(n-1) on its window, with L = log(1+x) and L^0 = 1."""
-    power = _bare_log_inv_pow(n, x_order)  # before L^-(n-1): see check (a)
-    below = _bare_log_inv_pow(n - 1, x_order) if n > 1 else LaurentSeries.monomial(0)
-    return (power * log1p_series(x_order + n)).agrees_with(below)
+    """L^-n * L = L^-(n-1) on its window, with L = log(1+x) and L^0 = 1.
+    Windows of L^-n cut one unchanging row of ``combinat``'s table, so the law
+    on a window holds on every narrower one: one within n's widest certified
+    window forms no product.  Another is checked at the next multiple of 8,
+    whatever the calls' order, and at its own window only if that fails."""
+    if _LAW_WINDOWS.get(n, 0) >= x_order:
+        return True
+    for window in dict.fromkeys((-(-x_order // 8) * 8, x_order)):
+        power = _bare_log_inv_pow(n, window)  # before L^-(n-1): see check (a)
+        below = _bare_log_inv_pow(n - 1, window) if n > 1 else LaurentSeries.monomial(0)
+        if (power * log1p_series(window + n)).agrees_with(below):
+            with _PUBLISH:  # widest wins; the record stops at _CACHE_SIZE powers
+                if n in _LAW_WINDOWS or len(_LAW_WINDOWS) < _CACHE_SIZE:
+                    _LAW_WINDOWS[n] = max(_LAW_WINDOWS.get(n, window), window)
+            return True
+    return False
+
+
+_power_law_ok.cache_clear = _LAW_WINDOWS.clear  # forgets every window, as lru_cache's does
 
 
 class ScalarCheck(NamedTuple):
@@ -810,12 +823,12 @@ class ChainReport(NamedTuple):
     """Checks (a)-(c) of ``verify_implication_chain``.  ``x_order`` records
     the x-window the series were known below, 2(g+2).  ``identity9_ok``
     holds when L^-n * L = L^-(n-1), L = log(1+x), for n <= r(g+1).  With
-    h_a = g_a + e_a, which is ``_e_part``'s definition, this power law is
-    what the distributive law at every monomial of the window follows
-    from.  The power law is also what certifies the powers
-    themselves: they are rows of ``combinat``'s table of (x/L)^n, stepped
-    by the derivative, and the law checks them by products, which share no
-    code with it.
+    h_a = g_a + e_a, which is ``_e_part``'s definition, the distributive
+    law at every monomial of the window follows from this power law, which
+    also certifies the powers, rows of ``combinat``'s table of (x/L)^n, by
+    products sharing no code with the table.  A window of L^-n cuts its
+    row, which never changes value, so the law on a window holds on every
+    narrower one: each power is certified once per multiple of 8 reached.
 
     Check (b) is the valuation lemma.  With the vdgk6 relations rewritten to
     zero, a kept term at m = (a_1..a_s) is G_S * prod_{i not in S} e_{a_i},
@@ -860,9 +873,9 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
     t^(a+2), so each check reads scalar series over Q, exactly in t; only
     the x-order truncates, at the fixed window 2(g+2) that
     ``ChainReport.x_order`` records.  No check forms a product per
-    monomial, every series it reads is cached, and each extraction scalar
-    is computed once per (n, m), so a call whose n and (n, m) are all warm
-    does no series arithmetic.
+    monomial, every power it reads is cached, check (a) multiplies only
+    past a power's widest certified window, and each extraction scalar is
+    computed once per (n, m), so a warm call does no series arithmetic.
 
     (a) The binomial identity H(1/x,t)^s = sum_{s'} C(s,s') G(t/log(1+x))^s'
         eps^(s-s') holds for s = 1..r: at a monomial it is the distributive

@@ -9,12 +9,16 @@ module caches: the Stirling memo table, whose writers are idempotent, and the
 against P_n's coefficients, the half-degree tables ``_f_table`` built on
 them, whose rows the items and the routed spans read, and their suffix
 ranks ``_suffix_ranks``, the ideal cells' column maps of C(k)
-``_shift_columns``, the chain's ``_e_part``, check (a)'s power law
-``_power_law_ok``, and the GRR replay's ``ch_vk``), which lock their own
-bookkeeping; two threads may both compute a missing entry, and they
-compute the same value.  Check (c)'s extraction scalars are kept per
-(n, m) in the module dict ``relations._SCALARS``, published with
-``setdefault`` under a lock: the first value published wins.  Four pieces
+``_shift_columns``, the chain's ``_e_part``, and the GRR replay's
+``ch_vk``), which lock their own bookkeeping; two threads may both compute
+a missing entry, and they compute the same value.  Check (c)'s extraction
+scalars are kept per (n, m) in the module dict ``relations._SCALARS``,
+published with ``setdefault`` under a lock: the first value published
+wins.  Check (a) keeps, per power n, the widest x-window at which its law
+was certified in the module dict ``relations._LAW_WINDOWS``, published
+under the same lock as the larger of the two windows: a narrower check
+that publishes last never shrinks it, and a failed check publishes
+nothing.  Four pieces
 of state are kept on values.  A family keeps its ``GradedSpan``,
 published under a lock: threads that race to make a span for one family read from JSON all keep the first one
 published.  A family's ``GradedSpan`` publishes a cell, with
@@ -112,6 +116,27 @@ def test_parallel_chain_reports_match_serial():
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial
+
+
+def test_certified_window_never_shrinks(monkeypatch):
+    # a check at window 16 (asked 10) that publishes after one at window 24
+    # (asked 18) for the same power keeps 24: the wider check runs inside the
+    # narrower one's product, as a racing thread would
+    import jacrel.relations as rel
+    real = rel.log1p_series
+
+    def racing(order):
+        if order == 16 + 5:  # L^-5 * L at window 16
+            assert _power_law_ok(5, 18)
+        return real(order)
+
+    _power_law_ok.cache_clear()
+    monkeypatch.setattr(rel, "log1p_series", racing)
+    try:
+        assert _power_law_ok(5, 10)
+        assert rel._LAW_WINDOWS == {5: 24}
+    finally:
+        _power_law_ok.cache_clear()
 
 
 def test_parallel_ladder_growth_matches_serial():

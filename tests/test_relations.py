@@ -423,6 +423,28 @@ class TestCompareIdeals:
             assert report == compare_ideals_by_products(*pair)
             assert report.ideal_equal
 
+    def test_cells_below_the_genus_do_not_depend_on_it(self):
+        # the stable range: for g >= w+1 the monomials of bidegree (s, w) are
+        # all the partitions of w into s parts, so a cell (i, j) with
+        # j <= g-1 depends only on (family, i, j, d-r), and the three pairs'
+        # cells there are the same at g, g+1 and g+3
+        names, pairs = ("vdgk6", "herbaut7", "strong8"), ((0, 1), (1, 2), (0, 2))
+
+        def cells(genus, d, r, j_top):
+            fams = [gen_family(name, genus, d, r) for name in names]
+            return [{(c.i, c.j): c for c in compare_ideals(fams[a], fams[b]).cells
+                     if c.j <= j_top} for a, b in pairs]
+
+        compared = 0
+        for g in range(3, 6):
+            for r in range(1, 4):
+                for d in range(r - 1, 9):
+                    base = cells(g, d, r, g - 1)
+                    for genus in (g + 1, g + 3):
+                        assert cells(genus, d, r, g - 1) == base, (g, d, r, genus)
+                        compared += sum(map(len, base))
+        assert compared == 1830
+
     def test_span_contains_matches_reference(self):
         f6, f7, f8 = (gen_family(f, 4, 4, 2) for f in ("vdgk6", "herbaut7", "strong8"))
         verdicts = {}
@@ -1239,6 +1261,7 @@ class TestImplicationChain:
                     corrupted = report()
                     assert not corrupted.identity9_ok, (name, at)
                     assert corrupted.degree_bound_ok and corrupted.scalar_ok, (name, at)
+                    assert at not in rel._LAW_WINDOWS, (name, at)  # a failure records nothing
         finally:
             for cache in caches:
                 cache.cache_clear()
@@ -1293,6 +1316,100 @@ class TestImplicationChain:
         rel._SCALARS.clear()
         assert verify_implication_chain(12, 16, 8).ok
         assert len(growths) <= 1, growths
+
+    def test_cold_call_makes_one_product_per_power(self, monkeypatch):
+        # with no window recorded, check (a) multiplies each L^-n, n <= r(g+1),
+        # tallest first, by L at the call's window 2(g+2) rounded up to a
+        # multiple of 8, once
+        import jacrel.relations as rel
+        real = rel.log1p_series
+        for (g, d, r), window in (((3, 5, 2), 16), ((6, 6, 3), 16), ((12, 16, 8), 32)):
+            rel._power_law_ok.cache_clear()
+            orders = []
+            with monkeypatch.context() as patch:
+                patch.setattr(rel, "log1p_series",
+                              lambda order: orders.append(order) or real(order))
+                assert verify_implication_chain(g, d, r).identity9_ok, (g, d, r)
+            assert orders == [window + n for n in range(r * (g + 1), 0, -1)], (g, d, r)
+            assert rel._LAW_WINDOWS == dict.fromkeys(range(1, r * (g + 1) + 1), window)
+
+    def test_products_do_not_depend_on_the_order_of_calls(self, monkeypatch):
+        # every window of the criterion-6b grid (10-16) rounds up to 16, so
+        # each power n <= 21 is certified once, at 16, in any order of the
+        # calls: a benchmark pass makes the same products whatever its seed
+        import random
+        import jacrel.relations as rel
+        grid = [(g, d, r) for g in (3, 4, 5, 6) for r in (2, 3) for d in range(2 * r, 9)]
+        real = rel.log1p_series
+        for seed in range(1, 11):
+            random.Random(seed).shuffle(grid)
+            rel._power_law_ok.cache_clear()
+            orders = []
+            with monkeypatch.context() as patch:
+                patch.setattr(rel, "log1p_series",
+                              lambda order: orders.append(order) or real(order))
+                assert all(verify_implication_chain(*case).identity9_ok for case in grid)
+            assert sorted(orders) == [16 + n for n in range(1, 22)], seed
+        rel._power_law_ok.cache_clear()
+
+    def test_widest_window_certifies_every_narrower_one(self, monkeypatch):
+        # a window of L^-n cuts one row of the table, so (6, 6, 3), which
+        # certifies n <= 21 at window 16, covers every other criterion-6b
+        # case with g <= 5 (windows 10-14, n <= 18): none calls
+        # log1p_series, check (a)'s only series
+        import jacrel.relations as rel
+        rel._power_law_ok.cache_clear()
+        assert verify_implication_chain(6, 6, 3).identity9_ok
+        assert rel._LAW_WINDOWS == dict.fromkeys(range(1, 22), 16)
+        real, orders = rel.log1p_series, []
+        monkeypatch.setattr(rel, "log1p_series", lambda order: orders.append(order) or real(order))
+        for case in [(g, d, r) for g in (3, 4, 5) for r in (2, 3) for d in range(2 * r, 9)]:
+            assert verify_implication_chain(*case).identity9_ok, case
+        assert orders == []
+        assert rel._LAW_WINDOWS == dict.fromkeys(range(1, 22), 16)
+
+    def test_law_record_stops_at_the_cache_size(self, monkeypatch):
+        # a full record keeps widening the powers it holds and adds no other
+        import jacrel.relations as rel
+        rel._power_law_ok.cache_clear()
+        monkeypatch.setattr(rel, "_CACHE_SIZE", 5)
+        try:
+            assert verify_implication_chain(3, 5, 2).identity9_ok  # n = 8..1, window 10 -> 16
+            assert rel._LAW_WINDOWS == dict.fromkeys(range(4, 9), 16)
+            assert verify_implication_chain(7, 5, 2).identity9_ok  # n = 16..1, window 18 -> 24
+            assert rel._LAW_WINDOWS == dict.fromkeys(range(4, 9), 24)
+        finally:
+            rel._power_law_ok.cache_clear()
+
+    def test_narrow_window_does_not_read_a_wide_failure(self, monkeypatch):
+        # L^-7 perturbed at x^12, which window 16 (g = 6) holds and window 10
+        # (g = 3) lacks, flips identity9_ok at g = 6 alone, whichever call
+        # runs first: g = 3's check at 16, its window rounded up, fails and
+        # its own window 10 is checked; a failed check records nothing, and a
+        # window wider than the one recorded is checked.  n = 7 tops (6, 6, 1),
+        # so its own law is the only one that fails there
+        import jacrel.relations as rel
+        from jacrel.rings import LaurentSeries
+        real = rel._bare_log_inv_pow
+
+        def perturbed(n, order):
+            power = real(n, order)
+            return power + LaurentSeries(12, (F(1),), order) if n == 7 and order > 12 else power
+
+        try:
+            for cases in (((6, 6, 1), (3, 5, 2)), ((3, 5, 2), (6, 6, 1))):
+                rel._power_law_ok.cache_clear()
+                rel._e_part.cache_clear()  # e_5 reads L^-7 at g = 6
+                with monkeypatch.context() as patch:
+                    patch.setattr(rel, "_bare_log_inv_pow", perturbed)
+                    reports = {case[0]: verify_implication_chain(*case) for case in cases}
+                assert not reports[6].identity9_ok and not reports[6].ok, cases
+                assert reports[6].degree_bound_ok and reports[6].scalar_ok, cases
+                assert reports[3].ok, cases
+                assert rel._LAW_WINDOWS[7] == 10, cases
+        finally:
+            rel._power_law_ok.cache_clear()
+            rel._e_part.cache_clear()
 
     def test_frontier_reports_match_pinned_hashes(self):
         # 84 and 91 log powers at x-order 2(g+2); the reprs hash as they did
@@ -1429,15 +1546,15 @@ class TestSplitTable:
                 assert least == check.min_x_exponent >= check.bound, (g, d, r, check.s)
 
     def test_reports_do_not_depend_on_cache_state(self):
-        from jacrel.relations import _CACHE_SIZE, _bare_log_inv_pow, _e_part, _power_law_ok
-        from jacrel.relations import _SCALARS
-        caches = (_bare_log_inv_pow, _e_part, _power_law_ok)
+        from jacrel.relations import _CACHE_SIZE, _bare_log_inv_pow, _e_part
+        from jacrel.relations import _LAW_WINDOWS, _SCALARS
+        caches = (_bare_log_inv_pow, _e_part)
 
         def report(g, d, r):
             chain = verify_implication_chain(g, d, r)
             for cache in caches:
                 assert cache.cache_info().currsize <= _CACHE_SIZE
-            assert len(_SCALARS) <= _CACHE_SIZE
+            assert len(_SCALARS) <= _CACHE_SIZE and len(_LAW_WINDOWS) <= _CACHE_SIZE
             return chain
 
         for g in (3, 5):
@@ -1448,6 +1565,7 @@ class TestSplitTable:
                     for cache in caches:
                         cache.cache_clear()
                     _SCALARS.clear()
+                    _LAW_WINDOWS.clear()
                     cleared.append(report(g, d, r))
                 # every d reads the same series, now all cached
                 ascending = [report(g, d, r) for d in ds]
