@@ -62,12 +62,12 @@ g_a = (a+1)! L^-(a+2), L = log(1+x), in G(t/log(1+x)), and e_a = h_a - g_a
 in eps (``_e_part``).  At a monomial m = (a_1..a_s) the expansion is the
 distributive law for prod (g_{a_i} + e_{a_i}), a sum over position sets S.
 h_a = g_a + e_a is ``_e_part``'s definition, so the one fact the law needs
-beyond it is certified once per power and multiple of 8 asked: the cached
-powers of L multiply as powers (the power law).  The degree bound is the
-paper's valuation lemma (see ``ChainReport``): it reads the valuations and
-windows of the cached e_a and L^-N, forms no product and visits no monomial.
-The extraction scalar [x^-m] x/(1+x) L^-n reads only L^-n's principal part,
-which every x-window holds, so it is computed once per (n, m) (``_SCALARS``).
+beyond it is certified once per power and window (``_power_law_ok``): the
+cached powers of L multiply as powers (the power law).  The degree bound is
+the paper's valuation lemma (see ``ChainReport``): it reads the valuations
+and windows of the cached e_a and L^-N, forms no product and visits no
+monomial.  The extraction scalar [x^-m] x/(1+x) L^-n reads only L^-n's
+principal part, so it is computed once per (n, m) (``_extraction_scalar``).
 
 Note that eps has x-exponents >= 0 but genuinely nonzero x^0 terms
 (Bernoulli values B_n/n for even n = a+2), so the sharpest certifiable bound
@@ -92,17 +92,14 @@ from .tautalg import (Monomial, TautElement, _canonical_monomial, _g_power_coeff
                       _mono_mul, element_to_jsonable, monomials_of_bidegree)
 
 
-# Bound on the chain's caches ``_e_part`` per (n, x_order), ``_LAW_WINDOWS``
-# per n and ``_SCALARS`` per (n, m): the criterion-6b grid fills 18, 21 and 65.
+# Bound on the chain's caches, ``_e_part``, ``_power_law_ok`` and
+# ``_extraction_scalar``: the criterion-6b grid fills 18, 21 and 65.
 _CACHE_SIZE = 4096
 
-# publishes a routed family's items, any family's span and a chain record
+# publishes a routed family's items and any family's span
 _PUBLISH = Lock()
 # the span of each route key (family_id, g, d-r), first published wins
 _SPANS: dict[tuple[str, int, int], "GradedSpan"] = {}
-# [x^-m] x/(1+x) L^-n, L = log(1+x), of every x-window, first published wins
-_SCALARS: dict[tuple[int, int], Fraction] = {}
-_LAW_WINDOWS: dict[int, int] = {}  # n -> widest x-window where L^-n*L = L^-(n-1) held
 
 
 class RelationItem(NamedTuple):
@@ -774,26 +771,23 @@ def epsilon_series(g: int, x_order: int) -> EpsilonReport:
     )
 
 
-def _power_law_ok(n: int, x_order: int) -> bool:
-    """L^-n * L = L^-(n-1) on its window, with L = log(1+x) and L^0 = 1.
-    Windows of L^-n cut one unchanging row of ``combinat``'s table, so the law
-    on a window holds on every narrower one: one within n's widest certified
-    window forms no product.  Another is checked at the next multiple of 8,
-    whatever the calls' order, and at its own window only if that fails."""
-    if _LAW_WINDOWS.get(n, 0) >= x_order:
-        return True
-    for window in dict.fromkeys((-(-x_order // 8) * 8, x_order)):
-        power = _bare_log_inv_pow(n, window)  # before L^-(n-1): see check (a)
-        below = _bare_log_inv_pow(n - 1, window) if n > 1 else LaurentSeries.monomial(0)
-        if (power * log1p_series(window + n)).agrees_with(below):
-            with _PUBLISH:  # widest wins; the record stops at _CACHE_SIZE powers
-                if n in _LAW_WINDOWS or len(_LAW_WINDOWS) < _CACHE_SIZE:
-                    _LAW_WINDOWS[n] = max(_LAW_WINDOWS.get(n, window), window)
-            return True
-    return False
+@lru_cache(maxsize=_CACHE_SIZE)
+def _power_law_ok(n: int, window: int) -> bool:
+    """L^-n * L = L^-(n-1) below x^window, with L = log(1+x) and L^0 = 1:
+    one product per (n, window)."""
+    power = _bare_log_inv_pow(n, window)  # before L^-(n-1): see check (a)
+    below = _bare_log_inv_pow(n - 1, window) if n > 1 else LaurentSeries.monomial(0)
+    return (power * log1p_series(window + n)).agrees_with(below)
 
 
-_power_law_ok.cache_clear = _LAW_WINDOWS.clear  # forgets every window, as lru_cache's does
+@lru_cache(maxsize=_CACHE_SIZE)
+def _extraction_scalar(n: int, m: int) -> Fraction:
+    """[x^-m] x/(1+x) L^-n for m < n: with x/(1+x) = sum_i (-1)^i x^(i+1),
+    the alternating sum of L^-n's coefficients at x^-(m+1) .. x^-n, all in
+    its principal part, which every x-window holds."""
+    power = _bare_log_inv_pow(n, 0)  # the principal part
+    return Fraction(sum(x if (e + m) % 2 else -x
+                        for e, x in enumerate(power.nums, power.valuation) if e < -m), power.den)
 
 
 class ScalarCheck(NamedTuple):
@@ -828,7 +822,8 @@ class ChainReport(NamedTuple):
     also certifies the powers, rows of ``combinat``'s table of (x/L)^n, by
     products sharing no code with the table.  A window of L^-n cuts its
     row, which never changes value, so the law on a window holds on every
-    narrower one: each power is certified once per multiple of 8 reached.
+    narrower one: each power is checked at the window rounded up to a
+    multiple of 8, and at its own only if that fails.
 
     Check (b) is the valuation lemma.  With the vdgk6 relations rewritten to
     zero, a kept term at m = (a_1..a_s) is G_S * prod_{i not in S} e_{a_i},
@@ -873,9 +868,9 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
     t^(a+2), so each check reads scalar series over Q, exactly in t; only
     the x-order truncates, at the fixed window 2(g+2) that
     ``ChainReport.x_order`` records.  No check forms a product per
-    monomial, every power it reads is cached, check (a) multiplies only
-    past a power's widest certified window, and each extraction scalar is
-    computed once per (n, m), so a warm call does no series arithmetic.
+    monomial, every power it reads is cached, check (a) multiplies once per
+    power and window, and each extraction scalar is computed once per
+    (n, m), so a warm call does no series arithmetic.
 
     (a) The binomial identity H(1/x,t)^s = sum_{s'} C(s,s') G(t/log(1+x))^s'
         eps^(s-s') holds for s = 1..r: at a monomial it is the distributive
@@ -888,14 +883,17 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
     (c) The extraction scalar, the x^-(d-r+s) coefficient of
         x/(1+x) * log(1+x)^-n, equals (d-r+s)!/(n-1)! S(n-1, d-r+s) and is
         nonzero for every n > d-r+s.  It reads only log(1+x)^-n's
-        principal part, so it is computed once per (n, m = d-r+s), from
-        the call's own power, and kept whatever the window.
+        principal part, so it is computed once per (n, m = d-r+s), whatever
+        the window.
     """
     _validate_params(g, d, r)
     x_order = 2 * (g + 2)
     # tallest power first, so a cold table grows once to the window's full
-    # height and width, not once per new row, each growth rescaling it whole
-    identity9_ok = all(_power_law_ok(n, x_order) for n in range(r * (g + 1), 0, -1))
+    # height and width; rounding makes a sequence of calls' products depend on
+    # the multiples of 8 it reaches, not on the calls' order
+    wide = -(-x_order // 8) * 8
+    identity9_ok = all(_power_law_ok(n, wide) or _power_law_ok(n, x_order)
+                       for n in range(r * (g + 1), 0, -1))
     e_parts = [_e_part(a + 2, x_order) for a in range(g)]
     e_ok = all(e.valuation >= 0 for e in e_parts)
     e_trunc = min(e.trunc for e in e_parts)
@@ -912,21 +910,11 @@ def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
             certified=e_ok and window >= bound and floor >= bound))
 
     scalar_checks: list[ScalarCheck] = []
-    geom = None  # x/(1+x), built on a miss only
     for s in range(1, r + 1):
         m = d - r + s
         for n in range(m + 1, s * (g + 1) + 1):
-            value = _SCALARS.get((n, m))
-            if value is None:
-                if geom is None:  # wide enough that the product window covers x^-m
-                    order = max(x_order, r * (g + 1) + 2)
-                    geom = LaurentSeries(1, [(-1) ** i for i in range(order)], order + 1)
-                value = geom.product_coeff(_bare_log_inv_pow(n, x_order), -m)
-                with _PUBLISH:  # first published wins; the table stops at _CACHE_SIZE
-                    if len(_SCALARS) < _CACHE_SIZE:
-                        value = _SCALARS.setdefault((n, m), value)
             expected = Fraction(factorial(m) * stirling2(n - 1, m), factorial(n - 1))
-            scalar_checks.append(ScalarCheck(s=s, n=n, m=m, value=value,
+            scalar_checks.append(ScalarCheck(s=s, n=n, m=m, value=_extraction_scalar(n, m),
                                              expected=expected))
 
     return ChainReport(g=g, d=d, r=r, x_order=x_order, identity9_ok=identity9_ok,
@@ -955,7 +943,8 @@ def family_to_json(family: RelationFamily) -> str:
 
 def family_from_jsonable(data: dict) -> RelationFamily:
     """The family of ``family_to_jsonable``.  Coefficients are strings or
-    integers (a JSON float or boolean raises ``TypeError``), with g, r >= 1
+    integers (a JSON float or boolean raises ``TypeError``, a string that is
+    no fraction or has a zero denominator ``ValueError``), with g, r >= 1
     and d >= 0 (else ``ValueError``); the family name is a string; the
     coefficients of one monomial, in any order of its weights, add up."""
     g = data["g"]
@@ -971,8 +960,11 @@ def family_from_jsonable(data: dict) -> RelationFamily:
         terms: dict[Monomial, int | Fraction] = {}
         for term in entry["element"]:
             mono, coeff = _canonical_monomial(g, term["monomial"]), term["coeff"]
-            terms[mono] = terms.get(mono, 0) + (Fraction(coeff) if isinstance(coeff, str)
-                                                else _rational(coeff))
+            try:
+                value = Fraction(coeff) if isinstance(coeff, str) else _rational(coeff)
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient {coeff!r} has a zero denominator") from None
+            terms[mono] = terms.get(mono, 0) + value
         items.append(RelationItem(s=entry["s"], t_exp=entry["t_exp"],
                                   element=TautElement(g, terms), u_exp=entry.get("u_exp")))
     return RelationFamily(data["family"], g, data["d"], data["r"], tuple(items))

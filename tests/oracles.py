@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: enumeration instead of closed forms,
 term-by-term expansion instead of library calls, so the production routes
-are checked against genuinely independent computations.
+are checked against genuinely independent computations.  ``cold_chain``
+empties the implication chain's caches for the tests that need them cold.
 """
 
 from __future__ import annotations
@@ -681,6 +682,17 @@ def _lift(series, element, ring):
 def _chain_ring(g):
     from jacrel.tautalg import TautElement
     return Ring(TautElement.zero(g), TautElement.one(g))
+
+
+def cold_chain():
+    """Empties every cache the implication chain reads: ``combinat``'s table
+    of (x/L)^n, ``_bare_log_inv_pow``, ``_e_part``, ``_power_law_ok`` and
+    ``_extraction_scalar``."""
+    from jacrel import combinat, relations
+    combinat._table = ()
+    for cache in (combinat._bare_log_inv_pow, relations._e_part, relations._power_law_ok,
+                  relations._extraction_scalar):
+        cache.cache_clear()
 
 
 @lru_cache(maxsize=None)

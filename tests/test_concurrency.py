@@ -9,16 +9,10 @@ module caches: the Stirling memo table, whose writers are idempotent, and the
 against P_n's coefficients, the half-degree tables ``_f_table`` built on
 them, whose rows the items and the routed spans read, and their suffix
 ranks ``_suffix_ranks``, the ideal cells' column maps of C(k)
-``_shift_columns``, the chain's ``_e_part``, and the GRR replay's
-``ch_vk``), which lock their own bookkeeping; two threads may both compute
-a missing entry, and they compute the same value.  Check (c)'s extraction
-scalars are kept per (n, m) in the module dict ``relations._SCALARS``,
-published with ``setdefault`` under a lock: the first value published
-wins.  Check (a) keeps, per power n, the widest x-window at which its law
-was certified in the module dict ``relations._LAW_WINDOWS``, published
-under the same lock as the larger of the two windows: a narrower check
-that publishes last never shrinks it, and a failed check publishes
-nothing.  Four pieces
+``_shift_columns``, the chain's e-parts ``_e_part``, power laws
+``_power_law_ok`` and extraction scalars ``_extraction_scalar``, and the
+GRR replay's ``ch_vk``), which lock their own bookkeeping; two threads may
+both compute a missing entry, and they compute the same value.  Four pieces
 of state are kept on values.  A family keeps its ``GradedSpan``,
 published under a lock: threads that race to make a span for one family read from JSON all keep the first one
 published.  A family's ``GradedSpan`` publishes a cell, with
@@ -56,12 +50,11 @@ import pytest
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
 from jacrel.grr import ch_vk, gamma_extract
-from jacrel.relations import (_SCALARS, _SPANS, GradedSpan, _e_part, _f_table,
-                              _pi_coefficients, _power_law_ok, _shift_columns, _suffix_ranks,
-                              compare_ideals, family_from_json, family_to_json, gen_family,
-                              verify_implication_chain)
+from jacrel.relations import (_SPANS, GradedSpan, _f_table, _pi_coefficients, _shift_columns,
+                              _suffix_ranks, compare_ideals, family_from_json, family_to_json,
+                              gen_family, verify_implication_chain)
 from jacrel.tautalg import _orderings
-from oracles import family_by_powers
+from oracles import cold_chain, family_by_powers
 from test_imports import run_fresh
 
 FAMILIES = ("vdgk6", "herbaut7", "strong8")
@@ -104,9 +97,7 @@ def test_parallel_chain_reports_match_serial():
     serial = [verify_implication_chain(*p) for p in params]
     # cold series and frequent thread switches, so threads race to build and
     # read the same entries
-    for cache in (combinat._bare_log_inv_pow, _e_part, _power_law_ok):
-        cache.cache_clear()
-    _SCALARS.clear()
+    cold_chain()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -116,27 +107,6 @@ def test_parallel_chain_reports_match_serial():
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial
-
-
-def test_certified_window_never_shrinks(monkeypatch):
-    # a check at window 16 (asked 10) that publishes after one at window 24
-    # (asked 18) for the same power keeps 24: the wider check runs inside the
-    # narrower one's product, as a racing thread would
-    import jacrel.relations as rel
-    real = rel.log1p_series
-
-    def racing(order):
-        if order == 16 + 5:  # L^-5 * L at window 16
-            assert _power_law_ok(5, 18)
-        return real(order)
-
-    _power_law_ok.cache_clear()
-    monkeypatch.setattr(rel, "log1p_series", racing)
-    try:
-        assert _power_law_ok(5, 10)
-        assert rel._LAW_WINDOWS == {5: 24}
-    finally:
-        _power_law_ok.cache_clear()
 
 
 def test_parallel_ladder_growth_matches_serial():

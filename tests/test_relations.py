@@ -17,7 +17,7 @@ from jacrel.relations import (_SPANS, GradedSpan, RelationFamily, RelationItem, 
 from jacrel.rings import InvariantViolation, TruncationError
 from jacrel.tautalg import TautElement, _g_power_coefficient, build_g_poly, poly_power
 from oracles import (cell_rows_by_products, cells_by_shifted_rows, chain_by_xt_series,
-                     compare_ideals_by_products,
+                     cold_chain, compare_ideals_by_products,
                      e_product, family_by_powers, head_table, rand_homogeneous_taut,
                      span_contains_by_ranks, split_sums_by_position_sets,
                      stirling_by_enumeration, top_ranks_by_full_reduction)
@@ -863,6 +863,24 @@ class TestSharedRouteSpans:
                             assert c.quotient_dims == expected, (g, d, r, a, b, c.i, c.j)
                             assert c.quotient_dims[0] == c.quotient_dims[1] >= 0
 
+    def test_quotients_count_standard_monomials(self):
+        # the standard-monomial conjecture (README), on every cell that
+        # compare_ideals reports for the three pairs, g 2..9, r 1..4 and cut
+        # c = d-r in 0..g: both quotients have the dimension of the size-i,
+        # weight-j monomials whose parts are all <= min(c-i, g-1), none at i > c
+        cells = 0
+        for g in range(2, 10):
+            for r in range(1, 5):
+                for c in range(g + 1):
+                    fams = [gen_family(name, g, r + c, r) for name in self.FAMILIES]
+                    for a, b in ((0, 1), (1, 2), (0, 2)):
+                        for x in compare_ideals(fams[a], fams[b]).cells:
+                            cap = min(c - x.i, g - 1)
+                            count = sum(max(m) <= cap for m in monomials_of_bidegree(g, x.i, x.j))
+                            assert x.quotient_dims == (count, count), (g, r, c, a, b, x.i, x.j)
+                            cells += 1
+        assert cells == 14400
+
     def test_ideals_nest_in_d_minus_r(self):
         # strong8's rows at cut d-r = c+1 are among its rows at cut c, so as
         # d-r grows by one no cell's ideal rank rises, for each family; the
@@ -1238,7 +1256,6 @@ class TestImplicationChain:
         # generators (n <= g+1)
         import jacrel.relations as rel
         from jacrel.rings import LaurentSeries
-        caches = (rel._power_law_ok,)
         g, d, r, x_order = 3, 5, 2, 10  # the chain's window 2(g+2)
 
         def perturbed(real, at):
@@ -1246,9 +1263,7 @@ class TestImplicationChain:
             return lambda n, order: real(n, order) + bump if n == at else real(n, order)
 
         def report():
-            for cache in caches:
-                cache.cache_clear()
-            rel._SCALARS.clear()
+            cold_chain()
             result = verify_implication_chain(g, d, r)
             assert result.x_order == x_order
             return result
@@ -1261,11 +1276,8 @@ class TestImplicationChain:
                     corrupted = report()
                     assert not corrupted.identity9_ok, (name, at)
                     assert corrupted.degree_bound_ok and corrupted.scalar_ok, (name, at)
-                    assert at not in rel._LAW_WINDOWS, (name, at)  # a failure records nothing
         finally:
-            for cache in caches:
-                cache.cache_clear()
-            rel._SCALARS.clear()
+            cold_chain()  # nothing built from a corrupted power outlives the test
         assert report().identity9_ok
 
     def test_power_law_certifies_the_ladder(self, monkeypatch):
@@ -1275,7 +1287,6 @@ class TestImplicationChain:
         # step without the (1+x) factor, the v_(k-1) term, or one dividing
         # by n+1, must flip identity9_ok
         import jacrel.combinat as combinat
-        import jacrel.relations as rel
         real = combinat._row_step
 
         def without_one_plus_x(row, den, n, start):
@@ -1285,10 +1296,7 @@ class TestImplicationChain:
             return real(row, den, n, start)[0], den * (n + 1)
 
         def report():
-            combinat._table = ()
-            for cache in (combinat._bare_log_inv_pow, rel._e_part, rel._power_law_ok):
-                cache.cache_clear()
-            rel._SCALARS.clear()
+            cold_chain()
             return verify_implication_chain(3, 5, 2)
 
         try:
@@ -1306,32 +1314,28 @@ class TestImplicationChain:
         # to the window's full height and width; ascending requests grew it
         # 104 times at (12, 16, 8), each growth rescaling every kept row
         import jacrel.combinat as combinat
-        import jacrel.relations as rel
         grown, growths = combinat._grown, []
         monkeypatch.setattr(combinat, "_grown",
                             lambda *args: growths.append(args[1:]) or grown(*args))
-        combinat._table = ()
-        for cache in (combinat._bare_log_inv_pow, rel._e_part, rel._power_law_ok):
-            cache.cache_clear()
-        rel._SCALARS.clear()
+        cold_chain()
         assert verify_implication_chain(12, 16, 8).ok
         assert len(growths) <= 1, growths
 
     def test_cold_call_makes_one_product_per_power(self, monkeypatch):
-        # with no window recorded, check (a) multiplies each L^-n, n <= r(g+1),
+        # with cold caches, check (a) multiplies each L^-n, n <= r(g+1),
         # tallest first, by L at the call's window 2(g+2) rounded up to a
         # multiple of 8, once
         import jacrel.relations as rel
         real = rel.log1p_series
         for (g, d, r), window in (((3, 5, 2), 16), ((6, 6, 3), 16), ((12, 16, 8), 32)):
-            rel._power_law_ok.cache_clear()
+            cold_chain()
             orders = []
             with monkeypatch.context() as patch:
                 patch.setattr(rel, "log1p_series",
                               lambda order: orders.append(order) or real(order))
                 assert verify_implication_chain(g, d, r).identity9_ok, (g, d, r)
             assert orders == [window + n for n in range(r * (g + 1), 0, -1)], (g, d, r)
-            assert rel._LAW_WINDOWS == dict.fromkeys(range(1, r * (g + 1) + 1), window)
+            assert rel._power_law_ok.cache_info().currsize == r * (g + 1), (g, d, r)
 
     def test_products_do_not_depend_on_the_order_of_calls(self, monkeypatch):
         # every window of the criterion-6b grid (10-16) rounds up to 16, so
@@ -1343,51 +1347,48 @@ class TestImplicationChain:
         real = rel.log1p_series
         for seed in range(1, 11):
             random.Random(seed).shuffle(grid)
-            rel._power_law_ok.cache_clear()
+            cold_chain()
             orders = []
             with monkeypatch.context() as patch:
                 patch.setattr(rel, "log1p_series",
                               lambda order: orders.append(order) or real(order))
                 assert all(verify_implication_chain(*case).identity9_ok for case in grid)
             assert sorted(orders) == [16 + n for n in range(1, 22)], seed
-        rel._power_law_ok.cache_clear()
 
     def test_widest_window_certifies_every_narrower_one(self, monkeypatch):
         # a window of L^-n cuts one row of the table, so (6, 6, 3), which
         # certifies n <= 21 at window 16, covers every other criterion-6b
-        # case with g <= 5 (windows 10-14, n <= 18): none calls
-        # log1p_series, check (a)'s only series
+        # case with g <= 5, whose windows 10-14 round up to 16 (n <= 18):
+        # none calls log1p_series, check (a)'s only series
         import jacrel.relations as rel
-        rel._power_law_ok.cache_clear()
+        cold_chain()
         assert verify_implication_chain(6, 6, 3).identity9_ok
-        assert rel._LAW_WINDOWS == dict.fromkeys(range(1, 22), 16)
+        assert rel._power_law_ok.cache_info().currsize == 21
         real, orders = rel.log1p_series, []
         monkeypatch.setattr(rel, "log1p_series", lambda order: orders.append(order) or real(order))
         for case in [(g, d, r) for g in (3, 4, 5) for r in (2, 3) for d in range(2 * r, 9)]:
             assert verify_implication_chain(*case).identity9_ok, case
         assert orders == []
-        assert rel._LAW_WINDOWS == dict.fromkeys(range(1, 22), 16)
+        assert rel._power_law_ok.cache_info().currsize == 21
 
-    def test_law_record_stops_at_the_cache_size(self, monkeypatch):
-        # a full record keeps widening the powers it holds and adds no other
+    def test_chain_memos_are_bounded_lru_caches(self):
+        # check (a)'s law and check (c)'s scalar are plain lru_caches of the
+        # chain's bound; a cold criterion-6b pass certifies the 21 powers
+        # n <= 21 at window 16, one entry each
         import jacrel.relations as rel
-        rel._power_law_ok.cache_clear()
-        monkeypatch.setattr(rel, "_CACHE_SIZE", 5)
-        try:
-            assert verify_implication_chain(3, 5, 2).identity9_ok  # n = 8..1, window 10 -> 16
-            assert rel._LAW_WINDOWS == dict.fromkeys(range(4, 9), 16)
-            assert verify_implication_chain(7, 5, 2).identity9_ok  # n = 16..1, window 18 -> 24
-            assert rel._LAW_WINDOWS == dict.fromkeys(range(4, 9), 24)
-        finally:
-            rel._power_law_ok.cache_clear()
+        for memo in (rel._power_law_ok, rel._extraction_scalar):
+            assert memo.cache_info().maxsize == rel._CACHE_SIZE, memo
+        cold_chain()
+        for case in [(g, d, r) for g in (3, 4, 5, 6) for r in (2, 3) for d in range(2 * r, 9)]:
+            assert verify_implication_chain(*case).ok, case
+        assert rel._power_law_ok.cache_info().currsize == 21
 
     def test_narrow_window_does_not_read_a_wide_failure(self, monkeypatch):
         # L^-7 perturbed at x^12, which window 16 (g = 6) holds and window 10
         # (g = 3) lacks, flips identity9_ok at g = 6 alone, whichever call
         # runs first: g = 3's check at 16, its window rounded up, fails and
-        # its own window 10 is checked; a failed check records nothing, and a
-        # window wider than the one recorded is checked.  n = 7 tops (6, 6, 1),
-        # so its own law is the only one that fails there
+        # its own window 10 is checked; each window keeps its own verdict.
+        # n = 7 tops (6, 6, 1), so its own law is the only one that fails there
         import jacrel.relations as rel
         from jacrel.rings import LaurentSeries
         real = rel._bare_log_inv_pow
@@ -1398,18 +1399,16 @@ class TestImplicationChain:
 
         try:
             for cases in (((6, 6, 1), (3, 5, 2)), ((3, 5, 2), (6, 6, 1))):
-                rel._power_law_ok.cache_clear()
-                rel._e_part.cache_clear()  # e_5 reads L^-7 at g = 6
+                cold_chain()  # e_5 reads L^-7 at g = 6
                 with monkeypatch.context() as patch:
                     patch.setattr(rel, "_bare_log_inv_pow", perturbed)
                     reports = {case[0]: verify_implication_chain(*case) for case in cases}
+                    assert rel._power_law_ok(7, 10) and not rel._power_law_ok(7, 16), cases
                 assert not reports[6].identity9_ok and not reports[6].ok, cases
                 assert reports[6].degree_bound_ok and reports[6].scalar_ok, cases
                 assert reports[3].ok, cases
-                assert rel._LAW_WINDOWS[7] == 10, cases
         finally:
-            rel._power_law_ok.cache_clear()
-            rel._e_part.cache_clear()
+            cold_chain()
 
     def test_frontier_reports_match_pinned_hashes(self):
         # 84 and 91 log powers at x-order 2(g+2); the reprs hash as they did
@@ -1546,15 +1545,14 @@ class TestSplitTable:
                 assert least == check.min_x_exponent >= check.bound, (g, d, r, check.s)
 
     def test_reports_do_not_depend_on_cache_state(self):
-        from jacrel.relations import _CACHE_SIZE, _bare_log_inv_pow, _e_part
-        from jacrel.relations import _LAW_WINDOWS, _SCALARS
-        caches = (_bare_log_inv_pow, _e_part)
+        from jacrel.relations import (_CACHE_SIZE, _bare_log_inv_pow, _e_part,
+                                      _extraction_scalar, _power_law_ok)
+        caches = (_bare_log_inv_pow, _e_part, _power_law_ok, _extraction_scalar)
 
         def report(g, d, r):
             chain = verify_implication_chain(g, d, r)
             for cache in caches:
                 assert cache.cache_info().currsize <= _CACHE_SIZE
-            assert len(_SCALARS) <= _CACHE_SIZE and len(_LAW_WINDOWS) <= _CACHE_SIZE
             return chain
 
         for g in (3, 5):
@@ -1562,10 +1560,7 @@ class TestSplitTable:
                 ds = range(2 * r, 9)
                 cleared = []
                 for d in ds:
-                    for cache in caches:
-                        cache.cache_clear()
-                    _SCALARS.clear()
-                    _LAW_WINDOWS.clear()
+                    cold_chain()
                     cleared.append(report(g, d, r))
                 # every d reads the same series, now all cached
                 ascending = [report(g, d, r) for d in ds]
@@ -1619,7 +1614,7 @@ class TestSplitTable:
         assert calls == dict.fromkeys(calls, 0)
 
     def test_extraction_scalars_do_not_depend_on_the_window(self):
-        # the table of scalars is keyed by (n, m) alone: [x^-m] x/(1+x) L^-n
+        # the scalar memo is keyed by (n, m) alone: [x^-m] x/(1+x) L^-n
         # reads only L^-n's principal part, so the full product read at the
         # windows 1, 2(g+2) and 2(g+2)+8 gives every reported value
         from jacrel.relations import _bare_log_inv_pow
@@ -1729,3 +1724,11 @@ class TestFamilyJson:
             with pytest.raises(TypeError):
                 element(terms)
         assert element([{"monomial": [0], "coeff": 1}]) == C(3, 0)
+
+    def test_json_coefficient_with_zero_denominator_rejected(self):
+        # "1/0" is a malformed coefficient like "abc": ValueError, not ZeroDivisionError
+        for coeff in ("1/0", "abc"):
+            payload = {"family": "vdgk6", "g": 3, "d": 4, "r": 2, "items": [
+                {"s": 1, "t_exp": 2, "element": [{"monomial": [0], "coeff": coeff}]}]}
+            with pytest.raises(ValueError):
+                family_from_jsonable(payload)
