@@ -179,8 +179,8 @@ def cmd_grr(args: argparse.Namespace) -> Report:
         "g": g, "d": d, "r": r, "M": M,
         "closed_form_ok": True,  # ch_vk raises otherwise
         "gamma_vanishes_above_M_plus_1": powers_ok,
-        # theorem1 maps gamma_(M+1) through to_taut (raising on any k, xi or Todd
-        # unknown) one to one onto the composition sum, or raises
+        # theorem1 maps gamma_(M+1) to the free algebra (raising on any k, xi or
+        # Todd unknown) one to one onto the composition sum, or raises
         "gamma_top_matches_reference": True,
         "gamma_top_free_of_todd_unknowns": True,
         "gamma_table": {str(s): piece.render() for s, piece in data.items()},

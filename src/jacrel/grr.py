@@ -22,7 +22,8 @@ integers for C_n = n! c_n; each class is divided by n! once.  That every
 ch_j is integral and divisible by xi is checked, not assumed.  The top
 k-power of the xi^r component of the first vanishing Chern class reproduces
 the factorial composition relations, whose sum ``gamma_top_reference``
-reads as orderings(m) prod (a_i+1)! per monomial (``tautalg``).
+reads as orderings(m) prod (a_i+1)! per monomial from ``tautalg``'s cache,
+one sum per (g, r, N) shared across every d and M.
 
 No builder makes throwaway elements.  One table, ``_pushforward_case``,
 gives each upstairs image as an exponent shift and a scalar, which
@@ -135,6 +136,23 @@ def _multiply_into(acc: _Terms, ctx: GrrContext, terms1: _Terms, terms2: _Terms,
                 acc[exp] = acc.get(exp, 0) + c1 * c2
 
 
+def _fc_to_taut(ctx: GrrContext, terms: _Terms, scale: int) -> TautElement:
+    """scale times ``terms`` in the free algebra, in one pass: each FC
+    monomial FC_0^n_0..FC_(g-1)^n_(g-1) maps to the algebra monomial with
+    n_j parts j.  A term with any k, a_j, b_j or xi exponent (a slot outside
+    FC's) raises InvariantViolation."""
+    g, fc, xi = ctx.g, 2 * ctx.r, ctx.xi_index
+    mapped: dict[Monomial, int | Fraction] = {}
+    for e, c in terms.items():
+        if any(e[:fc]) or e[xi]:  # k, a_1..a_(r-1), b_0..b_(r-1); xi
+            raise InvariantViolation(
+                "element still involves k, xi or Todd unknowns; "
+                "only FC monomials map to the free algebra")
+        # weights in decreasing order: the monomial is canonical as built
+        mapped[tuple(j for j in range(g - 1, -1, -1) for _ in range(e[fc + j]))] = c * scale
+    return TautElement._trusted(g, mapped)
+
+
 class GrrElement(SparseElement):
     """Sparse polynomial of the symbolic ring, with xi^(r+1) reduced eagerly.
 
@@ -207,26 +225,9 @@ class GrrElement(SparseElement):
         xi = self.ctx.xi_index
         return min((e[xi] for e in self.terms), default=0)
 
-    def uses_todd_unknowns(self) -> bool:
-        """True when some monomial carries an a_j or b_j factor."""
-        for e in self.terms:
-            if any(e[i] for i in range(1, 2 * self.ctx.r)):
-                return True
-        return False
-
     def to_taut(self) -> TautElement:
         """Map FC monomials to algebra monomials; other variables must be absent."""
-        g, xi = self.ctx.g, self.ctx.xi_index
-        if self.uses_todd_unknowns() or any(e[0] or e[xi] for e in self.terms):
-            raise InvariantViolation(
-                "element still involves k, xi or Todd unknowns; "
-                "only FC monomials map to the free algebra")
-        terms: dict[Monomial, int | Fraction] = {}
-        for e, c in self.terms.items():
-            # weights in decreasing order: the monomial is canonical as built
-            mono = tuple(j for j in range(g - 1, -1, -1) for _ in range(e[self.ctx.fc_index(j)]))
-            terms[mono] = c
-        return TautElement._trusted(g, terms)
+        return _fc_to_taut(self.ctx, self.terms, 1)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -480,13 +481,14 @@ class GammaData(NamedTuple):
     def theorem1(self) -> TautElement:
         """Re-derive the factorial composition relation from this data.
 
-        Takes the top k-power, clears the (-1)^r/r! scalar, maps it through
-        ``to_taut`` (which raises on any k, xi or Todd unknown) and checks the
-        result against the composition sum of weight N = M-2r+1, zero for
-        N < 0, at any d the bundle has; a mismatch raises InvariantViolation.
+        Maps the top k-power to the free algebra in one pass, clearing the
+        (-1)^r/r! scalar as it writes each term and raising on any k, xi or
+        Todd unknown, then checks the result against the composition sum of
+        weight N = M-2r+1, zero for N < 0, at any d the bundle has; a
+        mismatch raises InvariantViolation.
         """
         g, r = self.ctx.g, self.ctx.r
-        element = (self.gamma(self.M + 1) * ((-1) ** r * factorial(r))).to_taut()
+        element = _fc_to_taut(self.ctx, self.gamma(self.M + 1).terms, (-1) ** r * factorial(r))
         N = self.M - 2 * r + 1
         if element != _g_power_coefficient(g, r, N):  # zero for N < 0
             raise InvariantViolation(
@@ -516,13 +518,14 @@ def gamma_top_reference(g: int, d: int, r: int, M: int) -> GrrElement:
     if M < d:
         raise ValueError("M must be >= d")
     ctx = GrrContext(g, d, r)
-    terms = {}
+    sign, r_factorial = (-1) ** r, factorial(r)
+    terms: _Terms = {}
     for mono, coeff in _g_power_coefficient(g, r, M - 2 * r + 1).terms.items():
         exp = [0] * ctx.nvars
         for a in mono:
-            exp[ctx.fc_index(a)] += 1
-        terms[tuple(exp)] = coeff * Fraction((-1) ** r, factorial(r))
-    return GrrElement(ctx, terms)
+            exp[2 * r + a] += 1  # FC_a's slot
+        terms[tuple(exp)] = _quotient(coeff * sign, r_factorial)
+    return GrrElement._trusted(ctx, terms)
 
 
 def derive_theorem1(g: int, d: int, r: int, M: int) -> TautElement:

@@ -11,8 +11,12 @@ The relation families are coefficients of the powers of
     H(u,t) = sum_a P_{a+2}(u) C(a) t^(a+2),
 
 which ``jacrel.relations`` builds monomial by monomial from closed forms.
-The bases of each bidegree and G(t)'s powers (``_g_power_coefficient``)
-live here, so the GRR replay needs neither the families nor linear algebra.
+The bases of each bidegree and G(t)'s powers live here, so the GRR replay
+needs neither the families nor linear algebra.  A power's coefficient
+``_g_power_coefficient`` depends only on (g, s, w), so one value per key is
+kept in a bounded ``lru_cache`` that ``relations.gen_theorem1`` and the GRR
+replay's ``gamma_top_reference`` and ``GammaData.theorem1`` share across
+every d and M; callers must not mutate the shared element.
 ``BivarPoly``, ``build_g_poly``, ``build_h_poly`` and ``poly_power`` expand
 those powers literally and exactly, with no t-truncation, since t carries no
 information; they are the tests' reference route, the library does not call
@@ -29,6 +33,10 @@ from typing import Any, Iterator
 from .rings import _EXACT_TYPES, SparseElement, Value, _rational
 
 Monomial = tuple[int, ...]
+
+# Bound on the ``_g_power_coefficient`` cache, keyed by (g, s, w); the
+# criterion-7 grid (r <= 3, g <= 5, M <= 10) has 150 keys.
+_CACHE_SIZE = 256
 
 
 def mono_key(mono: Monomial) -> tuple:
@@ -171,9 +179,11 @@ def element_to_jsonable(element: TautElement) -> list[dict]:
             for mono, coeff in element.sorted_terms()]
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _g_power_coefficient(g: int, s: int, w: int) -> TautElement:
     """The t^(2s+w) coefficient of G(t)^s: orderings(m) prod (a_i+1)! at each
-    monomial m = (a_1..a_s) of bidegree (s, w)."""
+    monomial m = (a_1..a_s) of bidegree (s, w).  It depends on nothing else,
+    so one value per (g, s, w) is cached and shared by every caller."""
     weights = [factorial(a + 1) for a in range(g)]
     return TautElement._trusted(g, {m: _orderings(m) * prod(map(weights.__getitem__, m))
                                     for m in monomials_of_bidegree(g, s, w)})

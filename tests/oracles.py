@@ -3,7 +3,8 @@
 Everything here is deliberately naive: enumeration instead of closed forms,
 term-by-term expansion instead of library calls, so the production routes
 are checked against genuinely independent computations.  ``cold_chain``
-empties the implication chain's caches for the tests that need them cold.
+and ``cold_grr`` empty the implication chain's and the GRR replay's caches
+for the tests that need them cold.
 """
 
 from __future__ import annotations
@@ -693,6 +694,21 @@ def cold_chain():
     for cache in (combinat._bare_log_inv_pow, relations._e_part, relations._power_law_ok,
                   relations._extraction_scalar):
         cache.cache_clear()
+
+
+def cold_grr():
+    """Empties every cache the GRR replay reads: ``ch_vk``, with the
+    Chern-class towers kept on its values, and ``tautalg``'s composition
+    sums ``_g_power_coefficient``."""
+    from jacrel import tautalg
+    ch_vk.cache_clear()
+    tautalg._g_power_coefficient.cache_clear()
+
+
+def uses_todd_unknowns(element: GrrElement) -> bool:
+    """True when some monomial of a GRR element carries an a_j or b_j factor
+    (slots 1 .. 2r-1), read slot by slot."""
+    return any(e[i] for e in element.terms for i in range(1, 2 * element.ctx.r))
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,10 @@ against P_n's coefficients, the half-degree tables ``_f_table`` built on
 them, whose rows the items and the routed spans read, and their suffix
 ranks ``_suffix_ranks``, the ideal cells' column maps of C(k)
 ``_shift_columns``, the chain's e-parts ``_e_part``, power laws
-``_power_law_ok`` and extraction scalars ``_extraction_scalar``, and the
-GRR replay's ``ch_vk``), which lock their own bookkeeping; two threads may
+``_power_law_ok`` and extraction scalars ``_extraction_scalar``, the GRR
+replay's ``ch_vk``, and the composition sums ``_g_power_coefficient`` that
+``gen_theorem1``, ``gamma_top_reference`` and ``GammaData.theorem1`` share
+per (g, r, N)), which lock their own bookkeeping; two threads may
 both compute a missing entry, and they compute the same value.  Four pieces
 of state are kept on values.  A family keeps its ``GradedSpan``,
 published under a lock: threads that race to make a span for one family read from JSON all keep the first one
@@ -49,12 +51,12 @@ import pytest
 
 import jacrel.combinat as combinat
 from jacrel.combinat import stirling2
-from jacrel.grr import ch_vk, gamma_extract
+from jacrel.grr import gamma_extract
 from jacrel.relations import (_SPANS, GradedSpan, _f_table, _pi_coefficients, _shift_columns,
                               _suffix_ranks, compare_ideals, family_from_json, family_to_json,
                               gen_family, verify_implication_chain)
 from jacrel.tautalg import _orderings
-from oracles import cold_chain, family_by_powers
+from oracles import cold_chain, cold_grr, family_by_powers
 from test_imports import run_fresh
 
 FAMILIES = ("vdgk6", "herbaut7", "strong8")
@@ -357,21 +359,26 @@ def test_routed_items_are_formed_once_under_races():
 
 def test_parallel_gamma_extraction_shares_one_tower_per_bundle():
     # several M per (g, d, r), so threads extend the same shared tower to
-    # different lengths
+    # different lengths, and read the composition sums of theorem1 at once
     tasks = [(g, d, r, M) for g, d, r in ((3, 4, 2), (4, 6, 3), (5, 7, 2), (2, 3, 1))
              for M in (d + 2, d, d + 1)]
-    serial = [gamma_extract(*t) for t in tasks]
+
+    def replay(t):
+        data = gamma_extract(*t)
+        return data, data.theorem1()
+
+    serial = [replay(t) for t in tasks]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(4):
-            ch_vk.cache_clear()
+            cold_grr()
             barrier = threading.Barrier(8)
 
             def run(k):
                 barrier.wait(timeout=60)
                 order = tasks[k:] + tasks[:k]
-                return dict(zip(order, (gamma_extract(*t) for t in order)))
+                return dict(zip(order, map(replay, order)))
 
             with ThreadPoolExecutor(max_workers=8) as pool:
                 outputs = list(pool.map(run, range(8), timeout=120))

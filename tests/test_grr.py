@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from jacrel import cli, grr
+from jacrel import cli, grr, tautalg
 from jacrel.grr import (ChernData, GrrContext, GrrElement, UpstairsTerm, ch_vk,
                         chern_classes, derive_theorem1, extract_amj,
                         gamma_extract, gamma_top_reference, pushforward)
@@ -13,9 +13,9 @@ from jacrel.relations import gen_theorem1
 from jacrel.rings import InvariantViolation, SparseElement
 from jacrel.tautalg import TautElement, build_h_poly
 from oracles import (GenericSeries, Ring, ch_closed_form_by_elements, ch_route_by_elements,
-                     chern_classes_by_fractions, gamma_extract_by_elements,
+                     chern_classes_by_fractions, cold_grr, gamma_extract_by_elements,
                      generic_series_exp, grr_monomial, pushforward_by_products,
-                     rand_fraction)
+                     rand_fraction, uses_todd_unknowns)
 
 # the criterion-7 grid
 GRID = [(g, d, r) for r in range(1, 4) for g in range(1, 6) for d in range(1, 9)]
@@ -375,11 +375,11 @@ class TestGamma:
 
     def test_top_free_of_todd_unknowns(self):
         data = gamma_extract(4, 5, 2, 5)
-        assert not data.gamma(6).uses_todd_unknowns()
+        assert not uses_todd_unknowns(data.gamma(6))
         # the power below the top does involve them here: gamma_5 = 24 b0 FC3
         ctx = data.ctx
         assert data.gamma(5) == grr_monomial(ctx, 24, b=0, fc=3)
-        assert data.gamma(5).uses_todd_unknowns()
+        assert uses_todd_unknowns(data.gamma(5))
 
     def test_requires_m_at_least_d(self):
         with pytest.raises(ValueError):
@@ -436,6 +436,30 @@ class TestDeriveTheorem1:
             derive_theorem1(3, 4, 1, 3)
 
 
+class TestCompositionSumCache:
+    """``tautalg._g_power_coefficient`` keeps one composition sum per
+    (g, r, N), shared by ``gamma_top_reference`` and ``GammaData.theorem1``
+    across every d and M."""
+
+    @staticmethod
+    def criterion_7_pass():
+        for (g, d, r) in GRID:
+            for M in (d, d + 1, d + 2):
+                data = gamma_extract(g, d, r, M)
+                assert data.gamma(M + 1) == gamma_top_reference(g, d, r, M)
+                data.theorem1()
+
+    def test_one_sum_per_key_on_the_criterion_7_grid(self):
+        cold_grr()
+        self.criterion_7_pass()
+        # 360 cases ask twice each; N = M-2r+1 takes 10 values per (g, r)
+        info = tautalg._g_power_coefficient.cache_info()
+        assert (info.misses, info.hits) == (150, 570)
+        assert info.maxsize is not None and info.currsize == 150
+        self.criterion_7_pass()
+        assert tautalg._g_power_coefficient.cache_info().misses == 150
+
+
 class TestTheorem1Guards:
     """``GammaData.theorem1`` is what ``jacrel grr`` prints "free of Todd
     unknowns: pass" and "matches composition formula: pass" on: each of its
@@ -461,6 +485,28 @@ class TestTheorem1Guards:
         monkeypatch.setattr(grr, "gamma_extract", lambda *args: self.with_b0(real(*args)))
         assert cli.main(self.ARGV) == 1
         assert ["Todd unknowns" in line for line in self.failure(capsys)] == [True]
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_every_slot_outside_fc_is_refused(self, r, monkeypatch):
+        # k, each a_j (j >= 1), each b_j and xi, each on a term of its own
+        data = gamma_extract(4, 5, r, 5)
+        extras = ([{"k": 1}, {"xi": 1}] + [{"a": j} for j in range(1, r)]
+                  + [{"b": j} for j in range(r)])
+        assert len(extras) == 2 * r + 1
+
+        def refuse(*args):
+            raise AssertionError("the composition sum was read before the refusal")
+
+        monkeypatch.setattr(grr, "_g_power_coefficient", refuse)
+        top = data.M + 1
+        for extra in extras:
+            bad = data.gamma(top) + grr_monomial(data.ctx, fc=0, **extra)
+            with pytest.raises(InvariantViolation,
+                               match="still involves k, xi or Todd unknowns"):
+                data._replace(gammas={**data.gammas, top: bad}).theorem1()
+            with pytest.raises(InvariantViolation,
+                               match="still involves k, xi or Todd unknowns"):
+                bad.to_taut()
 
     def test_composition_sum_mismatch_is_refused(self, monkeypatch, capsys):
         real = grr._g_power_coefficient

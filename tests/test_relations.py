@@ -881,6 +881,39 @@ class TestSharedRouteSpans:
                             cells += 1
         assert cells == 14400
 
+    def test_standard_monomials_fill_each_deficient_cell(self):
+        # the complement half of the conjecture: in each routed span's cell
+        # (i, j), 1 <= i <= r, for g 2..8, r 1..4 and cut c = d-r in 0..g,
+        # the unit rows at the standard monomials (parts <= min(c-i, g-1))
+        # each enlarge the cell's echelon and together fill it; a full cell
+        # has none
+        cells = deficient = 0
+        for g in range(2, 9):
+            for r in range(1, 5):
+                for c in range(g + 1):
+                    for name in self.FAMILIES:
+                        span = GradedSpan.from_family(gen_family(name, g, r + c, r))
+                        for i in range(1, r + 1):
+                            for j in range(i * (g - 1) + 1):
+                                basis = monomials_of_bidegree(g, i, j)
+                                cap = min(c - i, g - 1)
+                                standard = [col for col, m in enumerate(basis) if max(m) <= cap]
+                                space, _, rank = span.cell(i, j)
+                                cells += 1
+                                where = (g, r, c, name, i, j)
+                                if rank == len(basis):
+                                    assert not standard, where
+                                    continue
+                                deficient += 1
+                                assert space.rank == rank, where
+                                filled = RowSpace(space.ncols, space.pivots.items())
+                                for col in standard:
+                                    unit = [0] * len(basis)
+                                    unit[col] = 1
+                                    assert filled.add(unit), where
+                                assert filled.rank == len(basis), where
+        assert (cells, deficient) == (13020, 3729)
+
     def test_ideals_nest_in_d_minus_r(self):
         # strong8's rows at cut d-r = c+1 are among its rows at cut c, so as
         # d-r grows by one no cell's ideal rank rises, for each family; the
