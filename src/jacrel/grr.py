@@ -225,10 +225,6 @@ class GrrElement(SparseElement):
         xi = self.ctx.xi_index
         return min((e[xi] for e in self.terms), default=0)
 
-    def to_taut(self) -> TautElement:
-        """Map FC monomials to algebra monomials; other variables must be absent."""
-        return _fc_to_taut(self.ctx, self.terms, 1)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 

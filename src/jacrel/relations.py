@@ -320,11 +320,6 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
     _validate_params(g, d, r)
     if family_id not in ("vdgk6", "herbaut7", "strong8"):
         raise ValueError(f"unknown family {family_id!r}")
-    return _routed_family(family_id, g, d, r)
-
-
-def _routed_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
-    """``gen_family``'s family, for parameters already checked."""
     family = object.__new__(RelationFamily)
     for name, value in (("family_id", family_id), ("g", g), ("d", d), ("r", r),
                         ("_span", None), ("_route", (family_id, d - r))):
@@ -362,13 +357,15 @@ class GradedSpan:
     Every cell takes L's rows first and its generators' last.  A span
     takes its generator rows from the family's items or, for a routed
     family, from F, and both give every cell the same generator span.  A
-    family read from JSON, built by hand or edited has its items checked
-    for genus and homogeneity, scaled to integers and reduced once, into
-    one echelon space per bidegree (``generators``, which no reader
-    changes), and reduces its own cells (``_reduce``).  Its span is its
-    own, kept on the family.
+    family read from JSON, built by hand or edited passes its items
+    (``GradedSpan(g, items=...)``): they are checked for genus and
+    homogeneity, scaled to integers and reduced once, into one echelon
+    space per bidegree (``generators``, which no reader changes), and the
+    span reduces its own cells (``_reduce``).  Its span is its own, kept
+    on the family.
 
     A family that ``gen_family`` made carries its route (family_id, d-r),
+    its span is built from g and the route alone (``GradedSpan(g, route)``),
     and its items are never read: with k = d-r+i, its generators sit at the
     cells with i >= 1 and 2i+j > k, read off F: strong8's span is the
     suffix F[i0:] (``_suffix_start``), of rank ``_suffix_ranks``, and
@@ -390,10 +387,11 @@ class GradedSpan:
     u-valuation s).
     """
 
-    def __init__(self, family: RelationFamily) -> None:
-        self.g, self.route = family.g, family._route
+    def __init__(self, g: int, route: tuple[str, int] | None = None,
+                 items: Iterable[RelationItem] = ()) -> None:
+        self.g, self.route = g, route
         self.generators: dict[tuple[int, int], RowSpace] = {}
-        for item in family.items if self.route is None else ():
+        for item in items:
             if item.element.g != self.g:
                 raise ValueError(f"item at s={item.s}, t^{item.t_exp} is in genus "
                                  f"{item.element.g}, its family in genus {self.g}")
@@ -425,7 +423,7 @@ class GradedSpan:
         one span of its route key (family_id, g, d-r), shared across r."""
         span = family._span
         if span is None:
-            span = (cls(family) if family._route is None
+            span = (cls(family.g, items=family.items) if family._route is None
                     else _route_span(family.family_id, family.g, family._route[1]))
             with _PUBLISH:  # threads that race here all return the first span published
                 if family._span is None:
@@ -551,8 +549,7 @@ def _route_span(family_id: str, g: int, cut: int) -> GradedSpan:
     wins."""
     span = _SPANS.get((family_id, g, cut))
     if span is None:
-        span = _SPANS.setdefault((family_id, g, cut),
-                                 GradedSpan(_routed_family(family_id, g, cut + 1, 1)))
+        span = _SPANS.setdefault((family_id, g, cut), GradedSpan(g, (family_id, cut)))
     return span
 
 
@@ -657,10 +654,11 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
     span1, span2 = GradedSpan.from_family(f1), GradedSpan.from_family(f2)
     routed = span1.route is not None and span2.route is not None
     with_strong8 = routed and "strong8" in (span1.route[0], span2.route[0])
-    # a routed family lies in the window by construction
+    # a routed family lies in the window by construction; a kept generator
+    # has weight w <= s(g-1), so s <= r puts it inside
     for family, span in ((f1, span1), (f2, span2)):
         for s, w in span.generators:
-            if s > i_max or w > j_max:
+            if s > i_max:
                 raise TruncationError(f"window ({i_max}, {j_max}) misses the "
                                       f"{family.family_id} generator of bidegree ({s}, {w})")
     cells = []

@@ -333,31 +333,13 @@ class LaurentSeries(Value):
         if (self.is_zero and self.trunc is None) or (other.is_zero and other.trunc is None):
             return LaurentSeries.zero()
         lo = self.valuation + other.valuation
-        trunc = self._product_trunc(other)
+        trunc = min_trunc(None if self.trunc is None else self.trunc + other.valuation,
+                          None if other.trunc is None else other.trunc + self.valuation)
         out = _convolve(self.nums, other.nums, None if trunc is None else trunc - lo)
         return _series(lo, out, self.den * other.den, trunc)
 
     def __rmul__(self, other: Any) -> "LaurentSeries":
         return self.__mul__(other)
-
-    def _product_trunc(self, other: "LaurentSeries") -> int | None:
-        """The truncation order of ``self * other``."""
-        return min_trunc(None if self.trunc is None else self.trunc + other.valuation,
-                         None if other.trunc is None else other.trunc + self.valuation)
-
-    def product_coeff(self, other: "LaurentSeries", exp: int) -> Fraction:
-        """``(self * other).coeff(exp)`` as one dot product, without forming
-        the product; raises the same TruncationError."""
-        if (self.is_zero and self.trunc is None) or (other.is_zero and other.trunc is None):
-            return Fraction(0)
-        trunc = self._product_trunc(other)
-        if trunc is not None and exp >= trunc:
-            raise TruncationError(
-                f"coefficient at exponent {exp} is beyond truncation order {trunc}")
-        a, b = self.nums, other.nums
-        k = exp - self.valuation - other.valuation
-        total = sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(len(a), k + 1)))
-        return Fraction(total, self.den * other.den)
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Forget all coefficients at exponents >= order.

@@ -766,6 +766,22 @@ def e_product(rest, x_order):
     return e_product(rest[:-1], x_order) * tail if len(rest) > 1 else tail
 
 
+def product_window(a, b):
+    """The truncation order of ``a * b`` when neither factor is an exact
+    zero: each factor's order shifted by the other's valuation, the lower
+    one, or None when both are exact."""
+    return min((t + other.valuation for t, other in ((a.trunc, b), (b.trunc, a))
+                if t is not None), default=None)
+
+
+def product_coeff(a, b, exp):
+    """[x^exp] of ``a * b`` as one dot product of the factors' numerators,
+    without forming the product; exp must lie below ``product_window``."""
+    k = exp - a.valuation - b.valuation
+    pairs = range(max(0, k - len(b.nums) + 1), min(len(a.nums), k + 1))
+    return Fraction(sum(a.nums[i] * b.nums[k - i] for i in pairs), a.den * b.den)
+
+
 @lru_cache(maxsize=None)
 def head_table(mono, x_order):
     """Heads of sum_S G_S * prod_{i not in S} e_{a_i} at m = (a_1..a_s),
@@ -803,16 +819,16 @@ def head_table(mono, x_order):
     terms.sort(key=itemgetter(0))
     table, window, leads = [], None, {}  # leads: summed leading coefficients by valuation
     for i, (k, scale, gp, ep) in enumerate(terms):
-        window = min_trunc(window, gp._product_trunc(ep))
+        window = min_trunc(window, product_window(gp, ep))
         if not (gp.is_zero or ep.is_zero):
             v = gp.valuation + ep.valuation
-            leads[v] = leads.get(v, 0) + scale * gp.product_coeff(ep, v)
+            leads[v] = leads.get(v, 0) + scale * product_coeff(gp, ep, v)
         if i + 1 < len(terms) and terms[i + 1][0] == k:
             continue
         low = min(leads, default=window)
         if low < window and not leads[low]:  # they cancel: sum later coefficients
             low = next((v for v in range(low + 1, window) if sum(
-                scale * gp.product_coeff(ep, v) for _, scale, gp, ep in terms[: i + 1])), window)
+                scale * product_coeff(gp, ep, v) for _, scale, gp, ep in terms[: i + 1])), window)
         table.append((k, window, min(low, window)))
     return facts_ok, tuple(table)
 

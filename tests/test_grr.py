@@ -504,9 +504,6 @@ class TestTheorem1Guards:
             with pytest.raises(InvariantViolation,
                                match="still involves k, xi or Todd unknowns"):
                 data._replace(gammas={**data.gammas, top: bad}).theorem1()
-            with pytest.raises(InvariantViolation,
-                               match="still involves k, xi or Todd unknowns"):
-                bad.to_taut()
 
     def test_composition_sum_mismatch_is_refused(self, monkeypatch, capsys):
         real = grr._g_power_coefficient
