@@ -30,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
+from operator import mul
 from threading import Lock
 from typing import NamedTuple, Sequence
 
@@ -198,7 +199,10 @@ def b_sum(d: int, a: tuple[int, ...]) -> Fraction:
 
     B_d(a_1..a_r) = sum (-1)^(d - i_1 - ... - i_r) C(d, i_1+...+i_r)
     i_1^a_1 ... i_r^a_r, where the binomial kills every tuple with total
-    above d, so only i_1 + ... + i_r <= d contributes.
+    above d, so only i_1 + ... + i_r <= d contributes.  It is summed by
+    total, one exponent at a time: after k exponents, ways[u] is the sum of
+    the products over the k-tuples of total k+u, and only u <= d-r can
+    still reach d.
     """
     a = tuple(a)
     if d < 0:
@@ -206,19 +210,14 @@ def b_sum(d: int, a: tuple[int, ...]) -> Fraction:
     if not a or any(e < 0 for e in a):
         raise ValueError("exponent tuple must be nonempty with entries >= 0")
     r = len(a)
+    n = d - r + 1
+    ways = [i ** a[0] for i in range(1, n + 1)]
+    for e in a[1:]:
+        power = [i ** e for i in range(1, n + 1)]
+        ways = [sum(map(mul, ways[u::-1], power)) for u in range(n)]
     total = 0
-
-    def walk(pos: int, used: int, prod: int) -> None:
-        nonlocal total
-        if pos == r:
-            total += (-1) ** (d - used) * comb(d, used) * prod
-            return
-        budget = d - used - (r - pos - 1)
-        for i in range(1, budget + 1):
-            walk(pos + 1, used + i, prod * i ** a[pos])
-
-    if r <= d:
-        walk(0, 0, 1)
+    for t, x in enumerate(ways, r):  # the sign alternates from + at t = d down
+        total = comb(d, t) * x - total
     return Fraction(total)
 
 

@@ -35,18 +35,19 @@ strong8's generators span a suffix of F, vdgk6's row is its last row and
 herbaut7's a combination of the suffix, so both lie in strong8's span.  A
 routed family's cell (i, j) depends only on its route key (family_id, g,
 d-r), so there is one span per route key (``_SPANS``), shared across r,
-and the three spans of one (g, d-r) share one elimination per cell
-(``GradedSpan.joint``).  Every other family (read from JSON, built by hand
-or edited) reduces its own item rows, each scaled once to integers.  A
+and the three spans of one (g, d-r) share one elimination per cell,
+strong8's (``GradedSpan._build``).  Every other family (read from JSON,
+built by hand or edited) reduces its own item rows, each scaled once to
+integers.  Every cell is one record (``_Cell``) from one build path.  A
 cell whose columns the full cells below it all reach is full with no
 elimination, and a pair with a side that reaches the bound (the cell's
 dimension, or for two routed families strong8's rank) has that bound as
 its joint rank; only the other cells are reduced.  The spans, a routed
 family's items, and the ``lru_cache``s (the column maps of C(k),
 ``_shift_columns``, the tables F and their suffix ranks among them) are
-the shared state; a span publishes a cell, and strong8's a joint cell,
-only once complete, and the first published is the one every reader
-gets, so racing threads at most build a cell twice, with the same rows;
+the shared state; a span publishes a cell only once complete, and the
+first published is the one every reader gets, so racing threads at most
+build a cell twice, with the same rows;
 the first span published for a route key is the one every family of that
 key reads, and the first complete item tuple published, under a lock, is
 the one every thread reads.
@@ -331,6 +332,19 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
 # Graded ideal comparison
 # ---------------------------------------------------------------------------
 
+class _Cell(NamedTuple):
+    """An ideal cell: ``space`` spans the piece when ``rank`` is below the
+    dimension.  On strong8's routed span, ``routed`` maps vdgk6 and herbaut7
+    to (generator rank, rank(L) + [row not in L], or None unless every cell
+    below agreed with strong8's), and ``pair`` is the rank of their two
+    rows; every other cell leaves both empty."""
+
+    space: RowSpace
+    rank: int
+    routed: dict[str, tuple[int, int | None]] = {}
+    pair: int = 0
+
+
 class GradedSpan:
     """Per-bidegree exact row spaces of the graded ideal a family generates.
 
@@ -348,21 +362,15 @@ class GradedSpan:
     with the covered columns cut (``_grow``), added until the cell is full.
     A full cell lends the cells above it columns, never rows.
 
-    A cell is (space, generator rank, rank); when the rank is below the
-    dimension, the space's rows span the piece.  A cell depends only on its
-    generators and the cells below it, is built the first time it is read,
-    and is published once complete: the first published is the one every
-    reader gets.
-
-    Every cell takes L's rows first and its generators' last.  A span
-    takes its generator rows from the family's items or, for a routed
-    family, from F, and both give every cell the same generator span.  A
-    family read from JSON, built by hand or edited passes its items
-    (``GradedSpan(g, items=...)``): they are checked for genus and
-    homogeneity, scaled to integers and reduced once, into one echelon
-    space per bidegree (``generators``, which no reader changes), and the
-    span reduces its own cells (``_reduce``).  Its span is its own, kept
-    on the family.
+    A cell is a ``_Cell``, made by ``_build`` the first time it is read and
+    published once complete: the first published is the one every reader
+    gets.  It depends only on its generators and the cells below it, and
+    takes L's rows first and its generators' last.  Generator ranks are not
+    kept on cells (``generator_rank``).  A family read from JSON, built by
+    hand or edited passes its items (``GradedSpan(g, items=...)``): they are
+    checked for genus and homogeneity, scaled to integers and reduced once,
+    into one echelon space per bidegree (``generators``, which no reader
+    changes).  Its span is its own, kept on the family.
 
     A family that ``gen_family`` made carries its route (family_id, d-r),
     its span is built from g and the route alone (``GradedSpan(g, route)``),
@@ -373,18 +381,18 @@ class GradedSpan:
     lambda F; where rows are read (``span_contains``, or a comparison with
     an unrouted family) each reduces its own (``_generator_rows``).  Such
     a span carries no r: one span per route key (family_id, g, d-r) serves
-    every r (``from_family``).  The three routed spans of one (g, d-r) share
-    one elimination per cell, kept on strong8's span (``joint``): L is
-    reduced once, vdgk6's and herbaut7's rows are tested for membership in
-    L, and F[i0:] is added, which gives strong8's piece.  By induction on i:
-    if a family's pieces equal strong8's in every cell below (i, j), its L
-    is strong8's, so its piece is L plus its row, of rank rank(L) + [row
-    not in L], inside strong8's piece; it equals strong8's exactly when the
-    ranks agree, and the cell is then strong8's.  Where they differ, or a
-    cell below differed, the family reduces its own cell from its own cells
-    below (on the grids tested, only herbaut7 at d-r = -1, which is empty:
-    its row at s is the u^(s-1) row of orderings(m) Q_m/(1+u), and Q_m has
-    u-valuation s).
+    every r (``from_family``).  The three routed spans of one (g, d-r)
+    share strong8's cells (``top``): strong8's ``_build`` reduces L once,
+    tests vdgk6's and herbaut7's rows for membership in L, and adds F[i0:],
+    which gives strong8's piece.  By induction on i: if a family's pieces
+    equal strong8's in every cell below (i, j), its L is strong8's, so its
+    piece is L plus its row, of rank rank(L) + [row not in L], inside
+    strong8's piece; it equals strong8's exactly when the ranks agree, and
+    the family's cell is then strong8's cell object.  Where they differ, or
+    a cell below differed, the family builds its own cell from its own
+    cells below (on the grids tested, only herbaut7 at d-r = -1, which is
+    empty: its row at s is the u^(s-1) row of orderings(m) Q_m/(1+u), and
+    Q_m has u-valuation s).
     """
 
     def __init__(self, g: int, route: tuple[str, int] | None = None,
@@ -409,9 +417,7 @@ class GradedSpan:
             basis = monomials_of_bidegree(self.g, *bideg)
             self.generators.setdefault(bideg, RowSpace(len(basis))).add(
                 [int(terms.get(m, 0) * den) for m in basis])
-        self.cells: dict[tuple[int, int], tuple[RowSpace, int, int]] = {}
-        # on strong8's routed span: the joint cells its route key shares
-        self.joints: dict[tuple[int, int], _JointCell] = {}
+        self.cells: dict[tuple[int, int], _Cell] = {}
         self.top = None  # a routed span's strong8 span of the same key
         if self.route is not None:
             self.top = (self if self.route[0] == "strong8"
@@ -431,66 +437,61 @@ class GradedSpan:
                 span = family._span
         return span
 
-    def cell(self, i: int, j: int) -> tuple[RowSpace, int, int]:
-        """The cell (i, j): its row space, generator rank and ideal rank."""
+    def cell(self, i: int, j: int) -> _Cell:
+        """The cell (i, j), built on first read and then published."""
         found = self.cells.get((i, j))
         if found is None:
             found = self.cells.setdefault((i, j), self._build(i, j))
         return found
 
-    def _build(self, i: int, j: int) -> tuple[RowSpace, int, int]:
-        """The cell: a routed span's is its joint cell where the family's
-        piece is strong8's, every other cell is reduced."""
-        dim = len(monomials_of_bidegree(self.g, i, j))
-        if self.route is None:
-            return self._reduce(i, j, dim)
-        joint = self.top.joint(i, j)
-        if self.route[0] == "strong8":  # generators at i >= 1, 2i+j > k
-            k = self.route[1] + i
-            n = (_suffix_ranks(self.g, i, j)[_suffix_start(i, j, k)]
-                 if dim and i and 2 * i + j > k else 0)
-            return joint.space, n, joint.rank
-        generator_rank, rank = joint.routed[self.route[0]]
-        if rank != joint.rank:  # None unless every cell below agreed
-            return self._reduce(i, j, dim)
-        return joint.space, generator_rank, rank
-
-    def joint(self, i: int, j: int) -> "_JointCell":
-        """The joint cell (i, j) of strong8's routed span (see
-        ``_JointCell``), from the joint cells below."""
-        found = self.joints.get((i, j))
-        if found is not None:
-            return found
-        g, cut = self.g, self.route[1]
+    def _build(self, i: int, j: int) -> _Cell:
+        """The cell: strong8's cell where a routed family's piece is
+        strong8's, else L from the span's own cells below, then its
+        generators; on strong8's routed span, vdgk6's and herbaut7's rows
+        are probed against L on the way."""
+        family_id = self.route and self.route[0]
+        if family_id in ("vdgk6", "herbaut7"):
+            top = self.top.cell(i, j)
+            if top.routed[family_id][1] == top.rank:  # None unless every cell below agreed
+                return top
+        g = self.g
         dim = len(monomials_of_bidegree(g, i, j))
-        below = [(_shift_columns(g, i, j, k), self.joint(i - 1, j - k)) for k in self._below(i, j)]
+        below = [(_shift_columns(g, i, j, k), self.cell(i - 1, j - k)) for k in self._below(i, j)]
         space = RowSpace(dim)
-        rank = rank_below = _grow(space, [(shift, c.space, c.rank) for shift, c in below], dim)
-        generators = {"vdgk6": 0, "herbaut7": 0}
-        ranks = dict.fromkeys(generators, rank_below)
-        pair = 0
+        rank = _grow(space, below, dim)
+        if family_id != "strong8":
+            if rank < dim:
+                rank = space.fill(self._generator_space(i, j, dim).pivots.values())
+            return _Cell(space, rank)
+        cut = self.route[1]
+        generators, ranks, pair = {"vdgk6": 0, "herbaut7": 0}, {"vdgk6": rank, "herbaut7": rank}, 0
         if dim and i and i + j > cut:  # generators: 2i+j > k
             rows, herbaut7 = _f_table(g, i, j), _f_row(g, i, j, cut + i, 1)
             top = rows[-1]  # vdgk6's row, with no zero entry
             generators = {"vdgk6": 1, "herbaut7": int(any(herbaut7))}
             pair = 1 + any(x * top[0] != y * herbaut7[0] for x, y in zip(herbaut7, top))
-            if rank_below < dim:
+            if rank < dim:
                 ranks["herbaut7"] += not space.contains(herbaut7)
                 ranks["vdgk6"] += space.add(top)  # strong8's first row too
                 rank = space.fill(reversed(rows[_suffix_start(i, j, cut + i):-1]))
         routed = {f: (n, ranks[f] if all(c.routed[f][1] == c.rank for _, c in below) else None)
                   for f, n in generators.items()}
-        return self.joints.setdefault((i, j), _JointCell(space, rank, routed, pair))
+        return _Cell(space, rank, routed, pair)
 
-    def _reduce(self, i: int, j: int, dim: int) -> tuple[RowSpace, int, int]:
-        """The cell from the span's own cells below, then its generators."""
-        space, generators = RowSpace(dim), self._generator_space(i, j, dim)
-        lower = [(_shift_columns(self.g, i, j, k), *self.cell(i - 1, j - k)[::2])
-                 for k in self._below(i, j)]
-        rank = _grow(space, lower, dim)
-        if rank < dim:
-            rank = space.fill(generators.pivots.values())
-        return space, generators.rank, rank
+    def generator_rank(self, i: int, j: int) -> int:
+        """The rank of the generators of bidegree (i, j): the kept space's,
+        strong8's suffix rank (``_suffix_ranks``), or for vdgk6 and herbaut7
+        the rank on strong8's cell."""
+        if self.route is None:
+            space = self.generators.get((i, j))
+            return space.rank if space else 0
+        family_id, cut = self.route
+        if family_id != "strong8":
+            return self.top.cell(i, j).routed[family_id][0]
+        k = cut + i  # generators at i >= 1, 2i+j > k
+        if i and 2 * i + j > k and monomials_of_bidegree(self.g, i, j):
+            return _suffix_ranks(self.g, i, j)[_suffix_start(i, j, k)]
+        return 0
 
     def _below(self, i: int, j: int) -> range:
         """The k whose cell (i-1, j-k) has a monomial: j-k <= (i-1)(g-1)."""
@@ -521,27 +522,14 @@ class GradedSpan:
         return space
 
 
-class _JointCell(NamedTuple):
-    """The cell the routed spans of one (g, d-r) share: ``space`` holds the
-    echelon rows of L, then F[i0:]'s from F[D] (vdgk6's row) down, up to
-    strong8's ``rank``; ``routed`` maps vdgk6 and herbaut7 to (generator
-    rank, rank(L) + [row not in L], or None unless every cell below agreed
-    with strong8's); ``pair`` is the rank of their two rows."""
-
-    space: RowSpace
-    rank: int
-    routed: dict[str, tuple[int, int | None]]
-    pair: int
-
-
-def _grow(space: RowSpace, lower, dim: int) -> int:
+def _grow(space: RowSpace, below, dim: int) -> int:
     """Adds L's rows to the space until it is full, from the cells below as
-    (shift, space, rank); returns the rank reached, dim when the covered
-    columns are all of them."""
-    covered = {c for shift, _, n in lower if n == len(shift) for c in shift}
+    (shift, cell); returns the rank reached, dim when the covered columns
+    are all of them."""
+    covered = {c for shift, cell in below if cell.rank == len(shift) for c in shift}
     if len(covered) == dim:
         return dim
-    return space.fill(_cut_rows(lower, covered, dim))
+    return space.fill(_cut_rows(below, covered, dim))
 
 
 def _route_span(family_id: str, g: int, cut: int) -> GradedSpan:
@@ -561,14 +549,14 @@ def _shift_columns(g: int, i: int, j: int, k: int) -> tuple[int, ...]:
     return tuple(column[_mono_mul(m, (k,))] for m in monomials_of_bidegree(g, i - 1, j - k))
 
 
-def _cut_rows(lower, covered: set[int], dim: int):
+def _cut_rows(below, covered: set[int], dim: int):
     """Unit rows at the covered columns, then the echelon rows of the
-    deficient lower cells times C(k), with the covered columns cut."""
+    deficient cells below times C(k), with the covered columns cut."""
     for c in sorted(covered):
         yield [int(x == c) for x in range(dim)]
-    for shift, below, n in lower:
-        if n < len(shift):
-            for piv in below.pivots.values():
+    for shift, cell in below:
+        if cell.rank < len(shift):
+            for piv in cell.space.pivots.values():
                 row = [0] * dim
                 for c, x in zip(shift, piv):
                     if c not in covered:
@@ -639,8 +627,8 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
     ``TruncationError``.  Each span is built once and shared by every
     comparison it enters: a routed family's by every comparison of its route
     key (family_id, g, d-r), whatever r.  Two routed families read one
-    elimination per cell (``GradedSpan.joint``): each ideal lies in
-    strong8's at the same (g, d-r), cell by cell, so strong8's rank bounds
+    elimination per cell, strong8's (``GradedSpan._build``): each ideal lies
+    in strong8's at the same (g, d-r), cell by cell, so strong8's rank bounds
     their joint rank, and a side that reaches it has it as the joint rank;
     routed strong8's generator span holds the other side's, and a
     vdgk6-herbaut7 span joint is the rank of their two rows.  Any other
@@ -664,21 +652,23 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
     cells = []
     for i in range(1, i_max + 1):
         for j in range(i * (g - 1) + 1):  # the cells with a monomial
-            (a, a_gens, a_rank), (b, b_gens, b_rank) = span1.cell(i, j), span2.cell(i, j)
-            if not (a_rank or b_rank):
+            a, b = span1.cell(i, j), span2.cell(i, j)
+            if not (a.rank or b.rank):
                 continue
-            dim = a.ncols
-            bound = span1.top.joint(i, j).rank if routed else dim
-            ideal_joint = bound if max(a_rank, b_rank) == bound else _joint_rank(a, b)
-            span_joint = max(a_gens, b_gens)
+            dim = a.space.ncols
+            top = span1.top.cell(i, j) if routed else None
+            bound = top.rank if routed else dim
+            ideal_joint = bound if max(a.rank, b.rank) == bound else _joint_rank(a.space, b.space)
+            generator_ranks = span1.generator_rank(i, j), span2.generator_rank(i, j)
+            span_joint = max(generator_ranks)
             if not routed:
                 if span_joint < dim:
                     span_joint = _joint_rank(span1._generator_space(i, j, dim),
                                              span2._generator_space(i, j, dim))
             elif not with_strong8 and span1.route != span2.route:  # vdgk6 and herbaut7
-                span_joint = span1.top.joint(i, j).pair
-            cells.append(CellComparison(i=i, j=j, dim=dim, ideal_ranks=(a_rank, b_rank),
-                                        ideal_joint=ideal_joint, span_ranks=(a_gens, b_gens),
+                span_joint = top.pair
+            cells.append(CellComparison(i=i, j=j, dim=dim, ideal_ranks=(a.rank, b.rank),
+                                        ideal_joint=ideal_joint, span_ranks=generator_ranks,
                                         span_joint=span_joint))
     return IdealComparison(family_ids=(f1.family_id, f2.family_id),
                            g=g, d=d, r=r, i_max=i_max, j_max=j_max,

@@ -21,11 +21,12 @@ published.  A family's ``GradedSpan`` publishes a cell, with
 its rows and its ranks, only once the cell is complete, so threads that
 compare the same family at once can at most build a cell twice, the same
 way: whether a cell is full from the cells below it or reduces rows
-depends only on those cells; the joint cells that strong8's routed span
-shares with vdgk6's and herbaut7's are published the same way, and the
-first published is the one every span reads.  A routed family's span is the one span of
-its route key (family_id, g, d-r), shared across r through the module dict
-``relations._SPANS`` and published there with ``setdefault``: threads that
+depends only on those cells; where a routed vdgk6 or herbaut7 piece is
+strong8's, its span holds strong8's published cell itself, shared by
+identity, so the first cell published is the one every span reads.  A
+routed family's span is the one span of its route key (family_id, g,
+d-r), shared across r through the module dict ``relations._SPANS`` and
+published there with ``setdefault``: threads that
 race to make it all keep the first one published.  A family that
 ``gen_family`` made forms its items on first read and publishes the complete tuple under a lock, unless
 another thread published first: every thread reads one tuple.  The ``ChernData`` that
@@ -197,9 +198,10 @@ def test_parallel_comparisons_cover_and_reduce_cells():
     # (their space keeps fewer rows than their rank) and others reduce rows
     # beyond their generators; threads race through both kinds
     for shared in race_comparisons(4, 6, 3, rounds=16):
-        cells = [cell for f in shared for cell in f._span.cells.values()]
-        assert any(space.rank < rank for space, _, rank in cells)
-        assert any(space.rank > generator_rank for space, generator_rank, _ in cells)
+        cells = [(cell, f._span.generator_rank(*key))
+                 for f in shared for key, cell in f._span.cells.items()]
+        assert any(cell.space.rank < cell.rank for cell, _ in cells)
+        assert any(cell.space.rank > generator_rank for cell, generator_rank in cells)
 
 
 def test_spans_shared_across_r_are_published_once_under_races():
@@ -272,8 +274,9 @@ def test_joint_cells_are_published_once_under_races(g, d, r):
     # eight threads race through the six ordered pairs of one cold key, each
     # in its own order; at d = r-1 herbaut7, empty there, also falls back to
     # its own cells.
-    # Every joint cell must be published complete, with the serial ranks,
-    # and once: every routed cell that reads it holds the published space
+    # Every cell of strong8's span, the joint cells, must be published
+    # complete, with the serial ranks, and once: every routed cell whose
+    # piece is strong8's is the published cell itself
     tasks = [(a, b) for a in range(3) for b in range(3) if a != b]
 
     def cold():
@@ -284,7 +287,7 @@ def test_joint_cells_are_published_once_under_races(g, d, r):
 
     def joint_ranks():
         return {key: (c.space.rank, c.rank, c.routed, c.pair)
-                for key, c in _SPANS[("strong8", g, d - r)].joints.items()}
+                for key, c in _SPANS[("strong8", g, d - r)].cells.items()}
 
     cold()
     fams = [gen_family(f, g, d, r) for f in FAMILIES]
@@ -307,12 +310,13 @@ def test_joint_cells_are_published_once_under_races(g, d, r):
                 outputs = list(pool.map(run, range(8), timeout=120))
             assert all(out == serial for out in outputs)
             assert joint_ranks() == expected
-            joints = _SPANS[("strong8", g, d - r)].joints
+            joints = _SPANS[("strong8", g, d - r)].cells
             for f in shared:
-                for key, (space, _, rank) in f._span.cells.items():
-                    _, own = joints[key].routed.get(f.family_id, (0, rank))  # strong8: its own
-                    if own == rank == joints[key].rank:
-                        assert space is joints[key].space, (f.family_id, key)
+                for key, cell in f._span.cells.items():
+                    # strong8's own cells are the joint cells
+                    _, own = joints[key].routed.get(f.family_id, (0, cell.rank))
+                    if own == cell.rank == joints[key].rank:
+                        assert cell is joints[key], (f.family_id, key)
     finally:
         sys.setswitchinterval(interval)
         cold()

@@ -461,12 +461,12 @@ class TestCompareIdeals:
         assert compared == 1830
 
     def test_span_verdicts_on_the_free_algebra_keys(self):
-        # every key (g, c) with 1 <= c = d-r <= g <= 8, at r = min(c, 7): the
+        # every key (g, c) with 1 <= c = d-r <= g <= 9, at r = min(c, 7): the
         # three ideals agree at each, and the bare spans exactly at c = 1
         # and at (2, 4, 2) and (3, 4, 2)
         names, pairs = ("vdgk6", "herbaut7", "strong8"), ((0, 1), (1, 2), (0, 2))
-        keys = [(g, c + min(c, 7), min(c, 7)) for g in range(1, 9) for c in range(1, g + 1)]
-        assert len(keys) == 36
+        keys = [(g, c + min(c, 7), min(c, 7)) for g in range(1, 10) for c in range(1, g + 1)]
+        assert len(keys) == 45
         for g, d, r in keys:
             fams = [gen_family(name, g, d, r) for name in names]
             reports = [compare_ideals(fams[a], fams[b]) for a, b in pairs]
@@ -542,9 +542,9 @@ class TestSharedSpan:
         _suffix_ranks.cache_clear()
 
         def published():
-            return {(k, key): (space.rank, generator_rank, rank)
+            return {(k, key): (cell.space.rank, *cell[1:])
                     for k, f in enumerate(fams) if f._span
-                    for key, (space, generator_rank, rank) in f._span.cells.items()}
+                    for key, cell in f._span.cells.items()}
 
         seen = []
         add = RowSpace.add
@@ -603,7 +603,8 @@ class TestCoveredCells:
                 expected = cells_by_shifted_rows(fam, r, r * (g - 1))
                 got = {}
                 for (i, j) in expected:
-                    space, generator_rank, rank = span.cell(i, j)
+                    space, rank = span.cell(i, j)[:2]
+                    generator_rank = span.generator_rank(i, j)
                     got[(i, j)] = (rank, generator_rank)
                     if rank < space.ncols:
                         assert space.rank == rank, (g, d, r, name, i, j)
@@ -624,7 +625,7 @@ class TestCoveredCells:
                 assert any(c.ideal_ranks[side] for c in report.cells)
         # no nonempty cell is full, so no column is ever covered
         cells = never_full._span.cells.values()
-        assert all(n < space.ncols for space, _, n in cells if space.ncols)
+        assert all(c.rank < c.space.ncols for c in cells if c.space.ncols)
 
 
 class TestEchelonRoute:
@@ -651,7 +652,8 @@ class TestEchelonRoute:
                 assert plain._route is None
                 for i in range(1, r + 1):
                     for j in range(r * (g - 1) + 1):
-                        assert a.cell(i, j)[1:] == b.cell(i, j)[1:], (g, d, r, name, i, j)
+                        assert (a.cell(i, j).rank, a.generator_rank(i, j)) == \
+                            (b.cell(i, j).rank, b.generator_rank(i, j)), (g, d, r, name, i, j)
 
     def test_routed_comparisons_match_the_item_route(self):
         # the JSON copies are unrouted, so every joint rank is reduced
@@ -687,7 +689,7 @@ class TestEchelonRoute:
                             assert list(space.pivots.items()) == \
                                 list(fresh.generators[key].pivots.items()), (g, d, r, key)
                         assert kept.cells
-                        for key, (space, _, rank) in kept.cells.items():
+                        for key, (space, rank, *_) in kept.cells.items():
                             if rank < space.ncols:
                                 assert space.rank == rank, (g, d, r, f.family_id, key)
 
@@ -739,15 +741,14 @@ class TestEchelonRoute:
                 object.__getattribute__(family, "items")
 
     def test_span_contains_builds_no_ideal_rows(self):
-        # both sides read only their generator rows, so no cell of either
-        # span holds a row past its generator rank
+        # both sides read only their generator rows, so neither span, nor
+        # the strong8 span whose cells they share, builds a cell
         _SPANS.clear()
         f7, f6 = gen_family("herbaut7", 6, 8, 3), gen_family("vdgk6", 6, 8, 3)
         assert span_contains(f7, f6) == span_contains_by_ranks(
             gen_family("herbaut7", 6, 8, 3), gen_family("vdgk6", 6, 8, 3))
         for family in (f7, f6):
-            assert all(space.rank <= generator_rank
-                       for space, generator_rank, _ in family._span.cells.values())
+            assert family._span.cells == {} and family._span.top.cells == {}
 
     def test_suffix_ranks_match_full_reduction(self):
         # strong8's generators at k, the rows e > k of the full-degree
@@ -870,6 +871,23 @@ class TestSharedRouteSpans:
         assert all(added) and all(i == 4 for cells in added for i, _ in cells)
         assert _SPANS == {(name, 5, 4): span for name, span in zip(self.FAMILIES, spans)}
 
+    def test_beauville_window_cells_are_the_genus_14_cells(self):
+        # the window cells (i, j), i >= 1 and i + j <= g, have j <= g-1, so
+        # they lie in the stable range: for g 2..11 and every cut c = d-r in
+        # 0..g, each of the three route spans has there the generator rank
+        # and ideal rank of its span at g = 14 and the same cut
+        for name in self.FAMILIES:
+            cells = 0
+            for g in range(2, 12):
+                for c in range(g + 1):
+                    span, wide = GradedSpan(g, (name, c)), GradedSpan(14, (name, c))
+                    for i in range(1, g + 1):
+                        for j in range(g - i + 1):
+                            assert span.cell(i, j).rank == wide.cell(i, j).rank, (name, g, c, i, j)
+                            assert span.generator_rank(i, j) == wide.generator_rank(i, j)
+                            cells += 1
+            assert cells == 2715, name
+
     def test_routed_family_has_no_generator_past_r(self):
         # the shared span of vdgk6's route key (4, 3) has generators at every
         # size, but the family at r = 2 has none of size 3
@@ -927,7 +945,7 @@ class TestSharedRouteSpans:
                                 basis = monomials_of_bidegree(g, i, j)
                                 cap = min(c - i, g - 1)
                                 standard = [col for col, m in enumerate(basis) if max(m) <= cap]
-                                space, _, rank = span.cell(i, j)
+                                space, rank = span.cell(i, j)[:2]
                                 cells += 1
                                 where = (g, r, c, name, i, j)
                                 if rank == len(basis):
@@ -982,7 +1000,7 @@ class TestSharedRouteSpans:
                 span = GradedSpan.from_family(gen_family("strong8", g, c + 1, 1))
                 for s in range(1, 4):
                     for w in range(s * (g - 1) + 1):
-                        space, _, rank = span.cell(s, w)
+                        space, rank = span.cell(s, w)[:2]
                         for name in self.FAMILIES:
                             for _, row in _generator_rows(name, g, s, w, c + 1 + s):
                                 assert rank == space.ncols or space.contains(row), \
@@ -992,23 +1010,25 @@ class TestSharedRouteSpans:
 
 
 class TestJointCells:
-    """The three routed spans of one (g, d-r) read one elimination per cell
-    off strong8's span; a family falls back to its own cell only above a
-    cell where its ideal differs from strong8's."""
+    """The three routed spans of one (g, d-r) read one elimination per cell,
+    strong8's cell; a family falls back to its own cell only above a cell
+    where its ideal differs from strong8's."""
 
     FAMILIES = ("vdgk6", "herbaut7", "strong8")
 
     @staticmethod
     def watch_fallbacks(monkeypatch):
+        # a routed cell that is not strong8's cell object is a fallback
         fell = []
-        reduce = GradedSpan._reduce
+        build = GradedSpan._build
 
-        def watched(span, i, j, dim):
-            if span.route is not None:
+        def watched(span, i, j):
+            cell = build(span, i, j)
+            if span.top not in (None, span) and cell is not span.top.cell(i, j):
                 fell.append((span.route, span.g, i, j))
-            return reduce(span, i, j, dim)
+            return cell
 
-        monkeypatch.setattr(GradedSpan, "_reduce", watched)
+        monkeypatch.setattr(GradedSpan, "_build", watched)
         return fell
 
     def test_ideals_grid_reads_every_cell_off_the_joint(self, monkeypatch):
@@ -1045,7 +1065,8 @@ class TestJointCells:
                 # have size s >= 1: no cell (0, 0) has one
                 for f in routed + plain:
                     span = GradedSpan.from_family(f)
-                    assert span.cell(0, 0)[1:] == (0, 0), (g, r, f.family_id)
+                    assert (span.cell(0, 0).rank, span.generator_rank(0, 0)) == (0, 0), \
+                        (g, r, f.family_id)
                     assert span._generator_space(0, 0, 1).rank == 0
                 for a in range(3):
                     for b in range(3):
@@ -1098,16 +1119,26 @@ class TestJointCells:
                     assert len(ranks) == w // 2 + 2 and ranks[-1] == 0
 
     def test_joint_cells_are_the_routed_cells(self):
-        # strong8's cells are its joint cells, and so are a family's cells
-        # wherever it agrees with strong8
+        # a routed vdgk6 or herbaut7 cell is strong8's cell object exactly
+        # where its piece is strong8's: everywhere at (5, 7, 3), and at
+        # (5, 2, 3), d = r-1, all but some of herbaut7's
         _SPANS.clear()
-        fams = [gen_family(name, 5, 7, 3) for name in self.FAMILIES]
-        for a in range(3):
-            compare_ideals(fams[a], fams[(a + 1) % 3])
-        top = _SPANS[("strong8", 5, 4)]
-        for f in fams:
-            for key, (space, _, n) in f._span.cells.items():
-                assert space is top.joints[key].space and n == top.joints[key].rank
+        shared = 0
+        for g, d, r in ((5, 7, 3), (5, 2, 3)):
+            fams = [gen_family(name, g, d, r) for name in self.FAMILIES]
+            for a in range(3):
+                compare_ideals(fams[a], fams[(a + 1) % 3])
+            top = _SPANS[("strong8", g, d - r)]
+            assert fams[2]._span is top
+            for f in fams[:2]:
+                for key, cell in f._span.cells.items():
+                    agrees = top.cells[key].routed[f.family_id][1] == top.cells[key].rank
+                    assert (cell is top.cells[key]) == agrees, (g, d, r, f.family_id, key)
+                    shared += agrees
+            own = {f.family_id for f in fams for key, cell in f._span.cells.items()
+                   if cell is not top.cells[key]}
+            assert own == (set() if d >= r else {"herbaut7"}), (g, d, r)
+        assert shared
 
 
 class TestHalfDegreeTable:
