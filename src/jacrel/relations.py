@@ -17,62 +17,29 @@ With v = u(1+u), P_n = v (1+2u)^(n mod 2) pi_n(v) (``_pi_coefficients``), so
 Q_m = v^s (1+2u)^eps F_m(v), eps = w mod 2, and each cell has one table F
 of floor(w/2)+1 rows (orderings(m) [v^i] F_m)_m (``_f_table``).  Every
 family's row is one combination of F's rows (``_f_row``), for items and
-spans alike (``_generator_rows``): with k = d-r+s, strong8's rows are the
-u^e rows of orderings(m) Q_m for e > k, vdgk6's is the top row 2^eps F[D],
-G(t)^s's coefficient since G(t) is the top-u part of H(u,t), and
-herbaut7's is the u^k row of orderings(m) Q_m/(1+u).  theorem1 and the GRR
-check read G(t)^s's coefficient as the composition sum
-orderings(m) prod (a_i+1)!, with no product (``_g_power_coefficient``).
+spans alike (``_generator_rows``).  theorem1 and the GRR check read
+G(t)^s's coefficient as the composition sum orderings(m) prod (a_i+1)!,
+with no product (``_g_power_coefficient``).
 
 ``compare_ideals`` decides, bidegree by bidegree and by exact rank
 computations, whether two families generate the same graded ideal; it also
 reports the weaker per-bidegree span comparison of the bare generators and
-flags any parameter set where the two notions differ.  Its rows are integer
-vectors, and multiplying by C(k) only moves a row's entries to other columns
-(see ``GradedSpan``).  A family that ``gen_family`` made is routed: it
-forms its items only on first read, and its span reads its rows off F:
-strong8's generators span a suffix of F, vdgk6's row is its last row and
-herbaut7's a combination of the suffix, so both lie in strong8's span.  A
-routed family's cell (i, j) depends only on its route key (family_id, g,
-d-r), so there is one span per route key (``_SPANS``), shared across r,
-and the three spans of one (g, d-r) share one elimination per cell,
-strong8's (``GradedSpan._build``).  Every other family (read from JSON,
-built by hand or edited) reduces its own item rows, each scaled once to
-integers.  Every cell is one record (``_Cell``) from one build path.  A
-cell whose columns the full cells below it all reach is full with no
-elimination, and a pair with a side that reaches the bound (the cell's
-dimension, or for two routed families strong8's rank) has that bound as
-its joint rank; only the other cells are reduced.  The spans, a routed
-family's items, and the ``lru_cache``s (the column maps of C(k),
-``_shift_columns``, the tables F and their suffix ranks among them) are
-the shared state; a span publishes a cell only once complete, and the
-first published is the one every reader gets, so racing threads at most
-build a cell twice, with the same rows;
-the first span published for a route key is the one every family of that
-key reads, and the first complete item tuple published, under a lock, is
-the one every thread reads.
+flags any parameter set where the two notions differ.  How a family's span
+is built, shared across r and read, routed (made by ``gen_family``) or
+not, is ``GradedSpan``'s docstring.  The spans, a routed family's items,
+and the ``lru_cache``s (the column maps of C(k), ``_shift_columns``, the
+tables F and their suffix ranks among them) are the shared state: each
+span, cell and item tuple is published once complete, and the first
+published is the one every reader gets, so racing threads at most build
+one twice, with the same rows.
 
 ``epsilon_series`` and ``verify_implication_chain`` replay the series
 bookkeeping connecting the families: the substitution defect
 eps(x,t) = H(1/x,t) - G(t/log(1+x)), the binomial expansion of H(1/x,t)^s in
 terms of it, the degree bound it yields once the vdgk6 relations are
 rewritten to zero, and the Stirling-coefficient nonvanishing that closes the
-chain.  All three series are linear in the generators, so each is a scalar
-Laurent series over Q per generator: h_a = P_{a+2}(1/x) in H(1/x,t),
-g_a = (a+1)! L^-(a+2), L = log(1+x), in G(t/log(1+x)), and e_a = h_a - g_a
-in eps (``_e_part``).  At a monomial m = (a_1..a_s) the expansion is the
-distributive law for prod (g_{a_i} + e_{a_i}), a sum over position sets S.
-h_a = g_a + e_a is ``_e_part``'s definition, so the one fact the law needs
-beyond it is certified once per power and window (``_power_law_ok``): the
-cached powers of L multiply as powers (the power law).  The degree bound is
-the paper's valuation lemma (see ``ChainReport``): it reads the valuations
-and windows of the cached e_a and L^-N, forms no product and visits no
-monomial.  The extraction scalar [x^-m] x/(1+x) L^-n reads only L^-n's
-principal part, so it is computed once per (n, m) (``_extraction_scalar``).
-
-Note that eps has x-exponents >= 0 but genuinely nonzero x^0 terms
-(Bernoulli values B_n/n for even n = a+2), so the sharpest certifiable bound
-is O(t^2) with no negative x-powers, not O(x t^2).
+chain.  ``ChainReport``'s docstring states the three checks and why each
+holds.
 """
 
 from __future__ import annotations
@@ -116,14 +83,12 @@ class RelationItem(NamedTuple):
 
 class RelationFamily(Value):
     """Relation items at (g, d, r), with two memos in neither ``==``, ``hash``
-    nor ``repr``: ``_span``, the family's ``GradedSpan`` (on a routed family
-    the one span of its route key, shared across r), and ``_route``,
+    nor ``repr``: ``_span``, the family's ``GradedSpan``, and ``_route``,
     (family_id, d-r) on a family that ``gen_family`` made (d-r may be 0 or
     -1; never serialized).  A routed family is its parameters: its items are
-    formed on first read and published complete, its span reads its
-    generator rows off the tables F, and a copy is ``gen_family``'s
-    family again, routed and with no span.  A copy of any other family has
-    no memo."""
+    formed on first read and published complete, and a copy is
+    ``gen_family``'s family again, routed and with no span.  A copy of any
+    other family has no memo."""
 
     __slots__ = ("family_id", "g", "d", "r", "items", "_span", "_route")
 
@@ -267,7 +232,8 @@ def _generator_rows(family_id: str, g: int, s: int, w: int, k: int):
     k = d-r+s, its row the integer coefficients on the cell's monomials in
     order, off F (``_f_row``); none unless 2s+w > k.  strong8 takes the
     rows e > k, labelled e, vdgk6 the top row 2s+w, which is 2^eps F[D],
-    G(t)^s's coefficient, and herbaut7 orderings(m) [u^k] Q_m/(1+u)."""
+    G(t)^s's coefficient since G(t) is the top-u part of H(u,t), and
+    herbaut7 orderings(m) [u^k] Q_m/(1+u)."""
     if family_id == "strong8":
         yield from ((e, _f_row(g, s, w, e, 0)) for e in range(k + 1, 2 * s + w + 1))
     elif 2 * s + w > k:
@@ -275,10 +241,11 @@ def _generator_rows(family_id: str, g: int, s: int, w: int, k: int):
 
 
 def _items(family_id: str, g: int, d: int, r: int) -> tuple[RelationItem, ...]:
-    """The nonzero generators of ``_generator_rows``, cell by cell."""
+    """The nonzero generators of ``_generator_rows``, cell by cell from the
+    cut: s + w > d-r."""
     items: list[RelationItem] = []
     for s in range(1, r + 1):
-        for w in range(0, s * (g - 1) + 1):
+        for w in range(max(0, d - r - s + 1), s * (g - 1) + 1):
             basis = monomials_of_bidegree(g, s, w)
             for e, row in _generator_rows(family_id, g, s, w, d - r + s):
                 element = TautElement._trusted(g, dict(zip(basis, row)))
@@ -315,8 +282,7 @@ def gen_family(family_id: str, g: int, d: int, r: int) -> RelationFamily:
     Items are the nonzero generators that ``_generator_rows`` picks in each
     cell: strong8 the rows e > d-r+s, herbaut7 their tail, vdgk6 the
     composition sum.  The family is routed, (family_id, d-r): its items are
-    formed on first read, and its span reads the same rows off the tables F
-    (``GradedSpan``), so a comparison forms no item.
+    formed on first read, and a comparison forms none (``GradedSpan``).
     """
     _validate_params(g, d, r)
     if family_id not in ("vdgk6", "herbaut7", "strong8"):
@@ -364,7 +330,8 @@ class GradedSpan:
 
     A cell is a ``_Cell``, made by ``_build`` the first time it is read and
     published once complete: the first published is the one every reader
-    gets.  It depends only on its generators and the cells below it, and
+    gets, so racing threads at most build it twice, with the same rows.  It
+    depends only on its generators and the cells below it, and
     takes L's rows first and its generators' last.  Generator ranks are not
     kept on cells (``generator_rank``).  A family read from JSON, built by
     hand or edited passes its items (``GradedSpan(g, items=...)``): they are
@@ -372,27 +339,32 @@ class GradedSpan:
     into one echelon space per bidegree (``generators``, which no reader
     changes).  Its span is its own, kept on the family.
 
-    A family that ``gen_family`` made carries its route (family_id, d-r),
-    its span is built from g and the route alone (``GradedSpan(g, route)``),
-    and its items are never read: with k = d-r+i, its generators sit at the
-    cells with i >= 1 and 2i+j > k, read off F: strong8's span is the
-    suffix F[i0:] (``_suffix_start``), of rank ``_suffix_ranks``, and
-    vdgk6's and herbaut7's rows are their items' rows, 2^eps F[D] and
-    lambda F; where rows are read (``span_contains``, or a comparison with
-    an unrouted family) each reduces its own (``_generator_rows``).  Such
-    a span carries no r: one span per route key (family_id, g, d-r) serves
-    every r (``from_family``).  The three routed spans of one (g, d-r)
-    share strong8's cells (``top``): strong8's ``_build`` reduces L once,
-    tests vdgk6's and herbaut7's rows for membership in L, and adds F[i0:],
-    which gives strong8's piece.  By induction on i: if a family's pieces
-    equal strong8's in every cell below (i, j), its L is strong8's, so its
-    piece is L plus its row, of rank rank(L) + [row not in L], inside
-    strong8's piece; it equals strong8's exactly when the ranks agree, and
-    the family's cell is then strong8's cell object.  Where they differ, or
-    a cell below differed, the family builds its own cell from its own
-    cells below (on the grids tested, only herbaut7 at d-r = -1, which is
-    empty: its row at s is the u^(s-1) row of orderings(m) Q_m/(1+u), and
-    Q_m has u-valuation s).
+    A family that ``gen_family`` made is routed: it carries its route
+    (family_id, d-r), its span is built from g and the route alone
+    (``GradedSpan(g, route)``), and its items are never read.  Its
+    generators sit at the cells with i >= 1 and i+j > d-r, read off F with
+    k = d-r+i: strong8's span is the suffix F[i0:] (``_suffix_start``), of
+    rank ``_suffix_ranks``, and vdgk6's row 2^eps F[D] and herbaut7's
+    lambda F, a combination of the suffix, lie in it.  Where rows are read
+    (``span_contains``, or a comparison with an unrouted family) each span
+    reduces its own (``_generator_rows``).  Such a span carries no r: one
+    span per route key (family_id, g, d-r) serves every r (``from_family``),
+    and a reader at r reads the window cells 1 <= i <= r, j <= i(g-1).
+    The three routed spans of one (g, d-r) share strong8's cells (``top``):
+    strong8's ``_build`` reduces L once, tests vdgk6's and herbaut7's rows
+    for membership in L, and adds F[i0:], which gives strong8's piece.  By
+    induction on i: if a family's pieces equal strong8's in every cell
+    below (i, j), its L is strong8's, so its piece is L plus its row, of
+    rank rank(L) + [row not in L], inside strong8's piece; it equals
+    strong8's exactly when the ranks agree, and the family's cell is then
+    strong8's cell object.  Where they differ, or a cell below differed, the
+    family builds its own cell from its own cells below (on the grids
+    tested, only herbaut7 at d-r = -1, which is empty: its row at s is the
+    u^(s-1) row of orderings(m) Q_m/(1+u), and Q_m has u-valuation s).  So
+    each routed ideal lies in strong8's, cell by cell: strong8's rank bounds
+    the joint rank of two routed families and is that rank when one side
+    reaches it, strong8's generator span holds the others', and the span
+    joint of vdgk6 and herbaut7 is their cell's ``pair``.
     """
 
     def __init__(self, g: int, route: tuple[str, int] | None = None,
@@ -465,7 +437,7 @@ class GradedSpan:
             return _Cell(space, rank)
         cut = self.route[1]
         generators, ranks, pair = {"vdgk6": 0, "herbaut7": 0}, {"vdgk6": rank, "herbaut7": rank}, 0
-        if dim and i and i + j > cut:  # generators: 2i+j > k
+        if dim and i and i + j > cut:  # a cell with generators
             rows, herbaut7 = _f_table(g, i, j), _f_row(g, i, j, cut + i, 1)
             top = rows[-1]  # vdgk6's row, with no zero entry
             generators = {"vdgk6": 1, "herbaut7": int(any(herbaut7))}
@@ -488,9 +460,8 @@ class GradedSpan:
         family_id, cut = self.route
         if family_id != "strong8":
             return self.top.cell(i, j).routed[family_id][0]
-        k = cut + i  # generators at i >= 1, 2i+j > k
-        if i and 2 * i + j > k and monomials_of_bidegree(self.g, i, j):
-            return _suffix_ranks(self.g, i, j)[_suffix_start(i, j, k)]
+        if i and i + j > cut and monomials_of_bidegree(self.g, i, j):
+            return _suffix_ranks(self.g, i, j)[_suffix_start(i, j, cut + i)]
         return 0
 
     def _below(self, i: int, j: int) -> range:
@@ -498,16 +469,6 @@ class GradedSpan:
         if not i:
             return range(0)
         return range(max(0, j - (i - 1) * (self.g - 1)), min(self.g, j + 1))
-
-    def generator_cells(self, r: int) -> Iterable[tuple[int, int]]:
-        """The bidegrees of the generators: the items' (in item order), or
-        for a routed family at r every cell above the cut with i <= r, as
-        ``_items`` runs."""
-        if self.route is None:
-            return self.generators
-        cut = self.route[1]
-        return ((i, j) for i in range(1, r + 1)
-                for j in range(max(0, cut - i + 1), i * (self.g - 1) + 1))
 
     def _generator_space(self, i: int, j: int, dim: int) -> RowSpace:
         """The echelon rows of the generators of bidegree (i, j): the kept
@@ -624,16 +585,11 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
     the bare generator spans are compared; equality holds in a cell when each
     family's rank equals the rank of the concatenation, in the cells (i, j)
     with 1 <= i <= r and j <= r(g-1); a generator beyond them raises
-    ``TruncationError``.  Each span is built once and shared by every
-    comparison it enters: a routed family's by every comparison of its route
-    key (family_id, g, d-r), whatever r.  Two routed families read one
-    elimination per cell, strong8's (``GradedSpan._build``): each ideal lies
-    in strong8's at the same (g, d-r), cell by cell, so strong8's rank bounds
-    their joint rank, and a side that reaches it has it as the joint rank;
-    routed strong8's generator span holds the other side's, and a
-    vdgk6-herbaut7 span joint is the rank of their two rows.  Any other
-    joint rank is at most the cell's dimension, and only the cells where no
-    side reaches its bound are reduced.
+    ``TruncationError``, and families at different (g, d, r) raise
+    ``ValueError``.  Each span is built once and shared by every comparison
+    it enters (``GradedSpan.from_family``).  A joint rank is reduced only
+    where no side reaches its bound: the cell's dimension, or for two
+    routed families strong8's rank (see ``GradedSpan``).
     """
     if (f1.g, f1.d, f1.r) != (f2.g, f2.d, f2.r):
         raise ValueError("families must share the same (g, d, r)")
@@ -678,17 +634,20 @@ def compare_ideals(f1: RelationFamily, f2: RelationFamily) -> IdealComparison:
 def span_contains(f_sub: RelationFamily, f_sup: RelationFamily) -> bool:
     """True when every item of f_sub lies in the per-bidegree span of f_sup.
 
-    The cells come from f_sub's span (``GradedSpan.generator_cells``), so no
-    routed family forms its items, and both sides read only their generator
-    rows (``GradedSpan._generator_space``), so no ideal cell is built; when
-    both are routed and f_sup is strong8, the inclusion answers (see
-    ``compare_ideals``)."""
+    The cells are f_sub's kept bidegrees, or for a routed f_sub the window
+    cells of ``compare_ideals``, so no routed family forms its items, and
+    both sides read only their generator rows
+    (``GradedSpan._generator_space``), so no ideal cell is built; when both
+    are routed and f_sup is strong8, the inclusion answers (see
+    ``GradedSpan``).  Families at different (g, d, r) raise ``ValueError``."""
     if (f_sub.g, f_sub.d, f_sub.r) != (f_sup.g, f_sup.d, f_sup.r):
         raise ValueError("families must share the same (g, d, r)")
     sub, sup = GradedSpan.from_family(f_sub), GradedSpan.from_family(f_sup)
     if sub.route and sup.route and f_sup.family_id == "strong8":
         return True
-    for i, j in sub.generator_cells(f_sub.r):
+    cells = sub.generators if sub.route is None else (
+        (i, j) for i in range(1, f_sub.r + 1) for j in range(i * (f_sub.g - 1) + 1))
+    for i, j in cells:
         dim = len(monomials_of_bidegree(f_sub.g, i, j))
         rows, space = sub._generator_space(i, j, dim), RowSpace(dim)
         if sup.route is None or i <= f_sup.r:  # a routed span's generators past r are not f_sup's
@@ -709,8 +668,9 @@ class EpsilonReport(NamedTuple):
     the coefficient of C(n-2) t^n.  ``no_negative_x`` certifies that every
     x-exponent is >= 0 (the principal parts cancel); ``strict_xt2`` is the
     stronger x >= 1 claim, which fails whenever some even n = a+2 contributes
-    its Bernoulli constant B_n/n at x^0.  ``t_floor`` is the smallest
-    t-exponent present (always >= 2).
+    its Bernoulli constant B_n/n at x^0, so the sharpest certifiable bound is
+    O(t^2) with no negative x-powers, not O(x t^2).  ``t_floor`` is the
+    smallest t-exponent present (always >= 2).
     """
 
     g: int
@@ -802,31 +762,41 @@ class DegreeBoundCheck(NamedTuple):
 
 
 class ChainReport(NamedTuple):
-    """Checks (a)-(c) of ``verify_implication_chain``.  ``x_order`` records
-    the x-window the series were known below, 2(g+2).  ``identity9_ok``
-    holds when L^-n * L = L^-(n-1), L = log(1+x), for n <= r(g+1).  With
-    h_a = g_a + e_a, which is ``_e_part``'s definition, the distributive
-    law at every monomial of the window follows from this power law, which
-    also certifies the powers, rows of ``combinat``'s table of (x/L)^n, by
-    products sharing no code with the table.  A window of L^-n cuts its
-    row, which never changes value, so the law on a window holds on every
-    narrower one: each power is checked at the window rounded up to a
-    multiple of 8, and at its own only if that fails.
+    """The implication chain's checks (a)-(c) at (g, d, r).  Each series is
+    linear in the generators, so it is one scalar Laurent series over Q per
+    generator: h_a = P_{a+2}(1/x) in H(1/x,t), g_a = (a+1)! L^-(a+2),
+    L = log(1+x), in G(t/log(1+x)), and e_a = h_a - g_a in eps
+    (``_e_part``).  Only the x-order truncates, below ``x_order`` = 2(g+2).
 
-    Check (b) is the valuation lemma.  With the vdgk6 relations rewritten to
-    zero, a kept term at m = (a_1..a_s) is G_S * prod_{i not in S} e_{a_i},
-    G_S a positive integer times L^-N, N = |S| + k with cut weight
-    k = |S| + sum_{i in S} a_i <= d-r (S empty always kept).  So once
-    every e_a has valuation >= 0, no kept term has an x-exponent below
-    -max N, the ``min_x_exponent`` of ``DegreeBoundCheck``, and it is
-    known below min(trunc L^-N, val L^-N + min_a trunc e_a).  The floor
-    is attained: by S = m when d-r >= s (the only term at -N), else by
-    |S| = d-r zero weights, since e_0 has valuation exactly 0.
-
-    Check (c)'s ``value``, [x^-m] x/(1+x) L^-n with m = d-r+s < n, reads
-    only L^-n's principal part, at x^-n .. x^(-m-1), so it is one scalar
-    per (n, m), computed once whatever the window; ``expected``,
-    (m!/(n-1)!) S(n-1, m), is formed on every call."""
+    (a) ``identity9_ok``: the binomial identity H(1/x,t)^s = sum_{s'}
+        C(s,s') G(t/log(1+x))^s' eps^(s-s') for s = 1..r.  At a monomial
+        m = (a_1..a_s) it is the distributive law for prod (g_{a_i} +
+        e_{a_i}), a sum over position sets S, and with h_a = g_a + e_a,
+        which is ``_e_part``'s definition, the law follows from the power
+        law L^-n * L = L^-(n-1) for n <= r(g+1) (``_power_law_ok``).  That
+        also certifies the powers, rows of ``combinat``'s table of (x/L)^n,
+        by products sharing no code with the table.  A window of L^-n cuts
+        its row, which never changes value, so the law on a window holds on
+        every narrower one: each power is checked at the window rounded up
+        to a multiple of 8, and at its own only if that fails.
+    (b) ``degree_bounds``: with the vdgk6 relations rewritten to zero, the
+        right-hand side has no x-exponent below -(d-r+s), by the paper's
+        valuation lemma.  A kept term at m is G_S * prod_{i not in S} e_{a_i}, G_S a
+        positive integer times L^-N, N = |S| + k with cut weight
+        k = |S| + sum_{i in S} a_i <= d-r (S empty always kept).  So once
+        every e_a has valuation >= 0, no kept term has an x-exponent below
+        -max N, the ``min_x_exponent``, and it is known below
+        min(trunc L^-N, val L^-N + min_a trunc e_a).  The floor is
+        attained: by S = m when d-r >= s (the only term at -N), else by
+        |S| = d-r zero weights, since e_0 has valuation exactly 0.  The
+        check reads the cached e_a's and L^-N's valuations and windows: it
+        forms no product and visits no monomial.
+    (c) ``scalar_checks``: the extraction scalar ``value``,
+        [x^-m] x/(1+x) L^-n with m = d-r+s < n <= s(g+1), equals
+        ``expected``, (m!/(n-1)!) S(n-1, m), and is nonzero.  ``value``
+        reads only L^-n's principal part, at x^-n .. x^(-m-1), so it is one
+        scalar per (n, m), computed once whatever the window
+        (``_extraction_scalar``); ``expected`` is formed on every call."""
 
     g: int
     d: int
@@ -850,29 +820,13 @@ class ChainReport(NamedTuple):
 
 
 def verify_implication_chain(g: int, d: int, r: int) -> ChainReport:
-    """Certify the series steps that tie the three families together.
-
-    Every series involved is linear in the generators and C(a) carries
-    t^(a+2), so each check reads scalar series over Q, exactly in t; only
-    the x-order truncates, at the fixed window 2(g+2) that
-    ``ChainReport.x_order`` records.  No check forms a product per
-    monomial, every power it reads is cached, check (a) multiplies once per
-    power and window, and each extraction scalar is computed once per
-    (n, m), so a warm call does no series arithmetic.
-
-    (a) The binomial identity H(1/x,t)^s = sum_{s'} C(s,s') G(t/log(1+x))^s'
-        eps^(s-s') holds for s = 1..r: at a monomial it is the distributive
-        law for prod (g_{a_i} + e_{a_i}), certified by the power law of the
-        cached L^-n, the one fact it needs beyond ``_e_part``'s definition
-        h_a = g_a + e_a (see ``ChainReport``).
-    (b) With the vdgk6 vanishing rewritten into G's powers, the right-hand
-        side is certified to contain no x-exponent below -(d-r+s), by the
-        valuation lemma (see ``ChainReport``).
-    (c) The extraction scalar, the x^-(d-r+s) coefficient of
-        x/(1+x) * log(1+x)^-n, equals (d-r+s)!/(n-1)! S(n-1, d-r+s) and is
-        nonzero for every n > d-r+s.  It reads only log(1+x)^-n's
-        principal part, so it is computed once per (n, m = d-r+s), whatever
-        the window.
+    """Certify the series steps that tie the three families together:
+    checks (a)-(c) of ``ChainReport``, exact in t and at the fixed x-window
+    2(g+2).  Parameters are checked as ``gen_family``'s (``ValueError``).
+    No check forms a product per monomial, every power it reads is cached,
+    check (a) multiplies once per power and window, and each extraction
+    scalar is computed once per (n, m), so a warm call does no series
+    arithmetic.
     """
     _validate_params(g, d, r)
     x_order = 2 * (g + 2)

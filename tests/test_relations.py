@@ -461,12 +461,13 @@ class TestCompareIdeals:
         assert compared == 1830
 
     def test_span_verdicts_on_the_free_algebra_keys(self):
-        # every key (g, c) with 1 <= c = d-r <= g <= 9, at r = min(c, 7): the
-        # three ideals agree at each, and the bare spans exactly at c = 1
-        # and at (2, 4, 2) and (3, 4, 2)
+        # every key (g, c) with 1 <= c = d-r <= g <= 10 and c <= 9, at
+        # r = min(c, 7): the three ideals agree at each, and the bare spans
+        # exactly at c = 1 and at (2, 4, 2) and (3, 4, 2)
         names, pairs = ("vdgk6", "herbaut7", "strong8"), ((0, 1), (1, 2), (0, 2))
-        keys = [(g, c + min(c, 7), min(c, 7)) for g in range(1, 10) for c in range(1, g + 1)]
-        assert len(keys) == 45
+        keys = [(g, c + min(c, 7), min(c, 7)) for g in range(1, 11)
+                for c in range(1, min(g, 9) + 1)]
+        assert len(keys) == 54
         for g, d, r in keys:
             fams = [gen_family(name, g, d, r) for name in names]
             reports = [compare_ideals(fams[a], fams[b]) for a, b in pairs]
@@ -475,12 +476,23 @@ class TestCompareIdeals:
             assert [report.span_equal for report in reports] == [span_equal] * 3, (g, d, r)
 
     def test_span_contains_matches_reference(self):
-        f6, f7, f8 = (gen_family(f, 4, 4, 2) for f in ("vdgk6", "herbaut7", "strong8"))
+        # every ordered pair of the criterion-5 grid and of d = r-1: the
+        # routed families against the reference and their JSON copies
+        names = ("vdgk6", "herbaut7", "strong8")
+        keys = [(g, d, r) for g in (3, 4, 5, 6) for r in (2, 3) for d in (r - 1, *range(2 * r, 9))]
         verdicts = {}
-        for sub, sup in ((f7, f8), (f6, f8), (f8, f6), (f8, f7)):
-            verdicts[(sub.family_id, sup.family_id)] = span_contains(sub, sup)
-            assert verdicts[(sub.family_id, sup.family_id)] == span_contains_by_ranks(sub, sup)
-        assert verdicts[("herbaut7", "strong8")]
+        for g, d, r in keys:
+            routed = [gen_family(name, g, d, r) for name in names]
+            plain = [family_from_json(family_to_json(f)) for f in routed]
+            for a in range(3):
+                for b in range(3):
+                    if a != b:
+                        verdict = span_contains(routed[a], routed[b])
+                        assert verdict == span_contains(plain[a], plain[b]) == \
+                            span_contains_by_ranks(plain[a], plain[b]), (g, d, r, a, b)
+                        verdicts[(g, d, r, names[a], names[b])] = verdict
+        assert len(verdicts) == 240
+        assert all(v for (*_, sub, sup), v in verdicts.items() if sup == "strong8")
         assert not all(verdicts.values())
 
 
